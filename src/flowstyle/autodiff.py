@@ -18,6 +18,7 @@ meant to live for one training step and be discarded.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericError, ShapeError
 
@@ -268,6 +269,23 @@ def conv2d(x, k, stride: int = 1, pad: int = 0) -> Var:
 
     ``x`` is (B,I,H,W), ``k`` is (O,I,kh,kw). Bias is not fused; add one
     with ``add(out, per_channel(b))``.
+
+    The output and each gradient are one BLAS GEMM in NCHW layout plus
+    strided adds, with the scratch buffer sized by the smaller channel
+    side, which the shapes alone decide:
+
+    * ``I <= O``: copy every kernel window of the padded input into a
+      (B, I*kh*kw, Ho*Wo) matrix and multiply by ``k`` as (O, I*kh*kw).
+    * ``I > O``: multiply the padded input by ``k`` as (kh*kw*O, I), then
+      add up the kh*kw shifted, strided slices of that product.
+
+    Backward picks the side the same way for the input gradient (a
+    transposed convolution, so the roles of I and O swap) and forms the
+    kernel gradient as one ``tensordot`` of the output gradient with the
+    input's windows. So forward and input gradient need at most
+    ``min(I, O)*kh*kw*B*Hp*Wp`` float64 of scratch (Hp, Wp the padded
+    extents); the kernel gradient needs ``I*kh*kw*B*Ho*Wo``. The tape
+    keeps only the padded input and the kernel, never a window buffer.
     """
     dx, dk = _data(x), _data(k)
     if dx.ndim != 4 or dk.ndim != 4:
@@ -276,39 +294,102 @@ def conv2d(x, k, stride: int = 1, pad: int = 0) -> Var:
         raise ShapeError(
             f"conv2d channel mismatch: input {dx.shape[1]}, kernel {dk.shape[1]}"
         )
-    kh, kw = dk.shape[2], dk.shape[3]
-    xp = np.pad(dx, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else dx
-    h_out = (xp.shape[2] - kh) // stride + 1
-    w_out = (xp.shape[3] - kw) // stride + 1
+    n_out, n_in, kh, kw = dk.shape
+    b, _, h, w = dx.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    h_out = (hp - kh) // stride + 1
+    w_out = (wp - kw) // stride + 1
     if h_out <= 0 or w_out <= 0:
         raise ShapeError("conv2d kernel larger than padded input")
-    out = np.zeros((dx.shape[0], dk.shape[0], h_out, w_out))
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[:, :, u : u + stride * h_out : stride, v : v + stride * w_out : stride]
-            out += np.einsum("bihw,oi->bohw", xs, dk[:, :, u, v])
+    if pad:
+        xp = np.zeros((b, n_in, hp, wp))
+        xp[:, :, pad:-pad, pad:-pad] = dx
+    else:
+        xp = dx
+    taps = _Taps(kh, kw, stride, h_out, w_out)
+    if n_in <= n_out:
+        out = _im2col_gemm(xp, dk.reshape(n_out, -1), taps)
+    else:
+        prod = (dk.transpose(2, 3, 0, 1).reshape(-1, n_in) @ xp.reshape(b, n_in, -1)).reshape(
+            b, kh, kw, n_out, hp, wp
+        )
+        out = np.zeros((b, n_out, h_out, w_out))
+        for u, v, rows, cols in taps:
+            out += prod[:, u, v, :, rows, cols]
 
     def back(g):
-        gxp = np.zeros_like(xp)
-        gk = np.zeros_like(dk) if isinstance(k, Var) and k.grad is not None else None
-        for u in range(kh):
-            for v in range(kw):
-                sl = (
-                    slice(None),
-                    slice(None),
-                    slice(u, u + stride * h_out, stride),
-                    slice(v, v + stride * w_out, stride),
-                )
-                gxp[sl] += np.einsum("bohw,oi->bihw", g, dk[:, :, u, v])
-                if gk is not None:
-                    gk[:, :, u, v] = np.einsum("bohw,bihw->oi", g, xp[sl])
+        if n_in <= n_out:
+            per_tap = (dk.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
+                b, n_in, kh, kw, h_out, w_out
+            )
+            gxp = np.zeros_like(xp)
+            for u, v, rows, cols in taps:
+                gxp[:, :, rows, cols] += per_tap[:, :, u, v]
+        else:
+            # Transposed conv as a correlation of the stride-dilated,
+            # (k-1)-padded output gradient with the flipped kernel.
+            gd = np.zeros((b, n_out, hp + kh - 1, wp + kw - 1))
+            gd[:, :, kh - 1 : kh - 1 + stride * h_out : stride,
+               kw - 1 : kw - 1 + stride * w_out : stride] = g
+            flipped = dk[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
+            gxp = _im2col_gemm(gd, flipped, _Taps(kh, kw, 1, hp, wp))
         if pad:
             gxp = gxp[:, :, pad:-pad, pad:-pad]
         _accum(x, gxp)
-        if gk is not None:
-            k.grad += gk
+        if isinstance(k, Var) and k.grad is not None:
+            k.grad += np.tensordot(g, taps.windows(xp), axes=([0, 2, 3], [0, 2, 3]))
 
     return _record(_tape_of(x, k), "conv2d", out, back, (x, k))
+
+
+class _Taps:
+    """Kernel-tap geometry of one convolution: (kh, kw) taps at ``stride``."""
+
+    __slots__ = ("kh", "kw", "stride", "h_out", "w_out")
+
+    def __init__(self, kh, kw, stride, h_out, w_out):
+        self.kh, self.kw, self.stride = kh, kw, stride
+        self.h_out, self.w_out = h_out, w_out
+
+    def __iter__(self):
+        """(u, v, rows, cols): each tap and the padded-input slices it reads."""
+        s, h, w = self.stride, self.h_out, self.w_out
+        for u in range(self.kh):
+            for v in range(self.kw):
+                yield u, v, slice(u, u + s * h, s), slice(v, v + s * w, s)
+
+    def windows(self, xp):
+        """Read-only (B, I, Ho, Wo, kh, kw) view of every window of ``xp``."""
+        sb, si, sh, sw = xp.strides
+        s = self.stride
+        return as_strided(
+            xp,
+            xp.shape[:2] + (self.h_out, self.w_out, self.kh, self.kw),
+            (sb, si, s * sh, s * sw, sh, sw),
+            writeable=False,
+        )
+
+
+def _im2col_gemm(xp, kmat, taps):
+    """Correlate ``xp`` with ``kmat`` (O, I*kh*kw) as one GEMM over its windows."""
+    b, n_in = xp.shape[:2]
+    cols = (
+        taps.windows(xp)
+        .transpose(0, 1, 4, 5, 2, 3)
+        .reshape(b, n_in * taps.kh * taps.kw, taps.h_out * taps.w_out)
+    )
+    return (kmat @ cols).reshape(b, kmat.shape[0], taps.h_out, taps.w_out)
+
+
+def _mix(m, x):
+    """Apply matrix ``m`` (O,I) to the channels of ``x`` (B,I,H,W) by GEMM."""
+    b, _, h, w = x.shape
+    return (m @ x.reshape(b, x.shape[1], h * w)).reshape(b, m.shape[0], h, w)
+
+
+def _mix_grad(g, x):
+    """Gradient of ``_mix`` w.r.t. its matrix: sum over b,h,w of g x^T."""
+    return np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))
 
 
 def channel_mix(x, w) -> Var:
@@ -316,12 +397,12 @@ def channel_mix(x, w) -> Var:
     dx, dw = _data(x), _data(w)
     if dx.shape[1] != dw.shape[1]:
         raise ShapeError(f"channel_mix: {dw.shape} cannot act on {dx.shape}")
-    out = np.einsum("bihw,oi->bohw", dx, dw)
+    out = _mix(dw, dx)
 
     def back(g):
-        _accum(x, np.einsum("bohw,oi->bihw", g, dw))
+        _accum(x, _mix(dw.T, g))
         if isinstance(w, Var) and w.grad is not None:
-            w.grad += np.einsum("bohw,bihw->oi", g, dx)
+            w.grad += _mix_grad(g, dx)
 
     return _record(_tape_of(x, w), "channel_mix", out, back, (x, w))
 
@@ -335,13 +416,12 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Var:
     """
     dx = _data(x)
     m = np.asarray(w_inv, dtype=np.float64)
-    out = np.einsum("bihw,oi->bohw", dx, m)
+    out = _mix(m, dx)
 
     def back(g):
-        _accum(x, np.einsum("bohw,oi->bihw", g, m))
+        _accum(x, _mix(m.T, g))
         if isinstance(w, Var) and w.grad is not None:
-            g_m = np.einsum("bohw,bihw->oi", g, dx)
-            w.grad += -(m.T @ g_m @ m.T)
+            w.grad += -(m.T @ _mix_grad(g, dx) @ m.T)
 
     return _record(_tape_of(x, w), "channel_mix_inv", out, back, (x, w))
 

@@ -14,11 +14,15 @@ Layout (all integers little-endian):
 Actnorm blocks carry scale, bias, then one flag value (1.0/0.0) for the
 data-dependent-init state, so a load reproduces the model bit-for-bit.
 Coupling blocks carry w1, b1, w2, b2, w3, b3 concatenated in C order.
-Any trailing bytes after the last declared block make the file invalid.
+A header describing an invalid architecture makes the file corrupt, and
+a file whose length after the header differs from what the header's
+architecture needs (truncated, or with trailing bytes) is rejected as a
+size mismatch before any model is built.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -28,6 +32,7 @@ import numpy as np
 from .errors import (
     CorruptCheckpointError,
     MagicMismatchError,
+    ShapeError,
     SizeMismatchError,
     VersionMismatchError,
 )
@@ -40,6 +45,31 @@ _TAG_SQUEEZE = 1
 _TAG_ACTNORM = 2
 _TAG_INVCONV = 3
 _TAG_COUPLING = 4
+_BLOCK_HEADER = 9  # tag u8 + count u64
+
+
+def _coupling_shapes(c: int, hidden: int) -> list[tuple[int, ...]]:
+    """Shapes of w1, b1, w2, b2, w3, b3 for a ``c``-channel flow step."""
+    half = c // 2
+    return [
+        (hidden, half, 3, 3),
+        (hidden,),
+        (hidden, hidden, 1, 1),
+        (hidden,),
+        (half, hidden, 3, 3),
+        (half,),
+    ]
+
+
+def _payload_bytes(config: FlowNetConfig) -> int:
+    """Bytes of layer blocks that follow the header of a ``config`` model."""
+    total = 0
+    for bi in range(config.n_blocks):
+        c = config.block_channels(bi)
+        coupling = sum(math.prod(s) for s in _coupling_shapes(c, config.hidden))
+        values = (2 * c + 1) + c * c + coupling
+        total += _BLOCK_HEADER + config.n_flows * (3 * _BLOCK_HEADER + 8 * values)
+    return total
 
 
 def checkpoint_bytes(model: FlowNet) -> bytes:
@@ -112,9 +142,6 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
 
 def load_checkpoint(path) -> FlowNet:
     """Rebuild a model from a checkpoint file, bit-exactly."""
@@ -127,7 +154,18 @@ def load_checkpoint(path) -> FlowNet:
     if version != VERSION:
         raise VersionMismatchError(f"unsupported version {version}, expected {VERSION}")
     fields = struct.unpack("<6I", r.take(24))
-    config = FlowNetConfig(*fields)
+    try:
+        config = FlowNetConfig(*fields)
+    except ShapeError as exc:
+        raise CorruptCheckpointError(
+            f"header declares an invalid architecture: {exc}"
+        ) from exc
+    expected = _payload_bytes(config)
+    if len(data) - r.pos != expected:
+        raise SizeMismatchError(
+            f"header's architecture needs {expected} bytes of layer blocks, "
+            f"file has {len(data) - r.pos}"
+        )
     model = build_flownet(config, seed=0)
 
     def read_block(expected_tag: int, expected_count: int) -> np.ndarray:
@@ -145,7 +183,8 @@ def load_checkpoint(path) -> FlowNet:
 
     for bi, block in enumerate(model.blocks):
         c = config.block_channels(bi)
-        half, hidden = c // 2, config.hidden
+        shapes = _coupling_shapes(c, config.hidden)
+        total = sum(math.prod(s) for s in shapes)
         read_block(_TAG_SQUEEZE, 0)
         for step in block:
             vals = read_block(_TAG_ACTNORM, 2 * c + 1)
@@ -153,26 +192,13 @@ def load_checkpoint(path) -> FlowNet:
             step.actnorm.bias = vals[c : 2 * c].copy()
             step.actnorm.initialized = vals[2 * c] != 0.0
             step.invconv.weight = read_block(_TAG_INVCONV, c * c).reshape(c, c).copy()
-            shapes = [
-                (hidden, half, 3, 3),
-                (hidden,),
-                (hidden, hidden, 1, 1),
-                (hidden,),
-                (half, hidden, 3, 3),
-                (half,),
-            ]
-            total = sum(int(np.prod(s)) for s in shapes)
             vals = read_block(_TAG_COUPLING, total)
             offset = 0
             parts = []
             for shape in shapes:
-                n = int(np.prod(shape))
+                n = math.prod(shape)
                 parts.append(vals[offset : offset + n].reshape(shape).copy())
                 offset += n
             cp = step.coupling
             cp.w1, cp.b1, cp.w2, cp.b2, cp.w3, cp.b3 = parts
-    if not r.done():
-        raise CorruptCheckpointError(
-            f"{len(data) - r.pos} trailing bytes after the last layer block"
-        )
     return model

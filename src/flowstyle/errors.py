@@ -42,7 +42,7 @@ class CheckpointError(FlowStyleError, ValueError):
 
 
 class CorruptCheckpointError(CheckpointError):
-    """Checkpoint is truncated or carries trailing garbage."""
+    """Checkpoint bytes do not describe a valid model."""
 
 
 class MagicMismatchError(CheckpointError):
@@ -53,5 +53,5 @@ class VersionMismatchError(CheckpointError):
     """Checkpoint format version is not supported."""
 
 
-class SizeMismatchError(CheckpointError):
-    """Declared parameter block size disagrees with the architecture."""
+class SizeMismatchError(CorruptCheckpointError):
+    """Declared sizes disagree with the architecture or the file length."""

@@ -91,15 +91,20 @@ class FlowNetConfig:
     in_width: int
 
     def __post_init__(self):
-        for name in ("n_blocks", "n_flows", "hidden", "in_channels"):
+        for name in (
+            "n_blocks", "n_flows", "hidden", "in_channels", "in_height", "in_width"
+        ):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be positive, got {getattr(self, name)}")
-        div = SQUEEZE_FACTOR**self.n_blocks
-        if self.in_height % div or self.in_width % div:
+        # No extent of at most n_blocks bits is divisible by a power that
+        # large; testing that first spares a huge n_blocks a huge power.
+        extents = (self.in_height, self.in_width)
+        too_deep = self.n_blocks >= min(extents).bit_length()
+        if too_deep or any(e % SQUEEZE_FACTOR**self.n_blocks for e in extents):
             raise ShapeError(
                 f"input extents {self.in_height}x{self.in_width} must be divisible "
-                f"by {div} (squeeze factor {SQUEEZE_FACTOR} per block, "
-                f"{self.n_blocks} blocks)"
+                f"by {SQUEEZE_FACTOR}**{self.n_blocks} (squeeze factor "
+                f"{SQUEEZE_FACTOR} per block, {self.n_blocks} blocks)"
             )
 
     def latent_shape(self) -> tuple[int, int, int]:
@@ -299,12 +304,15 @@ class FlowNet:
                 f"{div}; center-crop or pad the input to a multiple first"
             )
 
+    def _require_initialized(self):
+        if not self.initialized:
+            raise StateError("actnorm layers are uninitialized; run initialize_actnorms")
+
     def forward(self, x, params=None):
         """Project an image batch to its latent feature (the encoder)."""
         data = ad._data(x)
         self._check_image(data)
-        if not self.initialized:
-            raise StateError("actnorm layers are uninitialized; run initialize_actnorms")
+        self._require_initialized()
         out = self._run(ad.lift(x), params, inverse=False)
         return _ret(out, x)
 
@@ -314,6 +322,7 @@ class FlowNet:
         c_lat = self.config.in_channels * 4**self.config.n_blocks
         if data.ndim != 4 or data.shape[1] != c_lat:
             raise ShapeError(f"expected (B,{c_lat},h,w) latent, got {data.shape}")
+        self._require_initialized()
         out = self._run(ad.lift(z), params, inverse=True)
         return _ret(out, z)
 

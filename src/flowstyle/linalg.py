@@ -155,13 +155,6 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, v
 
 
-def default_clamp_floor(m) -> float:
-    """Default eigenvalue clamp used by :func:`sym_pow`: 1e-8 * trace/c."""
-    a = _as_square(m, "default_clamp_floor")
-    n = a.shape[0]
-    return 1e-8 * float(np.trace(a)) / n if n else 0.0
-
-
 def sym_pow(m, p: float, eps: float | None = None) -> np.ndarray:
     """Symmetric matrix power ``E diag(clamp(lam, eps))^p E^T``.
 
@@ -173,6 +166,16 @@ def sym_pow(m, p: float, eps: float | None = None) -> np.ndarray:
     and NumericError when a negative power meets a non-positive clamped
     spectrum (only possible when eps <= 0).
     """
+    (out,) = sym_pows(m, (p,), eps)
+    return out
+
+
+def sym_pows(m, powers, eps: float | None = None) -> tuple[np.ndarray, ...]:
+    """:func:`sym_pow` for several powers of one matrix, one eigensolve.
+
+    Each result is bit-identical to ``sym_pow(m, p, eps)``; the checks
+    and the clamp are those of :func:`sym_pow`.
+    """
     a = _as_square(m, "sym_pow")
     n = a.shape[0]
     if eps is None:
@@ -183,11 +186,13 @@ def sym_pow(m, p: float, eps: float | None = None) -> np.ndarray:
             f"matrix is not PSD: min eigenvalue {lam[-1]:.3e} below tolerance"
         )
     lam_c = np.maximum(lam, eps)
-    if p < 0 and np.any(lam_c <= 0.0):
-        raise NumericError("negative power of a non-positive clamped spectrum")
-    powered = lam_c**p
-    out = matmul(e * powered[np.newaxis, :], e.T)
-    return 0.5 * (out + out.T)
+    outs = []
+    for p in powers:
+        if p < 0 and np.any(lam_c <= 0.0):
+            raise NumericError("negative power of a non-positive clamped spectrum")
+        out = matmul(e * (lam_c**p)[np.newaxis, :], e.T)
+        outs.append(0.5 * (out + out.T))
+    return tuple(outs)
 
 
 def mat_inverse(m) -> np.ndarray:

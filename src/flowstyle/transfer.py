@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import SymMatrix, matmul, sym_pow
+from .linalg import SymMatrix, matmul, sym_pows
 
 EPS_STD = 1e-6
 # Relative ridge added to raw channel covariances. Kept tiny so transfer
@@ -141,7 +141,8 @@ def cov_factor(f) -> CovFactor:
     ``1e-12 * trace/c`` (an absolute 1e-12 when the trace vanishes) so
     exactly constant features still produce finite whiteners;
     rank-deficient covariances are additionally protected by the
-    eigenvalue clamp inside ``sym_pow``.
+    eigenvalue clamp of ``sym_pow``. Both powers come from one
+    eigendecomposition.
     """
     a = _check_feature(f, "feature")
     x = _flatten_channels(a)
@@ -154,12 +155,8 @@ def cov_factor(f) -> CovFactor:
     trace = float(np.trace(cov_raw))
     eps = max(EPS_COV_REL * trace / x.shape[0], EPS_COV_ABS if trace <= 0.0 else 0.0)
     cov = SymMatrix(cov_raw + eps * np.eye(x.shape[0]))
-    return CovFactor(
-        mean=mean,
-        cov=cov,
-        whitener=sym_pow(cov, -0.5),
-        colorer=sym_pow(cov, +0.5),
-    )
+    whitener, colorer = sym_pows(cov, (-0.5, +0.5))
+    return CovFactor(mean=mean, cov=cov, whitener=whitener, colorer=colorer)
 
 
 def wct_content_factor(f) -> np.ndarray:
@@ -169,10 +166,6 @@ def wct_content_factor(f) -> np.ndarray:
     x = _flatten_channels(a)
     white = matmul(factor.whitener, x - factor.mean[:, np.newaxis])
     return _unflatten_channels(white, a.shape)
-
-
-def wct_style_factor(f) -> CovFactor:
-    return cov_factor(f)
 
 
 def _unflatten_channels(x, shape) -> np.ndarray:

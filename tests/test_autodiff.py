@@ -285,3 +285,96 @@ class TestGradCheck:
         report = ad.grad_check({"x": np.array([1.0, 2.0])}, build)
         assert not report.passed
         assert "x" in report.failures
+
+
+def direct_conv(x, k, stride, pad):
+    """Reference cross-correlation: one explicit window sum per output value."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    o, _, kh, kw = k.shape
+    h_out = (xp.shape[2] - kh) // stride + 1
+    w_out = (xp.shape[3] - kw) // stride + 1
+    out = np.zeros((x.shape[0], o, h_out, w_out))
+    for b in range(x.shape[0]):
+        for c in range(o):
+            for i in range(h_out):
+                for j in range(w_out):
+                    window = xp[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+                    out[b, c, i, j] = np.sum(window * k[c])
+    return out
+
+
+def direct_mix(x, w):
+    """Reference channel mix: one explicit sum over input channels per output."""
+    out = np.zeros((x.shape[0], w.shape[0]) + x.shape[2:])
+    for o in range(w.shape[0]):
+        for i in range(w.shape[1]):
+            out[:, o] += w[o, i] * x[:, i]
+    return out
+
+
+def assert_rel_close(actual, expect, rtol=1e-12):
+    assert actual.shape == expect.shape
+    assert np.max(np.abs(actual - expect)) <= rtol * np.max(np.abs(expect))
+
+
+# (in, out) channel pairs covering both GEMM sides and the tie.
+ORIENTATIONS = [(2, 5), (5, 2), (3, 3)]
+
+
+class TestConvKernels:
+    @pytest.mark.parametrize("channels", ORIENTATIONS)
+    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_conv2d_matches_reference(self, channels, ksize, stride, pad):
+        n_in, n_out = channels
+        rng = np.random.default_rng(10 * n_in + n_out)
+        x = rng.standard_normal((2, n_in, 7, 9))
+        k = rng.standard_normal((n_out, n_in, ksize, ksize))
+        assert_rel_close(ad.conv2d(x, k, stride=stride, pad=pad).data,
+                         direct_conv(x, k, stride, pad))
+
+    @pytest.mark.parametrize("channels", ORIENTATIONS)
+    @pytest.mark.parametrize("ksize,pad", [(3, 1), (1, 0)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_gradients(self, channels, ksize, pad, stride):
+        n_in, n_out = channels
+
+        def build(p):
+            y = ad.conv2d(p["x"], p["k"], stride=stride, pad=pad)
+            return ad.sum_all(ad.mul(y, ad.mul(y, 0.5)))
+
+        fd_check({"x": (2, n_in, 5, 6), "k": (n_out, n_in, ksize, ksize)}, build, seeds=range(1))
+
+    @pytest.mark.parametrize("channels", ORIENTATIONS)
+    def test_channel_mix_matches_reference(self, channels):
+        n_in, n_out = channels
+        rng = np.random.default_rng(20 + n_in)
+        x = rng.standard_normal((2, n_in, 7, 9))
+        w = rng.standard_normal((n_out, n_in))
+        assert_rel_close(ad.channel_mix(x, w).data, direct_mix(x, w))
+
+    def test_channel_mix_inv_matches_reference(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((2, 4, 7, 9))
+        w = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
+        m = mat_inverse(w)
+        assert_rel_close(ad.channel_mix_inv(x, w, m).data, direct_mix(x, m))
+
+    @pytest.mark.parametrize("channels", ORIENTATIONS)
+    def test_channel_mix_gradients(self, channels):
+        n_in, n_out = channels
+
+        def build(p):
+            y = ad.channel_mix(p["x"], p["w"])
+            return ad.sum_all(ad.mul(y, y))
+
+        fd_check({"x": (2, n_in, 3, 5), "w": (n_out, n_in)}, build, seeds=range(1))
+
+    def test_channel_mix_inv_gradients_batch_two(self):
+        def build(p):
+            wmat = ad.add(p["w"], 3.0 * np.eye(4))
+            y = ad.channel_mix_inv(p["x"], wmat, mat_inverse(ad._data(wmat)))
+            return ad.sum_all(ad.mul(y, y))
+
+        fd_check({"x": (2, 4, 3, 5), "w": (4, 4)}, build, seeds=range(1))

@@ -236,6 +236,12 @@ class TestFlowNet:
         with pytest.raises(StateError):
             model.forward(np.zeros((1, 3, 8, 8)))
 
+    def test_inverse_requires_initialization(self):
+        cfg = FlowNetConfig(1, 1, 4, 3, 8, 8)
+        model = build_flownet(cfg)
+        with pytest.raises(StateError):
+            model.inverse(np.zeros((1, 12, 4, 4)))
+
     def test_round_trip_small_model(self):
         model, batch = make_model(n_blocks=2, n_flows=2, shape=(2, 3, 8, 8))
         randomize_couplings(model, seed=5)

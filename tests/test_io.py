@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,29 @@ class TestCheckpoint:
         p.write_bytes(bytes(blob))
         with pytest.raises(SizeMismatchError):
             load_checkpoint(p)
+
+    @staticmethod
+    def _with_header(tmp_path, fields):
+        blob = bytearray(checkpoint_bytes(trained_like_model()))
+        struct.pack_into("<6I", blob, 8, *fields)
+        p = tmp_path / "h.ckpt"
+        p.write_bytes(bytes(blob))
+        return p
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(0, 2, 4, 3, 8, 8), (2, 2, 4, 3, 15, 16), (20_000, 2, 4, 3, 8, 8), (2, 2, 4, 3, 0, 8)],
+        ids=["no_blocks", "odd_extent", "too_many_blocks", "zero_extent"],
+    )
+    def test_invalid_architecture_header_rejected(self, tmp_path, fields):
+        with pytest.raises(CorruptCheckpointError) as info:
+            load_checkpoint(self._with_header(tmp_path, fields))
+        assert isinstance(info.value.__cause__, ShapeError)
+
+    def test_oversized_header_rejected_before_building(self, tmp_path):
+        # hidden=2**20 would need terabytes of coupling weights.
+        with pytest.raises(SizeMismatchError):
+            load_checkpoint(self._with_header(tmp_path, (2, 2, 2**20, 3, 8, 8)))
 
     def test_magic_is_stable(self):
         assert MAGIC == b"PFN1"

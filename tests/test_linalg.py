@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowstyle.errors import NotPSDError, NumericError, ShapeError, SingularMatrixError
-from flowstyle.linalg import SymMatrix, mat_inverse, matmul, sym_eig, sym_pow
+from flowstyle.linalg import SymMatrix, mat_inverse, matmul, sym_eig, sym_pow, sym_pows
 
 
 def naive_matmul(a, b):
@@ -182,6 +182,19 @@ class TestSymPow:
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
         out = sym_pow(m, -0.5)
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("eps", [None, 1e-3])
+    def test_one_eigensolve_matches_separate_calls(self, eps):
+        m = random_psd(6, 25)
+        m[0] *= 0.0
+        m[:, 0] *= 0.0  # rank-deficient, so the clamp is exercised
+        powers = (-0.5, 0.5, 1.0)
+        for out, p in zip(sym_pows(m, powers, eps), powers):
+            np.testing.assert_array_equal(out, sym_pow(m, p, eps))
+
+    def test_multiple_powers_keep_psd_check(self):
+        with pytest.raises(NotPSDError):
+            sym_pows(np.diag([1.0, -0.5]), (-0.5, 0.5), eps=1e-6)
 
 
 class TestMatInverse:

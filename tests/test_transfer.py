@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowstyle.errors import ShapeError
-from flowstyle.linalg import matmul
+from flowstyle.linalg import matmul, sym_pow
 from flowstyle.transfer import (
     ADAIN,
     EPS_STD,
@@ -147,6 +147,13 @@ class TestCovFactor:
         cf = cov_factor(f)
         prod = matmul(cf.whitener, cf.colorer)
         assert np.max(np.abs(prod - np.eye(4))) < 1e-8
+
+
+    def test_powers_equal_two_separate_solves(self):
+        f = random_feature((2, 5, 6, 6), seed=16, scale=[1, 2, 0.5, 3, 1])
+        cf = cov_factor(f)
+        np.testing.assert_array_equal(cf.whitener, sym_pow(cf.cov, -0.5))
+        np.testing.assert_array_equal(cf.colorer, sym_pow(cf.cov, +0.5))
 
 
 class TestWct:
