@@ -5,27 +5,28 @@ Layout (all integers little-endian):
     magic   4 bytes  b"PFN1"
     version u32      1
     config  6 x u32  n_blocks, n_flows, hidden, in_channels, in_height, in_width
-    layers  repeated, in forward model order (per block: squeeze, then
-            per flow: actnorm, invconv, coupling):
-        tag   u8     1=squeeze 2=actnorm 3=invconv 4=coupling
+    layers  one block per entry of the config's layer list
+            (:meth:`~flowstyle.flows.FlowNetConfig.layers`), in that order:
+        tag   u8     the layer's tag: 1=squeeze 2=actnorm 3=invconv 4=coupling
         count u64    number of f64 values that follow
         data  count x f64 (little-endian)
 
-Actnorm blocks carry scale, bias, then one flag value (1.0/0.0) for the
-data-dependent-init state, so a load reproduces the model bit-for-bit.
-Coupling blocks carry w1, b1, w2, b2, w3, b3 concatenated in C order.
-A header describing an invalid architecture makes the file corrupt, and
-a file whose length after the header differs from what the header's
-architecture needs (truncated, or with trailing bytes) is rejected as a
-size mismatch before any model is built.
+A block's data is the layer's parameters in store order, each in C
+order; a layer with data-dependent init (actnorm) appends one flag value,
+exactly 1.0 or 0.0, for its init state, so a load reproduces the model
+bit-for-bit. The whole layout is generated from the layer list. A file
+is corrupt when its header describes an invalid architecture, a block's
+tag, count, flag or values (NaN or inf) are wrong, or its length differs
+from what the header's architecture needs (a size mismatch: truncated,
+or with trailing bytes).
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import tempfile
+from dataclasses import astuple
 
 import numpy as np
 
@@ -36,79 +37,25 @@ from .errors import (
     SizeMismatchError,
     VersionMismatchError,
 )
-from .flows import FlowNet, FlowNetConfig, build_flownet
+from .flows import FlowNet, FlowNetConfig
 
 MAGIC = b"PFN1"
 VERSION = 1
 
-_TAG_SQUEEZE = 1
-_TAG_ACTNORM = 2
-_TAG_INVCONV = 3
-_TAG_COUPLING = 4
 _BLOCK_HEADER = 9  # tag u8 + count u64
-
-
-def _coupling_shapes(c: int, hidden: int) -> list[tuple[int, ...]]:
-    """Shapes of w1, b1, w2, b2, w3, b3 for a ``c``-channel flow step."""
-    half = c // 2
-    return [
-        (hidden, half, 3, 3),
-        (hidden,),
-        (hidden, hidden, 1, 1),
-        (hidden,),
-        (half, hidden, 3, 3),
-        (half,),
-    ]
-
-
-def _payload_bytes(config: FlowNetConfig) -> int:
-    """Bytes of layer blocks that follow the header of a ``config`` model."""
-    total = 0
-    for bi in range(config.n_blocks):
-        c = config.block_channels(bi)
-        coupling = sum(math.prod(s) for s in _coupling_shapes(c, config.hidden))
-        values = (2 * c + 1) + c * c + coupling
-        total += _BLOCK_HEADER + config.n_flows * (3 * _BLOCK_HEADER + 8 * values)
-    return total
+_FLAG_BYTES = {struct.pack("<d", 0.0): False, struct.pack("<d", 1.0): True}
 
 
 def checkpoint_bytes(model: FlowNet) -> bytes:
     """Serialize a model to the checkpoint wire format."""
-    cfg = model.config
-    out = [MAGIC, struct.pack("<I", VERSION)]
-    out.append(
-        struct.pack(
-            "<6I",
-            cfg.n_blocks,
-            cfg.n_flows,
-            cfg.hidden,
-            cfg.in_channels,
-            cfg.in_height,
-            cfg.in_width,
-        )
-    )
-
-    def emit(tag: int, values: np.ndarray):
-        flat = np.ascontiguousarray(values, dtype="<f8").reshape(-1)
-        out.append(struct.pack("<BQ", tag, flat.size))
+    out = [MAGIC, struct.pack("<I", VERSION), struct.pack("<6I", *astuple(model.config))]
+    for layer in model.layers:
+        values = [np.zeros(0)] + [model.params[name].ravel() for name in layer.shapes]
+        if layer.init_flag:
+            values.append([1.0 if model.actnorm_initialized[layer.name] else 0.0])
+        flat = np.concatenate(values).astype("<f8")
+        out.append(struct.pack("<BQ", layer.tag, flat.size))
         out.append(flat.tobytes())
-
-    for block in model.blocks:
-        emit(_TAG_SQUEEZE, np.zeros(0))
-        for step in block:
-            a = step.actnorm
-            emit(
-                _TAG_ACTNORM,
-                np.concatenate([a.scale, a.bias, [1.0 if a.initialized else 0.0]]),
-            )
-            emit(_TAG_INVCONV, step.invconv.weight)
-            c = step.coupling
-            emit(
-                _TAG_COUPLING,
-                np.concatenate(
-                    [c.w1.ravel(), c.b1, c.w2.ravel(), c.b2, c.w3.ravel(), c.b3]
-                ),
-            )
     return b"".join(out)
 
 
@@ -134,7 +81,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise CorruptCheckpointError(
+            raise SizeMismatchError(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
                 f"file has {len(self.data)}"
             )
@@ -144,7 +91,12 @@ class _Reader:
 
 
 def load_checkpoint(path) -> FlowNet:
-    """Rebuild a model from a checkpoint file, bit-exactly."""
+    """Rebuild a model from a checkpoint file, bit-exactly.
+
+    Blocks are read one layer at a time, so a header that declares more
+    layers or values than the file holds fails on the first block that
+    does not fit, without allocating for the rest.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data)
@@ -160,45 +112,31 @@ def load_checkpoint(path) -> FlowNet:
         raise CorruptCheckpointError(
             f"header declares an invalid architecture: {exc}"
         ) from exc
-    expected = _payload_bytes(config)
-    if len(data) - r.pos != expected:
-        raise SizeMismatchError(
-            f"header's architecture needs {expected} bytes of layer blocks, "
-            f"file has {len(data) - r.pos}"
-        )
-    model = build_flownet(config, seed=0)
-
-    def read_block(expected_tag: int, expected_count: int) -> np.ndarray:
-        tag, count = struct.unpack("<BQ", r.take(9))
-        if tag != expected_tag:
+    params, flags = {}, {}
+    for layer in config.layers():
+        tag, count = struct.unpack("<BQ", r.take(_BLOCK_HEADER))
+        if tag != layer.tag:
             raise CorruptCheckpointError(
-                f"layer tag {tag} where {expected_tag} was expected"
+                f"{layer.name}: layer tag {tag} where {layer.tag} was expected"
             )
-        if count != expected_count:
+        if count != layer.size + layer.init_flag:
             raise SizeMismatchError(
-                f"layer tag {tag} declares {count} values, architecture "
-                f"requires {expected_count}"
+                f"{layer.name}: block declares {count} values, architecture "
+                f"requires {layer.size + layer.init_flag}"
             )
-        return np.frombuffer(r.take(8 * count), dtype="<f8").astype(np.float64)
-
-    for bi, block in enumerate(model.blocks):
-        c = config.block_channels(bi)
-        shapes = _coupling_shapes(c, config.hidden)
-        total = sum(math.prod(s) for s in shapes)
-        read_block(_TAG_SQUEEZE, 0)
-        for step in block:
-            vals = read_block(_TAG_ACTNORM, 2 * c + 1)
-            step.actnorm.scale = vals[:c].copy()
-            step.actnorm.bias = vals[c : 2 * c].copy()
-            step.actnorm.initialized = vals[2 * c] != 0.0
-            step.invconv.weight = read_block(_TAG_INVCONV, c * c).reshape(c, c).copy()
-            vals = read_block(_TAG_COUPLING, total)
-            offset = 0
-            parts = []
-            for shape in shapes:
-                n = math.prod(shape)
-                parts.append(vals[offset : offset + n].reshape(shape).copy())
-                offset += n
-            cp = step.coupling
-            cp.w1, cp.b1, cp.w2, cp.b2, cp.w3, cp.b3 = parts
-    return model
+        raw = r.take(8 * count)
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        if not np.isfinite(values).all():
+            raise CorruptCheckpointError(f"{layer.name}: non-finite parameter value")
+        if layer.init_flag:
+            if raw[-8:] not in _FLAG_BYTES:
+                raise CorruptCheckpointError(
+                    f"{layer.name}: init flag {float(values[-1])!r} is neither 1.0 nor 0.0"
+                )
+            flags[layer.name] = _FLAG_BYTES[raw[-8:]]
+        params.update(layer.split(values[: layer.size]))
+    if r.pos != len(data):
+        raise SizeMismatchError(
+            f"{len(data) - r.pos} trailing bytes after the last layer block"
+        )
+    return FlowNet(config, params, flags)

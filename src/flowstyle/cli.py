@@ -126,8 +126,11 @@ _CONFIG_DEFAULTS = {
 }
 
 
+_CONFIG_KEYS = {*_CONFIG_DEFAULTS, "content_dir", "style_dir"}
+
+
 def parse_config_file(path) -> dict:
-    """Flat key=value text; '#' starts a comment."""
+    """Flat key=value text; '#' starts a comment. Unknown keys are errors."""
     values = dict(_CONFIG_DEFAULTS)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -137,6 +140,11 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise FlowStyleError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise FlowStyleError(
+                    f"{path}:{lineno}: unknown config key '{key}'; "
+                    f"known: {', '.join(sorted(_CONFIG_KEYS))}"
+                )
             values[key] = value
     return values
 
@@ -158,16 +166,25 @@ def _read_dir(directory) -> list:
     return [read_image(os.path.join(directory, n))[0] for n in names]
 
 
+def _number(values, key, kind):
+    try:
+        return kind(values[key])
+    except ValueError:
+        raise FlowStyleError(
+            f"config key '{key}': expected {kind.__name__}, got {values[key]!r}"
+        ) from None
+
+
 def _train_config(values) -> TrainConfig:
     return TrainConfig(
-        iterations=int(values["iterations"]),
-        batch_size=int(values["batch_size"]),
-        learning_rate=float(values["learning_rate"]),
-        lr_decay=float(values["lr_decay"]),
-        lambda_content=float(values["lambda_content"]),
-        lambda_style=float(values["lambda_style"]),
-        seed=int(values["seed"]),
-        crop_size=int(values["crop_size"]),
+        iterations=_number(values, "iterations", int),
+        batch_size=_number(values, "batch_size", int),
+        learning_rate=_number(values, "learning_rate", float),
+        lr_decay=_number(values, "lr_decay", float),
+        lambda_content=_number(values, "lambda_content", float),
+        lambda_style=_number(values, "lambda_style", float),
+        seed=_number(values, "seed", int),
+        crop_size=_number(values, "crop_size", int),
     )
 
 
@@ -185,9 +202,9 @@ def _cmd_train(args) -> int:
     cfg = _train_config(values)
     pairs = _load_pairs(values)
     model_cfg = FlowNetConfig(
-        n_blocks=int(values["n_blocks"]),
-        n_flows=int(values["n_flows"]),
-        hidden=int(values["hidden"]),
+        n_blocks=_number(values, "n_blocks", int),
+        n_flows=_number(values, "n_flows", int),
+        hidden=_number(values, "hidden", int),
         in_channels=3,
         in_height=cfg.crop_size,
         in_width=cfg.crop_size,
@@ -247,7 +264,7 @@ def _cmd_ablate(args) -> int:
             f"instantiate the 4-block architecture"
         )
     configs = [
-        named_config(name, 3, size, size, hidden=int(values["hidden"]))
+        named_config(name, 3, size, size, hidden=_number(values, "hidden", int))
         for name in ("flow8-block2", "flow8-block1", "flow16-block1", "flow4-block4")
     ]
     eval_pairs = pairs[: min(2, len(pairs))]

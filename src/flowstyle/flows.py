@@ -6,6 +6,13 @@ actnorm -> invertible 1x1 convolution -> additive coupling. Every layer
 has an exact inverse, so ``model.inverse(model.forward(x))`` reproduces
 ``x`` to within float64 rounding, with no information loss anywhere.
 
+:meth:`FlowNetConfig.layers` is the one description of that chain: it
+yields every layer in forward order with its kind, name, parameter names
+and shapes, and checkpoint tag. The parameters live in one flat ordered
+``{name: array}`` store on :class:`FlowNet`, and the forward and inverse
+walks, actnorm initialization, copying, training and the checkpoint file
+layout are all generated from that list.
+
 All layer functions accept either plain ndarrays or taped
 :class:`~flowstyle.autodiff.Var` values and return the same kind, so the
 trainer can differentiate through both directions of the network while
@@ -14,6 +21,8 @@ inference stays tape-free.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,49 +43,50 @@ NAMED_ARCHITECTURES = {
     "flow4-block4": (4, 4),
 }
 
-
-@dataclass
-class ActnormParams:
-    """Per-channel affine scale/bias with data-dependent initialization."""
-
-    scale: np.ndarray
-    bias: np.ndarray
-    initialized: bool = False
+# Checkpoint block tag of each layer kind.
+LAYER_TAGS = {"squeeze": 1, "actnorm": 2, "invconv": 3, "coupling": 4}
 
 
-@dataclass
-class InvConvParams:
-    """Channel-mixing matrix of an invertible 1x1 convolution."""
+@dataclass(frozen=True)
+class Layer:
+    """One entry of the forward-order layer list.
 
-    weight: np.ndarray
-
-
-@dataclass
-class CouplingParams:
-    """The three conv layers of the coupling's inner network.
-
-    Layout: 3x3 (pad 1) -> ReLU -> 1x1 -> ReLU -> 3x3 (pad 1). The final
-    kernel and bias are zero at initialization so a fresh coupling is an
-    exact identity.
+    ``shapes`` maps each parameter's store name to its shape, in store
+    and checkpoint order; a squeeze has none.
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    kind: str
+    name: str
+    shapes: dict[str, tuple[int, ...]]
 
     @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
+    def tag(self) -> int:
+        return LAYER_TAGS[self.kind]
+
+    @property
+    def init_flag(self) -> bool:
+        """Whether the layer has data-dependent init, whose state is saved."""
+        return self.kind == "actnorm"
+
+    @property
+    def size(self) -> int:
+        """Number of parameter values."""
+        return sum(math.prod(shape) for shape in self.shapes.values())
+
+    def split(self, values: np.ndarray) -> dict[str, np.ndarray]:
+        """Cut the layer's flat parameter values, in store order and each in
+        C order, into named arrays (views of ``values``)."""
+        params, offset = {}, 0
+        for name, shape in self.shapes.items():
+            n = math.prod(shape)
+            params[name] = values[offset : offset + n].reshape(shape)
+            offset += n
+        return params
 
 
-@dataclass
-class FlowStep:
-    actnorm: ActnormParams
-    invconv: InvConvParams
-    coupling: CouplingParams
+def _layer(kind: str, prefix: str, **shapes) -> Layer:
+    name = f"{prefix}.{kind}"
+    return Layer(kind, name, {f"{name}.{p}": shape for p, shape in shapes.items()})
 
 
 @dataclass(frozen=True)
@@ -119,6 +129,32 @@ class FlowNetConfig:
         """Channel count inside ``block`` (after its squeeze)."""
         return self.in_channels * 4 ** (block + 1)
 
+    def layers(self) -> Iterator[Layer]:
+        """Every layer in forward order: the network's single layout.
+
+        The coupling's inner network is 3x3 (pad 1) -> ReLU -> 1x1 ->
+        ReLU -> 3x3 (pad 1) from one channel half to the other.
+        """
+        hidden = self.hidden
+        for bi in range(self.n_blocks):
+            c = self.block_channels(bi)
+            half = c // 2
+            yield _layer("squeeze", f"b{bi}")
+            for fi in range(self.n_flows):
+                prefix = f"b{bi}.f{fi}"
+                yield _layer("actnorm", prefix, scale=(c,), bias=(c,))
+                yield _layer("invconv", prefix, weight=(c, c))
+                yield _layer(
+                    "coupling",
+                    prefix,
+                    w1=(hidden, half, 3, 3),
+                    b1=(hidden,),
+                    w2=(hidden, hidden, 1, 1),
+                    b2=(hidden,),
+                    w3=(half, hidden, 3, 3),
+                    b3=(half,),
+                )
+
 
 def named_config(
     name: str,
@@ -148,92 +184,85 @@ def _ret(out, *inputs):
 
 
 def _check_scale(scale: np.ndarray):
-    if np.any(np.abs(scale) < ACTNORM_SCALE_FLOOR):
-        bad = int(np.argmin(np.abs(scale)))
+    bad = ~(np.isfinite(scale) & (np.abs(scale) >= ACTNORM_SCALE_FLOOR))
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise DegenerateScaleError(
-            f"actnorm scale for channel {bad} is {scale[bad]:.3e}, "
-            f"below the {ACTNORM_SCALE_FLOOR:g} inversion floor"
+            f"actnorm scale for channel {i} is {scale[i]:.3e}; it must be finite "
+            f"and at least {ACTNORM_SCALE_FLOOR:g} in magnitude to invert"
         )
 
 
-def actnorm_apply(x, p: ActnormParams, inverse: bool = False):
+def actnorm_apply(x, scale, bias, inverse: bool = False):
     """Per-channel affine map y = scale * x + bias (or its inverse)."""
-    _check_scale(np.asarray(p.scale))
-    if ad._data(x).shape[1] != p.scale.shape[0]:
+    _check_scale(ad._data(scale))
+    if ad._data(x).shape[1] != ad._data(scale).shape[0]:
         raise ShapeError("actnorm channel count mismatch")
-    out = _actnorm(ad.lift(x), p.scale, p.bias, inverse)
+    if inverse:
+        out = ad.div(ad.sub(x, ad.per_channel(bias)), ad.per_channel(scale))
+    else:
+        out = ad.add(ad.mul(x, ad.per_channel(scale)), ad.per_channel(bias))
     return _ret(out, x)
 
 
-def _actnorm(x, scale, bias, inverse):
-    if inverse:
-        return ad.div(ad.sub(x, ad.per_channel(bias)), ad.per_channel(scale))
-    return ad.add(ad.mul(x, ad.per_channel(scale)), ad.per_channel(bias))
-
-
-def actnorm_init(p: ActnormParams, batch) -> tuple[ActnormParams, list[int]]:
+def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Data-dependent init: after it, forward(batch) is standardized.
 
-    Returns the initialized params and the indices of channels whose
+    Returns the scale, the bias and the indices of channels whose
     standard deviation had to be clamped up to the 1e-6 floor (constant
     channels); clamping is not an error.
     """
-    if p.initialized:
-        raise StateError("actnorm already initialized")
     data = ad._data(batch)
     mean = data.mean(axis=(0, 2, 3))
     std = data.std(axis=(0, 2, 3))
     clamped = [int(i) for i in np.nonzero(std < ACTNORM_STD_FLOOR)[0]]
     std = np.maximum(std, ACTNORM_STD_FLOOR)
     scale = np.maximum(1.0 / std, ACTNORM_SCALE_FLOOR)
-    return ActnormParams(scale=scale, bias=-mean * scale, initialized=True), clamped
+    return scale, -mean * scale, clamped
 
 
-def invconv_apply(x, p: InvConvParams, inverse: bool = False):
+def invconv_apply(x, weight, inverse: bool = False):
     """Mix channels at every spatial position by W (or W^{-1})."""
-    v = ad.lift(x)
-    if v.data.shape[1] != p.weight.shape[0]:
+    w = ad._data(weight)
+    if ad._data(x).shape[1] != w.shape[0]:
         raise ShapeError("invconv channel count mismatch")
     if inverse:
-        out = ad.channel_mix_inv(v, p.weight, mat_inverse(p.weight))
+        out = ad.channel_mix_inv(x, weight, mat_inverse(w))
     else:
-        out = ad.channel_mix(v, p.weight)
+        out = ad.channel_mix(x, weight)
     return _ret(out, x)
 
 
-def nn_forward(x_a, p: CouplingParams):
+def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
     """The coupling's inner network: 3x3 -> ReLU -> 1x1 -> ReLU -> 3x3.
 
     Zero-padded, stride 1; output shape equals input shape.
     """
-    out = _nn(ad.lift(x_a), p.w1, p.b1, p.w2, p.b2, p.w3, p.b3)
-    return _ret(out, x_a)
-
-
-def _nn(x, w1, b1, w2, b2, w3, b3):
-    h = ad.relu(ad.add(ad.conv2d(x, w1, pad=1), ad.per_channel(b1)))
+    h = ad.relu(ad.add(ad.conv2d(x_a, w1, pad=1), ad.per_channel(b1)))
     h = ad.relu(ad.add(ad.conv2d(h, w2, pad=0), ad.per_channel(b2)))
-    return ad.add(ad.conv2d(h, w3, pad=1), ad.per_channel(b3))
+    return _ret(ad.add(ad.conv2d(h, w3, pad=1), ad.per_channel(b3)), x_a)
 
 
-def coupling_apply(x, p: CouplingParams, inverse: bool = False):
+def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False):
     """Additive coupling: y = concat(x_a, x_b + NN(x_a)); exact inverse."""
-    out = _coupling(ad.lift(x), p.w1, p.b1, p.w2, p.b2, p.w3, p.b3, inverse)
-    return _ret(out, x)
-
-
-def _coupling(x, w1, b1, w2, b2, w3, b3, inverse):
     x_a, x_b = ad.split_half(x)
-    shift = _nn(x_a, w1, b1, w2, b2, w3, b3)
+    shift = nn_forward(x_a, w1, b1, w2, b2, w3, b3)
     y_b = ad.sub(x_b, shift) if inverse else ad.add(x_b, shift)
-    return ad.concat_half(x_a, y_b)
+    return _ret(ad.concat_half(x_a, y_b), x)
 
 
 def squeeze_apply(x, inverse: bool = False):
     """2x2 space-to-depth with the fixed row-major offset order."""
-    v = ad.lift(x)
-    out = ad.unsqueeze2(v) if inverse else ad.squeeze2(v)
+    out = ad.unsqueeze2(x) if inverse else ad.squeeze2(x)
     return _ret(out, x)
+
+
+_APPLY = {
+    "squeeze": squeeze_apply,
+    "actnorm": actnorm_apply,
+    "invconv": invconv_apply,
+    "coupling": coupling_apply,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -241,54 +270,41 @@ def squeeze_apply(x, inverse: bool = False):
 
 
 class FlowNet:
-    """Config plus parameters; immutable during inference.
+    """Config, its layer list and the flat parameter store.
 
-    Apply with :meth:`forward` / :meth:`inverse`. Concurrent reads are
-    safe; initialization and training mutate parameters and require
-    exclusive access.
+    ``params`` maps every parameter name of :attr:`layers` to its array,
+    in layer order; ``actnorm_initialized`` maps every actnorm layer name
+    to its data-dependent-init state. Apply with :meth:`forward` /
+    :meth:`inverse`. Concurrent reads are safe; initialization and
+    training mutate parameters and require exclusive access.
     """
 
-    def __init__(self, config: FlowNetConfig, blocks: list[list[FlowStep]]):
-        if len(blocks) != config.n_blocks or any(
-            len(b) != config.n_flows for b in blocks
-        ):
-            raise ShapeError("block/flow structure does not match config")
+    def __init__(
+        self,
+        config: FlowNetConfig,
+        params: dict[str, np.ndarray],
+        actnorm_initialized: dict[str, bool] | None = None,
+    ):
         self.config = config
-        self.blocks = blocks
-
-    # -- parameter access ---------------------------------------------------
+        self.layers = tuple(config.layers())
+        shapes = [(n, s) for layer in self.layers for n, s in layer.shapes.items()]
+        if [(n, np.shape(a)) for n, a in params.items()] != shapes:
+            raise ShapeError("parameter names or shapes do not match the layer list")
+        flagged = [layer.name for layer in self.layers if layer.init_flag]
+        if actnorm_initialized is None:
+            actnorm_initialized = dict.fromkeys(flagged, False)
+        if list(actnorm_initialized) != flagged:
+            raise ShapeError("actnorm init flags do not match the layer list")
+        self.params = dict(params)
+        self.actnorm_initialized = dict(actnorm_initialized)
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """All trainable parameters in fixed model order."""
-        items = []
-        for bi, block in enumerate(self.blocks):
-            for fi, step in enumerate(block):
-                prefix = f"b{bi}.f{fi}"
-                items.append((f"{prefix}.actnorm.scale", step.actnorm.scale))
-                items.append((f"{prefix}.actnorm.bias", step.actnorm.bias))
-                items.append((f"{prefix}.invconv.weight", step.invconv.weight))
-                c = step.coupling
-                for field in ("w1", "b1", "w2", "b2", "w3", "b3"):
-                    items.append((f"{prefix}.coupling.{field}", getattr(c, field)))
-        return items
-
-    def set_param(self, name: str, value: np.ndarray):
-        parts = name.split(".")
-        step = self.blocks[int(parts[0][1:])][int(parts[1][1:])]
-        owner = {
-            "actnorm": step.actnorm,
-            "invconv": step.invconv,
-            "coupling": step.coupling,
-        }[parts[2]]
-        current = getattr(owner, parts[3])
-        value = np.asarray(value, dtype=np.float64)
-        if current.shape != value.shape:
-            raise ShapeError(f"parameter {name} shape {value.shape} != {current.shape}")
-        setattr(owner, parts[3], value)
+        return list(self.params.items())
 
     @property
     def initialized(self) -> bool:
-        return all(s.actnorm.initialized for b in self.blocks for s in b)
+        return all(self.actnorm_initialized.values())
 
     # -- application ----------------------------------------------------------
 
@@ -313,68 +329,27 @@ class FlowNet:
         data = ad._data(x)
         self._check_image(data)
         self._require_initialized()
-        out = self._run(ad.lift(x), params, inverse=False)
+        out = self._walk(ad.lift(x), params, inverse=False)
         return _ret(out, x)
 
     def inverse(self, z, params=None):
         """Map a latent feature back to image space (the exact decoder)."""
         data = ad._data(z)
-        c_lat = self.config.in_channels * 4**self.config.n_blocks
+        c_lat = self.config.latent_shape()[0]
         if data.ndim != 4 or data.shape[1] != c_lat:
             raise ShapeError(f"expected (B,{c_lat},h,w) latent, got {data.shape}")
         self._require_initialized()
-        out = self._run(ad.lift(z), params, inverse=True)
+        out = self._walk(ad.lift(z), params, inverse=True)
         return _ret(out, z)
 
-    def _param(self, params, name, raw):
-        if params is None:
-            return raw
-        return params.get(name, raw)
-
-    def _run(self, v, params, inverse):
-        blocks = range(self.config.n_blocks)
-        for bi in blocks if not inverse else reversed(blocks):
-            block = self.blocks[bi]
-            if not inverse:
-                v = ad.squeeze2(v)
-            flow_order = range(self.config.n_flows)
-            for fi in flow_order if not inverse else reversed(flow_order):
-                v = self._run_step(v, params, bi, fi, inverse)
-            if inverse:
-                v = ad.unsqueeze2(v)
+    def _walk(self, v, params, inverse):
+        """Apply every layer (reversed when ``inverse``); ``params`` maps
+        names to values that take the place of stored ones."""
+        store = self.params if params is None else {**self.params, **params}
+        for layer in reversed(self.layers) if inverse else self.layers:
+            weights = (store[name] for name in layer.shapes)
+            v = _APPLY[layer.kind](v, *weights, inverse=inverse)
         return v
-
-    def _run_step(self, v, params, bi, fi, inverse):
-        step = self.blocks[bi][fi]
-        prefix = f"b{bi}.f{fi}"
-        scale = self._param(params, f"{prefix}.actnorm.scale", step.actnorm.scale)
-        bias = self._param(params, f"{prefix}.actnorm.bias", step.actnorm.bias)
-        weight = self._param(params, f"{prefix}.invconv.weight", step.invconv.weight)
-        cp = [
-            self._param(params, f"{prefix}.coupling.{f}", getattr(step.coupling, f))
-            for f in ("w1", "b1", "w2", "b2", "w3", "b3")
-        ]
-        _check_scale(ad._data(scale))
-        if not inverse:
-            v = _actnorm(v, scale, bias, inverse=False)
-            v = ad.channel_mix(v, weight)
-            v = _coupling(v, *cp, inverse=False)
-        else:
-            v = _coupling(v, *cp, inverse=True)
-            v = ad.channel_mix_inv(v, weight, mat_inverse(ad._data(weight)))
-            v = _actnorm(v, scale, bias, inverse=True)
-        return v
-
-    def layer_plan(self) -> list[tuple[str, int, int]]:
-        """Forward-order layer list: (kind, block, flow); flow is -1 for squeeze."""
-        plan = []
-        for bi in range(self.config.n_blocks):
-            plan.append(("squeeze", bi, -1))
-            for fi in range(self.config.n_flows):
-                plan.append(("actnorm", bi, fi))
-                plan.append(("invconv", bi, fi))
-                plan.append(("coupling", bi, fi))
-        return plan
 
 
 def build_flownet(config: FlowNetConfig, seed: int = 0) -> FlowNet:
@@ -386,33 +361,20 @@ def build_flownet(config: FlowNetConfig, seed: int = 0) -> FlowNet:
     initialization.
     """
     rng = np.random.default_rng(seed)
-    blocks = []
-    for bi in range(config.n_blocks):
-        c = config.block_channels(bi)
-        half, hidden = c // 2, config.hidden
-        steps = []
-        for _ in range(config.n_flows):
-            q, r = np.linalg.qr(rng.standard_normal((c, c)))
-            signs = np.sign(np.diag(r))
-            signs[signs == 0] = 1.0
-            weight = q * signs
-            coupling = CouplingParams(
-                w1=rng.standard_normal((hidden, half, 3, 3)) / np.sqrt(half * 9.0),
-                b1=np.zeros(hidden),
-                w2=rng.standard_normal((hidden, hidden, 1, 1)) / np.sqrt(float(hidden)),
-                b2=np.zeros(hidden),
-                w3=np.zeros((half, hidden, 3, 3)),
-                b3=np.zeros(half),
-            )
-            steps.append(
-                FlowStep(
-                    actnorm=ActnormParams(np.ones(c), np.zeros(c)),
-                    invconv=InvConvParams(weight),
-                    coupling=coupling,
-                )
-            )
-        blocks.append(steps)
-    return FlowNet(config, blocks)
+    params = {}
+    for layer in config.layers():
+        for name, shape in layer.shapes.items():
+            field = name.rsplit(".", 1)[1]
+            if field == "weight":
+                q, r = np.linalg.qr(rng.standard_normal(shape))
+                signs = np.sign(np.diag(r))
+                signs[signs == 0] = 1.0
+                params[name] = q * signs
+            elif field in ("w1", "w2"):
+                params[name] = rng.standard_normal(shape) / np.sqrt(math.prod(shape[1:]))
+            else:
+                params[name] = np.ones(shape) if field == "scale" else np.zeros(shape)
+    return FlowNet(config, params)
 
 
 def initialize_actnorms(model: FlowNet, batch) -> list[tuple[str, list[int]]]:
@@ -426,16 +388,14 @@ def initialize_actnorms(model: FlowNet, batch) -> list[tuple[str, list[int]]]:
     model._check_image(data)
     diagnostics = []
     x = data
-    for bi, block in enumerate(model.blocks):
-        x = squeeze_apply(x)
-        for fi, step in enumerate(block):
-            if not step.actnorm.initialized:
-                step.actnorm, clamped = actnorm_init(step.actnorm, x)
-                if clamped:
-                    diagnostics.append((f"b{bi}.f{fi}.actnorm", clamped))
-            x = actnorm_apply(x, step.actnorm)
-            x = invconv_apply(x, step.invconv)
-            x = coupling_apply(x, step.coupling)
+    for layer in model.layers:
+        if layer.init_flag and not model.actnorm_initialized[layer.name]:
+            scale, bias, clamped = actnorm_init(x)
+            model.params.update(zip(layer.shapes, (scale, bias)))
+            model.actnorm_initialized[layer.name] = True
+            if clamped:
+                diagnostics.append((layer.name, clamped))
+        x = _APPLY[layer.kind](x, *(model.params[name] for name in layer.shapes))
     return diagnostics
 
 
@@ -444,40 +404,25 @@ def randomize_couplings(model: FlowNet, seed: int = 0, scale: float = 1.0):
 
     Destroys the identity-at-init property on purpose; used as a control
     when measuring how much a fresh network already preserves content.
-    ``scale`` multiplies the 1/sqrt(fan_in) weight magnitude.
+    ``scale`` multiplies the 1/sqrt(fan_in) weight magnitude. Per
+    coupling the three kernels are drawn first, then the three biases.
     """
     rng = np.random.default_rng(seed)
-    for block in model.blocks:
-        for step in block:
-            c = step.coupling
-            for field in ("w1", "w2", "w3"):
-                arr = getattr(c, field)
-                fan_in = arr.shape[1] * arr.shape[2] * arr.shape[3]
-                setattr(c, field, scale * rng.standard_normal(arr.shape) / np.sqrt(fan_in))
-            for field in ("b1", "b2", "b3"):
-                setattr(
-                    c, field, 0.1 * scale * rng.standard_normal(getattr(c, field).shape)
-                )
+    for layer in model.layers:
+        if layer.kind != "coupling":
+            continue
+        kernels = [n for n, s in layer.shapes.items() if len(s) == 4]
+        biases = [n for n, s in layer.shapes.items() if len(s) == 1]
+        for name in kernels:
+            shape = layer.shapes[name]
+            model.params[name] = scale * rng.standard_normal(shape) / np.sqrt(
+                math.prod(shape[1:])
+            )
+        for name in biases:
+            model.params[name] = 0.1 * scale * rng.standard_normal(layer.shapes[name])
 
 
 def copy_flownet(model: FlowNet) -> FlowNet:
     """Deep copy (parameters included)."""
-    blocks = []
-    for block in model.blocks:
-        steps = []
-        for s in block:
-            steps.append(
-                FlowStep(
-                    actnorm=ActnormParams(
-                        s.actnorm.scale.copy(), s.actnorm.bias.copy(), s.actnorm.initialized
-                    ),
-                    invconv=InvConvParams(s.invconv.weight.copy()),
-                    coupling=CouplingParams(
-                        s.coupling.w1.copy(), s.coupling.b1.copy(),
-                        s.coupling.w2.copy(), s.coupling.b2.copy(),
-                        s.coupling.w3.copy(), s.coupling.b3.copy(),
-                    ),
-                )
-            )
-        blocks.append(steps)
-    return FlowNet(model.config, blocks)
+    params = {name: arr.copy() for name, arr in model.params.items()}
+    return FlowNet(model.config, params, model.actnorm_initialized)

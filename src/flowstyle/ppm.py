@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ImageFormatError, ShapeError
+from .errors import ImageFormatError, NumericError, ShapeError
 
 _WHITESPACE = b" \t\n\r\v\f"
 
@@ -96,6 +96,8 @@ def quantize(t: np.ndarray) -> np.ndarray:
 def write_image(path, t) -> None:
     """Write a (1, 3, H, W) or (3, H, W) tensor as a canonical P6 file.
 
+    Non-finite pixels raise :class:`NumericError`; nothing is written.
+
     The write is atomic: bytes go to a temp file in the target directory
     which is then renamed over the destination.
     """
@@ -106,6 +108,8 @@ def write_image(path, t) -> None:
         a = a[0]
     if a.ndim != 3 or a.shape[0] != 3:
         raise ShapeError(f"expected (3,H,W) pixels, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericError("image contains NaN or inf pixels")
     h, w = a.shape[1], a.shape[2]
     raster = quantize(a).transpose(1, 2, 0).tobytes()
     header = f"P6\n{w} {h}\n255\n".encode("ascii")

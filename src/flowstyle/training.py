@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NumericError, ShapeError
 from .flows import FlowNet, initialize_actnorms
-from .transfer import EPS_STD
+from .transfer import EPS_STD, adain
 
 LOSSNET_WIDTHS = (16, 32, 64, 64)
 
@@ -203,8 +203,6 @@ def transfer_target(lossnet: LossNet, content, style) -> np.ndarray:
     """
     f_c = lossnet.top_feature(content)
     f_s = lossnet.top_feature(style)
-    from .transfer import adain  # local import avoids a cycle at module load
-
     return adain(f_c, f_s)
 
 
@@ -247,9 +245,8 @@ def train_step(
     content, style = (np.asarray(b, dtype=np.float64) for b in batch)
     if not model.initialized:
         initialize_actnorms(model, np.concatenate([content, style], axis=0))
-    params = dict(model.param_items())
     tape = ad.Tape()
-    pvars = {name: ad.Var(arr, tape) for name, arr in params.items()}
+    pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
     total, l_c, l_s = training_loss(model, pvars, content, style, cfg, lossnet)
     result = StepResult(float(l_c.data), float(l_s.data), float(total.data))
     if not np.isfinite(result.total_loss):
@@ -258,9 +255,9 @@ def train_step(
             f"style={result.style_loss}) at adam step {adam.step + 1}"
         )
     ad.backward(total)
-    grads = {name: pvars[name].grad for name in params}
+    grads = {name: pvars[name].grad for name in model.params}
     lr = cfg.learning_rate / (1.0 + cfg.lr_decay * adam.step)
-    adam_update(params, grads, adam, lr)
+    adam_update(model.params, grads, adam, lr)
     return result
 
 
@@ -306,7 +303,7 @@ def train(
     if not pairs:
         raise ShapeError("data source yielded no image pairs")
     rng = np.random.default_rng(cfg.seed)
-    adam = AdamState.for_params(dict(model.param_items()))
+    adam = AdamState.for_params(model.params)
     cursor = 0
 
     def next_batch():
@@ -342,9 +339,7 @@ def check_model_gradients(model: FlowNet, loss_fn, batch, step: float = 1e-5, to
     ``loss_fn(model, param_vars, batch)`` must build a scalar Var from the
     given parameter mapping. Returns the :class:`GradCheckReport`.
     """
-    params = dict(model.param_items())
-
     def build(pvars):
         return loss_fn(model, pvars, batch)
 
-    return ad.grad_check(params, build, step=step, tol=tol)
+    return ad.grad_check(model.params, build, step=step, tol=tol)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .linalg import SymMatrix, matmul, sym_pows
 
 EPS_STD = 1e-6
@@ -83,6 +83,8 @@ def _check_feature(f, name) -> np.ndarray:
         raise ShapeError(f"{name} must be (B,C,H,W), got shape {a.shape}")
     if a.shape[2] * a.shape[3] == 0:
         raise ShapeError(f"{name} has an empty spatial extent")
+    if not np.isfinite(a).all():
+        raise NumericError(f"{name} contains NaN or inf values")
     return a
 
 

@@ -9,10 +9,8 @@ from flowstyle.errors import (
     StateError,
 )
 from flowstyle.flows import (
-    ActnormParams,
-    CouplingParams,
+    FlowNet,
     FlowNetConfig,
-    InvConvParams,
     actnorm_apply,
     actnorm_init,
     build_flownet,
@@ -34,31 +32,46 @@ def make_model(n_blocks=1, n_flows=2, hidden=4, shape=(2, 3, 8, 8), seed=0):
     return model, batch
 
 
+LAYER_FUNCTIONS = {
+    "squeeze": squeeze_apply,
+    "actnorm": actnorm_apply,
+    "invconv": invconv_apply,
+    "coupling": coupling_apply,
+}
+
+
 class TestActnorm:
     def test_identity_params(self):
-        p = ActnormParams(np.ones(3), np.zeros(3), initialized=True)
         x = np.random.default_rng(0).standard_normal((1, 3, 4, 4))
-        np.testing.assert_array_equal(actnorm_apply(x, p), x)
+        np.testing.assert_array_equal(actnorm_apply(x, np.ones(3), np.zeros(3)), x)
 
     def test_hand_case(self):
-        p = ActnormParams(np.array([2.0]), np.array([1.0]), initialized=True)
+        p = (np.array([2.0]), np.array([1.0]))
         x = np.full((1, 1, 1, 1), 0.5)
-        y = actnorm_apply(x, p)
+        y = actnorm_apply(x, *p)
         assert y[0, 0, 0, 0] == 2.0
-        back = actnorm_apply(y, p, inverse=True)
+        back = actnorm_apply(y, *p, inverse=True)
         assert back[0, 0, 0, 0] == 0.5
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
-        p = ActnormParams(rng.uniform(0.5, 2.0, 5), rng.standard_normal(5), True)
+        p = (rng.uniform(0.5, 2.0, 5), rng.standard_normal(5))
         x = rng.standard_normal((2, 5, 6, 6))
-        back = actnorm_apply(actnorm_apply(x, p), p, inverse=True)
+        back = actnorm_apply(actnorm_apply(x, *p), *p, inverse=True)
         assert np.max(np.abs(back - x)) < 1e-12
 
     def test_degenerate_scale_rejected(self):
-        p = ActnormParams(np.array([1e-7]), np.zeros(1), True)
         with pytest.raises(DegenerateScaleError):
-            actnorm_apply(np.zeros((1, 1, 2, 2)), p)
+            actnorm_apply(np.zeros((1, 1, 2, 2)), np.array([1e-7]), np.zeros(1))
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(DegenerateScaleError):
+            actnorm_apply(np.zeros((1, 1, 2, 2)), np.array([scale]), np.zeros(1))
+        model, batch = make_model()
+        model.params["b0.f1.actnorm.scale"][2] = scale
+        with pytest.raises(DegenerateScaleError):
+            model.forward(batch)
 
     def test_init_fixed_point(self):
         rng = np.random.default_rng(2)
@@ -66,57 +79,59 @@ class TestActnorm:
         x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(
             axis=(0, 2, 3), keepdims=True
         )
-        p, clamped = actnorm_init(ActnormParams(np.ones(3), np.zeros(3)), x)
+        scale, bias, clamped = actnorm_init(x)
         assert clamped == []
-        np.testing.assert_allclose(p.scale, np.ones(3), atol=1e-12)
-        np.testing.assert_allclose(p.bias, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(scale, np.ones(3), atol=1e-12)
+        np.testing.assert_allclose(bias, np.zeros(3), atol=1e-12)
 
     def test_init_constant_channel_clamped(self):
         x = np.full((1, 1, 4, 4), 5.0)
-        p, clamped = actnorm_init(ActnormParams(np.ones(1), np.zeros(1)), x)
+        scale, bias, clamped = actnorm_init(x)
         assert clamped == [0]
-        assert p.scale[0] == 1.0 / 1e-6
-        np.testing.assert_allclose(p.bias[0], -5.0 / 1e-6)
+        assert scale[0] == 1.0 / 1e-6
+        np.testing.assert_allclose(bias[0], -5.0 / 1e-6)
 
     def test_init_standardizes(self):
         rng = np.random.default_rng(3)
         x = 3.0 * rng.standard_normal((2, 4, 8, 8)) + 1.5
-        p, _ = actnorm_init(ActnormParams(np.ones(4), np.zeros(4)), x)
-        y = actnorm_apply(x, p)
+        scale, bias, _ = actnorm_init(x)
+        y = actnorm_apply(x, scale, bias)
         np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
         np.testing.assert_allclose(y.std(axis=(0, 2, 3)), 1.0, atol=1e-6)
 
     def test_double_init_rejected(self):
-        p = ActnormParams(np.ones(1), np.zeros(1), initialized=True)
-        with pytest.raises(StateError):
-            actnorm_init(p, np.zeros((1, 1, 2, 2)))
+        # An initialized actnorm is never initialized again.
+        model, _ = make_model()
+        before = {n: a.copy() for n, a in model.param_items()}
+        assert initialize_actnorms(model, np.full((2, 3, 8, 8), 7.0)) == []
+        for name, arr in model.param_items():
+            np.testing.assert_array_equal(arr, before[name])
 
 
 class TestInvConv:
     def test_identity_weight(self):
         x = np.random.default_rng(4).standard_normal((1, 3, 4, 4))
-        out = invconv_apply(x, InvConvParams(np.eye(3)))
+        out = invconv_apply(x, np.eye(3))
         np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_channel_swap(self):
         x = np.random.default_rng(5).standard_normal((1, 2, 3, 3))
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = invconv_apply(x, InvConvParams(swap))
+        out = invconv_apply(x, swap)
         np.testing.assert_array_equal(out[:, 0], x[:, 1])
         np.testing.assert_array_equal(out[:, 1], x[:, 0])
 
     def test_orthogonal_round_trip(self):
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        p = InvConvParams(q)
         x = rng.standard_normal((2, 6, 5, 5))
-        back = invconv_apply(invconv_apply(x, p), p, inverse=True)
+        back = invconv_apply(invconv_apply(x, q), q, inverse=True)
         assert np.max(np.abs(back - x)) < 1e-10
 
     def test_singular_weight_rejected(self):
-        p = InvConvParams(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        w = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
-            invconv_apply(np.zeros((1, 2, 2, 2)), p, inverse=True)
+            invconv_apply(np.zeros((1, 2, 2, 2)), w, inverse=True)
 
 
 def make_coupling(c, hidden, seed=0, zero_last=True):
@@ -125,7 +140,7 @@ def make_coupling(c, hidden, seed=0, zero_last=True):
     w3 = np.zeros((half, hidden, 3, 3)) if zero_last else rng.standard_normal(
         (half, hidden, 3, 3)
     ) / np.sqrt(hidden * 9.0)
-    return CouplingParams(
+    return dict(
         w1=rng.standard_normal((hidden, half, 3, 3)) / np.sqrt(half * 9.0),
         b1=rng.standard_normal(hidden) * 0.1,
         w2=rng.standard_normal((hidden, hidden, 1, 1)) / np.sqrt(float(hidden)),
@@ -139,14 +154,14 @@ class TestCoupling:
     def test_zero_init_is_exact_identity(self):
         p = make_coupling(4, 3, zero_last=True)
         x = np.random.default_rng(7).standard_normal((2, 4, 6, 6))
-        np.testing.assert_array_equal(coupling_apply(x, p), x)
+        np.testing.assert_array_equal(coupling_apply(x, **p), x)
 
     def test_constant_shift(self):
         # With the inner network pinned to a constant c, y_b = x_b + c.
         p = make_coupling(4, 3, zero_last=True)
-        p.b3 = np.array([0.7, -0.3])
+        p["b3"] = np.array([0.7, -0.3])
         x = np.random.default_rng(8).standard_normal((1, 4, 4, 4))
-        y = coupling_apply(x, p)
+        y = coupling_apply(x, **p)
         np.testing.assert_array_equal(y[:, :2], x[:, :2])
         np.testing.assert_allclose(y[:, 2] - x[:, 2], 0.7, atol=1e-15)
         np.testing.assert_allclose(y[:, 3] - x[:, 3], -0.3, atol=1e-15)
@@ -154,25 +169,25 @@ class TestCoupling:
     def test_round_trip(self):
         p = make_coupling(6, 5, seed=9, zero_last=False)
         x = np.random.default_rng(10).standard_normal((2, 6, 8, 8))
-        back = coupling_apply(coupling_apply(x, p), p, inverse=True)
+        back = coupling_apply(coupling_apply(x, **p), **p, inverse=True)
         assert np.max(np.abs(back - x)) < 1e-12
 
     def test_odd_channels_rejected(self):
         p = make_coupling(4, 3)
         with pytest.raises(ShapeError):
-            coupling_apply(np.zeros((1, 5, 4, 4)), p)
+            coupling_apply(np.zeros((1, 5, 4, 4)), **p)
 
 
 class TestNnForward:
     def test_zero_final_layer_gives_zero(self):
         p = make_coupling(4, 3, zero_last=True)
-        out = nn_forward(np.random.default_rng(11).standard_normal((1, 2, 5, 5)), p)
+        out = nn_forward(np.random.default_rng(11).standard_normal((1, 2, 5, 5)), **p)
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
     def test_hand_trace_single_pixel(self):
         # 1x1 spatial input: only the center taps of the 3x3 kernels act.
         hidden = 2
-        p = CouplingParams(
+        p = dict(
             w1=np.zeros((hidden, 1, 3, 3)),
             b1=np.array([0.1, -1.0]),
             w2=np.zeros((hidden, hidden, 1, 1)),
@@ -180,21 +195,21 @@ class TestNnForward:
             w3=np.zeros((1, hidden, 3, 3)),
             b3=np.array([0.05]),
         )
-        p.w1[0, 0, 1, 1] = 2.0  # h1 = relu(2v + 0.1), h2 = relu(-1)=0
-        p.w2[1, 0, 0, 0] = 3.0  # g2 = relu(3*h1 + 0.2)
-        p.w3[0, 1, 1, 1] = 0.5  # out = 0.5*g2 + 0.05
+        p["w1"][0, 0, 1, 1] = 2.0  # h1 = relu(2v + 0.1), h2 = relu(-1)=0
+        p["w2"][1, 0, 0, 0] = 3.0  # g2 = relu(3*h1 + 0.2)
+        p["w3"][0, 1, 1, 1] = 0.5  # out = 0.5*g2 + 0.05
         v = 0.4
         x = np.full((1, 1, 1, 1), v)
         h1 = max(2.0 * v + 0.1, 0.0)
         g2 = max(3.0 * h1 + 0.2, 0.0)
         expect = 0.5 * g2 + 0.05
-        out = nn_forward(x, p)
+        out = nn_forward(x, **p)
         np.testing.assert_allclose(out[0, 0, 0, 0], expect, atol=1e-15)
 
     def test_shape_preserved(self):
         p = make_coupling(6, 4, zero_last=False)
         x = np.zeros((2, 3, 7, 9))
-        assert nn_forward(x, p).shape == x.shape
+        assert nn_forward(x, **p).shape == x.shape
 
 
 class TestSqueeze:
@@ -260,18 +275,19 @@ class TestFlowNet:
         model, batch = make_model(n_blocks=1, n_flows=2, shape=(2, 3, 8, 8))
         x = batch
         manual = squeeze_apply(x)
-        for step in model.blocks[0]:
-            manual = actnorm_apply(manual, step.actnorm)
-            manual = invconv_apply(manual, step.invconv)
+        for f in ("b0.f0", "b0.f1"):
+            manual = actnorm_apply(
+                manual, model.params[f"{f}.actnorm.scale"], model.params[f"{f}.actnorm.bias"]
+            )
+            manual = invconv_apply(manual, model.params[f"{f}.invconv.weight"])
         np.testing.assert_array_equal(model.forward(x), manual)
 
     def test_identity_model_inverse_is_unsqueeze_only(self):
         cfg = FlowNetConfig(1, 2, 4, 3, 8, 8)
         model = build_flownet(cfg)
-        for block in model.blocks:
-            for step in block:
-                step.actnorm.initialized = True  # keep w=1, b=0
-                step.invconv.weight = np.eye(cfg.block_channels(0))
+        model.actnorm_initialized = dict.fromkeys(model.actnorm_initialized, True)
+        for f in ("b0.f0", "b0.f1"):  # actnorms keep w=1, b=0
+            model.params[f"{f}.invconv.weight"] = np.eye(cfg.block_channels(0))
         z = np.random.default_rng(15).standard_normal((1, 12, 4, 4))
         np.testing.assert_array_equal(model.inverse(z), squeeze_apply(z, inverse=True))
 
@@ -280,25 +296,22 @@ class TestFlowNet:
         randomize_couplings(model, seed=6)
         x = np.random.default_rng(16).random((1, 3, 8, 8))
         v = x
-        for kind, bi, fi in model.layer_plan():
-            if kind == "squeeze":
-                v = squeeze_apply(v)
-            elif kind == "actnorm":
-                v = actnorm_apply(v, model.blocks[bi][fi].actnorm)
-            elif kind == "invconv":
-                v = invconv_apply(v, model.blocks[bi][fi].invconv)
-            else:
-                v = coupling_apply(v, model.blocks[bi][fi].coupling)
+        for layer in model.layers:
+            weights = [model.params[name] for name in layer.shapes]
+            v = LAYER_FUNCTIONS[layer.kind](v, *weights)
         np.testing.assert_array_equal(model.forward(x), v)
+        for layer in reversed(model.layers):
+            weights = [model.params[name] for name in layer.shapes]
+            v = LAYER_FUNCTIONS[layer.kind](v, *weights, inverse=True)
+        np.testing.assert_array_equal(model.inverse(model.forward(x)), v)
 
     def test_element_count_preserved_per_layer(self):
         model, batch = make_model(n_blocks=1, n_flows=1)
-        x = squeeze_apply(batch)
-        assert x.size == batch.size
-        step = model.blocks[0][0]
-        assert actnorm_apply(x, step.actnorm).size == x.size
-        assert invconv_apply(x, step.invconv).size == x.size
-        assert coupling_apply(x, step.coupling).size == x.size
+        x = batch
+        for layer in model.layers:
+            weights = [model.params[name] for name in layer.shapes]
+            x = LAYER_FUNCTIONS[layer.kind](x, *weights)
+            assert x.size == batch.size
 
     def test_forward_accepts_other_divisible_extents(self):
         model, _ = make_model(n_blocks=1, n_flows=1, shape=(1, 3, 8, 8))
@@ -332,3 +345,46 @@ class TestFlowNet:
         pvars = {name: ad.Var(arr, tape) for name, arr in model.param_items()}
         out = model.forward(ad.Var(batch[:1], tape), params=pvars)
         np.testing.assert_array_equal(out.data, model.forward(batch[:1]))
+
+
+class TestLayerList:
+    def test_names_order_and_tags(self):
+        cfg = FlowNetConfig(1, 1, 4, 3, 8, 8)
+        layers = list(cfg.layers())
+        assert [(layer.kind, layer.name, layer.tag) for layer in layers] == [
+            ("squeeze", "b0.squeeze", 1),
+            ("actnorm", "b0.f0.actnorm", 2),
+            ("invconv", "b0.f0.invconv", 3),
+            ("coupling", "b0.f0.coupling", 4),
+        ]
+        assert [(n, s) for layer in layers for n, s in layer.shapes.items()] == [
+            ("b0.f0.actnorm.scale", (12,)),
+            ("b0.f0.actnorm.bias", (12,)),
+            ("b0.f0.invconv.weight", (12, 12)),
+            ("b0.f0.coupling.w1", (4, 6, 3, 3)),
+            ("b0.f0.coupling.b1", (4,)),
+            ("b0.f0.coupling.w2", (4, 4, 1, 1)),
+            ("b0.f0.coupling.b2", (4,)),
+            ("b0.f0.coupling.w3", (6, 4, 3, 3)),
+            ("b0.f0.coupling.b3", (6,)),
+        ]
+
+    def test_store_follows_layer_list(self):
+        cfg = named_config("flow4-block4", 3, 32, 32, hidden=4)
+        model = build_flownet(cfg)
+        names = [n for layer in cfg.layers() for n in layer.shapes]
+        assert list(model.params) == names
+        assert names[-1] == "b3.f3.coupling.b3"
+        assert list(model.actnorm_initialized) == [
+            layer.name for layer in cfg.layers() if layer.kind == "actnorm"
+        ]
+
+    def test_mismatched_store_rejected(self):
+        model, _ = make_model()
+        params = dict(model.params)
+        params.pop("b0.f1.coupling.b3")
+        with pytest.raises(ShapeError):
+            FlowNet(model.config, params)
+        params = dict(model.params, **{"b0.f0.invconv.weight": np.eye(3)})
+        with pytest.raises(ShapeError):
+            FlowNet(model.config, params)

@@ -1,7 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowstyle.checkpoint import (
     MAGIC,
@@ -10,9 +13,11 @@ from flowstyle.checkpoint import (
     save_checkpoint,
 )
 from flowstyle.errors import (
+    CheckpointError,
     CorruptCheckpointError,
     ImageFormatError,
     MagicMismatchError,
+    NumericError,
     ShapeError,
     SizeMismatchError,
     VersionMismatchError,
@@ -95,6 +100,14 @@ class TestPpm:
     def test_write_rejects_batch(self, tmp_path):
         with pytest.raises(ShapeError):
             write_image(tmp_path / "x.ppm", np.zeros((2, 3, 4, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_non_finite_pixels(self, tmp_path, bad):
+        img = np.full((1, 3, 2, 2), 0.5)
+        img[0, 1, 1, 0] = bad
+        with pytest.raises(NumericError):
+            write_image(tmp_path / "x.ppm", img)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckpoint:
@@ -196,5 +209,116 @@ class TestCheckpoint:
         with pytest.raises(SizeMismatchError):
             load_checkpoint(self._with_header(tmp_path, (2, 2, 2**20, 3, 8, 8)))
 
+    # The first actnorm block's values start after the 32-byte header,
+    # the squeeze block (9 bytes) and the actnorm block header (9 bytes):
+    # 12 scales, 12 biases, then the init flag.
+    FIRST_SCALE = 32 + 9 + 9
+    FIRST_FLAG = FIRST_SCALE + 8 * 24
+
+    def _with_value(self, tmp_path, offset, value):
+        blob = bytearray(checkpoint_bytes(trained_like_model()))
+        struct.pack_into("<d", blob, offset, value)
+        p = tmp_path / "f.ckpt"
+        p.write_bytes(bytes(blob))
+        return p
+
+    @pytest.mark.parametrize("flag", [2.0, -0.0, np.nan, 1.0 + 2**-52])
+    def test_init_flag_other_than_zero_or_one_rejected(self, tmp_path, flag):
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(self._with_value(tmp_path, self.FIRST_FLAG, flag))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(self._with_value(tmp_path, self.FIRST_SCALE, value))
+
     def test_magic_is_stable(self):
         assert MAGIC == b"PFN1"
+
+
+def exact_model():
+    """One block of two flow steps whose checkpoint bytes need no BLAS.
+
+    Every stored weight is a small multiple of 1/4, and each squeezed
+    input channel alternates m + a and m - a with a a power of two, so
+    the first actnorm initializes to exact values, its output is +-1,
+    and every product and sum up to the second actnorm's statistics is
+    exact in float64 whatever the summation order.
+    """
+    model = build_flownet(FlowNetConfig(1, 2, 2, 1, 4, 4))
+    for i, (_, arr) in enumerate(model.param_items()):
+        arr[...] = ((np.arange(arr.size) * 3 + i) % 7 - 3).reshape(arr.shape) / 4.0
+    batch = np.zeros((1, 1, 4, 4))
+    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        batch[0, 0, dy::2, dx::2] = k / 2.0 + (1.0, 0.5, 2.0, 0.25)[k] * sign
+    initialize_actnorms(model, batch)
+    return model
+
+
+GOLDEN_SHA256 = "9799b3f53a6fa91f15bd8c1d1fa54b2523b7ade057aad429cc3a23295a1d5d18"
+
+
+class TestCheckpointGolden:
+    def test_exact_model_bytes_are_stable(self):
+        blob = checkpoint_bytes(exact_model())
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
+
+
+def tiny_blob():
+    model = build_flownet(FlowNetConfig(1, 1, 2, 1, 2, 2), seed=1)
+    initialize_actnorms(model, np.random.default_rng(2).random((2, 1, 2, 2)))
+    randomize_couplings(model, seed=3)
+    return checkpoint_bytes(model)
+
+
+TINY = tiny_blob()
+# Offsets where a layer block starts: after the 32-byte header, each
+# block is a 9-byte tag/count header plus its f64 values.
+BOUNDARIES = [32]
+while BOUNDARIES[-1] < len(TINY):
+    count = struct.unpack_from("<Q", TINY, BOUNDARIES[-1] + 1)[0]
+    BOUNDARIES.append(BOUNDARIES[-1] + 9 + 8 * count)
+
+
+def _load_bytes(tmp_path, blob):
+    """Load ``blob``; a file that loads must re-serialize to itself."""
+    p = tmp_path / "fuzz.ckpt"
+    p.write_bytes(blob)
+    try:
+        model = load_checkpoint(p)
+    except CheckpointError:
+        return False
+    assert checkpoint_bytes(model) == blob
+    return True
+
+
+class TestCheckpointFuzz:
+    fuzz = settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    def test_tiny_blob_loads(self, tmp_path):
+        assert BOUNDARIES[-1] == len(TINY)
+        assert _load_bytes(tmp_path, TINY)
+
+    @fuzz
+    @given(st.binary(max_size=2 * len(TINY)))
+    def test_random_bytes(self, tmp_path, blob):
+        _load_bytes(tmp_path, blob)
+
+    @fuzz
+    @given(st.binary(max_size=2 * len(TINY)))
+    def test_random_bytes_after_valid_header(self, tmp_path, tail):
+        _load_bytes(tmp_path, TINY[:8] + tail)
+
+    @pytest.mark.parametrize("end", BOUNDARIES[:-1])
+    def test_truncated_at_block_boundary(self, tmp_path, end):
+        assert not _load_bytes(tmp_path, TINY[:end])
+
+    @fuzz
+    @given(st.integers(0, len(TINY) - 1), st.integers(1, 255))
+    def test_single_byte_flip(self, tmp_path, pos, mask):
+        blob = bytearray(TINY)
+        blob[pos] ^= mask
+        _load_bytes(tmp_path, bytes(blob))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowstyle.errors import ShapeError
+from flowstyle.errors import NumericError, ShapeError
 from flowstyle.linalg import matmul, sym_pow
 from flowstyle.transfer import (
     ADAIN,
@@ -286,3 +286,13 @@ class TestTransferApply:
             TransferKind("gram")
         with pytest.raises(ShapeError):
             TransferKind("patchswap", patch_size=2)
+
+    @pytest.mark.parametrize("kind", [ADAIN, WCT, PATCHSWAP], ids=lambda k: k.name)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("side", ["content", "style"])
+    def test_non_finite_feature_rejected(self, kind, bad, side):
+        f_c = random_feature((1, 3, 6, 6), seed=36)
+        f_s = random_feature((1, 3, 6, 6), seed=37)
+        (f_c if side == "content" else f_s)[0, 1, 2, 3] = bad
+        with pytest.raises(NumericError):
+            transfer_apply(kind, f_c, f_s)
