@@ -1,11 +1,17 @@
 """Dense float64 linear algebra for the feature-transfer math.
 
-Everything here is deterministic: identical inputs produce bit-identical
-outputs across runs. The eigensolver is a cyclic Jacobi iteration rather
-than a LAPACK call so that rotation order, eigenvalue ordering, and
-eigenvector signs are fully pinned down; channel counts in this library
-stay small (<= 64 for covariance work), where Jacobi is both accurate
-and fast enough.
+The products, the eigensolver and the inverse run on numpy's BLAS and
+LAPACK. Results are deterministic for a fixed numpy/BLAS build:
+identical inputs produce bit-identical outputs across runs. The tests
+also check that they stay bit-identical across 1 and 2 BLAS threads, at
+every size for ``matmul`` and ``mat_inverse`` and up to order 96 for
+``sym_eig``, which covers the covariances of nets with up to 2 blocks
+(48 channels). Above order 96, LAPACK's ``eigh`` on OpenBLAS 0.3.31 can
+change its last bits with the thread count (seen at most orders from 97
+to 150 and at 256, 384 and 768), so 192- and 768-channel covariances are
+reproducible at a fixed thread count only. ``sym_eig`` fixes what LAPACK
+leaves open: eigenvalues come out descending and each eigenvector's sign
+is pinned.
 """
 
 from __future__ import annotations
@@ -14,12 +20,8 @@ import numpy as np
 
 from .errors import NotPSDError, NumericError, ShapeError, SingularMatrixError
 
-# Pivot magnitudes below this are treated as singular during elimination.
+# Matrices whose 1-norm reciprocal condition is below this are singular.
 PIVOT_FLOOR = 1e-12
-
-# Jacobi convergence: off-diagonal Frobenius norm relative to ||m||_F.
-_JACOBI_RTOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 class SymMatrix:
@@ -57,8 +59,8 @@ class SymMatrix:
 
 def _as_square(m, name: str) -> np.ndarray:
     if isinstance(m, SymMatrix):
-        return np.array(m.mat)
-    a = np.array(m, dtype=np.float64)
+        return m.mat
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} expects a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -67,11 +69,10 @@ def _as_square(m, name: str) -> np.ndarray:
 
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product with a fixed left-to-right summation order over k.
+    """Shape-checked matrix product ``a @ b`` of 2-d float64 operands.
 
-    The accumulation order (rank-1 update per k, k ascending) is part of
-    the contract so results are reproducible bit-for-bit; it also makes
-    ``matmul(x, x.T)`` exactly symmetric.
+    ``matmul(x, x.T)`` is exactly symmetric: numpy computes a product
+    with its own transpose as one symmetric rank-k update.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -79,80 +80,29 @@ def matmul(a, b) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner extents differ: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for k in range(a.shape[1]):
-        out += a[:, k, np.newaxis] * b[np.newaxis, k, :]
-    return out
+    return a @ b
 
 
 def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted
-    descending and eigenvectors as orthonormal columns. Each eigenvector's
-    first nonzero component is made positive, pinning the sign ambiguity.
+    Only the upper triangle is read. Returns ``(eigenvalues,
+    eigenvectors)`` with eigenvalues sorted descending and eigenvectors
+    as orthonormal columns. Each eigenvector's first nonzero component
+    is made positive, pinning the sign ambiguity.
 
-    Raises NumericError if the sweep cap is hit before the off-diagonal
-    Frobenius norm drops below 1e-12 * ||m||_F.
+    Raises NumericError if LAPACK does not converge.
     """
     a = _as_square(m, "sym_eig")
-    a = np.triu(a) + np.triu(a, 1).T  # upper triangle is authoritative
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.float64)
-    if n == 0:
-        return np.zeros(0), v
-
-    norm = float(np.sqrt((a * a).sum()))
-    tol = _JACOBI_RTOL * norm
-    converged = norm == 0.0
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.sqrt(2.0 * (np.triu(a, 1) ** 2).sum()))
-        if off <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # Classic two-sided Givens rotation annihilating a[p, q].
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    if not converged:
-        off = float(np.sqrt(2.0 * (np.triu(a, 1) ** 2).sum()))
-        if off > tol:
-            raise NumericError(
-                f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-            )
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    v = v[:, order]
-    for j in range(n):
-        nz = np.nonzero(v[:, j])[0]
-        if nz.size and v[nz[0], j] < 0.0:
-            v[:, j] = -v[:, j]
-    return eigenvalues, v
+    try:
+        lam, v = np.linalg.eigh(a, UPLO="U")
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+    lam, v = lam[::-1].copy(), v[:, ::-1].copy()
+    if v.size:
+        first = v[np.argmax(v != 0.0, axis=0), np.arange(v.shape[1])]
+        v[:, first < 0.0] *= -1.0
+    return lam, v
 
 
 def sym_pow(m, p: float, eps: float | None = None) -> np.ndarray:
@@ -196,29 +146,28 @@ def sym_pows(m, powers, eps: float | None = None) -> tuple[np.ndarray, ...]:
 
 
 def mat_inverse(m) -> np.ndarray:
-    """General square inverse via Gauss-Jordan with partial pivoting.
+    """General square inverse ``R^-1 Q^T`` from a Householder QR of ``m``.
 
-    Raises SingularMatrixError when the best available pivot magnitude
-    drops below 1e-12.
+    QR rather than ``np.linalg.inv``: from order 100 on, the bits of
+    ``inv`` on OpenBLAS change with the BLAS thread count (its LU runs
+    threaded); QR and triangular solves keep them at every order.
+
+    Raises SingularMatrixError when R has an exactly zero diagonal entry or
+    when the 1-norm reciprocal condition ``1 / (||A||_1 ||A^-1||_1)`` is
+    below ``PIVOT_FLOOR``, i.e. the inverse is too ill-conditioned to
+    trust.
     """
     a = _as_square(m, "mat_inverse")
-    n = a.shape[0]
-    inv = np.eye(n, dtype=np.float64)
-    for col in range(n):
-        rel = int(np.argmax(np.abs(a[col:, col])))
-        piv_row = col + rel
-        piv = a[piv_row, col]
-        if abs(piv) < PIVOT_FLOOR:
-            raise SingularMatrixError(
-                f"pivot {piv:.3e} below {PIVOT_FLOOR:g} at column {col}"
-            )
-        if piv_row != col:
-            a[[col, piv_row]] = a[[piv_row, col]]
-            inv[[col, piv_row]] = inv[[piv_row, col]]
-        inv[col] /= piv
-        a[col] /= piv
-        factors = a[:, col].copy()
-        factors[col] = 0.0
-        a -= factors[:, np.newaxis] * a[col]
-        inv -= factors[:, np.newaxis] * inv[col]
+    q, r = np.linalg.qr(a)
+    try:
+        # The LU inside ``solve`` finds nothing to pivot or eliminate in a
+        # triangular R, so this is two triangular solves.
+        inv = np.linalg.solve(r, q.T)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
+    cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
+    if not cond <= 1.0 / PIVOT_FLOOR:
+        raise SingularMatrixError(
+            f"reciprocal condition {1.0 / cond:.3e} below {PIVOT_FLOOR:g}"
+        )
     return inv

@@ -56,7 +56,10 @@ def _parse_header(data: bytes):
         tok = token()
         if not tok.isdigit():
             raise ImageFormatError(f"malformed header field {tok!r}")
-        fields.append(int(tok))
+        try:
+            fields.append(int(tok))
+        except ValueError as exc:  # beyond Python's int-conversion digit limit
+            raise ImageFormatError(f"header field of {len(tok)} digits") from exc
     width, height, maxval = fields
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval}; only 255 is handled")

@@ -15,6 +15,7 @@ order reproduce bit-identical parameters.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,10 +93,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 0 or self.batch_size < 1 or self.crop_size < 1:
             raise ShapeError("iterations/batch_size/crop_size out of range")
-        if self.learning_rate <= 0 or self.lr_decay < 0:
-            raise ShapeError("learning_rate must be > 0 and lr_decay >= 0")
-        if self.lambda_content < 0 or self.lambda_style < 0:
-            raise ShapeError("loss weights must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ShapeError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        for name in ("lr_decay", "lambda_content", "lambda_style"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ShapeError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

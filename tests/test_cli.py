@@ -75,8 +75,7 @@ def commands(files, out):
         "factor": ["factor", *io_args(files, style=False), "--out", out / "f.ppm"],
         "train": ["train", "--config", write_config(out / "train.cfg", files),
                   "--out", out / "trained.ckpt"],
-        # The four architectures need a crop of 16; 768-channel inverses make
-        # even one evaluation pair cost seconds, so no training steps run.
+        # The four architectures need a crop of 16; no training steps run.
         "ablate": ["ablate", "--config",
                    write_config(out / "ablate.cfg", files, iterations=0, hidden=1)],
     }
@@ -122,8 +121,10 @@ def test_missing_image_exits_1(files, tmp_path, capsys):
         ({"hidden": "2.5"}, "hidden"),
         ({"iteratons": "5"}, "iteratons"),
         ({"content_dir": "/nonexistent-dir"}, "/nonexistent-dir"),
+        ({"learning_rate": "nan"}, "learning_rate"),
     ],
-    ids=["non-numeric", "non-float", "non-integer", "misspelled", "missing-dir"],
+    ids=["non-numeric", "non-float", "non-integer", "misspelled", "missing-dir",
+         "non-finite"],
 )
 def test_bad_config_exits_1(files, tmp_path, capsys, command, bad, key):
     config = write_config(tmp_path / "bad.cfg", files, **bad)

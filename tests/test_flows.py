@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowstyle.autodiff as ad
 from flowstyle.errors import (
@@ -261,6 +263,25 @@ class TestFlowNet:
         model, batch = make_model(n_blocks=2, n_flows=2, shape=(2, 3, 8, 8))
         randomize_couplings(model, seed=5)
         x = np.random.default_rng(13).random((2, 3, 8, 8))
+        back = model.inverse(model.forward(x))
+        assert np.max(np.abs(back - x)) < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_blocks=st.integers(1, 2),
+        n_flows=st.integers(1, 3),
+        hidden=st.integers(1, 8),
+        channels=st.integers(1, 3),
+        multiples=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_on_random_architectures(
+        self, n_blocks, n_flows, hidden, channels, multiples, seed
+    ):
+        shape = (2, channels, *(2**n_blocks * m for m in multiples))
+        model, _ = make_model(n_blocks, n_flows, hidden, shape, seed=seed)
+        randomize_couplings(model, seed=seed + 2)
+        x = np.random.default_rng(seed + 3).random(shape)
         back = model.inverse(model.forward(x))
         assert np.max(np.abs(back - x)) < 1e-9
 

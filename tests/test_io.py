@@ -15,6 +15,7 @@ from flowstyle.checkpoint import (
 from flowstyle.errors import (
     CheckpointError,
     CorruptCheckpointError,
+    FlowStyleError,
     ImageFormatError,
     MagicMismatchError,
     NumericError,
@@ -94,6 +95,15 @@ class TestPpm:
     def test_wrong_maxval_rejected(self, tmp_path):
         p = tmp_path / "hdr.ppm"
         p.write_bytes(b"P6 1 1 65535\n" + bytes(6))
+        with pytest.raises(ImageFormatError):
+            read_image(p)
+
+    @pytest.mark.parametrize("field", range(3))
+    def test_header_field_beyond_int_digit_limit_rejected(self, tmp_path, field):
+        fields = [b"1", b"1", b"255"]
+        fields[field] = b"1" * 5000
+        p = tmp_path / "huge.ppm"
+        p.write_bytes(b"P6 " + b" ".join(fields) + b"\n" + bytes(3))
         with pytest.raises(ImageFormatError):
             read_image(p)
 
@@ -322,3 +332,52 @@ class TestCheckpointFuzz:
         blob = bytearray(TINY)
         blob[pos] ^= mask
         _load_bytes(tmp_path, bytes(blob))
+
+
+# A canonical 3x2 image, byte for byte what write_image produces.
+PPM = b"P6\n3 2\n255\n" + bytes(range(0, 18 * 14, 14))
+
+
+def _read_bytes(tmp_path, blob):
+    """Read ``blob``; an image that reads must survive write -> read."""
+    p = tmp_path / "fuzz.ppm"
+    p.write_bytes(blob)
+    try:
+        img = read_image(p)
+    except FlowStyleError:
+        return False
+    assert img.ndim == 4 and img.shape[:2] == (1, 3)
+    assert img.min() >= 0.0 and img.max() <= 1.0
+    again = tmp_path / "again.ppm"
+    write_image(again, img)
+    np.testing.assert_array_equal(read_image(again), img)
+    return True
+
+
+class TestPpmFuzz:
+    fuzz = TestCheckpointFuzz.fuzz
+
+    def test_canonical_file_reads(self, tmp_path):
+        assert _read_bytes(tmp_path, PPM)
+        assert (tmp_path / "again.ppm").read_bytes() == PPM
+
+    @fuzz
+    @given(st.binary(max_size=2 * len(PPM)))
+    def test_random_bytes(self, tmp_path, blob):
+        _read_bytes(tmp_path, blob)
+
+    @fuzz
+    @given(st.binary(max_size=2 * len(PPM)))
+    def test_random_bytes_after_magic(self, tmp_path, tail):
+        _read_bytes(tmp_path, b"P6" + tail)
+
+    @pytest.mark.parametrize("end", range(len(PPM)))
+    def test_truncated(self, tmp_path, end):
+        assert not _read_bytes(tmp_path, PPM[:end])
+
+    @fuzz
+    @given(st.integers(0, len(PPM) - 1), st.integers(1, 255))
+    def test_single_byte_flip(self, tmp_path, pos, mask):
+        blob = bytearray(PPM)
+        blob[pos] ^= mask
+        _read_bytes(tmp_path, bytes(blob))

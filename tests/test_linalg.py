@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import flowstyle
 from flowstyle.errors import NotPSDError, NumericError, ShapeError, SingularMatrixError
 from flowstyle.linalg import SymMatrix, mat_inverse, matmul, sym_eig, sym_pow, sym_pows
 
@@ -221,8 +226,62 @@ class TestMatInverse:
         with pytest.raises(SingularMatrixError):
             mat_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    def test_near_singular_raises(self):
+        # Reciprocal condition about 2.5e-15, below PIVOT_FLOOR.
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+
+    def test_small_but_well_conditioned_accepted(self):
+        np.testing.assert_array_equal(mat_inverse(2.0**-43 * np.eye(2)), 2.0**43 * np.eye(2))
+
     def test_input_not_mutated(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         keep = m.copy()
         mat_inverse(m)
         np.testing.assert_array_equal(m, keep)
+
+
+# Hashes the linalg results on the transfer and inverse paths, plus wct
+# end to end: covariances of order 48 (paper scale) and 96 (the largest
+# order at which eigh keeps its bits across thread counts), invconv
+# weights of order 48, 192 and 768. From order 100 on, np.linalg.inv
+# changes its bits with the thread count, so 192 and 768 catch an
+# LU-based inverse.
+HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from flowstyle.linalg import mat_inverse, sym_eig, sym_pows
+from flowstyle.transfer import wct
+
+rng = np.random.default_rng(41)
+outs = []
+for c in (48, 96):
+    a = rng.standard_normal((c, 2 * c))
+    cov = a @ a.T / (2 * c)
+    outs += [*sym_eig(cov), *sym_pows(cov, (-0.5, 0.5))]
+for c in (48, 192, 768):
+    q, _ = np.linalg.qr(rng.standard_normal((c, c)))
+    outs.append(mat_inverse(q + 0.1 * rng.standard_normal((c, c)) / np.sqrt(c)))
+f_c = rng.standard_normal((1, 48, 32, 32))
+f_s = 2.0 * rng.standard_normal((1, 48, 32, 32)) + 1.0
+outs.append(wct(f_c, f_s))
+h = hashlib.sha256()
+for out in outs:
+    h.update(np.ascontiguousarray(out).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_bit_identical_across_blas_thread_counts():
+    src = os.path.dirname(os.path.dirname(flowstyle.__file__))
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        hashes.append(done.stdout.strip())
+    assert len(hashes[0]) == 64
+    assert hashes[0] == hashes[1]

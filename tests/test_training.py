@@ -245,6 +245,14 @@ class TestTrain:
         with pytest.raises(ShapeError):
             train(tiny_model(), TrainConfig(iterations=1), [])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize(
+        "field", ["learning_rate", "lr_decay", "lambda_content", "lambda_style"]
+    )
+    def test_non_finite_or_negative_setting_rejected(self, field, value):
+        with pytest.raises(ShapeError, match=field):
+            TrainConfig(**{field: value})
+
     def test_crop_smaller_than_image_is_seeded(self):
         model = tiny_model(seed=8, n_flows=1)
         cfg = TrainConfig(iterations=2, batch_size=1, crop_size=16, seed=9)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowstyle.errors import NumericError, ShapeError
 from flowstyle.linalg import matmul, sym_pow
@@ -296,3 +298,41 @@ class TestTransferApply:
         (f_c if side == "content" else f_s)[0, 1, 2, 3] = bad
         with pytest.raises(NumericError):
             transfer_apply(kind, f_c, f_s)
+
+
+DEGENERATE_KINDS = ("constant", "duplicated", "single-live", "live")
+
+
+def degenerate_feature(kind, shape, seed):
+    """A feature whose channel covariance is zero (constant), of rank one
+    (duplicated, single-live) or random (live)."""
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    f = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+    offsets = rng.uniform(-5.0, 5.0, (1, c, 1, 1))
+    if kind == "constant":
+        f = np.zeros(shape)
+    elif kind == "duplicated":  # every channel a multiple of channel 0
+        f = f[:, :1] * rng.uniform(-2.0, 2.0, (1, c, 1, 1))
+    elif kind == "single-live":
+        f[:, 1:] = 0.0
+    return f + offsets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.tuples(st.sampled_from(DEGENERATE_KINDS), st.sampled_from(DEGENERATE_KINDS)),
+    shape=st.tuples(
+        st.integers(1, 2), st.integers(1, 8), st.integers(1, 4), st.integers(2, 4)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transfers_finite_on_degenerate_features(kinds, shape, seed):
+    f_c = degenerate_feature(kinds[0], shape, seed)
+    f_s = degenerate_feature(kinds[1], shape, seed + 1)
+    for out in (adain(f_c, f_s), wct(f_c, f_s)):
+        assert out.shape == shape and np.isfinite(out).all()
+    for f in (f_c, f_s):
+        factor = cov_factor(f)
+        for part in (factor.mean, factor.whitener, factor.colorer):
+            assert np.isfinite(part).all()
