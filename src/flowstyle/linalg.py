@@ -1,17 +1,13 @@
 """Dense float64 linear algebra for the feature-transfer math.
 
-The products, the eigensolver and the inverse run on numpy's BLAS and
-LAPACK. Results are deterministic for a fixed numpy/BLAS build:
-identical inputs produce bit-identical outputs across runs. The tests
-also check that they stay bit-identical across 1 and 2 BLAS threads, at
-every size for ``matmul`` and ``mat_inverse`` and up to order 96 for
-``sym_eig``, which covers the covariances of nets with up to 2 blocks
-(48 channels). Above order 96, LAPACK's ``eigh`` on OpenBLAS 0.3.31 can
-change its last bits with the thread count (seen at most orders from 97
-to 150 and at 256, 384 and 768), so 192- and 768-channel covariances are
-reproducible at a fixed thread count only. ``sym_eig`` fixes what LAPACK
-leaves open: eigenvalues come out descending and each eigenvector's sign
-is pinned.
+Products and the inverse run on numpy's BLAS and LAPACK. The eigensolver
+reduces to tridiagonal form in numpy's own loops, which never run
+threaded, and solves the tridiagonal problem with LAPACK. Outputs are
+bit-identical across runs for a fixed numpy/BLAS build. The tests also
+check them across 1 and 2 BLAS threads at orders 12, 48, 192 and 768,
+the channel counts of the named nets. At other orders OpenBLAS can split
+its threaded kernels where the last bits change, e.g. ``x @ x.T`` at
+most orders from 97 on that are not multiples of 8.
 """
 
 from __future__ import annotations
@@ -83,22 +79,61 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
+def _tridiagonalize(a: np.ndarray):
+    """Householder reduction ``Q^T a Q = T`` of a symmetric ``a``, in place.
+
+    Returns T's diagonal and off-diagonal and the reflectors ``(k, v,
+    tau)``, ``H_k = I - tau v v^T`` acting on rows k+1 on, with ``Q =
+    H_0 H_1 ...``. Only einsum and elementwise loops run here, never
+    threaded BLAS.
+    """
+    reflectors = []
+    for k in range(a.shape[0] - 2):
+        v = a[k + 1:, k].copy()
+        tail = np.einsum("i,i->", v[1:], v[1:])
+        if tail == 0.0:
+            continue
+        alpha = -np.copysign(np.sqrt(v[0] * v[0] + tail), v[0])
+        v[0] -= alpha
+        tau = -1.0 / (alpha * v[0])  # 2 / (v^T v)
+        rest = a[k + 1:, k + 1:]
+        p = tau * np.einsum("ij,j->i", rest, v)
+        u = np.outer(v, p - (0.5 * tau * np.einsum("i,i->", p, v)) * v)
+        rest -= u + u.T
+        a[k + 1, k] = alpha
+        reflectors.append((k, v, tau))
+    return np.diagonal(a).copy(), np.diagonal(a, -1).copy(), reflectors
+
+
 def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
+    """Eigendecomposition of a symmetric matrix.
 
     Only the upper triangle is read. Returns ``(eigenvalues,
     eigenvectors)`` with eigenvalues sorted descending and eigenvectors
     as orthonormal columns. Each eigenvector's first nonzero component
     is made positive, pinning the sign ambiguity.
 
+    The matrix is scaled by a power of two to a largest entry in
+    [0.5, 1), so the scaling is exact and cannot overflow, and reduced to
+    tridiagonal T by :func:`_tridiagonalize`. LAPACK's ``eigh`` solves T,
+    and the reflectors carry T's eigenvectors back. LAPACK's ``eigh`` on
+    the full matrix is not used because its reduction changes its bits
+    with the BLAS thread count (seen at orders 256, 384 and 768).
+
     Raises NumericError if LAPACK does not converge.
     """
     a = _as_square(m, "sym_eig")
+    peak = float(np.max(np.abs(a), initial=0.0))
+    shift = -np.frexp(peak)[1] if peak > 0.0 else 0
+    diag, off, reflectors = _tridiagonalize(np.ldexp(np.triu(a) + np.triu(a, 1).T, shift))
     try:
-        lam, v = np.linalg.eigh(a, UPLO="U")
+        lam, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    lam, v = lam[::-1].copy(), v[:, ::-1].copy()
+    for k, w, tau in reversed(reflectors):
+        rows = v[k + 1:]
+        rows -= np.outer(tau * w, np.einsum("i,ij->j", w, rows))
+    lam, v = np.ldexp(lam[::-1], -shift), v[:, ::-1].copy()
     if v.size:
         first = v[np.argmax(v != 0.0, axis=0), np.arange(v.shape[1])]
         v[:, first < 0.0] *= -1.0
@@ -148,9 +183,9 @@ def sym_pows(m, powers, eps: float | None = None) -> tuple[np.ndarray, ...]:
 def mat_inverse(m) -> np.ndarray:
     """General square inverse ``R^-1 Q^T`` from a Householder QR of ``m``.
 
-    QR rather than ``np.linalg.inv``: from order 100 on, the bits of
-    ``inv`` on OpenBLAS change with the BLAS thread count (its LU runs
-    threaded); QR and triangular solves keep them at every order.
+    QR rather than ``np.linalg.inv``: the LU inside ``inv`` runs
+    threaded on OpenBLAS and changes its bits with the thread count at
+    most orders from 100 on, 192 and 768 included.
 
     Raises SingularMatrixError when R has an exactly zero diagonal entry or
     when the 1-norm reciprocal condition ``1 / (||A||_1 ||A^-1||_1)`` is
