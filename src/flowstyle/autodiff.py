@@ -21,6 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericError, ShapeError
+from .linalg import blas_threads
 
 _SQUEEZE_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major 2x2 order
 
@@ -286,6 +287,8 @@ def conv2d(x, k, stride: int = 1, pad: int = 0) -> Var:
     ``min(I, O)*kh*kw*B*Hp*Wp`` float64 of scratch (Hp, Wp the padded
     extents); the kernel gradient needs ``I*kh*kw*B*Ho*Wo``. The tape
     keeps only the padded input and the kernel, never a window buffer.
+    Convolutions of fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds
+    run their GEMMs on one BLAS thread (:func:`linalg.blas_threads`).
     """
     dx, dk = _data(x), _data(k)
     if dx.ndim != 4 or dk.ndim != 4:
@@ -307,37 +310,39 @@ def conv2d(x, k, stride: int = 1, pad: int = 0) -> Var:
     else:
         xp = dx
     taps = _Taps(kh, kw, stride, h_out, w_out)
-    if n_in <= n_out:
-        out = _im2col_gemm(xp, dk.reshape(n_out, -1), taps)
-    else:
-        prod = (dk.transpose(2, 3, 0, 1).reshape(-1, n_in) @ xp.reshape(b, n_in, -1)).reshape(
-            b, kh, kw, n_out, hp, wp
-        )
-        out = np.zeros((b, n_out, h_out, w_out))
-        for u, v, rows, cols in taps:
-            out += prod[:, u, v, :, rows, cols]
+    macs = b * n_out * n_in * kh * kw * h_out * w_out
+    with blas_threads(macs):
+        if n_in <= n_out:
+            out = _im2col_gemm(xp, dk.reshape(n_out, -1), taps)
+        else:
+            prod = dk.transpose(2, 3, 0, 1).reshape(-1, n_in) @ xp.reshape(b, n_in, -1)
+            prod = prod.reshape(b, kh, kw, n_out, hp, wp)
+            out = np.zeros((b, n_out, h_out, w_out))
+            for u, v, rows, cols in taps:
+                out += prod[:, u, v, :, rows, cols]
 
     def back(g):
-        if n_in <= n_out:
-            per_tap = (dk.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
-                b, n_in, kh, kw, h_out, w_out
-            )
-            gxp = np.zeros_like(xp)
-            for u, v, rows, cols in taps:
-                gxp[:, :, rows, cols] += per_tap[:, :, u, v]
-        else:
-            # Transposed conv as a correlation of the stride-dilated,
-            # (k-1)-padded output gradient with the flipped kernel.
-            gd = np.zeros((b, n_out, hp + kh - 1, wp + kw - 1))
-            gd[:, :, kh - 1 : kh - 1 + stride * h_out : stride,
-               kw - 1 : kw - 1 + stride * w_out : stride] = g
-            flipped = dk[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
-            gxp = _im2col_gemm(gd, flipped, _Taps(kh, kw, 1, hp, wp))
-        if pad:
-            gxp = gxp[:, :, pad:-pad, pad:-pad]
-        _accum(x, gxp)
-        if isinstance(k, Var) and k.grad is not None:
-            k.grad += np.tensordot(g, taps.windows(xp), axes=([0, 2, 3], [0, 2, 3]))
+        with blas_threads(macs):
+            if n_in <= n_out:
+                per_tap = (dk.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
+                    b, n_in, kh, kw, h_out, w_out
+                )
+                gxp = np.zeros_like(xp)
+                for u, v, rows, cols in taps:
+                    gxp[:, :, rows, cols] += per_tap[:, :, u, v]
+            else:
+                # Transposed conv as a correlation of the stride-dilated,
+                # (k-1)-padded output gradient with the flipped kernel.
+                gd = np.zeros((b, n_out, hp + kh - 1, wp + kw - 1))
+                gd[:, :, kh - 1 : kh - 1 + stride * h_out : stride,
+                   kw - 1 : kw - 1 + stride * w_out : stride] = g
+                flipped = dk[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
+                gxp = _im2col_gemm(gd, flipped, _Taps(kh, kw, 1, hp, wp))
+            if pad:
+                gxp = gxp[:, :, pad:-pad, pad:-pad]
+            _accum(x, gxp)
+            if isinstance(k, Var) and k.grad is not None:
+                k.grad += np.tensordot(g, taps.windows(xp), axes=([0, 2, 3], [0, 2, 3]))
 
     return _record(_tape_of(x, k), "conv2d", out, back, (x, k))
 
@@ -384,12 +389,15 @@ def _im2col_gemm(xp, kmat, taps):
 def _mix(m, x):
     """Apply matrix ``m`` (O,I) to the channels of ``x`` (B,I,H,W) by GEMM."""
     b, _, h, w = x.shape
-    return (m @ x.reshape(b, x.shape[1], h * w)).reshape(b, m.shape[0], h, w)
+    with blas_threads(m.size * b * h * w):
+        out = m @ x.reshape(b, x.shape[1], h * w)
+    return out.reshape(b, m.shape[0], h, w)
 
 
 def _mix_grad(g, x):
     """Gradient of ``_mix`` w.r.t. its matrix: sum over b,h,w of g x^T."""
-    return np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))
+    with blas_threads(g.size * x.shape[1]):
+        return np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))
 
 
 def channel_mix(x, w) -> Var:

@@ -1,16 +1,20 @@
 """Dense float64 linear algebra for the feature-transfer math.
 
-Products and the inverse run on numpy's BLAS and LAPACK. The eigensolver
-reduces to tridiagonal form in numpy's own loops, which never run
-threaded, and solves the tridiagonal problem with LAPACK. Outputs are
-bit-identical across runs for a fixed numpy/BLAS build. The tests also
-check them across 1 and 2 BLAS threads at orders 12, 48, 192 and 768,
-the channel counts of the named nets. At other orders OpenBLAS can split
-its threaded kernels where the last bits change, e.g. ``x @ x.T`` at
-most orders from 97 on that are not multiples of 8.
+Products, the eigensolver and the inverse run on numpy's BLAS and LAPACK,
+always on one BLAS thread (:func:`blas_threads`): threaded OpenBLAS
+kernels change their last bits with the thread count (``eigh`` at order
+768, ``inv`` at 192, ``x @ x.T`` at most orders from 97 on). So results
+are bit-identical across runs and BLAS thread counts for a fixed
+numpy/BLAS build; the tests check 1 against 2 threads.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +22,51 @@ from .errors import NotPSDError, NumericError, ShapeError, SingularMatrixError
 
 # Matrices whose 1-norm reciprocal condition is below this are singular.
 PIVOT_FLOOR = 1e-12
+
+# Products of fewer multiply-adds run on one BLAS thread. On a 2-core
+# x86_64 VM (OpenBLAS 0.3.31) a 3.5M product took 0.12 to 16 ms on two
+# threads against a steady 0.17 ms on one, and 2.3x longer while another
+# process held the second core; from 2^24 on, two threads were 1.6-1.9x
+# faster.
+THREADED_MIN_MACS = 1 << 24
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS in numpy's wheel
+    (``numpy.libs``), or None when numpy links another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def blas_threads(macs: float = 0):
+    """Run the block's BLAS calls on one thread unless each product does
+    ``macs >= THREADED_MIN_MACS`` multiply-adds; restore the count on exit.
+
+    The count is process-wide: blocks must not overlap across Python
+    threads. Without numpy's OpenBLAS the count is left alone.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None or macs >= THREADED_MIN_MACS:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 class SymMatrix:
@@ -76,63 +125,32 @@ def matmul(a, b) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def _tridiagonalize(a: np.ndarray):
-    """Householder reduction ``Q^T a Q = T`` of a symmetric ``a``, in place.
-
-    Returns T's diagonal and off-diagonal and the reflectors ``(k, v,
-    tau)``, ``H_k = I - tau v v^T`` acting on rows k+1 on, with ``Q =
-    H_0 H_1 ...``. Only einsum and elementwise loops run here, never
-    threaded BLAS.
-    """
-    reflectors = []
-    for k in range(a.shape[0] - 2):
-        v = a[k + 1:, k].copy()
-        tail = np.einsum("i,i->", v[1:], v[1:])
-        if tail == 0.0:
-            continue
-        alpha = -np.copysign(np.sqrt(v[0] * v[0] + tail), v[0])
-        v[0] -= alpha
-        tau = -1.0 / (alpha * v[0])  # 2 / (v^T v)
-        rest = a[k + 1:, k + 1:]
-        p = tau * np.einsum("ij,j->i", rest, v)
-        u = np.outer(v, p - (0.5 * tau * np.einsum("i,i->", p, v)) * v)
-        rest -= u + u.T
-        a[k + 1, k] = alpha
-        reflectors.append((k, v, tau))
-    return np.diagonal(a).copy(), np.diagonal(a, -1).copy(), reflectors
+    with blas_threads():
+        return a @ b
 
 
 def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
 
     Only the upper triangle is read. Returns ``(eigenvalues,
     eigenvectors)`` with eigenvalues sorted descending and eigenvectors
     as orthonormal columns. Each eigenvector's first nonzero component
     is made positive, pinning the sign ambiguity.
 
-    The matrix is scaled by a power of two to a largest entry in
-    [0.5, 1), so the scaling is exact and cannot overflow, and reduced to
-    tridiagonal T by :func:`_tridiagonalize`. LAPACK's ``eigh`` solves T,
-    and the reflectors carry T's eigenvectors back. LAPACK's ``eigh`` on
-    the full matrix is not used because its reduction changes its bits
-    with the BLAS thread count (seen at orders 256, 384 and 768).
+    The matrix is first scaled by a power of two to a largest entry in
+    [0.5, 1), so the scaling is exact, cannot overflow, and keeps LAPACK
+    from rescaling by an inexact factor at extreme magnitudes.
 
     Raises NumericError if LAPACK does not converge.
     """
     a = _as_square(m, "sym_eig")
-    peak = float(np.max(np.abs(a), initial=0.0))
+    peak = float(np.max(np.abs(np.triu(a)), initial=0.0))
     shift = -np.frexp(peak)[1] if peak > 0.0 else 0
-    diag, off, reflectors = _tridiagonalize(np.ldexp(np.triu(a) + np.triu(a, 1).T, shift))
     try:
-        lam, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        with blas_threads():
+            lam, v = np.linalg.eigh(np.ldexp(a, shift), UPLO="U")
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    for k, w, tau in reversed(reflectors):
-        rows = v[k + 1:]
-        rows -= np.outer(tau * w, np.einsum("i,ij->j", w, rows))
     lam, v = np.ldexp(lam[::-1], -shift), v[:, ::-1].copy()
     if v.size:
         first = v[np.argmax(v != 0.0, axis=0), np.arange(v.shape[1])]
@@ -181,23 +199,18 @@ def sym_pows(m, powers, eps: float | None = None) -> tuple[np.ndarray, ...]:
 
 
 def mat_inverse(m) -> np.ndarray:
-    """General square inverse ``R^-1 Q^T`` from a Householder QR of ``m``.
+    """General square inverse by LAPACK's LU (``np.linalg.inv``).
 
-    QR rather than ``np.linalg.inv``: the LU inside ``inv`` runs
-    threaded on OpenBLAS and changes its bits with the thread count at
-    most orders from 100 on, 192 and 768 included.
-
-    Raises SingularMatrixError when R has an exactly zero diagonal entry or
+    Raises SingularMatrixError when LAPACK meets an exactly zero pivot or
     when the 1-norm reciprocal condition ``1 / (||A||_1 ||A^-1||_1)`` is
     below ``PIVOT_FLOOR``, i.e. the inverse is too ill-conditioned to
-    trust.
+    trust. The rule is relative, so a well-conditioned matrix of any
+    scale inverts.
     """
     a = _as_square(m, "mat_inverse")
-    q, r = np.linalg.qr(a)
     try:
-        # The LU inside ``solve`` finds nothing to pivot or eliminate in a
-        # triangular R, so this is two triangular solves.
-        inv = np.linalg.solve(r, q.T)
+        with blas_threads():
+            inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
     cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)

@@ -252,7 +252,7 @@ def _patch_swap_single(content, style, ps, stride):
     s_norm = s_patches / np.maximum(
         np.linalg.norm(s_patches, axis=1, keepdims=True), 1e-12
     )
-    sims = c_norm @ s_norm.T
+    sims = matmul(c_norm, s_norm.T)
     matches = np.argmax(sims, axis=1)  # first max wins: lowest style index
 
     acc = np.zeros_like(content)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import flowstyle
+from flowstyle import linalg
 from flowstyle.errors import NotPSDError, NumericError, ShapeError, SingularMatrixError
 from flowstyle.linalg import SymMatrix, mat_inverse, matmul, sym_eig, sym_pow, sym_pows
 
@@ -304,8 +305,8 @@ print(h.hexdigest())
 """
 
 # The same at orders no named net produces (x @ x.T at 100, the inverse
-# at 210, sym_eig at 500), where OpenBLAS splits its threaded kernels at
-# points that change the last bits (see the module docstring of
+# at 210, sym_eig at 500), where threaded OpenBLAS kernels change their
+# last bits with the thread count (see the module docstring of
 # flowstyle.linalg).
 ODD_ORDER_HASH_SCRIPT = """
 import hashlib
@@ -344,14 +345,47 @@ def test_bit_identical_across_blas_thread_counts():
     assert one == two
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="2 BLAS threads need 2 CPUs")
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="FOUND in CHANGES.md: OpenBLAS changes the bits of x @ x.T, the QR "
-    "inverse and the tridiagonal eigensolve with the thread count at some "
-    "orders no named net uses",
-)
 def test_bit_identical_across_blas_thread_counts_at_odd_orders():
     one, two = hashes_by_thread_count(ODD_ORDER_HASH_SCRIPT)
     assert one == two
+
+
+needs_thread_calls = pytest.mark.skipif(
+    linalg._openblas_thread_calls() is None, reason="numpy does not bundle OpenBLAS"
+)
+
+
+@needs_thread_calls
+class TestBlasThreads:
+    def count(self):
+        return linalg._openblas_thread_calls()[0]()
+
+    @pytest.mark.parametrize("macs", [(), (linalg.THREADED_MIN_MACS - 1,)])
+    def test_small_work_runs_on_one_thread_and_restores(self, macs):
+        before = self.count()
+        with linalg.blas_threads(*macs):
+            assert self.count() == 1
+        assert self.count() == before
+
+    def test_large_work_keeps_the_thread_count(self):
+        before = self.count()
+        with linalg.blas_threads(linalg.THREADED_MIN_MACS):
+            assert self.count() == before
+
+    def test_restores_after_an_error(self):
+        before = self.count()
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(np.zeros((3, 3)))
+        assert self.count() == before
+
+    def test_restores_the_count_in_force(self):
+        get, set_ = linalg._openblas_thread_calls()
+        before = get()
+        set_(2)
+        try:
+            in_force = get()
+            with linalg.blas_threads():
+                pass
+            assert get() == in_force
+        finally:
+            set_(before)
