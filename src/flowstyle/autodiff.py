@@ -62,9 +62,6 @@ class Var:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Var(shape={self.data.shape}, taped={self.tape is not None})"
 
@@ -78,6 +75,13 @@ def lift(x, tape=None) -> Var:
 
 def _data(x):
     return x.data if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def _ret(out, *inputs):
+    """``out`` when any input is a Var, else its array (arrays in, arrays out)."""
+    if any(isinstance(x, Var) for x in inputs):
+        return out
+    return out.data
 
 
 def _tape_of(*xs):

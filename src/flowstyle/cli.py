@@ -132,20 +132,24 @@ _CONFIG_KEYS = {*_CONFIG_DEFAULTS, "content_dir", "style_dir"}
 def parse_config_file(path) -> dict:
     """Flat key=value text; '#' starts a comment. Unknown keys are errors."""
     values = dict(_CONFIG_DEFAULTS)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FlowStyleError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise FlowStyleError(
-                    f"{path}:{lineno}: unknown config key '{key}'; "
-                    f"known: {', '.join(sorted(_CONFIG_KEYS))}"
-                )
-            values[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FlowStyleError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FlowStyleError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise FlowStyleError(
+                f"{path}:{lineno}: unknown config key '{key}'; "
+                f"known: {', '.join(sorted(_CONFIG_KEYS))}"
+            )
+        values[key] = value
     return values
 
 

@@ -20,15 +20,7 @@ from .errors import ShapeError
 from .flows import FlowNet, FlowNetConfig, build_flownet
 from .metrics import gram_loss, recon_error, ssim
 from .training import LossNet, TrainConfig, build_lossnet, train
-from .transfer import (
-    ADAIN,
-    TransferKind,
-    adain_content_factor,
-    transfer_apply,
-    wct_content_factor,
-)
-
-REVERSIBLE_KINDS = ("adain", "wct")
+from .transfer import ADAIN, FACTORS, TransferKind, transfer_apply
 
 
 def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1.0) -> np.ndarray:
@@ -102,8 +94,8 @@ def reverse_transfer(
     With an exactly invertible network and a statistics-preserving
     transfer the second pass restores the content image.
     """
-    if kind.name not in REVERSIBLE_KINDS:
-        raise ShapeError(f"reverse transfer requires one of {REVERSIBLE_KINDS}")
+    if kind.name not in FACTORS:
+        raise ShapeError(f"reverse transfer requires one of {tuple(FACTORS)}")
     stylized = stylize(model, kind, content, style)
     recovered = stylize(model, kind, stylized, content)
     return stylized, recovered
@@ -116,14 +108,11 @@ def content_factor_image(model: FlowNet, kind: TransferKind, content) -> np.ndar
     unit std for adain; mean 0 and identity covariance for wct) before
     decoding.
     """
-    if kind.name not in REVERSIBLE_KINDS:
-        raise ShapeError(f"content factor requires one of {REVERSIBLE_KINDS}")
+    if kind.name not in FACTORS:
+        raise ShapeError(f"content factor requires one of {tuple(FACTORS)}")
     latent = model.forward(np.asarray(content, dtype=np.float64))
-    if kind.name == "adain":
-        neutral = adain_content_factor(latent)
-    else:
-        neutral = wct_content_factor(latent)
-    return model.inverse(neutral)
+    content_factor = FACTORS[kind.name][0]
+    return model.inverse(content_factor(latent))
 
 
 def ablation_run(

@@ -177,12 +177,6 @@ def named_config(
 # single-layer operations
 
 
-def _ret(out, *inputs):
-    if any(isinstance(x, ad.Var) for x in inputs):
-        return out
-    return out.data
-
-
 def _check_scale(scale: np.ndarray):
     bad = ~(np.isfinite(scale) & (np.abs(scale) >= ACTNORM_SCALE_FLOOR))
     if np.any(bad):
@@ -202,7 +196,7 @@ def actnorm_apply(x, scale, bias, inverse: bool = False):
         out = ad.div(ad.sub(x, ad.per_channel(bias)), ad.per_channel(scale))
     else:
         out = ad.add(ad.mul(x, ad.per_channel(scale)), ad.per_channel(bias))
-    return _ret(out, x)
+    return ad._ret(out, x)
 
 
 def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -230,7 +224,7 @@ def invconv_apply(x, weight, inverse: bool = False):
         out = ad.channel_mix_inv(x, weight, mat_inverse(w))
     else:
         out = ad.channel_mix(x, weight)
-    return _ret(out, x)
+    return ad._ret(out, x)
 
 
 def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
@@ -240,7 +234,7 @@ def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
     """
     h = ad.relu(ad.add(ad.conv2d(x_a, w1, pad=1), ad.per_channel(b1)))
     h = ad.relu(ad.add(ad.conv2d(h, w2, pad=0), ad.per_channel(b2)))
-    return _ret(ad.add(ad.conv2d(h, w3, pad=1), ad.per_channel(b3)), x_a)
+    return ad._ret(ad.add(ad.conv2d(h, w3, pad=1), ad.per_channel(b3)), x_a)
 
 
 def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False):
@@ -248,13 +242,13 @@ def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False):
     x_a, x_b = ad.split_half(x)
     shift = nn_forward(x_a, w1, b1, w2, b2, w3, b3)
     y_b = ad.sub(x_b, shift) if inverse else ad.add(x_b, shift)
-    return _ret(ad.concat_half(x_a, y_b), x)
+    return ad._ret(ad.concat_half(x_a, y_b), x)
 
 
 def squeeze_apply(x, inverse: bool = False):
     """2x2 space-to-depth with the fixed row-major offset order."""
     out = ad.unsqueeze2(x) if inverse else ad.squeeze2(x)
-    return _ret(out, x)
+    return ad._ret(out, x)
 
 
 _APPLY = {
@@ -330,7 +324,7 @@ class FlowNet:
         self._check_image(data)
         self._require_initialized()
         out = self._walk(ad.lift(x), params, inverse=False)
-        return _ret(out, x)
+        return ad._ret(out, x)
 
     def inverse(self, z, params=None):
         """Map a latent feature back to image space (the exact decoder)."""
@@ -340,7 +334,7 @@ class FlowNet:
             raise ShapeError(f"expected (B,{c_lat},h,w) latent, got {data.shape}")
         self._require_initialized()
         out = self._walk(ad.lift(z), params, inverse=True)
-        return _ret(out, z)
+        return ad._ret(out, z)
 
     def _walk(self, v, params, inverse):
         """Apply every layer (reversed when ``inverse``); ``params`` maps

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ShapeError
-from .training import LossNet
+from .training import LossNet, content_loss
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -100,9 +100,7 @@ def feature_distance(a, b, lossnet: LossNet) -> float:
     This is an extractor-relative content distance; values are only
     comparable when produced by the same LossNet.
     """
-    fa = lossnet.top_feature(a)
-    fb = lossnet.top_feature(b)
-    return float(np.sqrt(((fa - fb) ** 2).mean()))
+    return content_loss(a, lossnet.top_feature(b), lossnet)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NumericError, ShapeError
 from .flows import FlowNet, initialize_actnorms
-from .transfer import EPS_STD, adain
+from .transfer import adain, channel_stats
 
 LOSSNET_WIDTHS = (16, 32, 64, 64)
 
@@ -43,10 +43,6 @@ class LossNet:
             k.flags.writeable = False
         for b in self.biases:
             b.flags.writeable = False
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.kernels)
 
     def _features(self, v):
         feats = []
@@ -93,6 +89,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 0 or self.batch_size < 1 or self.crop_size < 1:
             raise ShapeError("iterations/batch_size/crop_size out of range")
+        if self.seed < 0:
+            raise ShapeError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ShapeError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
@@ -145,20 +143,10 @@ def adam_update(
 # losses
 
 
-def _stats_var(v):
-    mu = ad.channel_mean(v)
-    centered = ad.sub(v, ad.per_channel(mu))
-    var = ad.channel_mean(ad.mul(centered, centered))
-    sd = ad.maximum_scalar(ad.sqrt(var), EPS_STD)
-    return mu, sd
-
-
 def adain_traced(f_c, f_s):
-    """Statistic matching as a differentiable graph (both inputs taped)."""
-    mu_c, sd_c = _stats_var(f_c)
-    mu_s, sd_s = _stats_var(f_s)
-    norm = ad.div(ad.sub(f_c, ad.per_channel(mu_c)), ad.per_channel(sd_c))
-    return ad.add(ad.mul(norm, ad.per_channel(sd_s)), ad.per_channel(mu_s))
+    """Same as :func:`transfer.adain`, which takes taped input itself; kept
+    for callers that look this name up (``perfbench`` traces it)."""
+    return adain(f_c, f_s)
 
 
 def content_loss(stylized_image, target_feature, lossnet: LossNet):
@@ -173,25 +161,15 @@ def content_loss(stylized_image, target_feature, lossnet: LossNet):
     return out if isinstance(stylized_image, ad.Var) else float(out.data)
 
 
-def style_stats(lossnet: LossNet, image) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-stage (mean, clamped std) channel statistics of an image."""
-    out = []
-    for f in lossnet.features(image):
-        mu = f.mean(axis=(0, 2, 3))
-        sd = np.maximum(f.std(axis=(0, 2, 3)), EPS_STD)
-        out.append((mu, sd))
-    return out
-
-
 def style_loss(stylized_image, style_image, lossnet: LossNet):
     """Sum over stages of ||mu - mu_s||_2 + ||sigma - sigma_s||_2."""
-    targets = style_stats(lossnet, np.asarray(style_image, dtype=np.float64))
+    targets = [channel_stats(f) for f in lossnet.features(style_image)]
     v = ad.lift(stylized_image)
     total = None
-    for feat, (mu_s, sd_s) in zip(lossnet._features(v), targets):
-        mu_o, sd_o = _stats_var(feat)
-        d_mu = ad.sub(mu_o, mu_s)
-        d_sd = ad.sub(sd_o, sd_s)
+    for feat, target in zip(lossnet._features(v), targets):
+        stats = channel_stats(feat)
+        d_mu = ad.sub(stats.mean, target.mean)
+        d_sd = ad.sub(stats.std, target.std)
         term = ad.add(
             ad.sqrt(ad.sum_all(ad.mul(d_mu, d_mu))),
             ad.sqrt(ad.sum_all(ad.mul(d_sd, d_sd))),
@@ -227,7 +205,7 @@ def training_loss(model: FlowNet, params, content, style, cfg: TrainConfig, loss
     tape = next(iter(params.values())).tape if params else None
     f_c = model.forward(ad.Var(content, tape), params=params)
     f_s = model.forward(ad.Var(style, tape), params=params)
-    f_cs = adain_traced(f_c, f_s)
+    f_cs = adain(f_c, f_s)
     decoded = model.inverse(f_cs, params=params)
     target = transfer_target(lossnet, content, style)
     l_c = content_loss(decoded, target, lossnet)

@@ -9,13 +9,19 @@ Two of the modules are unbiased in the bilinear content/style sense:
   content factor is the whitened feature and its style factor the
   (mean, covariance) pair.
 
-Both leave the content factor of their output bit-close to the content
-input's factor while exactly adopting the style input's factor, which is
-what makes repeated stylization stable. ``patch_swap`` is the deliberate
-counterexample: replacing content patches by matched style patches is
-not invertible, so repeated application corrupts content.
+Each is written once, as its recombination applied to the content
+input's content factor and the style input's style factor (``FACTORS``
+lists the three functions per kind). So both leave the content factor of
+their output bit-close to the content input's factor while exactly
+adopting the style input's factor, which is what makes repeated
+stylization stable. ``patch_swap`` is the deliberate counterexample:
+replacing content patches by matched style patches is not invertible,
+so repeated application corrupts content.
 
-All functions are pure and operate on float64 (B,C,H,W) arrays.
+All functions are pure and operate on float64 (B,C,H,W) arrays. AdaIN's
+functions also accept taped :class:`~flowstyle.autodiff.Var` features
+and then return Vars, so training differentiates through the same
+``adain`` that inference runs.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import NumericError, ShapeError
 from .linalg import SymMatrix, matmul, sym_pows
 
@@ -39,7 +46,7 @@ _KINDS = ("adain", "wct", "patchswap")
 
 @dataclass(frozen=True)
 class FeatureStats:
-    """Per-channel mean and (floored) standard deviation."""
+    """Per-channel mean and (floored) standard deviation; Vars for taped input."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -77,15 +84,48 @@ WCT = TransferKind("wct")
 PATCHSWAP = TransferKind("patchswap")
 
 
-def _check_feature(f, name) -> np.ndarray:
-    a = np.asarray(f, dtype=np.float64)
+def _check_feature(f, name):
+    """``f`` once it is a finite (B,C,H,W) feature with a non-empty
+    spatial extent: a Var as is, anything else as a float64 array."""
+    a = ad._data(f)
     if a.ndim != 4:
         raise ShapeError(f"{name} must be (B,C,H,W), got shape {a.shape}")
     if a.shape[2] * a.shape[3] == 0:
         raise ShapeError(f"{name} has an empty spatial extent")
     if not np.isfinite(a).all():
         raise NumericError(f"{name} contains NaN or inf values")
-    return a
+    return f if isinstance(f, ad.Var) else a
+
+
+def _check_pair(f_c, f_s):
+    """Check a content and a style feature, and that their channels match."""
+    a = _check_feature(f_c, "content feature")
+    b = _check_feature(f_s, "style feature")
+    c_a, c_b = ad._data(a).shape[1], ad._data(b).shape[1]
+    if c_a != c_b:
+        raise ShapeError(f"channel mismatch: content {c_a}, style {c_b}")
+    return a, b
+
+
+# AdaIN on autodiff ops. The public functions check their inputs; the
+# underscored ones assume checked input.
+
+
+def _stats(f) -> FeatureStats:
+    mean = ad.channel_mean(f)
+    centered = ad.sub(f, ad.per_channel(mean))
+    std = ad.sqrt(ad.channel_mean(ad.mul(centered, centered)))
+    return FeatureStats(ad._ret(mean, f), ad._ret(ad.maximum_scalar(std, EPS_STD), f))
+
+
+def _standardize(f):
+    s = _stats(f)
+    return ad._ret(ad.div(ad.sub(f, ad.per_channel(s.mean)), ad.per_channel(s.std)), f)
+
+
+def _restyle(x, stats: FeatureStats):
+    out = ad.add(ad.mul(x, ad.per_channel(stats.std)), ad.per_channel(stats.mean))
+    return ad._ret(out, x, stats.mean, stats.std)
 
 
 def channel_stats(f) -> FeatureStats:
@@ -94,46 +134,34 @@ def channel_stats(f) -> FeatureStats:
     Standard deviation uses the population convention (divide by N) and
     is floored at 1e-6 so constant channels stay usable downstream.
     """
-    a = _check_feature(f, "feature")
-    mean = a.mean(axis=(0, 2, 3))
-    std = np.maximum(a.std(axis=(0, 2, 3)), EPS_STD)
-    return FeatureStats(mean=mean, std=std)
+    return _stats(_check_feature(f, "feature"))
 
 
-def _bc(v):
-    return v[np.newaxis, :, np.newaxis, np.newaxis]
-
-
-def adain(f_c, f_s) -> np.ndarray:
-    """Match the content feature's per-channel mean/std to the style's."""
-    a = _check_feature(f_c, "content feature")
-    b = _check_feature(f_s, "style feature")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"channel mismatch: content {a.shape[1]}, style {b.shape[1]}")
-    sc, ss = channel_stats(a), channel_stats(b)
-    return _bc(ss.std) * (a - _bc(sc.mean)) / _bc(sc.std) + _bc(ss.mean)
-
-
-def adain_content_factor(f) -> np.ndarray:
+def adain_content_factor(f):
     """Standardized feature: (f - mean) / std per channel."""
-    a = _check_feature(f, "feature")
-    s = channel_stats(a)
-    return (a - _bc(s.mean)) / _bc(s.std)
+    return _standardize(_check_feature(f, "feature"))
 
 
-def adain_style_factor(f) -> FeatureStats:
-    return channel_stats(f)
+def apply_style_factor(content_factor, stats: FeatureStats):
+    """Recombine: content_factor * std + mean."""
+    return _restyle(_check_feature(content_factor, "content factor"), stats)
 
 
-def apply_style_factor(content_factor, stats: FeatureStats) -> np.ndarray:
-    """Recombine: std * content_factor + mean."""
-    a = _check_feature(content_factor, "content factor")
-    return _bc(stats.std) * a + _bc(stats.mean)
+def adain(f_c, f_s):
+    """Match the content feature's per-channel mean/std to the style's:
+    ``apply_style_factor(adain_content_factor(f_c), channel_stats(f_s))``."""
+    a, b = _check_pair(f_c, f_s)
+    return _restyle(_standardize(a), _stats(b))
 
 
 def _flatten_channels(a) -> np.ndarray:
     """(B,C,H,W) -> (C, B*H*W) sample matrix."""
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).reshape(a.shape[1], -1)
+
+
+def _unflatten_channels(x, shape) -> np.ndarray:
+    b, c, h, w = shape
+    return np.ascontiguousarray(x.reshape(c, b, h, w).transpose(1, 0, 2, 3))
 
 
 def cov_factor(f) -> CovFactor:
@@ -161,39 +189,42 @@ def cov_factor(f) -> CovFactor:
     return CovFactor(mean=mean, cov=cov, whitener=whitener, colorer=colorer)
 
 
+def _whiten(a, factor: CovFactor) -> np.ndarray:
+    x = _flatten_channels(a)
+    return _unflatten_channels(matmul(factor.whitener, x - factor.mean[:, np.newaxis]), a.shape)
+
+
+def _color(a, factor: CovFactor) -> np.ndarray:
+    x = _flatten_channels(a)
+    return _unflatten_channels(matmul(factor.colorer, x) + factor.mean[:, np.newaxis], a.shape)
+
+
 def wct_content_factor(f) -> np.ndarray:
     """Whitened feature: cov^{-1/2} (f - mean), identity covariance."""
     a = _check_feature(f, "feature")
-    factor = cov_factor(a)
-    x = _flatten_channels(a)
-    white = matmul(factor.whitener, x - factor.mean[:, np.newaxis])
-    return _unflatten_channels(white, a.shape)
-
-
-def _unflatten_channels(x, shape) -> np.ndarray:
-    b, c, h, w = shape
-    return np.ascontiguousarray(x.reshape(c, b, h, w).transpose(1, 0, 2, 3))
-
-
-def wct(f_c, f_s) -> np.ndarray:
-    """Whiten the content feature, then color it with the style covariance."""
-    a = _check_feature(f_c, "content feature")
-    b = _check_feature(f_s, "style feature")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"channel mismatch: content {a.shape[1]}, style {b.shape[1]}")
-    fc, fs = cov_factor(a), cov_factor(b)
-    x = _flatten_channels(a)
-    white = matmul(fc.whitener, x - fc.mean[:, np.newaxis])
-    colored = matmul(fs.colorer, white) + fs.mean[:, np.newaxis]
-    return _unflatten_channels(colored, a.shape)
+    return _whiten(a, cov_factor(a))
 
 
 def apply_cov_factor(content_factor, factor: CovFactor) -> np.ndarray:
     """Recombine: cov^{1/2} * whitened_factor + mean."""
-    a = _check_feature(content_factor, "content factor")
-    x = _flatten_channels(a)
-    colored = matmul(factor.colorer, x) + factor.mean[:, np.newaxis]
-    return _unflatten_channels(colored, a.shape)
+    return _color(_check_feature(content_factor, "content factor"), factor)
+
+
+def wct(f_c, f_s) -> np.ndarray:
+    """Whiten the content feature, then color it with the style covariance:
+    ``apply_cov_factor(wct_content_factor(f_c), cov_factor(f_s))``."""
+    a, b = _check_pair(f_c, f_s)
+    # cov_factor by its public name, so per-layer timing still counts it;
+    # it checks each (already checked) feature once more.
+    return _color(_whiten(a, cov_factor(a)), cov_factor(b))
+
+
+# Each reversible kind as (content factor, style factor, recombine); the
+# transfer is recombine(content factor(f_c), style factor(f_s)).
+FACTORS = {
+    "adain": (adain_content_factor, channel_stats, apply_style_factor),
+    "wct": (wct_content_factor, cov_factor, apply_cov_factor),
+}
 
 
 def _patch_grid(extent: int, patch: int, stride: int) -> list[int]:
@@ -213,10 +244,7 @@ def patch_swap(f_c, f_s, patch_size: int = 3, stride: int = 1) -> np.ndarray:
     (ties go to the lowest style patch index); overlapping replacements
     are averaged. This transfer is intentionally *not* invertible.
     """
-    a = _check_feature(f_c, "content feature")
-    b = _check_feature(f_s, "style feature")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"channel mismatch: content {a.shape[1]}, style {b.shape[1]}")
+    a, b = _check_pair(f_c, f_s)
     if patch_size < 1 or stride < 1:
         raise ShapeError("patch_size and stride must be >= 1")
     for name, arr in (("content", a), ("style", b)):
@@ -273,13 +301,12 @@ def transfer_apply(kind: TransferKind, f_c, f_s, alpha: float = 1.0) -> np.ndarr
     """
     if not 0.0 <= alpha <= 1.0:
         raise ShapeError(f"alpha must lie in [0, 1], got {alpha}")
-    a = _check_feature(f_c, "content feature")
     if kind.name == "adain":
-        f_cs = adain(a, f_s)
+        f_cs = adain(f_c, f_s)
     elif kind.name == "wct":
-        f_cs = wct(a, f_s)
+        f_cs = wct(f_c, f_s)
     else:
-        f_cs = patch_swap(a, f_s, kind.patch_size, kind.stride)
+        f_cs = patch_swap(f_c, f_s, kind.patch_size, kind.stride)
     if alpha == 1.0:
         return f_cs
-    return alpha * f_cs + (1.0 - alpha) * a
+    return alpha * f_cs + (1.0 - alpha) * np.asarray(f_c, dtype=np.float64)

@@ -122,9 +122,10 @@ def test_missing_image_exits_1(files, tmp_path, capsys):
         ({"iteratons": "5"}, "iteratons"),
         ({"content_dir": "/nonexistent-dir"}, "/nonexistent-dir"),
         ({"learning_rate": "nan"}, "learning_rate"),
+        ({"seed": "-1"}, "seed"),
     ],
     ids=["non-numeric", "non-float", "non-integer", "misspelled", "missing-dir",
-         "non-finite"],
+         "non-finite", "negative-seed"],
 )
 def test_bad_config_exits_1(files, tmp_path, capsys, command, bad, key):
     config = write_config(tmp_path / "bad.cfg", files, **bad)
@@ -134,6 +135,19 @@ def test_bad_config_exits_1(files, tmp_path, capsys, command, bad, key):
     code, out, err = run(capsys, argv)
     assert code == 1
     assert err.startswith("error:") and key in err
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_non_utf8_config_exits_1(tmp_path, capsys, command):
+    config = tmp_path / "binary.cfg"
+    config.write_bytes(b"iterations=1\n\xff\xfe=3\n")
+    argv = [command, "--config", config]
+    if command == "train":
+        argv += ["--out", tmp_path / "never.ckpt"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and str(config) in err and "UTF-8" in err
     assert not (tmp_path / "never.ckpt").exists()
 
 

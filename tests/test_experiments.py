@@ -21,7 +21,6 @@ from flowstyle.transfer import (
     ADAIN,
     PATCHSWAP,
     WCT,
-    adain_style_factor,
     apply_style_factor,
     channel_stats,
 )
@@ -153,7 +152,7 @@ class TestContentFactorImage:
         model = make_model()
         content, _ = images()
         latent = model.forward(content)
-        style_factor = adain_style_factor(latent)
+        style_factor = channel_stats(latent)
         factor_img = content_factor_image(model, ADAIN, content)
         recombined = model.inverse(
             apply_style_factor(model.forward(factor_img), style_factor)

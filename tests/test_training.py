@@ -21,7 +21,6 @@ from flowstyle.training import (
     check_model_gradients,
     content_loss,
     style_loss,
-    style_stats,
     train,
     train_step,
     training_loss,
@@ -252,6 +251,10 @@ class TestTrain:
     def test_non_finite_or_negative_setting_rejected(self, field, value):
         with pytest.raises(ShapeError, match=field):
             TrainConfig(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ShapeError, match="seed"):
+            TrainConfig(seed=-1)
 
     def test_crop_smaller_than_image_is_seeded(self):
         model = tiny_model(seed=8, n_flows=1)

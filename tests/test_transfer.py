@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowstyle.autodiff as ad
 from flowstyle.errors import NumericError, ShapeError
 from flowstyle.linalg import matmul, sym_pow
 from flowstyle.transfer import (
     ADAIN,
     EPS_STD,
+    FACTORS,
     PATCHSWAP,
     WCT,
     TransferKind,
     adain,
     adain_content_factor,
-    adain_style_factor,
     apply_cov_factor,
     apply_style_factor,
     channel_stats,
@@ -111,14 +112,47 @@ class TestAdainFactors:
         x = adain_content_factor(random_feature((1, 2, 16, 16), seed=11))
         f = 2.0 * x + 5.0
         np.testing.assert_allclose(adain_content_factor(f), x, atol=1e-9)
-        s = adain_style_factor(f)
+        s = channel_stats(f)
         np.testing.assert_allclose(s.mean, 5.0, atol=1e-9)
         np.testing.assert_allclose(s.std, 2.0, atol=1e-9)
 
     def test_recombination_round_trip(self):
         f = random_feature((2, 3, 5, 5), seed=12, scale=[1, 4, 2], shift=[0, -3, 1])
-        rebuilt = apply_style_factor(adain_content_factor(f), adain_style_factor(f))
+        rebuilt = apply_style_factor(adain_content_factor(f), channel_stats(f))
         assert np.max(np.abs(rebuilt - f)) < 1e-12
+
+
+class TestFactorComposition:
+    """Each reversible transfer is its recombination of its two factors."""
+
+    @pytest.mark.parametrize("name, transfer", [("adain", adain), ("wct", wct)])
+    def test_transfer_equals_composed_factors(self, name, transfer):
+        content, style, recombine = FACTORS[name]
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            c = int(rng.integers(1, 7))
+            f_c = rng.standard_normal((int(rng.integers(1, 3)), c, 5, 6)) * 2.0 + 1.0
+            f_s = rng.standard_normal((1, c, int(rng.integers(2, 8)), 4)) - 0.5
+            np.testing.assert_array_equal(
+                transfer(f_c, f_s), recombine(content(f_c), style(f_s))
+            )
+
+    def test_adain_on_tape_free_vars_equals_arrays(self):
+        rng = np.random.default_rng(41)
+        f_c = rng.standard_normal((2, 3, 4, 5))
+        f_s = 3.0 * rng.standard_normal((1, 3, 6, 6)) + 2.0
+        out = adain(ad.Var(f_c), ad.Var(f_s))
+        assert isinstance(out, ad.Var) and out.tape is None
+        np.testing.assert_array_equal(out.data, adain(f_c, f_s))
+
+    def test_channel_stats_on_taped_input_passes_grad_check(self):
+        def build(p):
+            s = channel_stats(p["x"])
+            return ad.add(ad.sum_all(ad.mul(s.mean, s.mean)), ad.sum_all(ad.mul(s.std, s.std)))
+
+        x = random_feature((2, 3, 3, 4), seed=43, scale=[1.0, 2.0, 0.5])
+        report = ad.grad_check({"x": x}, build)
+        assert report.passed, report.failures
 
 
 class TestCovFactor:
