@@ -317,8 +317,7 @@ def criterion_7_training_sanity() -> CriterionResult:
     initialize_actnorms(model, np.concatenate([batch_c, batch_s]))
 
     def initial_content_loss(m):
-        tape = ad.Tape()
-        pvars = {n: ad.Var(a, tape) for n, a in m.param_items()}
+        pvars = {n: ad.Var(a) for n, a in m.param_items()}
         _, l_c, _ = training_loss(m, pvars, batch_c, batch_s, cfg, lossnet)
         return float(l_c.data)
 

@@ -27,9 +27,17 @@ _SQUEEZE_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major 2x2 order
 
 
 class Tape:
-    """Append-only record of executed ops, replayed in reverse by backward."""
+    """Append-only record of executed ops, replayed in reverse by backward.
 
-    __slots__ = ("nodes",)
+    Each node's closure and inputs hold Vars, which hold the tape, so a
+    tape is a reference cycle. :func:`backward` breaks it when it ends by
+    dropping every node's closure and inputs, which frees the tape and
+    every activation it kept at once; the nodes stay as the record of
+    which ops ran. A tape never passed to ``backward`` stays alive until
+    Python's cyclic garbage collector next runs.
+    """
+
+    __slots__ = ("nodes", "__weakref__")
 
     def __init__(self):
         self.nodes: list[_Node] = []
@@ -42,6 +50,10 @@ class _Node:
         self.op = op
         self.back = back
         self.inputs = inputs
+
+
+def _spent():
+    """The ``back`` of a node that ``backward`` has run: a no-op."""
 
 
 class Var:
@@ -269,11 +281,17 @@ def per_channel(v) -> Var:
 # structured ops
 
 
-def conv2d(x, k, stride: int = 1, pad: int = 0) -> Var:
-    """2-d convolution (cross-correlation), zero padding, square stride.
+def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -> Var:
+    """2-d convolution (cross-correlation), zero padding, square stride,
+    then an optional per-channel bias and ReLU.
 
-    ``x`` is (B,I,H,W), ``k`` is (O,I,kh,kw). Bias is not fused; add one
-    with ``add(out, per_channel(b))``.
+    ``x`` is (B,I,H,W), ``k`` is (O,I,kh,kw), ``bias`` is (O,) or None.
+    The output and every gradient equal (``array_equal``) those of
+    ``relu(add(conv2d(x, k), per_channel(bias)))``, but come from one
+    tape node whose bias and ReLU run in place on the GEMM's output.
+    Backward masks the output gradient by ``out > 0`` (the kept output
+    is positive exactly where the pre-activation was) and sums it over
+    batch and space for the bias gradient.
 
     The output and each gradient are one BLAS GEMM in NCHW layout plus
     strided adds, with the scratch buffer sized by the smaller channel
@@ -290,7 +308,8 @@ def conv2d(x, k, stride: int = 1, pad: int = 0) -> Var:
     input's windows. So forward and input gradient need at most
     ``min(I, O)*kh*kw*B*Hp*Wp`` float64 of scratch (Hp, Wp the padded
     extents); the kernel gradient needs ``I*kh*kw*B*Ho*Wo``. The tape
-    keeps only the padded input and the kernel, never a window buffer.
+    keeps only the padded input, the kernel and the output, never a
+    window buffer or a ReLU mask.
     Convolutions of fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds
     run their GEMMs on one BLAS thread (:func:`linalg.blas_threads`).
     """
@@ -302,6 +321,10 @@ def conv2d(x, k, stride: int = 1, pad: int = 0) -> Var:
             f"conv2d channel mismatch: input {dx.shape[1]}, kernel {dk.shape[1]}"
         )
     n_out, n_in, kh, kw = dk.shape
+    if bias is not None and _data(bias).shape != (n_out,):
+        raise ShapeError(
+            f"conv2d bias must have shape ({n_out},), got {_data(bias).shape}"
+        )
     b, _, h, w = dx.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     h_out = (hp - kh) // stride + 1
@@ -324,8 +347,16 @@ def conv2d(x, k, stride: int = 1, pad: int = 0) -> Var:
             out = np.zeros((b, n_out, h_out, w_out))
             for u, v, rows, cols in taps:
                 out += prod[:, u, v, :, rows, cols]
+    if bias is not None:
+        out += _data(bias)[:, None, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def back(g):
+        if relu:
+            g = g * (out > 0.0)
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, (1, n_out, 1, 1)).reshape(n_out))
         with blas_threads(macs):
             if n_in <= n_out:
                 per_tap = (dk.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
@@ -348,7 +379,7 @@ def conv2d(x, k, stride: int = 1, pad: int = 0) -> Var:
             if isinstance(k, Var) and k.grad is not None:
                 k.grad += np.tensordot(g, taps.windows(xp), axes=([0, 2, 3], [0, 2, 3]))
 
-    return _record(_tape_of(x, k), "conv2d", out, back, (x, k))
+    return _record(_tape_of(x, k, bias), "conv2d", out, back, (x, k, bias))
 
 
 class _Taps:
@@ -537,18 +568,26 @@ def backward(loss: Var, check_finite: bool = True) -> None:
     The loss must be a taped scalar. With ``check_finite`` each node's
     freshly written input gradients are validated and a NumericError
     naming the op is raised on the first NaN/Inf.
+
+    The tape is spent afterwards, whether the sweep finished or raised:
+    every node keeps its op name but drops its closure and inputs, so a
+    second ``backward`` over it does nothing.
     """
     if not isinstance(loss, Var) or loss.tape is None:
         raise ValueError("backward requires a Var recorded on a tape")
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar, got shape {loss.data.shape}")
     loss.grad[...] = 1.0
-    for node in reversed(loss.tape.nodes):
-        node.back()
-        if check_finite:
-            for var in node.inputs:
-                if var.grad is not None and not np.isfinite(var.grad).all():
-                    raise NumericError(f"non-finite gradient produced by op '{node.op}'")
+    try:
+        for node in reversed(loss.tape.nodes):
+            node.back()
+            if check_finite:
+                for var in node.inputs:
+                    if var.grad is not None and not np.isfinite(var.grad).all():
+                        raise NumericError(f"non-finite gradient produced by op '{node.op}'")
+    finally:
+        for node in loss.tape.nodes:
+            node.back, node.inputs = _spent, ()
 
 
 def grad_check(params, build_loss, step: float = 1e-5, tol: float = 1e-4):

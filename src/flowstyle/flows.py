@@ -230,11 +230,13 @@ def invconv_apply(x, weight, inverse: bool = False):
 def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
     """The coupling's inner network: 3x3 -> ReLU -> 1x1 -> ReLU -> 3x3.
 
-    Zero-padded, stride 1; output shape equals input shape.
+    Zero-padded, stride 1; output shape equals input shape. Each layer is
+    one :func:`autodiff.conv2d` call with its bias (and ReLU) fused, so a
+    taped call records three nodes.
     """
-    h = ad.relu(ad.add(ad.conv2d(x_a, w1, pad=1), ad.per_channel(b1)))
-    h = ad.relu(ad.add(ad.conv2d(h, w2, pad=0), ad.per_channel(b2)))
-    return ad._ret(ad.add(ad.conv2d(h, w3, pad=1), ad.per_channel(b3)), x_a)
+    h = ad.conv2d(x_a, w1, b1, pad=1, relu=True)
+    h = ad.conv2d(h, w2, b2, pad=0, relu=True)
+    return ad._ret(ad.conv2d(h, w3, b3, pad=1), x_a)
 
 
 def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False):

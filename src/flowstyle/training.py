@@ -47,7 +47,7 @@ class LossNet:
     def _features(self, v):
         feats = []
         for k, b in zip(self.kernels, self.biases):
-            v = ad.relu(ad.add(ad.conv2d(v, k, stride=2, pad=1), ad.per_channel(b)))
+            v = ad.conv2d(v, k, b, stride=2, pad=1, relu=True)
             feats.append(v)
         return feats
 

@@ -21,7 +21,8 @@ so repeated application corrupts content.
 All functions are pure and operate on float64 (B,C,H,W) arrays. AdaIN's
 functions also accept taped :class:`~flowstyle.autodiff.Var` features
 and then return Vars, so training differentiates through the same
-``adain`` that inference runs.
+``adain`` that inference runs; the WCT and patch-swap functions raise
+``ShapeError`` when given a Var.
 """
 
 from __future__ import annotations
@@ -84,9 +85,14 @@ WCT = TransferKind("wct")
 PATCHSWAP = TransferKind("patchswap")
 
 
-def _check_feature(f, name):
+def _check_feature(f, name, arrays_only=False):
     """``f`` once it is a finite (B,C,H,W) feature with a non-empty
-    spatial extent: a Var as is, anything else as a float64 array."""
+    spatial extent: a Var as is, anything else as a float64 array.
+
+    With ``arrays_only`` (WCT and patch swap, which have no autodiff
+    path) a Var is rejected."""
+    if arrays_only and isinstance(f, ad.Var):
+        raise ShapeError(f"{name} must be an array, not an autodiff Var")
     a = ad._data(f)
     if a.ndim != 4:
         raise ShapeError(f"{name} must be (B,C,H,W), got shape {a.shape}")
@@ -97,10 +103,10 @@ def _check_feature(f, name):
     return f if isinstance(f, ad.Var) else a
 
 
-def _check_pair(f_c, f_s):
+def _check_pair(f_c, f_s, arrays_only=False):
     """Check a content and a style feature, and that their channels match."""
-    a = _check_feature(f_c, "content feature")
-    b = _check_feature(f_s, "style feature")
+    a = _check_feature(f_c, "content feature", arrays_only)
+    b = _check_feature(f_s, "style feature", arrays_only)
     c_a, c_b = ad._data(a).shape[1], ad._data(b).shape[1]
     if c_a != c_b:
         raise ShapeError(f"channel mismatch: content {c_a}, style {c_b}")
@@ -144,7 +150,11 @@ def adain_content_factor(f):
 
 def apply_style_factor(content_factor, stats: FeatureStats):
     """Recombine: content_factor * std + mean."""
-    return _restyle(_check_feature(content_factor, "content factor"), stats)
+    x = _check_feature(content_factor, "content factor")
+    c = ad._data(x).shape[1]
+    if {ad._data(stats.mean).shape, ad._data(stats.std).shape} != {(c,)}:
+        raise ShapeError(f"style statistics must have shape ({c},) for {c} channels")
+    return _restyle(x, stats)
 
 
 def adain(f_c, f_s):
@@ -174,7 +184,7 @@ def cov_factor(f) -> CovFactor:
     eigenvalue clamp of ``sym_pow``. Both powers come from one
     eigendecomposition.
     """
-    a = _check_feature(f, "feature")
+    a = _check_feature(f, "feature", arrays_only=True)
     x = _flatten_channels(a)
     n = x.shape[1]
     if n < 2:
@@ -201,19 +211,19 @@ def _color(a, factor: CovFactor) -> np.ndarray:
 
 def wct_content_factor(f) -> np.ndarray:
     """Whitened feature: cov^{-1/2} (f - mean), identity covariance."""
-    a = _check_feature(f, "feature")
+    a = _check_feature(f, "feature", arrays_only=True)
     return _whiten(a, cov_factor(a))
 
 
 def apply_cov_factor(content_factor, factor: CovFactor) -> np.ndarray:
     """Recombine: cov^{1/2} * whitened_factor + mean."""
-    return _color(_check_feature(content_factor, "content factor"), factor)
+    return _color(_check_feature(content_factor, "content factor", arrays_only=True), factor)
 
 
 def wct(f_c, f_s) -> np.ndarray:
     """Whiten the content feature, then color it with the style covariance:
     ``apply_cov_factor(wct_content_factor(f_c), cov_factor(f_s))``."""
-    a, b = _check_pair(f_c, f_s)
+    a, b = _check_pair(f_c, f_s, arrays_only=True)
     # cov_factor by its public name, so per-layer timing still counts it;
     # it checks each (already checked) feature once more.
     return _color(_whiten(a, cov_factor(a)), cov_factor(b))
@@ -244,7 +254,7 @@ def patch_swap(f_c, f_s, patch_size: int = 3, stride: int = 1) -> np.ndarray:
     (ties go to the lowest style patch index); overlapping replacements
     are averaged. This transfer is intentionally *not* invertible.
     """
-    a, b = _check_pair(f_c, f_s)
+    a, b = _check_pair(f_c, f_s, arrays_only=True)
     if patch_size < 1 or stride < 1:
         raise ShapeError("patch_size and stride must be >= 1")
     for name, arr in (("content", a), ("style", b)):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -242,6 +245,26 @@ class TestBackwardContract:
                 ad.backward(loss)
         assert "div" in str(exc.value) or "mul" in str(exc.value)
 
+    def test_tape_freed_by_backward_without_gc(self):
+        def step(fail):
+            tape = ad.Tape()
+            x = ad.Var(np.zeros(1) if fail else np.ones(1), tape)
+            loss = ad.sum_all(ad.mul(ad.div(1.0, x), 0.0))  # 0 * inf -> nan back
+            try:
+                ad.backward(loss)
+            except NumericError:
+                assert fail
+            assert [node.op for node in tape.nodes] == ["div", "mul", "sum_all"]
+            return weakref.ref(tape)
+
+        gc.disable()
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                refs = [step(fail=False), step(fail=True)]
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_gradients_deterministic(self):
         rng = np.random.default_rng(12)
         xv = rng.standard_normal((2, 4, 4, 4))
@@ -378,3 +401,51 @@ class TestConvKernels:
             return ad.sum_all(ad.mul(y, y))
 
         fd_check({"x": (2, 4, 3, 5), "w": (4, 4)}, build, seeds=range(1))
+
+
+class TestFusedConv:
+    """conv2d with a fused bias and ReLU against the op chain it replaces."""
+
+    @staticmethod
+    def run(fused, x, k, bias, probe, relu, **geometry):
+        tape = ad.Tape()
+        xv, kv, bv = (ad.Var(a, tape) for a in (x, k, bias))
+        if fused:
+            y = ad.conv2d(xv, kv, bv, relu=relu, **geometry)
+        else:
+            y = ad.add(ad.conv2d(xv, kv, **geometry), ad.per_channel(bv))
+            y = ad.relu(y) if relu else y
+        ad.backward(ad.sum_all(ad.mul(y, probe)))
+        return y.data, xv.grad, kv.grad, bv.grad
+
+    @pytest.mark.parametrize("channels", ORIENTATIONS)
+    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_value_and_gradients_equal_unfused_chain(self, channels, ksize, stride, pad, relu):
+        n_in, n_out = channels
+        rng = np.random.default_rng(100 * n_in + 10 * n_out + ksize)
+        x = rng.standard_normal((2, n_in, 7, 6))
+        k = rng.standard_normal((n_out, n_in, ksize, ksize))
+        bias = rng.standard_normal(n_out)
+        probe = rng.standard_normal(ad.conv2d(x, k, stride=stride, pad=pad).shape)
+        geometry = dict(stride=stride, pad=pad)
+        fused = self.run(True, x, k, bias, probe, relu, **geometry)
+        chain = self.run(False, x, k, bias, probe, relu, **geometry)
+        for got, want in zip(fused, chain):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_gradients(self, stride, relu):
+        def build(p):
+            y = ad.conv2d(p["x"], p["k"], p["b"], stride=stride, pad=1, relu=relu)
+            return ad.sum_all(ad.mul(y, ad.mul(y, 0.5)))
+
+        fd_check({"x": (2, 3, 5, 6), "k": (4, 3, 3, 3), "b": (4,)}, build, seeds=range(2))
+
+    @pytest.mark.parametrize("bias_shape", [(3,), (5,), (4, 1), (1, 4, 1, 1)])
+    def test_wrong_bias_shape_rejected(self, bias_shape):
+        with pytest.raises(ShapeError, match="bias"):
+            ad.conv2d(np.zeros((1, 2, 4, 4)), np.zeros((4, 2, 3, 3)), np.zeros(bias_shape))

@@ -213,6 +213,13 @@ class TestNnForward:
         x = np.zeros((2, 3, 7, 9))
         assert nn_forward(x, **p).shape == x.shape
 
+    def test_taped_call_records_one_node_per_layer(self):
+        p = make_coupling(6, 4, zero_last=False)
+        tape = ad.Tape()
+        params = {name: ad.Var(arr, tape) for name, arr in p.items()}
+        nn_forward(ad.Var(np.ones((1, 3, 5, 5)), tape), **params)
+        assert [node.op for node in tape.nodes] == ["conv2d"] * 3
+
 
 class TestSqueeze:
     def test_stated_ordering(self):

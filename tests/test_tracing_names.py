@@ -2,19 +2,31 @@
 
 ``perfbench/tracing.py`` looks each ``(owner, attribute)`` of ``LAYERS``
 up with ``getattr``; a renamed or deleted function would make every
-traced benchmark run raise ``AttributeError``.
+traced benchmark run raise ``AttributeError``. Its conv2d FLOP count
+reads the kernel from the second positional argument, which the fused
+bias and ReLU arguments must leave in place.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import flowstyle.autodiff as ad
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_layer_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_layer_resolves():
+    tracing = load_tracing()
     assert tracing.LAYERS
     missing = [
         tracing._layer_name(owner, attr)
@@ -23,3 +35,19 @@ def test_every_traced_layer_resolves():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [dict(pad=1, relu=True), dict(stride=2, pad=1, relu=True)],
+    ids=["coupling", "lossnet"],
+)
+def test_conv2d_flops_count_fused_calls(geometry):
+    """The tracer reads the kernel of a conv2d with a fused bias and ReLU."""
+    rng = np.random.default_rng(0)
+    x, k, bias = rng.random((2, 3, 8, 6)), rng.random((5, 3, 3, 3)), rng.random(5)
+    args = (x, k, bias)
+    out = ad.conv2d(*args, **geometry)
+    b, o, h_out, w_out = out.shape
+    want = 2.0 * b * o * 3 * 3 * 3 * h_out * w_out / 1e9
+    assert load_tracing()._conv2d_counts(args, geometry, out) == {"gflop": want}

@@ -1,4 +1,6 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -184,6 +186,28 @@ class TestTrainStep:
         adam = AdamState.for_params(dict(model.param_items()))
         train_step(model, net, batch, cfg, adam)
         assert model.initialized
+
+    def test_step_frees_its_tape_without_gc(self, monkeypatch):
+        refs = []
+
+        class RecordedTape(ad.Tape):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", RecordedTape)
+        model = tiny_model()
+        cfg = TrainConfig(iterations=1, batch_size=2, crop_size=16)
+        rng = np.random.default_rng(12)
+        batch = (rng.random((2, 3, 16, 16)), rng.random((2, 3, 16, 16)))
+        gc.disable()
+        try:
+            train_step(model, build_lossnet(0), batch, cfg, AdamState.for_params(model.params))
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
 
     def test_loss_trends_down_over_200_steps(self):
         model = tiny_model()

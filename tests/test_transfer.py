@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowstyle.autodiff as ad
-from flowstyle.errors import NumericError, ShapeError
+from flowstyle.errors import FlowStyleError, NumericError, ShapeError
 from flowstyle.linalg import matmul, sym_pow
 from flowstyle.transfer import (
     ADAIN,
@@ -121,6 +121,11 @@ class TestAdainFactors:
         rebuilt = apply_style_factor(adain_content_factor(f), channel_stats(f))
         assert np.max(np.abs(rebuilt - f)) < 1e-12
 
+    def test_stats_of_another_channel_count_rejected(self):
+        f = random_feature((1, 3, 4, 4), seed=13)
+        with pytest.raises(ShapeError, match="shape"):
+            apply_style_factor(adain_content_factor(f), channel_stats(f[:, :2]))
+
 
 class TestFactorComposition:
     """Each reversible transfer is its recombination of its two factors."""
@@ -153,6 +158,23 @@ class TestFactorComposition:
         x = random_feature((2, 3, 3, 4), seed=43, scale=[1.0, 2.0, 0.5])
         report = ad.grad_check({"x": x}, build)
         assert report.passed, report.failures
+
+
+ARRAY_ONLY = {
+    "wct": lambda f: wct(f, f),
+    "cov_factor": cov_factor,
+    "wct_content_factor": wct_content_factor,
+    "apply_cov_factor": lambda f: apply_cov_factor(f, cov_factor(ad._data(f))),
+    "patch_swap": lambda f: patch_swap(f, f),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_ONLY))
+@pytest.mark.parametrize("taped", [False, True])
+def test_array_only_transfers_reject_vars(name, taped):
+    f = ad.Var(random_feature((1, 3, 4, 4), seed=14), ad.Tape() if taped else None)
+    with pytest.raises(FlowStyleError, match="autodiff Var"):
+        ARRAY_ONLY[name](f)
 
 
 class TestCovFactor:
