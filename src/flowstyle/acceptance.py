@@ -244,7 +244,7 @@ def _op_grad_cases():
          wrap(lambda p: ad.channel_mix(p["x"], p["w"]))),
         ("channel_mix_inv", {"x": (1, 3, 2, 2), "w": (3, 3)},
          wrap(lambda p: ad.channel_mix_inv(
-             ad.lift(p["x"]),
+             p["x"],
              ad.add(p["w"], 3.0 * np.eye(3)),
              mat_inverse(ad._data(ad.add(p["w"], 3.0 * np.eye(3)))),
          ))),
@@ -317,9 +317,8 @@ def criterion_7_training_sanity() -> CriterionResult:
     initialize_actnorms(model, np.concatenate([batch_c, batch_s]))
 
     def initial_content_loss(m):
-        pvars = {n: ad.Var(a) for n, a in m.param_items()}
-        _, l_c, _ = training_loss(m, pvars, batch_c, batch_s, cfg, lossnet)
-        return float(l_c.data)
+        _, l_c, _ = training_loss(m, m.params, batch_c, batch_s, cfg, lossnet)
+        return l_c
 
     lc_identity = initial_content_loss(model)
     control = copy_flownet(model)

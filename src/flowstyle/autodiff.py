@@ -7,9 +7,11 @@ strict reverse append order, so gradient accumulation order (and hence
 the bits of every gradient) is fixed for a given program.
 
 Ops accept plain ndarrays or python scalars anywhere a Var is allowed;
-those operands are constants and receive no gradient. A Var built with
-``tape=None`` behaves the same way, which lets inference share the exact
-code paths of training without recording anything.
+those operands are constants and receive no gradient. Every op decides
+the kind of its result in one place, ``_record``: arrays in give an
+ndarray out, and any Var operand gives a Var out, taped when an operand
+is taped. So inference runs the exact code paths of training on plain
+arrays, without building a Var or recording anything.
 
 Only one tape may appear among the operands of a single op; tapes are
 meant to live for one training step and be discarded.
@@ -61,6 +63,9 @@ class Var:
 
     ``grad`` is a same-shaped float64 buffer when the Var belongs to a
     tape, else None. Treat ``data`` as immutable while the tape is alive.
+    A Var built with ``tape=None`` records nothing, but ops given one
+    still return Vars, which is how a caller keeps Var results without
+    a tape (``grad_check``'s perturbed evaluations).
     """
 
     __slots__ = ("data", "grad", "tape")
@@ -78,22 +83,12 @@ class Var:
         return f"Var(shape={self.data.shape}, taped={self.tape is not None})"
 
 
-def lift(x, tape=None) -> Var:
-    """Wrap an array (or pass a Var through) onto ``tape``."""
-    if isinstance(x, Var):
-        return x
-    return Var(x, tape)
+# What an op returns: an ndarray when no operand is a Var, else a Var.
+Value = np.ndarray | Var
 
 
 def _data(x):
     return x.data if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
-
-
-def _ret(out, *inputs):
-    """``out`` when any input is a Var, else its array (arrays in, arrays out)."""
-    if any(isinstance(x, Var) for x in inputs):
-        return out
-    return out.data
 
 
 def _tape_of(*xs):
@@ -106,11 +101,16 @@ def _tape_of(*xs):
     return tape
 
 
-def _record(tape, op, out_data, back, inputs):
+def _record(tape, op, out_data, back, inputs) -> Value:
+    """The op's result: ``out_data`` as an array when no input is a Var,
+    else as a Var, with a node on ``tape`` when the op is taped."""
+    if tape is None:
+        if any(isinstance(x, Var) for x in inputs):
+            return Var(out_data)
+        return np.asarray(out_data, dtype=np.float64)
     out = Var(out_data, tape)
-    if tape is not None:
-        taped = tuple(x for x in inputs if isinstance(x, Var) and x.tape is tape)
-        tape.nodes.append(_Node(op, lambda: back(out.grad), taped))
+    taped = tuple(x for x in inputs if isinstance(x, Var) and x.tape is tape)
+    tape.nodes.append(_Node(op, lambda: back(out.grad), taped))
     return out
 
 
@@ -133,7 +133,7 @@ def _unbroadcast(g, shape):
 # elementwise arithmetic
 
 
-def add(a, b) -> Var:
+def add(a, b) -> Value:
     da, db = _data(a), _data(b)
     tape = _tape_of(a, b)
     out = da + db
@@ -145,7 +145,7 @@ def add(a, b) -> Var:
     return _record(tape, "add", out, back, (a, b))
 
 
-def sub(a, b) -> Var:
+def sub(a, b) -> Value:
     da, db = _data(a), _data(b)
     tape = _tape_of(a, b)
     out = da - db
@@ -157,7 +157,7 @@ def sub(a, b) -> Var:
     return _record(tape, "sub", out, back, (a, b))
 
 
-def mul(a, b) -> Var:
+def mul(a, b) -> Value:
     da, db = _data(a), _data(b)
     tape = _tape_of(a, b)
     out = da * db
@@ -169,7 +169,7 @@ def mul(a, b) -> Var:
     return _record(tape, "mul", out, back, (a, b))
 
 
-def div(a, b) -> Var:
+def div(a, b) -> Value:
     da, db = _data(a), _data(b)
     tape = _tape_of(a, b)
     out = da / db
@@ -181,7 +181,7 @@ def div(a, b) -> Var:
     return _record(tape, "div", out, back, (a, b))
 
 
-def neg(a) -> Var:
+def neg(a) -> Value:
     da = _data(a)
 
     def back(g):
@@ -190,7 +190,7 @@ def neg(a) -> Var:
     return _record(_tape_of(a), "neg", -da, back, (a,))
 
 
-def reshape(a, shape) -> Var:
+def reshape(a, shape) -> Value:
     da = _data(a)
     old = da.shape
 
@@ -200,7 +200,7 @@ def reshape(a, shape) -> Var:
     return _record(_tape_of(a), "reshape", da.reshape(shape), back, (a,))
 
 
-def relu(a) -> Var:
+def relu(a) -> Value:
     da = _data(a)
     mask = da > 0.0  # subgradient at 0 is 0
 
@@ -210,7 +210,7 @@ def relu(a) -> Var:
     return _record(_tape_of(a), "relu", da * mask, back, (a,))
 
 
-def maximum_scalar(a, floor: float) -> Var:
+def maximum_scalar(a, floor: float) -> Value:
     """Elementwise max(a, floor); gradient is 0 on the clamped side."""
     da = _data(a)
     mask = da > floor
@@ -223,7 +223,7 @@ def maximum_scalar(a, floor: float) -> Var:
     )
 
 
-def sqrt(a) -> Var:
+def sqrt(a) -> Value:
     da = _data(a)
     root = np.sqrt(da)
 
@@ -239,7 +239,7 @@ def sqrt(a) -> Var:
 # reductions
 
 
-def sum_all(a) -> Var:
+def sum_all(a) -> Value:
     da = _data(a)
 
     def back(g):
@@ -248,7 +248,7 @@ def sum_all(a) -> Var:
     return _record(_tape_of(a), "sum_all", np.asarray(da.sum()), back, (a,))
 
 
-def mean_all(a) -> Var:
+def mean_all(a) -> Value:
     da = _data(a)
     n = da.size
 
@@ -258,7 +258,7 @@ def mean_all(a) -> Var:
     return _record(_tape_of(a), "mean_all", np.asarray(da.mean()), back, (a,))
 
 
-def channel_mean(x) -> Var:
+def channel_mean(x) -> Value:
     """Per-channel mean over batch and spatial axes: (B,C,H,W) -> (C,)."""
     dx = _data(x)
     if dx.ndim != 4:
@@ -271,7 +271,7 @@ def channel_mean(x) -> Var:
     return _record(_tape_of(x), "channel_mean", dx.mean(axis=(0, 2, 3)), back, (x,))
 
 
-def per_channel(v) -> Var:
+def per_channel(v) -> Value:
     """Reshape a length-C vector to (1,C,1,1) for broadcasting."""
     dv = _data(v)
     return reshape(v, (1, dv.shape[0], 1, 1))
@@ -281,7 +281,7 @@ def per_channel(v) -> Var:
 # structured ops
 
 
-def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -> Var:
+def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -> Value:
     """2-d convolution (cross-correlation), zero padding, square stride,
     then an optional per-channel bias and ReLU.
 
@@ -435,7 +435,7 @@ def _mix_grad(g, x):
         return np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))
 
 
-def channel_mix(x, w) -> Var:
+def channel_mix(x, w) -> Value:
     """Per-position channel mixing y = W x (a 1x1 convolution by matrix W)."""
     dx, dw = _data(x), _data(w)
     if dx.shape[1] != dw.shape[1]:
@@ -450,7 +450,7 @@ def channel_mix(x, w) -> Var:
     return _record(_tape_of(x, w), "channel_mix", out, back, (x, w))
 
 
-def channel_mix_inv(x, w, w_inv: np.ndarray) -> Var:
+def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
     """Per-position mixing by the inverse matrix, y = W^{-1} x.
 
     ``w_inv`` is the precomputed inverse (callers own the inversion so its
@@ -469,7 +469,7 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Var:
     return _record(_tape_of(x, w), "channel_mix_inv", out, back, (x, w))
 
 
-def squeeze2(x) -> Var:
+def squeeze2(x) -> Value:
     """Trade 2x2 spatial blocks for channels: (B,C,H,W) -> (B,4C,H/2,W/2).
 
     Output channel 4*c + k holds input channel c at spatial offset k, with
@@ -477,19 +477,24 @@ def squeeze2(x) -> Var:
     bottom-right.
     """
     dx = _data(x)
-    b, c, h, w = dx.shape
+    h, w = dx.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"squeeze needs even spatial extents, got {h}x{w}")
-    out = (
-        dx.reshape(b, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(b, 4 * c, h // 2, w // 2)
-    )
 
     def back(g):
         _accum(x, _unsqueeze_data(g))
 
+    out = _squeeze_data(dx)
     return _record(_tape_of(x), "squeeze2", np.ascontiguousarray(out), back, (x,))
+
+
+def _squeeze_data(x):
+    b, c, h, w = x.shape
+    return (
+        x.reshape(b, c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(b, 4 * c, h // 2, w // 2)
+    )
 
 
 def _unsqueeze_data(z):
@@ -502,48 +507,43 @@ def _unsqueeze_data(z):
     )
 
 
-def unsqueeze2(x) -> Var:
+def unsqueeze2(x) -> Value:
     """Exact inverse of :func:`squeeze2`."""
     dx = _data(x)
     if dx.shape[1] % 4:
         raise ShapeError(f"unsqueeze needs channels divisible by 4, got {dx.shape[1]}")
 
     def back(g):
-        b, c, h, w = g.shape
-        _accum(
-            x,
-            g.reshape(b, c, h // 2, 2, w // 2, 2)
-            .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(b, 4 * c, h // 2, w // 2),
-        )
+        _accum(x, _squeeze_data(g))
 
     out = _unsqueeze_data(dx)
     return _record(_tape_of(x), "unsqueeze2", np.ascontiguousarray(out), back, (x,))
 
 
-def split_half(x) -> tuple[Var, Var]:
-    """Split channels into two equal halves."""
+def split_half(x) -> tuple[Value, Value]:
+    """Split channels into two equal halves: two arrays for an array,
+    two Vars for a Var."""
     dx = _data(x)
     c = dx.shape[1]
     if c % 2:
         raise ShapeError(f"split_half needs an even channel count, got {c}")
     half = c // 2
-    tape = _tape_of(x)
-    a = Var(np.ascontiguousarray(dx[:, :half]), tape)
-    b = Var(np.ascontiguousarray(dx[:, half:]), tape)
-    if tape is not None:
+    a = np.ascontiguousarray(dx[:, :half])
+    b = np.ascontiguousarray(dx[:, half:])
+    if not isinstance(x, Var):
+        return a, b
+    a, b = Var(a, x.tape), Var(b, x.tape)
+    if x.tape is not None:
 
-        def back(_g=None):
-            if isinstance(x, Var) and x.grad is not None:
-                x.grad[:, :half] += a.grad
-                x.grad[:, half:] += b.grad
+        def back():
+            x.grad[:, :half] += a.grad
+            x.grad[:, half:] += b.grad
 
-        taped = (x,) if isinstance(x, Var) and x.tape is tape else ()
-        tape.nodes.append(_Node("split_half", back, taped))
+        x.tape.nodes.append(_Node("split_half", back, (x,)))
     return a, b
 
 
-def concat_half(a, b) -> Var:
+def concat_half(a, b) -> Value:
     """Concatenate two equal-channel tensors along the channel axis."""
     da, db = _data(a), _data(b)
     if da.shape[0] != db.shape[0] or da.shape[2:] != db.shape[2:]:
@@ -594,7 +594,7 @@ def grad_check(params, build_loss, step: float = 1e-5, tol: float = 1e-4):
     """Compare analytic gradients against central finite differences.
 
     ``params`` maps names to float64 arrays; ``build_loss`` maps a
-    same-keyed dict of Vars (or raw arrays for the perturbed evaluations)
+    same-keyed dict of Vars (untaped for the perturbed evaluations)
     to a scalar Var. Per parameter the reported error is
     ``max|analytic - numeric|`` normalized by the largest gradient
     magnitude seen across *all* parameters, so parameters whose true

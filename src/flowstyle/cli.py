@@ -9,6 +9,7 @@ same inputs, flags, and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -111,15 +112,11 @@ def _center_crop(img: np.ndarray, multiple: int) -> np.ndarray:
     return img[:, :, y : y + h2, x : x + w2]
 
 
+# Config keys that are TrainConfig fields; each parses as its default's type.
+_TRAIN_FIELDS = dataclasses.fields(TrainConfig)
+
 _CONFIG_DEFAULTS = {
-    "iterations": "2000",
-    "batch_size": "2",
-    "learning_rate": "1e-4",
-    "lr_decay": "5e-5",
-    "lambda_content": "0.1",
-    "lambda_style": "1",
-    "seed": "0",
-    "crop_size": "32",
+    **{f.name: str(f.default) for f in _TRAIN_FIELDS},
     "n_blocks": "2",
     "n_flows": "8",
     "hidden": "64",
@@ -181,14 +178,7 @@ def _number(values, key, kind):
 
 def _train_config(values) -> TrainConfig:
     return TrainConfig(
-        iterations=_number(values, "iterations", int),
-        batch_size=_number(values, "batch_size", int),
-        learning_rate=_number(values, "learning_rate", float),
-        lr_decay=_number(values, "lr_decay", float),
-        lambda_content=_number(values, "lambda_content", float),
-        lambda_style=_number(values, "lambda_style", float),
-        seed=_number(values, "seed", int),
-        crop_size=_number(values, "crop_size", int),
+        **{f.name: _number(values, f.name, type(f.default)) for f in _TRAIN_FIELDS}
     )
 
 

@@ -13,10 +13,10 @@ and shapes, and checkpoint tag. The parameters live in one flat ordered
 walks, actnorm initialization, copying, training and the checkpoint file
 layout are all generated from that list.
 
-All layer functions accept either plain ndarrays or taped
-:class:`~flowstyle.autodiff.Var` values and return the same kind, so the
-trainer can differentiate through both directions of the network while
-inference stays tape-free.
+All layer functions are built from :mod:`~flowstyle.autodiff` ops, so
+arrays in give arrays out and taped :class:`~flowstyle.autodiff.Var`
+values give taped Vars: the trainer differentiates through both
+directions of the network while inference stays tape-free.
 """
 
 from __future__ import annotations
@@ -193,10 +193,8 @@ def actnorm_apply(x, scale, bias, inverse: bool = False):
     if ad._data(x).shape[1] != ad._data(scale).shape[0]:
         raise ShapeError("actnorm channel count mismatch")
     if inverse:
-        out = ad.div(ad.sub(x, ad.per_channel(bias)), ad.per_channel(scale))
-    else:
-        out = ad.add(ad.mul(x, ad.per_channel(scale)), ad.per_channel(bias))
-    return ad._ret(out, x)
+        return ad.div(ad.sub(x, ad.per_channel(bias)), ad.per_channel(scale))
+    return ad.add(ad.mul(x, ad.per_channel(scale)), ad.per_channel(bias))
 
 
 def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -221,10 +219,8 @@ def invconv_apply(x, weight, inverse: bool = False):
     if ad._data(x).shape[1] != w.shape[0]:
         raise ShapeError("invconv channel count mismatch")
     if inverse:
-        out = ad.channel_mix_inv(x, weight, mat_inverse(w))
-    else:
-        out = ad.channel_mix(x, weight)
-    return ad._ret(out, x)
+        return ad.channel_mix_inv(x, weight, mat_inverse(w))
+    return ad.channel_mix(x, weight)
 
 
 def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
@@ -236,7 +232,7 @@ def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
     """
     h = ad.conv2d(x_a, w1, b1, pad=1, relu=True)
     h = ad.conv2d(h, w2, b2, pad=0, relu=True)
-    return ad._ret(ad.conv2d(h, w3, b3, pad=1), x_a)
+    return ad.conv2d(h, w3, b3, pad=1)
 
 
 def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False):
@@ -244,13 +240,12 @@ def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False):
     x_a, x_b = ad.split_half(x)
     shift = nn_forward(x_a, w1, b1, w2, b2, w3, b3)
     y_b = ad.sub(x_b, shift) if inverse else ad.add(x_b, shift)
-    return ad._ret(ad.concat_half(x_a, y_b), x)
+    return ad.concat_half(x_a, y_b)
 
 
 def squeeze_apply(x, inverse: bool = False):
     """2x2 space-to-depth with the fixed row-major offset order."""
-    out = ad.unsqueeze2(x) if inverse else ad.squeeze2(x)
-    return ad._ret(out, x)
+    return ad.unsqueeze2(x) if inverse else ad.squeeze2(x)
 
 
 _APPLY = {
@@ -322,11 +317,9 @@ class FlowNet:
 
     def forward(self, x, params=None):
         """Project an image batch to its latent feature (the encoder)."""
-        data = ad._data(x)
-        self._check_image(data)
+        self._check_image(ad._data(x))
         self._require_initialized()
-        out = self._walk(ad.lift(x), params, inverse=False)
-        return ad._ret(out, x)
+        return self._walk(x, params, inverse=False)
 
     def inverse(self, z, params=None):
         """Map a latent feature back to image space (the exact decoder)."""
@@ -335,8 +328,7 @@ class FlowNet:
         if data.ndim != 4 or data.shape[1] != c_lat:
             raise ShapeError(f"expected (B,{c_lat},h,w) latent, got {data.shape}")
         self._require_initialized()
-        out = self._walk(ad.lift(z), params, inverse=True)
-        return ad._ret(out, z)
+        return self._walk(z, params, inverse=True)
 
     def _walk(self, v, params, inverse):
         """Apply every layer (reversed when ``inverse``); ``params`` maps

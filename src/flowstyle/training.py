@@ -44,18 +44,16 @@ class LossNet:
         for b in self.biases:
             b.flags.writeable = False
 
-    def _features(self, v):
+    def features(self, image) -> list[ad.Value]:
+        """Per-stage feature maps for an image batch (B,C,H,W): arrays
+        for an array, Vars for a Var."""
         feats = []
         for k, b in zip(self.kernels, self.biases):
-            v = ad.conv2d(v, k, b, stride=2, pad=1, relu=True)
-            feats.append(v)
+            image = ad.conv2d(image, k, b, stride=2, pad=1, relu=True)
+            feats.append(image)
         return feats
 
-    def features(self, image) -> list[np.ndarray]:
-        """Per-stage feature maps for an image batch (B,C,H,W)."""
-        return [f.data for f in self._features(ad.lift(image))]
-
-    def top_feature(self, image) -> np.ndarray:
+    def top_feature(self, image) -> ad.Value:
         return self.features(image)[-1]
 
 
@@ -152,21 +150,22 @@ def adain_traced(f_c, f_s):
 def content_loss(stylized_image, target_feature, lossnet: LossNet):
     """RMS distance between the image's top-stage features and the target.
 
-    Returns a float for array input, a Var for taped input.
+    Returns a float for array input, a Var for Var input.
     """
-    v = ad.lift(stylized_image)
-    top = lossnet._features(v)[-1]
+    top = lossnet.top_feature(stylized_image)
     d = ad.sub(top, np.asarray(target_feature, dtype=np.float64))
     out = ad.sqrt(ad.mean_all(ad.mul(d, d)))
-    return out if isinstance(stylized_image, ad.Var) else float(out.data)
+    return out if isinstance(out, ad.Var) else float(out)
 
 
 def style_loss(stylized_image, style_image, lossnet: LossNet):
-    """Sum over stages of ||mu - mu_s||_2 + ||sigma - sigma_s||_2."""
+    """Sum over stages of ||mu - mu_s||_2 + ||sigma - sigma_s||_2.
+
+    Returns a float for array input, a Var for Var input.
+    """
     targets = [channel_stats(f) for f in lossnet.features(style_image)]
-    v = ad.lift(stylized_image)
     total = None
-    for feat, target in zip(lossnet._features(v), targets):
+    for feat, target in zip(lossnet.features(stylized_image), targets):
         stats = channel_stats(feat)
         d_mu = ad.sub(stats.mean, target.mean)
         d_sd = ad.sub(stats.std, target.std)
@@ -175,7 +174,7 @@ def style_loss(stylized_image, style_image, lossnet: LossNet):
             ad.sqrt(ad.sum_all(ad.mul(d_sd, d_sd))),
         )
         total = term if total is None else ad.add(total, term)
-    return total if isinstance(stylized_image, ad.Var) else float(total.data)
+    return total if isinstance(total, ad.Var) else float(total)
 
 
 def transfer_target(lossnet: LossNet, content, style) -> np.ndarray:
@@ -201,10 +200,13 @@ class StepResult:
 
 
 def training_loss(model: FlowNet, params, content, style, cfg: TrainConfig, lossnet: LossNet):
-    """Full differentiable loss for one batch; ``params`` maps name -> Var."""
-    tape = next(iter(params.values())).tape if params else None
-    f_c = model.forward(ad.Var(content, tape), params=params)
-    f_s = model.forward(ad.Var(style, tape), params=params)
+    """Full differentiable loss for one batch: (total, content, style).
+
+    ``params`` maps name -> value. Taped Vars give taped losses to
+    differentiate; arrays give the content and style losses as floats.
+    """
+    f_c = model.forward(content, params=params)
+    f_s = model.forward(style, params=params)
     f_cs = adain(f_c, f_s)
     decoded = model.inverse(f_cs, params=params)
     target = transfer_target(lossnet, content, style)

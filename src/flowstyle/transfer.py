@@ -27,6 +27,7 @@ and then return Vars, so training differentiates through the same
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,12 @@ class TransferKind:
     def __post_init__(self):
         if self.name not in _KINDS:
             raise ShapeError(f"unknown transfer kind {self.name!r}; known: {_KINDS}")
+        for field in ("patch_size", "stride"):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, operator.index(value))
+            except TypeError:
+                raise ShapeError(f"{field} must be an integer, got {value!r}") from None
         if self.patch_size < 1 or self.patch_size % 2 == 0:
             raise ShapeError(f"patch_size must be odd and >= 1, got {self.patch_size}")
         if self.stride < 1:
@@ -121,17 +128,16 @@ def _stats(f) -> FeatureStats:
     mean = ad.channel_mean(f)
     centered = ad.sub(f, ad.per_channel(mean))
     std = ad.sqrt(ad.channel_mean(ad.mul(centered, centered)))
-    return FeatureStats(ad._ret(mean, f), ad._ret(ad.maximum_scalar(std, EPS_STD), f))
+    return FeatureStats(mean, ad.maximum_scalar(std, EPS_STD))
 
 
 def _standardize(f):
     s = _stats(f)
-    return ad._ret(ad.div(ad.sub(f, ad.per_channel(s.mean)), ad.per_channel(s.std)), f)
+    return ad.div(ad.sub(f, ad.per_channel(s.mean)), ad.per_channel(s.std))
 
 
 def _restyle(x, stats: FeatureStats):
-    out = ad.add(ad.mul(x, ad.per_channel(stats.std)), ad.per_channel(stats.mean))
-    return ad._ret(out, x, stats.mean, stats.std)
+    return ad.add(ad.mul(x, ad.per_channel(stats.std)), ad.per_channel(stats.mean))
 
 
 def channel_stats(f) -> FeatureStats:

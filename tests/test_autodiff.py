@@ -6,7 +6,10 @@ import pytest
 
 import flowstyle.autodiff as ad
 from flowstyle.errors import NumericError, ShapeError
+from flowstyle.experiments import leak_test, stylize
+from flowstyle.flows import FlowNetConfig, build_flownet, initialize_actnorms
 from flowstyle.linalg import mat_inverse
+from flowstyle.transfer import ADAIN, PATCHSWAP, WCT
 
 
 def fd_check(params, build_loss, seeds=range(3), tol=1e-4):
@@ -28,29 +31,29 @@ class TestForwardValues:
     def test_arithmetic(self):
         a = np.array([1.0, -2.0, 3.0])
         b = np.array([4.0, 5.0, -6.0])
-        np.testing.assert_array_equal(ad.add(a, b).data, a + b)
-        np.testing.assert_array_equal(ad.sub(a, b).data, a - b)
-        np.testing.assert_array_equal(ad.mul(a, b).data, a * b)
-        np.testing.assert_array_equal(ad.div(a, b).data, a / b)
-        np.testing.assert_array_equal(ad.neg(a).data, -a)
+        np.testing.assert_array_equal(ad.add(a, b), a + b)
+        np.testing.assert_array_equal(ad.sub(a, b), a - b)
+        np.testing.assert_array_equal(ad.mul(a, b), a * b)
+        np.testing.assert_array_equal(ad.div(a, b), a / b)
+        np.testing.assert_array_equal(ad.neg(a), -a)
 
     def test_relu_and_clamp(self):
         x = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(ad.relu(x).data, [0.0, 0.0, 2.0])
-        np.testing.assert_array_equal(ad.maximum_scalar(x, 0.5).data, [0.5, 0.5, 2.0])
+        np.testing.assert_array_equal(ad.relu(x), [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(ad.maximum_scalar(x, 0.5), [0.5, 0.5, 2.0])
 
     def test_channel_mean(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 3, 4, 5))
         np.testing.assert_allclose(
-            ad.channel_mean(x).data, x.mean(axis=(0, 2, 3)), atol=1e-15
+            ad.channel_mean(x), x.mean(axis=(0, 2, 3)), atol=1e-15
         )
 
     def test_conv2d_matches_direct_sum(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 3, 5, 6))
         k = rng.standard_normal((4, 3, 3, 3))
-        out = ad.conv2d(x, k, stride=1, pad=1).data
+        out = ad.conv2d(x, k, stride=1, pad=1)
         # Direct evaluation at one arbitrary position.
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         expect = np.sum(xp[1, :, 2:5, 3:6] * k[2])
@@ -59,39 +62,39 @@ class TestForwardValues:
     def test_conv2d_stride_two_shape(self):
         x = np.zeros((1, 2, 8, 8))
         k = np.zeros((5, 2, 3, 3))
-        assert ad.conv2d(x, k, stride=2, pad=1).data.shape == (1, 5, 4, 4)
+        assert ad.conv2d(x, k, stride=2, pad=1).shape == (1, 5, 4, 4)
 
     def test_channel_mix_is_matrix_action(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 2, 2))
         w = rng.standard_normal((3, 3))
-        out = ad.channel_mix(x, w).data
+        out = ad.channel_mix(x, w)
         np.testing.assert_allclose(out[0, :, 1, 1], w @ x[0, :, 1, 1], atol=1e-12)
 
     def test_channel_mix_inv_undoes_mix(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 4, 3, 3))
         w = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
-        y = ad.channel_mix(x, w).data
-        back = ad.channel_mix_inv(y, w, mat_inverse(w)).data
+        y = ad.channel_mix(x, w)
+        back = ad.channel_mix_inv(y, w, mat_inverse(w))
         assert np.max(np.abs(back - x)) < 1e-10
 
     def test_squeeze_order_contract(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])  # (1,1,2,2)
-        out = ad.squeeze2(x).data
+        out = ad.squeeze2(x)
         np.testing.assert_array_equal(out.reshape(4), [1.0, 2.0, 3.0, 4.0])
 
     def test_squeeze_round_trip_bit_exact(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 3, 8, 8))
-        np.testing.assert_array_equal(ad.unsqueeze2(ad.squeeze2(x).data).data, x)
+        np.testing.assert_array_equal(ad.unsqueeze2(ad.squeeze2(x)), x)
         z = rng.standard_normal((2, 12, 4, 4))
-        np.testing.assert_array_equal(ad.squeeze2(ad.unsqueeze2(z).data).data, z)
+        np.testing.assert_array_equal(ad.squeeze2(ad.unsqueeze2(z)), z)
 
     def test_squeeze_preserves_multiset(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 3, 6, 6))
-        out = ad.squeeze2(x).data
+        out = ad.squeeze2(x)
         np.testing.assert_array_equal(np.sort(out.ravel()), np.sort(x.ravel()))
 
     def test_squeeze_odd_extent_rejected(self):
@@ -102,7 +105,91 @@ class TestForwardValues:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 6, 3, 3))
         a, b = ad.split_half(x)
-        np.testing.assert_array_equal(ad.concat_half(a, b).data, x)
+        np.testing.assert_array_equal(ad.concat_half(a, b), x)
+
+
+# (name, op, operand shapes): every op, called on its operands alone.
+OP_CASES = [
+    ("add", ad.add, [(2, 3), (2, 3)]),
+    ("sub", ad.sub, [(2, 3), (1, 3)]),
+    ("mul", ad.mul, [(2, 3), (2, 3)]),
+    ("div", ad.div, [(2, 3), (2, 3)]),
+    ("neg", ad.neg, [(2, 3)]),
+    ("reshape", lambda a: ad.reshape(a, (3, 2)), [(2, 3)]),
+    ("relu", ad.relu, [(2, 3)]),
+    ("maximum_scalar", lambda a: ad.maximum_scalar(a, 0.7), [(2, 3)]),
+    ("sqrt", ad.sqrt, [(2, 3)]),
+    ("sum_all", ad.sum_all, [(2, 3)]),
+    ("mean_all", ad.mean_all, [(2, 3)]),
+    ("channel_mean", ad.channel_mean, [(2, 3, 4, 4)]),
+    ("per_channel", ad.per_channel, [(3,)]),
+    ("conv2d", lambda x, k, b: ad.conv2d(x, k, b, pad=1, relu=True),
+     [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    ("channel_mix", ad.channel_mix, [(1, 3, 2, 2), (3, 3)]),
+    ("channel_mix_inv", lambda x, w: ad.channel_mix_inv(x, w, np.eye(3)),
+     [(1, 3, 2, 2), (3, 3)]),
+    ("squeeze2", ad.squeeze2, [(1, 2, 4, 4)]),
+    ("unsqueeze2", ad.unsqueeze2, [(1, 8, 2, 2)]),
+    ("split_half", ad.split_half, [(1, 4, 2, 2)]),
+    ("concat_half", ad.concat_half, [(1, 2, 2, 2), (1, 2, 2, 2)]),
+]
+CASE_IDS = [case[0] for case in OP_CASES]
+MULTI_CASES = [case for case in OP_CASES if len(case[2]) > 1]
+
+
+def operands(shapes):
+    rng = np.random.default_rng(len(shapes))
+    return [rng.random(shape) + 0.5 for shape in shapes]
+
+
+def outputs(result):
+    return result if isinstance(result, tuple) else (result,)
+
+
+class TestReturnKind:
+    """Arrays in give ndarrays out; any Var operand gives Vars out."""
+
+    @pytest.mark.parametrize("name,op,shapes", OP_CASES, ids=CASE_IDS)
+    def test_arrays_untaped_and_taped(self, name, op, shapes):
+        arrays = operands(shapes)
+        plain = outputs(op(*arrays))
+        assert all(type(out) is np.ndarray for out in plain)
+        untaped = outputs(op(*(ad.Var(a) for a in arrays)))
+        assert all(isinstance(out, ad.Var) and out.tape is None for out in untaped)
+        tape = ad.Tape()
+        taped = outputs(op(*(ad.Var(a, tape) for a in arrays)))
+        assert all(isinstance(out, ad.Var) and out.tape is tape for out in taped)
+        assert tape.nodes
+        for want, *got in zip(plain, untaped, taped):
+            for out in got:
+                np.testing.assert_array_equal(out.data, want)
+
+    @pytest.mark.parametrize("name,op,shapes", MULTI_CASES, ids=[c[0] for c in MULTI_CASES])
+    def test_one_var_operand_gives_var(self, name, op, shapes):
+        args = operands(shapes)
+        args[-1] = ad.Var(args[-1])
+        assert isinstance(op(*args), ad.Var)
+
+
+def test_inference_builds_no_var(monkeypatch):
+    model = build_flownet(FlowNetConfig(1, 2, 4, 3, 16, 16), seed=0)
+    rng = np.random.default_rng(0)
+    content, style = rng.random((1, 3, 16, 16)), rng.random((1, 3, 16, 16))
+    initialize_actnorms(model, np.concatenate([content, style]))
+    built = []
+    init = ad.Var.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Var, "__init__", counting_init)
+    for kind in (ADAIN, WCT, PATCHSWAP):
+        stylize(model, kind, content, style, alpha=0.5)
+        leak_test(model, kind, content, style, rounds=2)
+    assert built == []
+    ad.Var(content)  # the count sees a Var when one is built
+    assert built == [ad.Var]
 
 
 class TestGradients:
@@ -227,7 +314,7 @@ class TestBackwardContract:
 
     def test_untaped_root_rejected(self):
         with pytest.raises(ValueError):
-            ad.backward(ad.lift(np.float64(1.0)))
+            ad.backward(ad.Var(np.float64(1.0)))
 
     def test_mixed_tapes_rejected(self):
         a = ad.Var(np.ones(2), ad.Tape())
@@ -354,7 +441,7 @@ class TestConvKernels:
         rng = np.random.default_rng(10 * n_in + n_out)
         x = rng.standard_normal((2, n_in, 7, 9))
         k = rng.standard_normal((n_out, n_in, ksize, ksize))
-        assert_rel_close(ad.conv2d(x, k, stride=stride, pad=pad).data,
+        assert_rel_close(ad.conv2d(x, k, stride=stride, pad=pad),
                          direct_conv(x, k, stride, pad))
 
     @pytest.mark.parametrize("channels", ORIENTATIONS)
@@ -375,14 +462,14 @@ class TestConvKernels:
         rng = np.random.default_rng(20 + n_in)
         x = rng.standard_normal((2, n_in, 7, 9))
         w = rng.standard_normal((n_out, n_in))
-        assert_rel_close(ad.channel_mix(x, w).data, direct_mix(x, w))
+        assert_rel_close(ad.channel_mix(x, w), direct_mix(x, w))
 
     def test_channel_mix_inv_matches_reference(self):
         rng = np.random.default_rng(21)
         x = rng.standard_normal((2, 4, 7, 9))
         w = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
         m = mat_inverse(w)
-        assert_rel_close(ad.channel_mix_inv(x, w, m).data, direct_mix(x, m))
+        assert_rel_close(ad.channel_mix_inv(x, w, m), direct_mix(x, m))
 
     @pytest.mark.parametrize("channels", ORIENTATIONS)
     def test_channel_mix_gradients(self, channels):

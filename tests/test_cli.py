@@ -18,6 +18,7 @@ from flowstyle.flows import (
     randomize_couplings,
 )
 from flowstyle.ppm import write_image
+from flowstyle.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,14 @@ def test_missing_config_key_exits_1(files, tmp_path, capsys):
     config.write_text(f"content_dir = {files / 'content'}\n")
     code, _, err = run(capsys, ["ablate", "--config", config])
     assert code == 1 and "style_dir" in err
+
+
+def test_empty_config_gives_train_config_defaults(tmp_path):
+    config = tmp_path / "empty.cfg"
+    config.write_text("# defaults only\n")
+    values = cli.parse_config_file(config)
+    assert cli._train_config(values) == TrainConfig()
+    assert (values["n_blocks"], values["n_flows"], values["hidden"]) == ("2", "8", "64")
 
 
 @pytest.mark.parametrize(

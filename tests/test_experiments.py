@@ -11,11 +11,13 @@ from flowstyle.experiments import (
     stylize,
 )
 from flowstyle.flows import (
+    FlowNet,
     FlowNetConfig,
     build_flownet,
     initialize_actnorms,
     randomize_couplings,
 )
+from flowstyle.metrics import ssim
 from flowstyle.training import TrainConfig, build_lossnet
 from flowstyle.transfer import (
     ADAIN,
@@ -71,6 +73,50 @@ class TestStylize:
         content, style = images()
         out = stylize(model, ADAIN, content, 4.0 * style - 1.5)
         assert out.min() < 0.0 or out.max() > 1.0
+
+
+def count_passes(monkeypatch):
+    """Count FlowNet.forward and FlowNet.inverse calls from now on."""
+    calls = {"forward": 0, "inverse": 0}
+    for name in calls:
+        method = getattr(FlowNet, name)
+
+        def counted(self, *args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlowNet, name, counted)
+    return calls
+
+
+class TestEncodeOnce:
+    @pytest.mark.parametrize("kind", [ADAIN, WCT, PATCHSWAP], ids=lambda k: k.name)
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_leak_test_encodes_style_once(self, monkeypatch, kind, alpha):
+        model = make_model()
+        content, style = images()
+        outs = [stylize(model, kind, content, style, alpha)]
+        for _ in range(2):
+            outs.append(stylize(model, kind, outs[-1], style, alpha))
+        calls = count_passes(monkeypatch)
+        report = leak_test(model, kind, content, style, rounds=3, alpha=alpha)
+        assert calls == {"forward": 4, "inverse": 3}
+        assert report.drift_vs_first == tuple(
+            float(np.max(np.abs(out - outs[0]))) for out in outs
+        )
+        assert report.ssim_vs_first == tuple(ssim(out, outs[0]) for out in outs)
+
+    @pytest.mark.parametrize("kind", [ADAIN, WCT], ids=lambda k: k.name)
+    def test_reverse_transfer_reuses_content_latent(self, monkeypatch, kind):
+        model = make_model()
+        content, style = images()
+        stylized = stylize(model, kind, content, style)
+        recovered = stylize(model, kind, stylized, content)
+        calls = count_passes(monkeypatch)
+        got = reverse_transfer(model, kind, content, style)
+        assert calls == {"forward": 3, "inverse": 2}
+        np.testing.assert_array_equal(got[0], stylized)
+        np.testing.assert_array_equal(got[1], recovered)
 
 
 class TestLeakTest:

@@ -57,6 +57,22 @@ class TestLossNet:
             (2, 64, 2, 2),
         ]
 
+    def test_var_in_gives_vars_and_losses_out(self):
+        net = build_lossnet(0)
+        rng = np.random.default_rng(9)
+        img, style = rng.random((1, 3, 16, 16)), rng.random((1, 3, 16, 16))
+        tape = ad.Tape()
+        feats = net.features(ad.Var(img, tape))
+        assert all(isinstance(f, ad.Var) and f.tape is tape for f in feats)
+        for got, want in zip(feats, net.features(img)):
+            np.testing.assert_array_equal(got.data, want)
+        target = net.top_feature(style)
+        for loss, args in ((content_loss, (target,)), (style_loss, (style,))):
+            plain = loss(img, *args, net)
+            traced = loss(ad.Var(img, tape), *args, net)
+            assert type(plain) is float and isinstance(traced, ad.Var)
+            assert float(traced.data) == plain
+
     def test_parameters_frozen(self):
         net = build_lossnet(0)
         with pytest.raises(ValueError):
@@ -122,7 +138,7 @@ class TestAdainTraced:
         rng = np.random.default_rng(8)
         fc = rng.standard_normal((1, 4, 6, 6))
         fs = 2.0 * rng.standard_normal((1, 4, 6, 6)) + 1.0
-        out = adain_traced(ad.lift(fc), ad.lift(fs))
+        out = adain_traced(ad.Var(fc), ad.Var(fs))
         np.testing.assert_allclose(out.data, adain(fc, fs), atol=1e-12)
 
     def test_differentiable_in_both_inputs(self):

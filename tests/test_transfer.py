@@ -345,6 +345,19 @@ class TestTransferApply:
         with pytest.raises(ShapeError):
             TransferKind("patchswap", patch_size=2)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("patch_size", 3.0), ("stride", 1.5), ("stride", "1"), ("patch_size", None)],
+    )
+    def test_non_integer_patch_parameter_rejected(self, field, value):
+        with pytest.raises(ShapeError, match=field):
+            TransferKind("patchswap", **{field: value})
+
+    def test_integer_like_patch_parameters_become_int(self):
+        kind = TransferKind("patchswap", patch_size=np.int64(5), stride=np.int32(2))
+        assert (type(kind.patch_size), type(kind.stride)) == (int, int)
+        assert (kind.patch_size, kind.stride) == (5, 2)
+
     @pytest.mark.parametrize("kind", [ADAIN, WCT, PATCHSWAP], ids=lambda k: k.name)
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("side", ["content", "style"])
