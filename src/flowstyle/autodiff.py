@@ -281,11 +281,14 @@ def per_channel(v) -> Value:
 # structured ops
 
 
-def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -> Value:
+def conv2d(
+    x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False, out=None
+) -> Value:
     """2-d convolution (cross-correlation), zero padding, square stride,
     then an optional per-channel bias and ReLU.
 
-    ``x`` is (B,I,H,W), ``k`` is (O,I,kh,kw), ``bias`` is (O,) or None.
+    ``x`` is (B,I,H,W), ``k`` is (O,I,kh,kw), ``bias`` is (O,) or None;
+    ``stride`` is an integer of at least 1 and ``pad`` one of at least 0.
     The output and every gradient equal (``array_equal``) those of
     ``relu(add(conv2d(x, k), per_channel(bias)))``, but come from one
     tape node whose bias and ReLU run in place on the GEMM's output.
@@ -299,17 +302,29 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
 
     * ``I <= O``: copy every kernel window of the padded input into a
       (B, I*kh*kw, Ho*Wo) matrix and multiply by ``k`` as (O, I*kh*kw).
-    * ``I > O``: multiply the padded input by ``k`` as (kh*kw*O, I), then
-      add up the kh*kw shifted, strided slices of that product.
+      Scratch: the padded input and that matrix.
+    * ``I > O``: multiply the unpadded input by ``k`` as (kh*kw*O, I),
+      then add each tap's slice of that product into the output window
+      it reaches, clipped at the border: taps on the zero padding add
+      nothing, so no padded copy is made. Scratch: the (B, kh*kw*O, H*W)
+      product.
 
     Backward picks the side the same way for the input gradient (a
-    transposed convolution, so the roles of I and O swap) and forms the
-    kernel gradient as one ``tensordot`` of the output gradient with the
-    input's windows. So forward and input gradient need at most
-    ``min(I, O)*kh*kw*B*Hp*Wp`` float64 of scratch (Hp, Wp the padded
-    extents); the kernel gradient needs ``I*kh*kw*B*Ho*Wo``. The tape
-    keeps only the padded input, the kernel and the output, never a
-    window buffer or a ReLU mask.
+    transposed convolution, so the roles of I and O swap): for I <= O it
+    adds the taps of one GEMM product into the unpadded gradient through
+    the same clipped taps; for I > O it correlates the stride-dilated,
+    padded output gradient with the flipped kernel, an (O*kh*kw, Hp*Wp)
+    matrix per image. The kernel gradient is one ``tensordot`` of the
+    output gradient with the windows of the padded input, which backward
+    builds only when the kernel takes a gradient. The tape keeps the
+    input, the kernel and the output, never a padded copy, a window
+    buffer or a ReLU mask.
+
+    ``out``, as in numpy, is a C-contiguous float64 array of the output's
+    shape that receives the result (bias and ReLU applied), and is what
+    the call returns. It serves untaped calls only: a taped operand, or
+    an array that does not fit, raises ``ShapeError``.
+
     Convolutions of fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds
     run their GEMMs on one BLAS thread (:func:`linalg.blas_threads`).
     """
@@ -325,28 +340,38 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
         raise ShapeError(
             f"conv2d bias must have shape ({n_out},), got {_data(bias).shape}"
         )
+    stride, pad = _int_at_least("stride", stride, 1), _int_at_least("pad", pad, 0)
     b, _, h, w = dx.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
+    taps = _Taps(kh, kw, stride, pad, h, w)
+    h_out, w_out = taps.h_out, taps.w_out
     if h_out <= 0 or w_out <= 0:
         raise ShapeError("conv2d kernel larger than padded input")
-    if pad:
-        xp = np.zeros((b, n_in, hp, wp))
-        xp[:, :, pad:-pad, pad:-pad] = dx
+    tape = _tape_of(x, k, bias)
+    if out is not None:
+        if tape is not None:
+            raise ShapeError("conv2d cannot write a taped result into out=")
+        if not (
+            isinstance(out, np.ndarray)
+            and out.dtype == np.float64
+            and out.flags.c_contiguous
+            and out.shape == (b, n_out, h_out, w_out)
+        ):
+            raise ShapeError(
+                f"conv2d out= must be a C-contiguous float64 array of shape "
+                f"{(b, n_out, h_out, w_out)}"
+            )
     else:
-        xp = dx
-    taps = _Taps(kh, kw, stride, h_out, w_out)
+        out = np.empty((b, n_out, h_out, w_out))
     macs = b * n_out * n_in * kh * kw * h_out * w_out
     with blas_threads(macs):
         if n_in <= n_out:
-            out = _im2col_gemm(xp, dk.reshape(n_out, -1), taps)
+            _im2col_gemm(_padded(dx, pad), dk.reshape(n_out, -1), taps, out)
         else:
-            prod = dk.transpose(2, 3, 0, 1).reshape(-1, n_in) @ xp.reshape(b, n_in, -1)
-            prod = prod.reshape(b, kh, kw, n_out, hp, wp)
-            out = np.zeros((b, n_out, h_out, w_out))
-            for u, v, rows, cols in taps:
-                out += prod[:, u, v, :, rows, cols]
+            prod = dk.transpose(2, 3, 0, 1).reshape(-1, n_in) @ dx.reshape(b, n_in, -1)
+            prod = prod.reshape(b, kh, kw, n_out, h, w)
+            out.fill(0.0)
+            for u, v, o_rows, o_cols, rows, cols in taps.clipped():
+                out[:, :, o_rows, o_cols] += prod[:, u, v, :, rows, cols]
     if bias is not None:
         out += _data(bias)[:, None, None]
     if relu:
@@ -362,44 +387,69 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
                 per_tap = (dk.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
                     b, n_in, kh, kw, h_out, w_out
                 )
-                gxp = np.zeros_like(xp)
-                for u, v, rows, cols in taps:
-                    gxp[:, :, rows, cols] += per_tap[:, :, u, v]
+                gx = np.zeros_like(dx)
+                for u, v, o_rows, o_cols, rows, cols in taps.clipped():
+                    gx[:, :, rows, cols] += per_tap[:, :, u, v, o_rows, o_cols]
             else:
                 # Transposed conv as a correlation of the stride-dilated,
                 # (k-1)-padded output gradient with the flipped kernel.
+                hp, wp = h + 2 * pad, w + 2 * pad
                 gd = np.zeros((b, n_out, hp + kh - 1, wp + kw - 1))
                 gd[:, :, kh - 1 : kh - 1 + stride * h_out : stride,
                    kw - 1 : kw - 1 + stride * w_out : stride] = g
                 flipped = dk[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
-                gxp = _im2col_gemm(gd, flipped, _Taps(kh, kw, 1, hp, wp))
-            if pad:
-                gxp = gxp[:, :, pad:-pad, pad:-pad]
-            _accum(x, gxp)
+                gx = _im2col_gemm(gd, flipped, _Taps(kh, kw, 1, 0, *gd.shape[2:]))
+                gx = gx[:, :, pad : pad + h, pad : pad + w]
+            _accum(x, gx)
             if isinstance(k, Var) and k.grad is not None:
-                k.grad += np.tensordot(g, taps.windows(xp), axes=([0, 2, 3], [0, 2, 3]))
+                windows = taps.windows(_padded(dx, pad))
+                k.grad += np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
 
-    return _record(_tape_of(x, k, bias), "conv2d", out, back, (x, k, bias))
+    return _record(tape, "conv2d", out, back, (x, k, bias))
+
+
+def _int_at_least(name, value, least):
+    """``value`` as an int, or ShapeError unless it is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ShapeError(f"conv2d {name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _padded(x, pad):
+    """``x`` with ``pad`` zeros around its two spatial axes (``x`` itself at 0)."""
+    if not pad:
+        return x
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:-pad, pad:-pad] = x
+    return xp
 
 
 class _Taps:
-    """Kernel-tap geometry of one convolution: (kh, kw) taps at ``stride``."""
+    """Kernel-tap geometry of one convolution: (kh, kw) taps at ``stride``
+    over an (h, w) input with ``pad`` zeros on every side."""
 
-    __slots__ = ("kh", "kw", "stride", "h_out", "w_out")
+    __slots__ = ("kh", "kw", "stride", "pad", "h", "w", "h_out", "w_out")
 
-    def __init__(self, kh, kw, stride, h_out, w_out):
-        self.kh, self.kw, self.stride = kh, kw, stride
-        self.h_out, self.w_out = h_out, w_out
+    def __init__(self, kh, kw, stride, pad, h, w):
+        self.kh, self.kw, self.stride, self.pad = kh, kw, stride, pad
+        self.h, self.w = h, w
+        self.h_out = (h + 2 * pad - kh) // stride + 1
+        self.w_out = (w + 2 * pad - kw) // stride + 1
 
-    def __iter__(self):
-        """(u, v, rows, cols): each tap and the padded-input slices it reads."""
-        s, h, w = self.stride, self.h_out, self.w_out
-        for u in range(self.kh):
-            for v in range(self.kw):
-                yield u, v, slice(u, u + s * h, s), slice(v, v + s * w, s)
+    def clipped(self):
+        """(u, v, out_rows, out_cols, rows, cols) for every tap that reaches
+        the unpadded input: output window ``[out_rows, out_cols]`` reads the
+        input at ``[rows, cols]`` through tap (u, v)."""
+        s, p = self.stride, self.pad
+        rows = _clip_axis(self.kh, self.h, self.h_out, s, p)
+        cols = _clip_axis(self.kw, self.w, self.w_out, s, p)
+        return [(u, v, o_rows, o_cols, i_rows, i_cols)
+                for u, o_rows, i_rows in rows for v, o_cols, i_cols in cols]
 
     def windows(self, xp):
-        """Read-only (B, I, Ho, Wo, kh, kw) view of every window of ``xp``."""
+        """Read-only (B, I, Ho, Wo, kh, kw) view of every window of the
+        padded input ``xp``."""
         sb, si, sh, sw = xp.strides
         s = self.stride
         return as_strided(
@@ -410,15 +460,32 @@ class _Taps:
         )
 
 
-def _im2col_gemm(xp, kmat, taps):
-    """Correlate ``xp`` with ``kmat`` (O, I*kh*kw) as one GEMM over its windows."""
+def _clip_axis(k, n, n_out, s, p):
+    """(offset, output slice, input slice) of each of ``k`` tap offsets
+    that reaches an axis of extent ``n`` (``p`` padding, stride ``s``)."""
+    taps = []
+    for u in range(k):
+        lo = max(0, -((u - p) // s))  # first output i with i*s + u - p >= 0
+        hi = min(n_out, (n - 1 + p - u) // s + 1)  # one past the last
+        if lo < hi:
+            start = lo * s + u - p
+            taps.append((u, slice(lo, hi), slice(start, start + s * (hi - lo - 1) + 1, s)))
+    return taps
+
+
+def _im2col_gemm(xp, kmat, taps, out=None):
+    """Correlate ``xp`` with ``kmat`` (O, I*kh*kw) as one GEMM over its
+    windows, into ``out`` (B, O, Ho, Wo) when given."""
     b, n_in = xp.shape[:2]
     cols = (
         taps.windows(xp)
         .transpose(0, 1, 4, 5, 2, 3)
         .reshape(b, n_in * taps.kh * taps.kw, taps.h_out * taps.w_out)
     )
-    return (kmat @ cols).reshape(b, kmat.shape[0], taps.h_out, taps.w_out)
+    if out is None:
+        out = np.empty((b, kmat.shape[0], taps.h_out, taps.w_out))
+    np.matmul(kmat, cols, out=out.reshape(b, kmat.shape[0], -1))
+    return out
 
 
 def _mix(m, x):

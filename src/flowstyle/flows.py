@@ -17,6 +17,12 @@ All layer functions are built from :mod:`~flowstyle.autodiff` ops, so
 arrays in give arrays out and taped :class:`~flowstyle.autodiff.Var`
 values give taped Vars: the trainer differentiates through both
 directions of the network while inference stays tape-free.
+
+A tape-free walk writes the couplings' hidden maps into two buffers that
+belong to that walk alone: the couplings of a block reuse them, and they
+are dropped when the walk returns. Nothing is cached on the module or
+the model, so concurrent reads of one model stay safe. A taped walk
+uses no buffer: it allocates every activation its tape keeps.
 """
 
 from __future__ import annotations
@@ -223,24 +229,49 @@ def invconv_apply(x, weight, inverse: bool = False):
     return ad.channel_mix(x, weight)
 
 
-def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
+def nn_forward(x_a, w1, b1, w2, b2, w3, b3, maps=None):
     """The coupling's inner network: 3x3 -> ReLU -> 1x1 -> ReLU -> 3x3.
 
     Zero-padded, stride 1; output shape equals input shape. Each layer is
     one :func:`autodiff.conv2d` call with its bias (and ReLU) fused, so a
-    taped call records three nodes.
+    taped call records three nodes. Given ``maps`` (a walk's
+    :class:`_HiddenMaps`, untaped calls only), the two hidden maps are
+    written into its buffers instead of fresh arrays.
     """
-    h = ad.conv2d(x_a, w1, b1, pad=1, relu=True)
-    h = ad.conv2d(h, w2, b2, pad=0, relu=True)
+    h1 = h2 = None
+    if maps is not None:
+        b, _, h, w = ad._data(x_a).shape
+        h1, h2 = maps.pair((b, ad._data(w1).shape[0], h, w))
+    h = ad.conv2d(x_a, w1, b1, pad=1, relu=True, out=h1)
+    h = ad.conv2d(h, w2, b2, pad=0, relu=True, out=h2)
     return ad.conv2d(h, w3, b3, pad=1)
 
 
-def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False):
+def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False, maps=None):
     """Additive coupling: y = concat(x_a, x_b + NN(x_a)); exact inverse."""
     x_a, x_b = ad.split_half(x)
-    shift = nn_forward(x_a, w1, b1, w2, b2, w3, b3)
+    shift = nn_forward(x_a, w1, b1, w2, b2, w3, b3, maps)
     y_b = ad.sub(x_b, shift) if inverse else ad.add(x_b, shift)
     return ad.concat_half(x_a, y_b)
+
+
+class _HiddenMaps:
+    """The two hidden-map buffers that the couplings of one walk share.
+
+    Every coupling of a block writes its hidden maps into the same pair;
+    a coupling of another shape replaces it. No result of a walk is
+    one of these buffers, so they die with the walk.
+    """
+
+    __slots__ = ("_pair",)
+
+    def __init__(self):
+        self._pair = ()
+
+    def pair(self, shape):
+        if not self._pair or self._pair[0].shape != shape:
+            self._pair = (np.empty(shape), np.empty(shape))
+        return self._pair
 
 
 def squeeze_apply(x, inverse: bool = False):
@@ -266,8 +297,9 @@ class FlowNet:
     ``params`` maps every parameter name of :attr:`layers` to its array,
     in layer order; ``actnorm_initialized`` maps every actnorm layer name
     to its data-dependent-init state. Apply with :meth:`forward` /
-    :meth:`inverse`. Concurrent reads are safe; initialization and
-    training mutate parameters and require exclusive access.
+    :meth:`inverse`. Concurrent reads are safe (each walk owns its
+    scratch buffers); initialization and training mutate parameters and
+    require exclusive access.
     """
 
     def __init__(
@@ -332,11 +364,21 @@ class FlowNet:
 
     def _walk(self, v, params, inverse):
         """Apply every layer (reversed when ``inverse``); ``params`` maps
-        names to values that take the place of stored ones."""
+        names to values that take the place of stored ones.
+
+        An untaped walk gives its couplings one :class:`_HiddenMaps`,
+        made here and dropped on return, so concurrent walks share no
+        buffer. A taped walk allocates every activation that its tape
+        keeps.
+        """
         store = self.params if params is None else {**self.params, **params}
+        maps = None if ad._tape_of(v, *store.values()) else _HiddenMaps()
         for layer in reversed(self.layers) if inverse else self.layers:
             weights = (store[name] for name in layer.shapes)
-            v = _APPLY[layer.kind](v, *weights, inverse=inverse)
+            if layer.kind == "coupling":
+                v = coupling_apply(v, *weights, inverse=inverse, maps=maps)
+            else:
+                v = _APPLY[layer.kind](v, *weights, inverse=inverse)
         return v
 
 

@@ -433,9 +433,9 @@ ORIENTATIONS = [(2, 5), (5, 2), (3, 3)]
 
 class TestConvKernels:
     @pytest.mark.parametrize("channels", ORIENTATIONS)
-    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("pad", [0, 1, 2, 5])
     def test_conv2d_matches_reference(self, channels, ksize, stride, pad):
         n_in, n_out = channels
         rng = np.random.default_rng(10 * n_in + n_out)
@@ -455,6 +455,54 @@ class TestConvKernels:
             return ad.sum_all(ad.mul(y, ad.mul(y, 0.5)))
 
         fd_check({"x": (2, n_in, 5, 6), "k": (n_out, n_in, ksize, ksize)}, build, seeds=range(1))
+
+    @pytest.mark.parametrize(
+        "name,geometry",
+        [
+            ("stride", dict(stride=0)),
+            ("stride", dict(stride=-1)),
+            ("stride", dict(stride=1.5)),
+            ("stride", dict(stride=True)),
+            ("pad", dict(pad=-1)),
+            ("pad", dict(pad=0.5)),
+            ("pad", dict(pad="1")),
+        ],
+    )
+    def test_bad_stride_or_pad_rejected(self, name, geometry):
+        with pytest.raises(ShapeError, match=name):
+            ad.conv2d(np.zeros((1, 2, 5, 5)), np.zeros((3, 2, 3, 3)), **geometry)
+
+    @pytest.mark.parametrize("channels", ORIENTATIONS)
+    def test_conv2d_out_is_filled_and_returned(self, channels):
+        n_in, n_out = channels
+        rng = np.random.default_rng(30 + n_in)
+        x = rng.standard_normal((2, n_in, 7, 6))
+        k = rng.standard_normal((n_out, n_in, 3, 3))
+        bias = rng.standard_normal(n_out)
+        want = ad.conv2d(x, k, bias, pad=1, relu=True)
+        buf = np.full(want.shape, np.nan)
+        got = ad.conv2d(x, k, bias, pad=1, relu=True, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "case", ["taped input", "taped kernel", "wrong shape", "not contiguous", "float32"]
+    )
+    def test_conv2d_out_misuse_rejected(self, case):
+        x, k = np.ones((1, 2, 5, 5)), np.ones((3, 2, 3, 3))
+        buf = np.empty((1, 3, 5, 5))
+        if case == "taped input":
+            x = ad.Var(x, ad.Tape())
+        elif case == "taped kernel":
+            k = ad.Var(k, ad.Tape())
+        elif case == "wrong shape":
+            buf = np.empty((1, 3, 5, 4))
+        elif case == "not contiguous":
+            buf = np.empty((1, 3, 5, 10))[..., ::2]
+        else:
+            buf = buf.astype(np.float32)
+        with pytest.raises(ShapeError, match="out="):
+            ad.conv2d(x, k, pad=1, out=buf)
 
     @pytest.mark.parametrize("channels", ORIENTATIONS)
     def test_channel_mix_matches_reference(self, channels):
@@ -506,9 +554,9 @@ class TestFusedConv:
         return y.data, xv.grad, kv.grad, bv.grad
 
     @pytest.mark.parametrize("channels", ORIENTATIONS)
-    @pytest.mark.parametrize("ksize", [1, 3])
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("pad", [0, 1, 2, 5])
     @pytest.mark.parametrize("relu", [False, True])
     def test_value_and_gradients_equal_unfused_chain(self, channels, ksize, stride, pad, relu):
         n_in, n_out = channels

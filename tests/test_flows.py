@@ -375,6 +375,39 @@ class TestFlowNet:
         np.testing.assert_array_equal(out.data, model.forward(batch[:1]))
 
 
+class TestWalkBuffers:
+    """Untaped walks write the couplings' hidden maps into per-walk buffers."""
+
+    @staticmethod
+    def model():
+        # Hidden 8 against channel halves of 6 (block 0) and 24 (block 1),
+        # so each coupling conv runs on both GEMM sides of conv2d.
+        model, batch = make_model(n_blocks=2, n_flows=2, hidden=8, shape=(2, 3, 16, 16))
+        randomize_couplings(model, seed=3)
+        return model, batch
+
+    def test_array_walks_equal_taped_walks(self):
+        model, batch = self.model()
+        z = np.random.default_rng(4).standard_normal((2, 48, 4, 4))
+        tape = ad.Tape()
+        pvars = {name: ad.Var(arr, tape) for name, arr in model.param_items()}
+        np.testing.assert_array_equal(
+            model.forward(batch, params=pvars).data, model.forward(batch)
+        )
+        np.testing.assert_array_equal(model.inverse(z, params=pvars).data, model.inverse(z))
+
+    def test_results_outlive_later_walks(self):
+        model, batch = self.model()
+        rng = np.random.default_rng(5)
+        z = model.forward(batch)
+        x = model.inverse(z)
+        kept = z.copy(), x.copy()
+        model.forward(rng.random(batch.shape))
+        model.inverse(rng.standard_normal(z.shape))
+        np.testing.assert_array_equal(z, kept[0])
+        np.testing.assert_array_equal(x, kept[1])
+
+
 class TestLayerList:
     def test_names_order_and_tags(self):
         cfg = FlowNetConfig(1, 1, 4, 3, 8, 8)
