@@ -36,7 +36,6 @@ from .ppm import quantize, read_image, write_image
 from .training import (
     TrainConfig,
     build_lossnet,
-    check_model_gradients,
     train,
     training_loss,
 )
@@ -284,11 +283,11 @@ def criterion_6_gradient_correctness() -> CriterionResult:
         initialize_actnorms(model, np.concatenate(batch))
         randomize_couplings(model, seed=600 + seed, scale=0.5)
 
-        def loss_fn(m, pvars, b):
-            total, _, _ = training_loss(m, pvars, b[0], b[1], cfg, lossnet)
+        def loss_fn(pvars):
+            total, _, _ = training_loss(model, pvars, batch[0], batch[1], cfg, lossnet)
             return total
 
-        report = check_model_gradients(model, loss_fn, batch)
+        report = ad.grad_check(model.params, loss_fn)
         worst = max(worst, report.max_rel_error)
         if not report.passed:
             failures.append(f"model[{seed}]: {report.failures}")

@@ -629,12 +629,12 @@ def concat_half(a, b) -> Value:
 # backward sweep and gradient checking
 
 
-def backward(loss: Var, check_finite: bool = True) -> None:
+def backward(loss: Var) -> None:
     """Propagate d(loss)/d(everything) back through the loss's tape.
 
-    The loss must be a taped scalar. With ``check_finite`` each node's
-    freshly written input gradients are validated and a NumericError
-    naming the op is raised on the first NaN/Inf.
+    The loss must be a taped scalar. Each node's freshly written input
+    gradients are validated and a NumericError naming the op is raised
+    on the first NaN/Inf.
 
     The tape is spent afterwards, whether the sweep finished or raised:
     every node keeps its op name but drops its closure and inputs, so a
@@ -648,10 +648,9 @@ def backward(loss: Var, check_finite: bool = True) -> None:
     try:
         for node in reversed(loss.tape.nodes):
             node.back()
-            if check_finite:
-                for var in node.inputs:
-                    if var.grad is not None and not np.isfinite(var.grad).all():
-                        raise NumericError(f"non-finite gradient produced by op '{node.op}'")
+            for var in node.inputs:
+                if var.grad is not None and not np.isfinite(var.grad).all():
+                    raise NumericError(f"non-finite gradient produced by op '{node.op}'")
     finally:
         for node in loss.tape.nodes:
             node.back, node.inputs = _spent, ()

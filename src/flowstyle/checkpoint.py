@@ -23,9 +23,7 @@ or with trailing bytes).
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 from dataclasses import astuple
 
 import numpy as np
@@ -38,6 +36,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .flows import FlowNet, FlowNetConfig
+from .ppm import atomic_write
 
 MAGIC = b"PFN1"
 VERSION = 1
@@ -61,17 +60,7 @@ def checkpoint_bytes(model: FlowNet) -> bytes:
 
 def save_checkpoint(path, model: FlowNet) -> None:
     """Atomically write the model's checkpoint file."""
-    blob = checkpoint_bytes(model)
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, checkpoint_bytes(model))
 
 
 class _Reader:

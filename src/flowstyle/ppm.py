@@ -116,10 +116,13 @@ def write_image(path, t) -> None:
     h, w = a.shape[1], a.shape[2]
     raster = quantize(a).transpose(1, 2, 0).tobytes()
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    _atomic_write(path, header + raster)
+    atomic_write(path, header + raster)
 
 
-def _atomic_write(path, blob: bytes) -> None:
+def atomic_write(path, blob: bytes) -> None:
+    """Write ``blob`` to a temp file in the target directory, then rename
+    it over ``path``; on any failure the temp file is removed and ``path``
+    keeps its old bytes."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -317,14 +317,3 @@ def train(
             batch = next_batch()
     return model
 
-
-def check_model_gradients(model: FlowNet, loss_fn, batch, step: float = 1e-5, tol: float = 1e-4):
-    """Finite-difference check of every model parameter.
-
-    ``loss_fn(model, param_vars, batch)`` must build a scalar Var from the
-    given parameter mapping. Returns the :class:`GradCheckReport`.
-    """
-    def build(pvars):
-        return loss_fn(model, pvars, batch)
-
-    return ad.grad_check(model.params, build, step=step, tol=tol)

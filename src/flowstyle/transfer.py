@@ -110,64 +110,41 @@ def _check_feature(f, name, arrays_only=False):
     return f if isinstance(f, ad.Var) else a
 
 
-def _check_pair(f_c, f_s, arrays_only=False):
-    """Check a content and a style feature, and that their channels match."""
-    a = _check_feature(f_c, "content feature", arrays_only)
-    b = _check_feature(f_s, "style feature", arrays_only)
-    c_a, c_b = ad._data(a).shape[1], ad._data(b).shape[1]
-    if c_a != c_b:
-        raise ShapeError(f"channel mismatch: content {c_a}, style {c_b}")
-    return a, b
-
-
-# AdaIN on autodiff ops. The public functions check their inputs; the
-# underscored ones assume checked input.
-
-
-def _stats(f) -> FeatureStats:
-    mean = ad.channel_mean(f)
-    centered = ad.sub(f, ad.per_channel(mean))
-    std = ad.sqrt(ad.channel_mean(ad.mul(centered, centered)))
-    return FeatureStats(mean, ad.maximum_scalar(std, EPS_STD))
-
-
-def _standardize(f):
-    s = _stats(f)
-    return ad.div(ad.sub(f, ad.per_channel(s.mean)), ad.per_channel(s.std))
-
-
-def _restyle(x, stats: FeatureStats):
-    return ad.add(ad.mul(x, ad.per_channel(stats.std)), ad.per_channel(stats.mean))
-
-
 def channel_stats(f) -> FeatureStats:
     """Per-channel moments over batch and spatial positions.
 
     Standard deviation uses the population convention (divide by N) and
     is floored at 1e-6 so constant channels stay usable downstream.
     """
-    return _stats(_check_feature(f, "feature"))
+    f = _check_feature(f, "feature")
+    mean = ad.channel_mean(f)
+    centered = ad.sub(f, ad.per_channel(mean))
+    std = ad.sqrt(ad.channel_mean(ad.mul(centered, centered)))
+    return FeatureStats(mean, ad.maximum_scalar(std, EPS_STD))
 
 
 def adain_content_factor(f):
     """Standardized feature: (f - mean) / std per channel."""
-    return _standardize(_check_feature(f, "feature"))
+    s = channel_stats(f)
+    return ad.div(ad.sub(f, ad.per_channel(s.mean)), ad.per_channel(s.std))
 
 
 def apply_style_factor(content_factor, stats: FeatureStats):
     """Recombine: content_factor * std + mean."""
     x = _check_feature(content_factor, "content factor")
     c = ad._data(x).shape[1]
-    if {ad._data(stats.mean).shape, ad._data(stats.std).shape} != {(c,)}:
-        raise ShapeError(f"style statistics must have shape ({c},) for {c} channels")
-    return _restyle(x, stats)
+    shapes = (ad._data(stats.mean).shape, ad._data(stats.std).shape)
+    if set(shapes) != {(c,)}:
+        raise ShapeError(
+            f"style statistics must have shape ({c},) for {c} channels, "
+            f"got mean {shapes[0]} and std {shapes[1]}"
+        )
+    return ad.add(ad.mul(x, ad.per_channel(stats.std)), ad.per_channel(stats.mean))
 
 
 def adain(f_c, f_s):
-    """Match the content feature's per-channel mean/std to the style's:
-    ``apply_style_factor(adain_content_factor(f_c), channel_stats(f_s))``."""
-    a, b = _check_pair(f_c, f_s)
-    return _restyle(_standardize(a), _stats(b))
+    """Match the content feature's per-channel mean/std to the style's."""
+    return apply_style_factor(adain_content_factor(f_c), channel_stats(f_s))
 
 
 def _flatten_channels(a) -> np.ndarray:
@@ -205,34 +182,31 @@ def cov_factor(f) -> CovFactor:
     return CovFactor(mean=mean, cov=cov, whitener=whitener, colorer=colorer)
 
 
-def _whiten(a, factor: CovFactor) -> np.ndarray:
+def wct_content_factor(f) -> np.ndarray:
+    """Whitened feature: cov^{-1/2} (f - mean), identity covariance."""
+    factor = cov_factor(f)
+    a = np.asarray(f, dtype=np.float64)
     x = _flatten_channels(a)
     return _unflatten_channels(matmul(factor.whitener, x - factor.mean[:, np.newaxis]), a.shape)
 
 
-def _color(a, factor: CovFactor) -> np.ndarray:
+def apply_cov_factor(content_factor, factor: CovFactor) -> np.ndarray:
+    """Recombine: cov^{1/2} * whitened_factor + mean."""
+    a = _check_feature(content_factor, "content factor", arrays_only=True)
+    c = a.shape[1]
+    shapes = (factor.mean.shape, factor.colorer.shape)
+    if shapes != ((c,), (c, c)):
+        raise ShapeError(
+            f"style factor must have mean ({c},) and colorer ({c}, {c}) for {c} "
+            f"channels, got mean {shapes[0]} and colorer {shapes[1]}"
+        )
     x = _flatten_channels(a)
     return _unflatten_channels(matmul(factor.colorer, x) + factor.mean[:, np.newaxis], a.shape)
 
 
-def wct_content_factor(f) -> np.ndarray:
-    """Whitened feature: cov^{-1/2} (f - mean), identity covariance."""
-    a = _check_feature(f, "feature", arrays_only=True)
-    return _whiten(a, cov_factor(a))
-
-
-def apply_cov_factor(content_factor, factor: CovFactor) -> np.ndarray:
-    """Recombine: cov^{1/2} * whitened_factor + mean."""
-    return _color(_check_feature(content_factor, "content factor", arrays_only=True), factor)
-
-
 def wct(f_c, f_s) -> np.ndarray:
-    """Whiten the content feature, then color it with the style covariance:
-    ``apply_cov_factor(wct_content_factor(f_c), cov_factor(f_s))``."""
-    a, b = _check_pair(f_c, f_s, arrays_only=True)
-    # cov_factor by its public name, so per-layer timing still counts it;
-    # it checks each (already checked) feature once more.
-    return _color(_whiten(a, cov_factor(a)), cov_factor(b))
+    """Whiten the content feature, then color it with the style covariance."""
+    return apply_cov_factor(wct_content_factor(f_c), cov_factor(f_s))
 
 
 # Each reversible kind as (content factor, style factor, recombine); the
@@ -260,7 +234,10 @@ def patch_swap(f_c, f_s, patch_size: int = 3, stride: int = 1) -> np.ndarray:
     (ties go to the lowest style patch index); overlapping replacements
     are averaged. This transfer is intentionally *not* invertible.
     """
-    a, b = _check_pair(f_c, f_s, arrays_only=True)
+    a = _check_feature(f_c, "content feature", arrays_only=True)
+    b = _check_feature(f_s, "style feature", arrays_only=True)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"channel mismatch: content {a.shape[1]}, style {b.shape[1]}")
     if patch_size < 1 or stride < 1:
         raise ShapeError("patch_size and stride must be >= 1")
     for name, arr in (("content", a), ("style", b)):

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -38,6 +39,27 @@ def trained_like_model(seed=0):
     initialize_actnorms(model, rng.random((2, 3, 8, 8)))
     randomize_couplings(model, seed=seed + 2)
     return model
+
+
+ATOMIC_WRITERS = {
+    "checkpoint": lambda path: save_checkpoint(path, trained_like_model()),
+    "image": lambda path: write_image(path, np.full((1, 3, 2, 2), 0.5)),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+def test_failed_rename_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    path.write_bytes(b"old bytes")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        ATOMIC_WRITERS[writer](path)
+    assert path.read_bytes() == b"old bytes"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 class TestPpm:

@@ -4,7 +4,9 @@
 up with ``getattr``; a renamed or deleted function would make every
 traced benchmark run raise ``AttributeError``. Its conv2d FLOP count
 reads the kernel from the second positional argument, which the fused
-bias and ReLU arguments must leave in place.
+bias and ReLU arguments must leave in place. It replaces module
+attributes, so a call it should see must go through the module name,
+not through a table entry such as ``transfer.FACTORS``.
 """
 
 import importlib.util
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import flowstyle.autodiff as ad
+from flowstyle import transfer
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +54,20 @@ def test_conv2d_flops_count_fused_calls(geometry):
     b, o, h_out, w_out = out.shape
     want = 2.0 * b * o * 3 * 3 * 3 * h_out * w_out / 1e9
     assert load_tracing()._conv2d_counts(args, geometry, out) == {"gflop": want}
+
+
+def test_tracer_sees_the_transfers():
+    rng = np.random.default_rng(1)
+    f_c, f_s = rng.standard_normal((1, 3, 4, 4)), rng.standard_normal((1, 3, 5, 4))
+    tracer = load_tracing().Tracer()
+    tracer.begin_root("op")
+    try:
+        transfer.transfer_apply(transfer.WCT, f_c, f_s)
+        transfer.transfer_apply(transfer.ADAIN, f_c, f_s)
+    finally:
+        tracer.end_root()
+    names = [span[0] for span in tracer.spans]
+    (wct_span,) = [i for i, name in enumerate(names) if name == "transfer.wct"]
+    children = [span[0] for span in tracer.spans if span[3] == wct_span]
+    assert children.count("transfer.cov_factor") == 2
+    assert "transfer.adain" in names

@@ -20,7 +20,6 @@ from flowstyle.training import (
     adain_traced,
     adam_update,
     build_lossnet,
-    check_model_gradients,
     content_loss,
     style_loss,
     train,
@@ -314,9 +313,9 @@ class TestGradCheckOnModel:
         cfg = TrainConfig(iterations=1, batch_size=1, crop_size=4)
         net = build_lossnet(11, 2)
 
-        def loss_fn(m, pvars, b):
-            total, _, _ = training_loss(m, pvars, b[0], b[1], cfg, net)
+        def loss_fn(pvars):
+            total, _, _ = training_loss(model, pvars, batch[0], batch[1], cfg, net)
             return total
 
-        report = check_model_gradients(model, loss_fn, batch)
+        report = ad.grad_check(model.params, loss_fn)
         assert report.passed, report.failures

@@ -98,10 +98,6 @@ class TestAdain:
         back = adain(adain(f_c, f_s), f_c)
         assert np.max(np.abs(back - f_c)) < 1e-9
 
-    def test_channel_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            adain(np.zeros((1, 3, 4, 4)), np.zeros((1, 2, 4, 4)))
-
 
 class TestAdainFactors:
     def test_standardized_input_is_fixed_point(self):
@@ -177,6 +173,15 @@ def test_array_only_transfers_reject_vars(name, taped):
         ARRAY_ONLY[name](f)
 
 
+@pytest.mark.parametrize("transfer", [adain, wct, patch_swap], ids=lambda t: t.__name__)
+def test_channel_mismatch_rejected(transfer):
+    """The error names both channel counts: content 5, style 2."""
+    f_c = random_feature((1, 5, 4, 4), seed=44)
+    f_s = random_feature((1, 2, 4, 4), seed=45)
+    with pytest.raises(ShapeError, match=r"5.*2"):
+        transfer(f_c, f_s)
+
+
 class TestCovFactor:
     def test_white_noise_covariance_near_identity(self):
         f = random_feature((1, 2, 64, 64), seed=13)  # N = 4096
@@ -250,6 +255,11 @@ class TestWct:
         once = wct(f_c, f_s)
         twice = wct(once, f_s)
         assert np.max(np.abs(twice - once)) < 1e-6
+
+    def test_factor_of_another_channel_count_rejected(self):
+        f = random_feature((1, 3, 4, 4), seed=13)
+        with pytest.raises(ShapeError, match=r"3 channels.*mean \(2,\)"):
+            apply_cov_factor(wct_content_factor(f), cov_factor(f[:, :2]))
 
 
 def _diag_factor(diag, mean):
