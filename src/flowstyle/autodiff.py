@@ -6,6 +6,16 @@ taped :class:`Var` computes its result eagerly and appends one node whose
 strict reverse append order, so gradient accumulation order (and hence
 the bits of every gradient) is fixed for a given program.
 
+Gradient memory is paid only where backward reaches. A leaf Var that a
+caller puts on a tape holds a zero gradient buffer from the start; an
+op's output gets its buffer when backward first writes to it, with the
+bits that adding into zeros would give. ``backward`` skips a node that
+no gradient reached and drops each node's closure, inputs and outputs
+as soon as it has run, so an activation and its gradient are freed
+once no node still to run can reach them: the peak is the forward
+pass's activations plus the gradients in flight, not twice the
+activations.
+
 Ops accept plain ndarrays or python scalars anywhere a Var is allowed;
 those operands are constants and receive no gradient. Every op decides
 the kind of its result in one place, ``_record``: arrays in give an
@@ -31,12 +41,14 @@ _SQUEEZE_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major 2x2 order
 class Tape:
     """Append-only record of executed ops, replayed in reverse by backward.
 
-    Each node's closure and inputs hold Vars, which hold the tape, so a
-    tape is a reference cycle. :func:`backward` breaks it when it ends by
-    dropping every node's closure and inputs, which frees the tape and
-    every activation it kept at once; the nodes stay as the record of
-    which ops ran. A tape never passed to ``backward`` stays alive until
-    Python's cyclic garbage collector next runs.
+    Each node's closure, inputs and outputs hold Vars, which hold the
+    tape, so a tape is a reference cycle. :func:`backward` breaks it node
+    by node: it drops each node's closure, inputs and outputs right after
+    running it, so reference counting frees each activation and its
+    gradient as the sweep passes their producer, and the tape itself when
+    the sweep ends. The nodes stay as the record of which ops ran. A tape
+    never passed to ``backward`` stays alive until Python's cyclic garbage
+    collector next runs.
     """
 
     __slots__ = ("nodes", "__weakref__")
@@ -46,12 +58,13 @@ class Tape:
 
 
 class _Node:
-    __slots__ = ("op", "back", "inputs")
+    __slots__ = ("op", "back", "inputs", "outs")
 
-    def __init__(self, op, back, inputs):
+    def __init__(self, op, back, inputs, outs):
         self.op = op
         self.back = back
         self.inputs = inputs
+        self.outs = outs
 
 
 def _spent():
@@ -61,8 +74,12 @@ def _spent():
 class Var:
     """Array value tracked (optionally) on a tape.
 
-    ``grad`` is a same-shaped float64 buffer when the Var belongs to a
-    tape, else None. Treat ``data`` as immutable while the tape is alive.
+    ``grad`` is a same-shaped float64 buffer or None. A Var built with a
+    tape (a leaf, such as a parameter) holds zeros from the start; a Var
+    that an op made on a tape holds None until backward first writes its
+    gradient; an untaped Var always holds None. Treat ``data`` as
+    immutable while the tape is alive.
+
     A Var built with ``tape=None`` records nothing, but ops given one
     still return Vars, which is how a caller keeps Var results without
     a tape (``grad_check``'s perturbed evaluations).
@@ -108,15 +125,31 @@ def _record(tape, op, out_data, back, inputs) -> Value:
         if any(isinstance(x, Var) for x in inputs):
             return Var(out_data)
         return np.asarray(out_data, dtype=np.float64)
-    out = Var(out_data, tape)
+    out = _op_output(out_data, tape)
     taped = tuple(x for x in inputs if isinstance(x, Var) and x.tape is tape)
-    tape.nodes.append(_Node(op, lambda: back(out.grad), taped))
+    tape.nodes.append(_Node(op, lambda: back(out.grad), taped, (out,)))
     return out
 
 
+def _op_output(data, tape):
+    """A Var that an op made on ``tape``: no gradient buffer until
+    backward first writes one (:func:`_accum`)."""
+    out = Var(data)
+    out.tape = tape
+    return out
+
+
+def _takes_grad(x):
+    return isinstance(x, Var) and x.tape is not None
+
+
 def _accum(x, g):
-    if isinstance(x, Var) and x.grad is not None:
-        x.grad += g
+    if isinstance(x, Var) and x.tape is not None:
+        if x.grad is None:
+            # The bits of 0.0 + g, as if added into zeros: -0.0 lands as +0.0.
+            x.grad = np.add(g, 0.0, out=np.empty_like(x.data))
+        else:
+            x.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -401,9 +434,9 @@ def conv2d(
                 gx = _im2col_gemm(gd, flipped, _Taps(kh, kw, 1, 0, *gd.shape[2:]))
                 gx = gx[:, :, pad : pad + h, pad : pad + w]
             _accum(x, gx)
-            if isinstance(k, Var) and k.grad is not None:
+            if _takes_grad(k):
                 windows = taps.windows(_padded(dx, pad))
-                k.grad += np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
+                _accum(k, np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
 
     return _record(tape, "conv2d", out, back, (x, k, bias))
 
@@ -511,8 +544,8 @@ def channel_mix(x, w) -> Value:
 
     def back(g):
         _accum(x, _mix(dw.T, g))
-        if isinstance(w, Var) and w.grad is not None:
-            w.grad += _mix_grad(g, dx)
+        if _takes_grad(w):
+            _accum(w, _mix_grad(g, dx))
 
     return _record(_tape_of(x, w), "channel_mix", out, back, (x, w))
 
@@ -530,8 +563,8 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
 
     def back(g):
         _accum(x, _mix(m.T, g))
-        if isinstance(w, Var) and w.grad is not None:
-            w.grad += -(m.T @ _mix_grad(g, dx) @ m.T)
+        if _takes_grad(w):
+            _accum(w, -(m.T @ _mix_grad(g, dx) @ m.T))
 
     return _record(_tape_of(x, w), "channel_mix_inv", out, back, (x, w))
 
@@ -599,14 +632,19 @@ def split_half(x) -> tuple[Value, Value]:
     b = np.ascontiguousarray(dx[:, half:])
     if not isinstance(x, Var):
         return a, b
-    a, b = Var(a, x.tape), Var(b, x.tape)
-    if x.tape is not None:
+    if x.tape is None:
+        return Var(a), Var(b)
+    a, b = _op_output(a, x.tape), _op_output(b, x.tape)
 
-        def back():
+    def back():
+        if x.grad is None:
+            x.grad = np.zeros_like(dx)
+        if a.grad is not None:
             x.grad[:, :half] += a.grad
+        if b.grad is not None:
             x.grad[:, half:] += b.grad
 
-        x.tape.nodes.append(_Node("split_half", back, (x,)))
+    x.tape.nodes.append(_Node("split_half", back, (x,), (a, b)))
     return a, b
 
 
@@ -632,28 +670,39 @@ def concat_half(a, b) -> Value:
 def backward(loss: Var) -> None:
     """Propagate d(loss)/d(everything) back through the loss's tape.
 
-    The loss must be a taped scalar. Each node's freshly written input
-    gradients are validated and a NumericError naming the op is raised
-    on the first NaN/Inf.
+    The loss must be a taped scalar; its gradient is set to 1. A node
+    whose outputs received no gradient (a branch the loss does not use)
+    is skipped. Each node's freshly written input gradients are
+    validated and a NumericError naming the op is raised on the first
+    NaN/Inf.
 
-    The tape is spent afterwards, whether the sweep finished or raised:
-    every node keeps its op name but drops its closure and inputs, so a
-    second ``backward`` over it does nothing.
+    Each node is spent as soon as it has run and passed that check (and
+    every node left is spent when the sweep raises): it keeps its op
+    name but drops its closure, inputs and outputs, so what only it kept
+    alive is freed during the sweep, and a second ``backward`` over the
+    tape does nothing.
     """
     if not isinstance(loss, Var) or loss.tape is None:
         raise ValueError("backward requires a Var recorded on a tape")
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar, got shape {loss.data.shape}")
-    loss.grad[...] = 1.0
+    loss.grad = np.ones_like(loss.data)
     try:
         for node in reversed(loss.tape.nodes):
-            node.back()
-            for var in node.inputs:
-                if var.grad is not None and not np.isfinite(var.grad).all():
-                    raise NumericError(f"non-finite gradient produced by op '{node.op}'")
-    finally:
+            for out in node.outs:
+                if out.grad is not None:
+                    node.back()
+                    for var in node.inputs:
+                        if var.grad is not None and not np.isfinite(var.grad).all():
+                            raise NumericError(
+                                f"non-finite gradient produced by op '{node.op}'"
+                            )
+                    break
+            node.back, node.inputs, node.outs = _spent, (), ()
+    except BaseException:
         for node in loss.tape.nodes:
-            node.back, node.inputs = _spent, ()
+            node.back, node.inputs, node.outs = _spent, (), ()
+        raise
 
 
 def grad_check(params, build_loss, step: float = 1e-5, tol: float = 1e-4):

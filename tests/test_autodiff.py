@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -332,15 +333,35 @@ class TestBackwardContract:
                 ad.backward(loss)
         assert "div" in str(exc.value) or "mul" in str(exc.value)
 
+    def test_branch_off_the_loss_path_is_skipped(self):
+        tape = ad.Tape()
+        x = ad.Var(np.array([0.0, 1.0]), tape)
+        with np.errstate(divide="ignore"):
+            ad.div(1.0, x)  # 1/0 = inf, on a branch the loss does not use
+        ad.backward(ad.sum_all(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, [0.0, 2.0])
+
     def test_tape_freed_by_backward_without_gc(self):
         def step(fail):
             tape = ad.Tape()
             x = ad.Var(np.zeros(1) if fail else np.ones(1), tape)
-            loss = ad.sum_all(ad.mul(ad.div(1.0, x), 0.0))  # 0 * inf -> nan back
+            y = ad.mul(ad.div(1.0, x), 0.0)  # 0 * inf -> nan back
+            y_data = weakref.ref(y.data)
+            loss = ad.sum_all(y)
+            del y
+            first = tape.nodes[0]
+            run_first, freed = first.back, []
+
+            def back():  # the last node backward runs
+                freed.append(y_data() is None)
+                run_first()
+
+            first.back = back
             try:
                 ad.backward(loss)
             except NumericError:
                 assert fail
+            assert freed == [True]
             assert [node.op for node in tape.nodes] == ["div", "mul", "sum_all"]
             return weakref.ref(tape)
 
@@ -351,6 +372,27 @@ class TestBackwardContract:
             assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
+
+    def test_backward_memory_is_one_buffer_per_op(self):
+        # Each op output holds its data; its gradient exists only from the
+        # first write in backward until backward has run its node.
+        n_ops, n = 32, 32768
+        nbytes = 8 * n
+        tracemalloc.start()
+        try:
+            tape = ad.Tape()
+            y = ad.Var(np.ones(n), tape)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(n_ops):
+                y = ad.add(y, 1.0)
+            loss = ad.sum_all(y)
+            del y
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_ops + 4) * nbytes
 
     def test_gradients_deterministic(self):
         rng = np.random.default_rng(12)

@@ -236,6 +236,35 @@ class TestTrainStep:
         assert last_total < first_total
 
 
+class TestLazyGradients:
+    def test_bits_equal_eager_zero_buffers(self):
+        model = tiny_model()
+        cfg = TrainConfig(iterations=1, batch_size=2, crop_size=16)
+        rng = np.random.default_rng(13)
+        content, style = rng.random((2, 3, 16, 16)), rng.random((2, 3, 16, 16))
+        initialize_actnorms(model, np.concatenate([content, style]))
+        net = build_lossnet(0)
+
+        def gradients(eager):
+            tape = ad.Tape()
+            pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
+            total, _, _ = training_loss(model, pvars, content, style, cfg, net)
+            for var in pvars.values():
+                np.testing.assert_array_equal(var.grad, np.zeros_like(var.data))
+            leaves = {id(var) for var in pvars.values()}
+            for node in tape.nodes:
+                assert all(out.grad is None for out in node.outs)
+                for var in node.inputs:
+                    if eager and id(var) not in leaves:
+                        var.grad = np.zeros_like(var.data)
+            ad.backward(total)
+            return {name: var.grad for name, var in pvars.items()}
+
+        lazy, eager = gradients(eager=False), gradients(eager=True)
+        for name in model.params:
+            np.testing.assert_array_equal(lazy[name], eager[name])
+
+
 class TestTrain:
     def test_zero_iterations_returns_initialized_model(self):
         model = tiny_model(seed=2)
