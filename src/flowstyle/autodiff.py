@@ -17,11 +17,12 @@ pass's activations plus the gradients in flight, not twice the
 activations.
 
 Ops accept plain ndarrays or python scalars anywhere a Var is allowed;
-those operands are constants and receive no gradient. Every op decides
-the kind of its result in one place, ``_record``: arrays in give an
-ndarray out, and any Var operand gives a Var out, taped when an operand
-is taped. So inference runs the exact code paths of training on plain
-arrays, without building a Var or recording anything.
+those operands are constants and receive no gradient. Every Var lives on
+a tape, and every op decides the kind of its result in one place,
+``_record``: arrays in give an ndarray out, and any Var operand gives a
+Var on that tape out, with a node recorded. So inference runs the exact
+code paths of training on plain arrays, without building a Var or
+recording anything.
 
 Only one tape may appear among the operands of a single op; tapes are
 meant to live for one training step and be discarded.
@@ -32,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, StateError
 from .linalg import blas_threads
 
 _SQUEEZE_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major 2x2 order
@@ -72,32 +73,29 @@ def _spent():
 
 
 class Var:
-    """Array value tracked (optionally) on a tape.
+    """Array value recorded on a tape; ``tape`` must be a :class:`Tape`.
 
-    ``grad`` is a same-shaped float64 buffer or None. A Var built with a
-    tape (a leaf, such as a parameter) holds zeros from the start; a Var
-    that an op made on a tape holds None until backward first writes its
-    gradient; an untaped Var always holds None. Treat ``data`` as
-    immutable while the tape is alive.
-
-    A Var built with ``tape=None`` records nothing, but ops given one
-    still return Vars, which is how a caller keeps Var results without
-    a tape (``grad_check``'s perturbed evaluations).
+    ``grad`` is a same-shaped float64 buffer or None. A Var that a caller
+    builds (a leaf, such as a parameter) holds zeros from the start; a
+    Var that an op made holds None until backward first writes its
+    gradient. Treat ``data`` as immutable while the tape is alive.
     """
 
     __slots__ = ("data", "grad", "tape")
 
-    def __init__(self, data, tape=None):
+    def __init__(self, data, tape):
+        if not isinstance(tape, Tape):
+            raise StateError(f"a Var needs a Tape, got {type(tape).__name__}")
         self.data = np.asarray(data, dtype=np.float64)
         self.tape = tape
-        self.grad = np.zeros_like(self.data) if tape is not None else None
+        self.grad = np.zeros_like(self.data)
 
     @property
     def shape(self):
         return self.data.shape
 
     def __repr__(self):
-        return f"Var(shape={self.data.shape}, taped={self.tape is not None})"
+        return f"Var(shape={self.data.shape})"
 
 
 # What an op returns: an ndarray when no operand is a Var, else a Var.
@@ -111,7 +109,7 @@ def _data(x):
 def _tape_of(*xs):
     tape = None
     for x in xs:
-        if isinstance(x, Var) and x.tape is not None:
+        if isinstance(x, Var):
             if tape is not None and tape is not x.tape:
                 raise ShapeError("operands belong to different tapes")
             tape = x.tape
@@ -120,13 +118,11 @@ def _tape_of(*xs):
 
 def _record(tape, op, out_data, back, inputs) -> Value:
     """The op's result: ``out_data`` as an array when no input is a Var,
-    else as a Var, with a node on ``tape`` when the op is taped."""
+    else as a Var on ``tape`` with a node that records the op."""
     if tape is None:
-        if any(isinstance(x, Var) for x in inputs):
-            return Var(out_data)
         return np.asarray(out_data, dtype=np.float64)
     out = _op_output(out_data, tape)
-    taped = tuple(x for x in inputs if isinstance(x, Var) and x.tape is tape)
+    taped = tuple(x for x in inputs if isinstance(x, Var))
     tape.nodes.append(_Node(op, lambda: back(out.grad), taped, (out,)))
     return out
 
@@ -134,17 +130,13 @@ def _record(tape, op, out_data, back, inputs) -> Value:
 def _op_output(data, tape):
     """A Var that an op made on ``tape``: no gradient buffer until
     backward first writes one (:func:`_accum`)."""
-    out = Var(data)
-    out.tape = tape
+    out = Var.__new__(Var)
+    out.data, out.grad, out.tape = np.asarray(data, dtype=np.float64), None, tape
     return out
 
 
-def _takes_grad(x):
-    return isinstance(x, Var) and x.tape is not None
-
-
 def _accum(x, g):
-    if isinstance(x, Var) and x.tape is not None:
+    if isinstance(x, Var):
         if x.grad is None:
             # The bits of 0.0 + g, as if added into zeros: -0.0 lands as +0.0.
             x.grad = np.add(g, 0.0, out=np.empty_like(x.data))
@@ -355,8 +347,8 @@ def conv2d(
 
     ``out``, as in numpy, is a C-contiguous float64 array of the output's
     shape that receives the result (bias and ReLU applied), and is what
-    the call returns. It serves untaped calls only: a taped operand, or
-    an array that does not fit, raises ``ShapeError``.
+    the call returns. It serves array calls only: a Var operand, or an
+    array that does not fit, raises ``ShapeError``.
 
     Convolutions of fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds
     run their GEMMs on one BLAS thread (:func:`linalg.blas_threads`).
@@ -434,7 +426,7 @@ def conv2d(
                 gx = _im2col_gemm(gd, flipped, _Taps(kh, kw, 1, 0, *gd.shape[2:]))
                 gx = gx[:, :, pad : pad + h, pad : pad + w]
             _accum(x, gx)
-            if _takes_grad(k):
+            if isinstance(k, Var):
                 windows = taps.windows(_padded(dx, pad))
                 _accum(k, np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
 
@@ -544,7 +536,7 @@ def channel_mix(x, w) -> Value:
 
     def back(g):
         _accum(x, _mix(dw.T, g))
-        if _takes_grad(w):
+        if isinstance(w, Var):
             _accum(w, _mix_grad(g, dx))
 
     return _record(_tape_of(x, w), "channel_mix", out, back, (x, w))
@@ -563,7 +555,7 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
 
     def back(g):
         _accum(x, _mix(m.T, g))
-        if _takes_grad(w):
+        if isinstance(w, Var):
             _accum(w, -(m.T @ _mix_grad(g, dx) @ m.T))
 
     return _record(_tape_of(x, w), "channel_mix_inv", out, back, (x, w))
@@ -632,8 +624,6 @@ def split_half(x) -> tuple[Value, Value]:
     b = np.ascontiguousarray(dx[:, half:])
     if not isinstance(x, Var):
         return a, b
-    if x.tape is None:
-        return Var(a), Var(b)
     a, b = _op_output(a, x.tape), _op_output(b, x.tape)
 
     def back():
@@ -670,11 +660,11 @@ def concat_half(a, b) -> Value:
 def backward(loss: Var) -> None:
     """Propagate d(loss)/d(everything) back through the loss's tape.
 
-    The loss must be a taped scalar; its gradient is set to 1. A node
-    whose outputs received no gradient (a branch the loss does not use)
-    is skipped. Each node's freshly written input gradients are
-    validated and a NumericError naming the op is raised on the first
-    NaN/Inf.
+    The loss must be a scalar Var (``ShapeError`` otherwise); its
+    gradient is set to 1. A node whose outputs received no gradient (a
+    branch the loss does not use) is skipped. Each node's freshly
+    written input gradients are validated and a NumericError naming the
+    op is raised on the first NaN/Inf.
 
     Each node is spent as soon as it has run and passed that check (and
     every node left is spent when the sweep raises): it keeps its op
@@ -682,10 +672,10 @@ def backward(loss: Var) -> None:
     alive is freed during the sweep, and a second ``backward`` over the
     tape does nothing.
     """
-    if not isinstance(loss, Var) or loss.tape is None:
-        raise ValueError("backward requires a Var recorded on a tape")
+    if not isinstance(loss, Var):
+        raise ShapeError(f"backward requires a Var, got {type(loss).__name__}")
     if loss.data.shape != ():
-        raise ValueError(f"backward requires a scalar, got shape {loss.data.shape}")
+        raise ShapeError(f"backward requires a scalar, got shape {loss.data.shape}")
     loss.grad = np.ones_like(loss.data)
     try:
         for node in reversed(loss.tape.nodes):
@@ -709,12 +699,13 @@ def grad_check(params, build_loss, step: float = 1e-5, tol: float = 1e-4):
     """Compare analytic gradients against central finite differences.
 
     ``params`` maps names to float64 arrays; ``build_loss`` maps a
-    same-keyed dict of Vars (untaped for the perturbed evaluations)
-    to a scalar Var. Per parameter the reported error is
-    ``max|analytic - numeric|`` normalized by the largest gradient
-    magnitude seen across *all* parameters, so parameters whose true
-    gradient is exactly zero are judged against the overall gradient
-    scale rather than against finite-difference noise.
+    same-keyed dict to a scalar. It gets taped Vars once, for the
+    analytic gradients, and then arrays for each perturbed evaluation.
+    Per parameter the reported error is ``max|analytic - numeric|``
+    normalized by the largest gradient magnitude seen across *all*
+    parameters, so parameters whose true gradient is exactly zero are
+    judged against the overall gradient scale rather than against
+    finite-difference noise.
 
     Returns a :class:`GradCheckReport`; ``report.passed`` is True when
     every parameter's relative error is below ``tol``.
@@ -726,8 +717,7 @@ def grad_check(params, build_loss, step: float = 1e-5, tol: float = 1e-4):
     analytic = {name: pvars[name].grad.copy() for name in params}
 
     def eval_loss(arrays) -> float:
-        out = build_loss({n: Var(a) for n, a in arrays.items()})
-        return float(_data(out))
+        return float(_data(build_loss(dict(arrays))))
 
     numeric = {}
     for name, arr in params.items():

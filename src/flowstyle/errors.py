@@ -1,8 +1,11 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the integer check
+that raises one.
 
 Every failure mode the public API promises is represented by a distinct
 class so callers can discriminate without string matching.
 """
+
+import operator
 
 
 class FlowStyleError(Exception):
@@ -55,3 +58,12 @@ class VersionMismatchError(CheckpointError):
 
 class SizeMismatchError(CorruptCheckpointError):
     """Declared sizes disagree with the architecture or the file length."""
+
+
+def as_index(name, value) -> int:
+    """``value`` as an int via ``operator.index``; ShapeError naming
+    ``name`` when it is not an integer (a float such as 2.0 included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ShapeError(f"{name} must be an integer, got {value!r}") from None

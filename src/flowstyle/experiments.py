@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, as_index
 from .flows import FlowNet, FlowNetConfig, build_flownet
 from .metrics import gram_loss, recon_error, ssim
 from .training import LossNet, TrainConfig, build_lossnet, train
@@ -75,6 +75,7 @@ def leak_test(
     drifts monotonically. The style image is encoded once, so ``rounds``
     rounds take ``rounds + 1`` forward and ``rounds`` inverse passes.
     """
+    rounds = as_index("rounds", rounds)
     if rounds < 1:
         raise ShapeError(f"rounds must be >= 1, got {rounds}")
     f_s = _encode(model, style)

@@ -235,7 +235,7 @@ def nn_forward(x_a, w1, b1, w2, b2, w3, b3, maps=None):
     Zero-padded, stride 1; output shape equals input shape. Each layer is
     one :func:`autodiff.conv2d` call with its bias (and ReLU) fused, so a
     taped call records three nodes. Given ``maps`` (a walk's
-    :class:`_HiddenMaps`, untaped calls only), the two hidden maps are
+    :class:`_HiddenMaps`, array calls only), the two hidden maps are
     written into its buffers instead of fresh arrays.
     """
     h1 = h2 = None
@@ -321,10 +321,6 @@ class FlowNet:
         self.params = dict(params)
         self.actnorm_initialized = dict(actnorm_initialized)
 
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """All trainable parameters in fixed model order."""
-        return list(self.params.items())
-
     @property
     def initialized(self) -> bool:
         return all(self.actnorm_initialized.values())
@@ -366,7 +362,7 @@ class FlowNet:
         """Apply every layer (reversed when ``inverse``); ``params`` maps
         names to values that take the place of stored ones.
 
-        An untaped walk gives its couplings one :class:`_HiddenMaps`,
+        An array walk gives its couplings one :class:`_HiddenMaps`,
         made here and dropped on return, so concurrent walks share no
         buffer. A taped walk allocates every activation that its tape
         keeps.

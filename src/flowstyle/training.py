@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, as_index
 from .flows import FlowNet, initialize_actnorms
 from .transfer import adain, channel_stats
 
@@ -85,6 +85,8 @@ class TrainConfig:
     crop_size: int = 32
 
     def __post_init__(self):
+        for name in ("iterations", "batch_size", "crop_size", "seed"):
+            object.__setattr__(self, name, as_index(name, getattr(self, name)))
         if self.iterations < 0 or self.batch_size < 1 or self.crop_size < 1:
             raise ShapeError("iterations/batch_size/crop_size out of range")
         if self.seed < 0:

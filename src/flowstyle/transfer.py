@@ -27,13 +27,12 @@ and then return Vars, so training differentiates through the same
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, as_index
 from .linalg import SymMatrix, matmul, sym_pows
 
 EPS_STD = 1e-6
@@ -76,11 +75,7 @@ class TransferKind:
         if self.name not in _KINDS:
             raise ShapeError(f"unknown transfer kind {self.name!r}; known: {_KINDS}")
         for field in ("patch_size", "stride"):
-            value = getattr(self, field)
-            try:
-                object.__setattr__(self, field, operator.index(value))
-            except TypeError:
-                raise ShapeError(f"{field} must be an integer, got {value!r}") from None
+            object.__setattr__(self, field, as_index(field, getattr(self, field)))
         if self.patch_size < 1 or self.patch_size % 2 == 0:
             raise ShapeError(f"patch_size must be odd and >= 1, got {self.patch_size}")
         if self.stride < 1:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flowstyle.autodiff as ad
-from flowstyle.errors import NumericError, ShapeError
+from flowstyle.errors import NumericError, ShapeError, StateError
 from flowstyle.experiments import leak_test, stylize
 from flowstyle.flows import FlowNetConfig, build_flownet, initialize_actnorms
 from flowstyle.linalg import mat_inverse
@@ -148,28 +148,28 @@ def outputs(result):
 
 
 class TestReturnKind:
-    """Arrays in give ndarrays out; any Var operand gives Vars out."""
+    """Arrays in give ndarrays out; any Var operand gives Vars on its tape out."""
 
     @pytest.mark.parametrize("name,op,shapes", OP_CASES, ids=CASE_IDS)
-    def test_arrays_untaped_and_taped(self, name, op, shapes):
+    def test_arrays_and_taped_vars(self, name, op, shapes):
         arrays = operands(shapes)
         plain = outputs(op(*arrays))
         assert all(type(out) is np.ndarray for out in plain)
-        untaped = outputs(op(*(ad.Var(a) for a in arrays)))
-        assert all(isinstance(out, ad.Var) and out.tape is None for out in untaped)
         tape = ad.Tape()
         taped = outputs(op(*(ad.Var(a, tape) for a in arrays)))
         assert all(isinstance(out, ad.Var) and out.tape is tape for out in taped)
         assert tape.nodes
-        for want, *got in zip(plain, untaped, taped):
-            for out in got:
-                np.testing.assert_array_equal(out.data, want)
+        for want, got in zip(plain, taped):
+            np.testing.assert_array_equal(got.data, want)
 
     @pytest.mark.parametrize("name,op,shapes", MULTI_CASES, ids=[c[0] for c in MULTI_CASES])
     def test_one_var_operand_gives_var(self, name, op, shapes):
         args = operands(shapes)
-        args[-1] = ad.Var(args[-1])
-        assert isinstance(op(*args), ad.Var)
+        tape = ad.Tape()
+        args[-1] = ad.Var(args[-1], tape)
+        out = op(*args)
+        assert isinstance(out, ad.Var) and out.tape is tape
+        assert len(tape.nodes) == 1
 
 
 def test_inference_builds_no_var(monkeypatch):
@@ -189,7 +189,7 @@ def test_inference_builds_no_var(monkeypatch):
         stylize(model, kind, content, style, alpha=0.5)
         leak_test(model, kind, content, style, rounds=2)
     assert built == []
-    ad.Var(content)  # the count sees a Var when one is built
+    ad.Var(content, ad.Tape())  # the count sees a Var when one is built
     assert built == [ad.Var]
 
 
@@ -310,12 +310,14 @@ class TestBackwardContract:
     def test_non_scalar_root_rejected(self):
         tape = ad.Tape()
         x = ad.Var(np.ones(3), tape)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match="scalar"):
             ad.backward(ad.mul(x, 2.0))
 
-    def test_untaped_root_rejected(self):
-        with pytest.raises(ValueError):
-            ad.backward(ad.Var(np.float64(1.0)))
+    def test_var_without_tape_rejected(self):
+        with pytest.raises(StateError, match="Tape"):
+            ad.Var(np.float64(1.0), None)
+        with pytest.raises(ShapeError, match="Var"):
+            ad.backward(np.float64(1.0))
 
     def test_mixed_tapes_rejected(self):
         a = ad.Var(np.ones(2), ad.Tape())

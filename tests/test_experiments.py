@@ -236,3 +236,19 @@ class TestAblationRun:
         for line in lines[1:]:
             recon = float(line.split("\t")[1])
             assert recon < 1e-9
+
+
+NON_INTEGER_COUNTS = {
+    "rounds": lambda: leak_test(make_model(), ADAIN, *images(), rounds=2.5),
+    "iterations": lambda: TrainConfig(iterations=2.5),
+    "batch_size": lambda: TrainConfig(batch_size=1.5),
+    "crop_size": lambda: TrainConfig(crop_size=16.0),
+    "seed": lambda: TrainConfig(seed=1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_COUNTS))
+def test_non_integer_count_rejected(name):
+    """A count that is not an integer is a ShapeError naming the count."""
+    with pytest.raises(ShapeError, match=f"{name} must be an integer"):
+        NON_INTEGER_COUNTS[name]()

@@ -104,9 +104,9 @@ class TestActnorm:
     def test_double_init_rejected(self):
         # An initialized actnorm is never initialized again.
         model, _ = make_model()
-        before = {n: a.copy() for n, a in model.param_items()}
+        before = {n: a.copy() for n, a in model.params.items()}
         assert initialize_actnorms(model, np.full((2, 3, 8, 8), 7.0)) == []
-        for name, arr in model.param_items():
+        for name, arr in model.params.items():
             np.testing.assert_array_equal(arr, before[name])
 
 
@@ -355,7 +355,7 @@ class TestFlowNet:
         cfg = FlowNetConfig(1, 2, 4, 3, 8, 8)
         a = build_flownet(cfg, seed=3)
         b = build_flownet(cfg, seed=3)
-        for (na, pa), (nb, pb) in zip(a.param_items(), b.param_items()):
+        for (na, pa), (nb, pb) in zip(a.params.items(), b.params.items()):
             assert na == nb
             np.testing.assert_array_equal(pa, pb)
 
@@ -370,13 +370,13 @@ class TestFlowNet:
         model, batch = make_model(n_blocks=1, n_flows=2, shape=(1, 3, 8, 8))
         randomize_couplings(model, seed=7)
         tape = ad.Tape()
-        pvars = {name: ad.Var(arr, tape) for name, arr in model.param_items()}
+        pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
         out = model.forward(ad.Var(batch[:1], tape), params=pvars)
         np.testing.assert_array_equal(out.data, model.forward(batch[:1]))
 
 
 class TestWalkBuffers:
-    """Untaped walks write the couplings' hidden maps into per-walk buffers."""
+    """Array walks write the couplings' hidden maps into per-walk buffers."""
 
     @staticmethod
     def model():
@@ -390,7 +390,7 @@ class TestWalkBuffers:
         model, batch = self.model()
         z = np.random.default_rng(4).standard_normal((2, 48, 4, 4))
         tape = ad.Tape()
-        pvars = {name: ad.Var(arr, tape) for name, arr in model.param_items()}
+        pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
         np.testing.assert_array_equal(
             model.forward(batch, params=pvars).data, model.forward(batch)
         )

@@ -165,7 +165,7 @@ class TestCheckpoint:
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, model)
         loaded = load_checkpoint(p)
-        for (na, pa), (nb, pb) in zip(model.param_items(), loaded.param_items()):
+        for (na, pa), (nb, pb) in zip(model.params.items(), loaded.params.items()):
             assert na == nb
             np.testing.assert_array_equal(pa, pb)
 
@@ -278,7 +278,7 @@ def exact_model():
     exact in float64 whatever the summation order.
     """
     model = build_flownet(FlowNetConfig(1, 2, 2, 1, 4, 4))
-    for i, (_, arr) in enumerate(model.param_items()):
+    for i, (_, arr) in enumerate(model.params.items()):
         arr[...] = ((np.arange(arr.size) * 3 + i) % 7 - 3).reshape(arr.shape) / 4.0
     batch = np.zeros((1, 1, 4, 4))
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
