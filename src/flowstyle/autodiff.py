@@ -334,16 +334,17 @@ def conv2d(
       nothing, so no padded copy is made. Scratch: the (B, kh*kw*O, H*W)
       product.
 
-    Backward picks the side the same way for the input gradient (a
-    transposed convolution, so the roles of I and O swap): for I <= O it
-    adds the taps of one GEMM product into the unpadded gradient through
-    the same clipped taps; for I > O it correlates the stride-dilated,
-    padded output gradient with the flipped kernel, an (O*kh*kw, Hp*Wp)
-    matrix per image. The kernel gradient is one ``tensordot`` of the
-    output gradient with the windows of the padded input, which backward
-    builds only when the kernel takes a gradient. The tape keeps the
-    input, the kernel and the output, never a padded copy, a window
-    buffer or a ReLU mask.
+    Each side's backward is its transpose through the same clipped taps.
+    For I <= O the input gradient adds the taps of ``k`` as (I*kh*kw, O)
+    @ the output gradient into the unpadded gradient, and the kernel
+    gradient is one ``tensordot`` of the output gradient with the windows
+    of the padded input. For I > O each tap's slice of the output
+    gradient goes to the input it read, under the flipped tap, in a
+    (B, O*kh*kw, H*W) matrix; the flipped kernel as (I, O*kh*kw) @ that
+    matrix is the input gradient, and its product with the unpadded
+    input the kernel gradient. The kernel gradient is computed only when
+    the kernel takes one. The tape keeps the input, the kernel and the
+    output, never a padded copy, a window buffer or a ReLU mask.
 
     ``out``, as in numpy, is a C-contiguous float64 array of the output's
     shape that receives the result (bias and ReLU applied), and is what
@@ -390,7 +391,9 @@ def conv2d(
     macs = b * n_out * n_in * kh * kw * h_out * w_out
     with blas_threads(macs):
         if n_in <= n_out:
-            _im2col_gemm(_padded(dx, pad), dk.reshape(n_out, -1), taps, out)
+            cols = taps.windows(_padded(dx, pad)).transpose(0, 1, 4, 5, 2, 3)
+            np.matmul(dk.reshape(n_out, -1), cols.reshape(b, -1, h_out * w_out),
+                      out=out.reshape(b, n_out, -1))
         else:
             prod = dk.transpose(2, 3, 0, 1).reshape(-1, n_in) @ dx.reshape(b, n_in, -1)
             prod = prod.reshape(b, kh, kw, n_out, h, w)
@@ -415,20 +418,22 @@ def conv2d(
                 gx = np.zeros_like(dx)
                 for u, v, o_rows, o_cols, rows, cols in taps.clipped():
                     gx[:, :, rows, cols] += per_tap[:, :, u, v, o_rows, o_cols]
+                if isinstance(k, Var):
+                    windows = taps.windows(_padded(dx, pad))
+                    _accum(k, np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
             else:
-                # Transposed conv as a correlation of the stride-dilated,
-                # (k-1)-padded output gradient with the flipped kernel.
-                hp, wp = h + 2 * pad, w + 2 * pad
-                gd = np.zeros((b, n_out, hp + kh - 1, wp + kw - 1))
-                gd[:, :, kh - 1 : kh - 1 + stride * h_out : stride,
-                   kw - 1 : kw - 1 + stride * w_out : stride] = g
+                # The transpose of kn2row: each tap's output gradient at the
+                # input it read, under the flipped tap.
+                g_taps = np.zeros((b, n_out, kh, kw, h, w))
+                for u, v, o_rows, o_cols, rows, cols in taps.clipped():
+                    g_taps[:, :, kh - 1 - u, kw - 1 - v, rows, cols] = g[:, :, o_rows, o_cols]
+                g_taps = g_taps.reshape(b, -1, h * w)
                 flipped = dk[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
-                gx = _im2col_gemm(gd, flipped, _Taps(kh, kw, 1, 0, *gd.shape[2:]))
-                gx = gx[:, :, pad : pad + h, pad : pad + w]
+                gx = (flipped @ g_taps).reshape(dx.shape)
+                if isinstance(k, Var):
+                    gk = np.tensordot(g_taps, dx.reshape(b, n_in, -1), axes=([0, 2], [0, 2]))
+                    _accum(k, gk.reshape(n_out, kh, kw, n_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2))
             _accum(x, gx)
-            if isinstance(k, Var):
-                windows = taps.windows(_padded(dx, pad))
-                _accum(k, np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
 
     return _record(tape, "conv2d", out, back, (x, k, bias))
 
@@ -496,21 +501,6 @@ def _clip_axis(k, n, n_out, s, p):
             start = lo * s + u - p
             taps.append((u, slice(lo, hi), slice(start, start + s * (hi - lo - 1) + 1, s)))
     return taps
-
-
-def _im2col_gemm(xp, kmat, taps, out=None):
-    """Correlate ``xp`` with ``kmat`` (O, I*kh*kw) as one GEMM over its
-    windows, into ``out`` (B, O, Ho, Wo) when given."""
-    b, n_in = xp.shape[:2]
-    cols = (
-        taps.windows(xp)
-        .transpose(0, 1, 4, 5, 2, 3)
-        .reshape(b, n_in * taps.kh * taps.kw, taps.h_out * taps.w_out)
-    )
-    if out is None:
-        out = np.empty((b, kmat.shape[0], taps.h_out, taps.w_out))
-    np.matmul(kmat, cols, out=out.reshape(b, kmat.shape[0], -1))
-    return out
 
 
 def _mix(m, x):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateScaleError, ShapeError, StateError
+from .errors import DegenerateScaleError, ShapeError, StateError, as_index
 from .linalg import mat_inverse
 
 ACTNORM_SCALE_FLOOR = 1e-6
@@ -110,8 +110,10 @@ class FlowNetConfig:
         for name in (
             "n_blocks", "n_flows", "hidden", "in_channels", "in_height", "in_width"
         ):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be positive, got {getattr(self, name)}")
+            value = as_index(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+            if value < 1:
+                raise ShapeError(f"{name} must be positive, got {value}")
         # No extent of at most n_blocks bits is divisible by a power that
         # large; testing that first spares a huge n_blocks a huge power.
         extents = (self.in_height, self.in_width)
@@ -386,7 +388,7 @@ def build_flownet(config: FlowNetConfig, seed: int = 0) -> FlowNet:
     Gaussian, determinant-sign fixed), and actnorms await data-dependent
     initialization.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_index("seed", seed))
     params = {}
     for layer in config.layers():
         for name, shape in layer.shapes.items():
@@ -433,7 +435,7 @@ def randomize_couplings(model: FlowNet, seed: int = 0, scale: float = 1.0):
     ``scale`` multiplies the 1/sqrt(fan_in) weight magnitude. Per
     coupling the three kernels are drawn first, then the three biases.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_index("seed", seed))
     for layer in model.layers:
         if layer.kind != "coupling":
             continue

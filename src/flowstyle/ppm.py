@@ -99,7 +99,8 @@ def quantize(t: np.ndarray) -> np.ndarray:
 def write_image(path, t) -> None:
     """Write a (1, 3, H, W) or (3, H, W) tensor as a canonical P6 file.
 
-    Non-finite pixels raise :class:`NumericError`; nothing is written.
+    Non-finite pixels raise :class:`NumericError` and an empty image
+    :class:`ShapeError`; nothing is written.
 
     The write is atomic: bytes go to a temp file in the target directory
     which is then renamed over the destination.
@@ -109,8 +110,8 @@ def write_image(path, t) -> None:
         if a.shape[0] != 1:
             raise ShapeError(f"can only write single images, got batch {a.shape[0]}")
         a = a[0]
-    if a.ndim != 3 or a.shape[0] != 3:
-        raise ShapeError(f"expected (3,H,W) pixels, got shape {a.shape}")
+    if a.ndim != 3 or a.shape[0] != 3 or a.size == 0:
+        raise ShapeError(f"expected (3,H,W) pixels with H, W >= 1, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NumericError("image contains NaN or inf pixels")
     h, w = a.shape[1], a.shape[2]

@@ -60,9 +60,9 @@ class LossNet:
 def build_lossnet(
     seed: int = 0, in_channels: int = 3, widths=LOSSNET_WIDTHS
 ) -> LossNet:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_index("seed", seed))
     kernels, biases = [], []
-    c_in = in_channels
+    c_in = as_index("in_channels", in_channels)
     for width in widths:
         fan_in = c_in * 9
         kernels.append(rng.standard_normal((width, c_in, 3, 3)) * np.sqrt(2.0 / fan_in))

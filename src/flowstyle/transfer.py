@@ -233,6 +233,7 @@ def patch_swap(f_c, f_s, patch_size: int = 3, stride: int = 1) -> np.ndarray:
     b = _check_feature(f_s, "style feature", arrays_only=True)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"channel mismatch: content {a.shape[1]}, style {b.shape[1]}")
+    patch_size, stride = as_index("patch_size", patch_size), as_index("stride", stride)
     if patch_size < 1 or stride < 1:
         raise ShapeError("patch_size and stride must be >= 1")
     for name, arr in (("content", a), ("style", b)):

@@ -457,6 +457,23 @@ def direct_conv(x, k, stride, pad):
     return out
 
 
+def direct_conv_grads(x, k, stride, pad, probe):
+    """Reference gradients of ``sum(direct_conv(x, k) * probe)`` w.r.t. x
+    and k: each output value's probe weight spread over its window."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp, gk = np.zeros_like(xp), np.zeros_like(k)
+    o, _, kh, kw = k.shape
+    for b in range(x.shape[0]):
+        for c in range(o):
+            for i in range(probe.shape[2]):
+                for j in range(probe.shape[3]):
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    gxp[b, :, rows, cols] += probe[b, c, i, j] * k[c]
+                    gk[c] += probe[b, c, i, j] * xp[b, :, rows, cols]
+    return gxp[:, :, pad : pad + x.shape[2], pad : pad + x.shape[3]], gk
+
+
 def direct_mix(x, w):
     """Reference channel mix: one explicit sum over input channels per output."""
     out = np.zeros((x.shape[0], w.shape[0]) + x.shape[2:])
@@ -487,6 +504,25 @@ class TestConvKernels:
         k = rng.standard_normal((n_out, n_in, ksize, ksize))
         assert_rel_close(ad.conv2d(x, k, stride=stride, pad=pad),
                          direct_conv(x, k, stride, pad))
+
+    @pytest.mark.parametrize("channels", ORIENTATIONS)
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 2, 5])
+    def test_conv2d_gradients_match_reference(self, channels, ksize, stride, pad):
+        # Pad 5 with a 3x3 kernel puts whole tap rows in the padding.
+        n_in, n_out = channels
+        rng = np.random.default_rng(40 + 10 * n_in + n_out)
+        x = rng.standard_normal((2, n_in, 7, 9))
+        k = rng.standard_normal((n_out, n_in, ksize, ksize))
+        tape = ad.Tape()
+        xv, kv = ad.Var(x, tape), ad.Var(k, tape)
+        y = ad.conv2d(xv, kv, stride=stride, pad=pad)
+        probe = rng.standard_normal(y.shape)
+        ad.backward(ad.sum_all(ad.mul(y, probe)))
+        gx, gk = direct_conv_grads(x, k, stride, pad, probe)
+        assert_rel_close(xv.grad, gx)
+        assert_rel_close(kv.grad, gk)
 
     @pytest.mark.parametrize("channels", ORIENTATIONS)
     @pytest.mark.parametrize("ksize,pad", [(3, 1), (1, 0)])

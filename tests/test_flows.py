@@ -24,6 +24,7 @@ from flowstyle.flows import (
     randomize_couplings,
     squeeze_apply,
 )
+from flowstyle.training import build_lossnet
 
 
 def make_model(n_blocks=1, n_flows=2, hidden=4, shape=(2, 3, 8, 8), seed=0):
@@ -251,6 +252,27 @@ class TestConfig:
     def test_positive_counts_enforced(self):
         with pytest.raises(ShapeError):
             FlowNetConfig(0, 2, 8, 3, 32, 32)
+
+    @pytest.mark.parametrize(
+        "name,make",
+        [
+            ("hidden", lambda: build_flownet(FlowNetConfig(1, 2, 4.5, 3, 16, 16))),
+            ("in_height", lambda: FlowNetConfig(1, 2, 4, 3, 16.0, 16)),
+            ("seed", lambda: build_flownet(FlowNetConfig(1, 2, 4, 3, 16, 16), seed=1.5)),
+            ("seed", lambda: randomize_couplings(make_model()[0], seed=1.5)),
+            ("seed", lambda: build_lossnet(1.5, 3)),
+            ("in_channels", lambda: build_lossnet(0, 3.0)),
+        ],
+        ids=["config", "extent", "build-seed", "randomize-seed", "lossnet-seed",
+             "lossnet-channels"],
+    )
+    def test_non_integer_count_or_seed_rejected(self, name, make):
+        with pytest.raises(ShapeError, match=name):
+            make()
+
+    def test_integer_like_counts_become_int(self):
+        cfg = FlowNetConfig(np.int64(1), 2, np.int32(4), 3, 16, 16)
+        assert (type(cfg.n_blocks), type(cfg.hidden)) == (int, int)
 
 
 class TestFlowNet:

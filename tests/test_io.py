@@ -133,6 +133,12 @@ class TestPpm:
         with pytest.raises(ShapeError):
             write_image(tmp_path / "x.ppm", np.zeros((2, 3, 4, 4)))
 
+    @pytest.mark.parametrize("shape", [(3, 0, 5), (3, 5, 0), (1, 3, 0, 0)])
+    def test_write_rejects_empty_extent(self, tmp_path, shape):
+        with pytest.raises(ShapeError):
+            write_image(tmp_path / "x.ppm", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_write_rejects_non_finite_pixels(self, tmp_path, bad):
         img = np.full((1, 3, 2, 2), 0.5)

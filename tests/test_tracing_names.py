@@ -71,3 +71,15 @@ def test_tracer_sees_the_transfers():
     children = [span[0] for span in tracer.spans if span[3] == wct_span]
     assert children.count("transfer.cov_factor") == 2
     assert "transfer.adain" in names
+
+
+def test_traced_train_step_times_conv2d_backward(monkeypatch, tmp_path):
+    """A traced ``train-tiny`` run passes its checks and times conv2d's
+    backward per tape node."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    harness = importlib.import_module("harness")
+    workloads = importlib.import_module("workloads")
+    result = harness.measure(workloads.paper_workloads()["train-tiny"], 3, 0.2, True, tmp_path)
+    assert result.correct
+    assert result.failed == 0
+    assert result.metrics["autodiff.back.conv2d.s"][0] > 0

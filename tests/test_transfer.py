@@ -318,6 +318,14 @@ class TestPatchSwap:
         with pytest.raises(ShapeError):
             patch_swap(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2)), patch_size=3)
 
+    @pytest.mark.parametrize(
+        "field,value", [("patch_size", 2.5), ("patch_size", 3.0), ("stride", 1.5)]
+    )
+    def test_non_integer_patch_parameter_rejected(self, field, value):
+        f = random_feature((1, 2, 6, 6), seed=40)
+        with pytest.raises(ShapeError, match=field):
+            patch_swap(f, f, **{field: value})
+
 
 class TestTransferApply:
     def test_alpha_zero_returns_content(self):
