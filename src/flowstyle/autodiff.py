@@ -14,7 +14,10 @@ no gradient reached and drops each node's closure, inputs and outputs
 as soon as it has run, so an activation and its gradient are freed
 once no node still to run can reach them: the peak is the forward
 pass's activations plus the gradients in flight, not twice the
-activations.
+activations. The activations are fewer where a layer records one node
+for a whole composition: the additive coupling in
+:mod:`flowstyle.flows` keeps only its output and recomputes its hidden
+maps in backward, so no tape holds them.
 
 Ops accept plain ndarrays or python scalars anywhere a Var is allowed;
 those operands are constants and receive no gradient. Every Var lives on
@@ -342,9 +345,11 @@ def conv2d(
     gradient goes to the input it read, under the flipped tap, in a
     (B, O*kh*kw, H*W) matrix; the flipped kernel as (I, O*kh*kw) @ that
     matrix is the input gradient, and its product with the unpadded
-    input the kernel gradient. The kernel gradient is computed only when
-    the kernel takes one. The tape keeps the input, the kernel and the
-    output, never a padded copy, a window buffer or a ReLU mask.
+    input the kernel gradient. Each gradient is computed only when its
+    operand takes one, by :func:`_conv2d_grads`, which the coupling's
+    node in :mod:`flowstyle.flows` also calls. The tape keeps the input,
+    the kernel and the output, never a padded copy, a window buffer or a
+    ReLU mask.
 
     ``out``, as in numpy, is a C-contiguous float64 array of the output's
     shape that receives the result (bias and ReLU applied), and is what
@@ -406,36 +411,65 @@ def conv2d(
         np.maximum(out, 0.0, out=out)
 
     def back(g):
-        if relu:
-            g = g * (out > 0.0)
-        if bias is not None:
-            _accum(bias, _unbroadcast(g, (1, n_out, 1, 1)).reshape(n_out))
-        with blas_threads(macs):
-            if n_in <= n_out:
-                per_tap = (dk.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
-                    b, n_in, kh, kw, h_out, w_out
-                )
-                gx = np.zeros_like(dx)
-                for u, v, o_rows, o_cols, rows, cols in taps.clipped():
-                    gx[:, :, rows, cols] += per_tap[:, :, u, v, o_rows, o_cols]
-                if isinstance(k, Var):
-                    windows = taps.windows(_padded(dx, pad))
-                    _accum(k, np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
-            else:
-                # The transpose of kn2row: each tap's output gradient at the
-                # input it read, under the flipped tap.
-                g_taps = np.zeros((b, n_out, kh, kw, h, w))
-                for u, v, o_rows, o_cols, rows, cols in taps.clipped():
-                    g_taps[:, :, kh - 1 - u, kw - 1 - v, rows, cols] = g[:, :, o_rows, o_cols]
-                g_taps = g_taps.reshape(b, -1, h * w)
-                flipped = dk[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
-                gx = (flipped @ g_taps).reshape(dx.shape)
-                if isinstance(k, Var):
-                    gk = np.tensordot(g_taps, dx.reshape(b, n_in, -1), axes=([0, 2], [0, 2]))
-                    _accum(k, gk.reshape(n_out, kh, kw, n_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2))
-            _accum(x, gx)
+        gb, gx, gk = _conv2d_grads(
+            g, dx, dk, stride, pad, out if relu else None,
+            bias=isinstance(bias, Var), want_x=isinstance(x, Var),
+            want_k=isinstance(k, Var),
+        )
+        _accum(bias, gb)
+        _accum(k, gk)
+        _accum(x, gx)
 
     return _record(tape, "conv2d", out, back, (x, k, bias))
+
+
+def _conv2d_grads(
+    g, x, k, stride, pad, relu_out=None, bias=False, want_x=True, want_k=True
+):
+    """The (bias, input, kernel) gradients of one :func:`conv2d` from its
+    output gradient ``g``, each None unless wanted.
+
+    ``x`` and ``k`` are the forward's arrays and ``stride`` and ``pad``
+    its geometry. ``relu_out`` is the forward's output when it fused a
+    ReLU: ``g`` is then masked by ``relu_out > 0`` in place, so it must
+    be a buffer that nothing else reads. ``bias`` asks for the bias
+    gradient.
+    """
+    n_out, n_in, kh, kw = k.shape
+    b, _, h, w = x.shape
+    taps = _Taps(kh, kw, stride, pad, h, w)
+    h_out, w_out = taps.h_out, taps.w_out
+    if relu_out is not None:
+        np.multiply(g, relu_out > 0.0, out=g)
+    gb = gx = gk = None
+    if bias:
+        gb = _unbroadcast(g, (1, n_out, 1, 1)).reshape(n_out)
+    with blas_threads(b * n_out * n_in * kh * kw * h_out * w_out):
+        if n_in <= n_out:
+            if want_x:
+                per_tap = (k.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
+                    b, n_in, kh, kw, h_out, w_out
+                )
+                gx = np.zeros_like(x)
+                for u, v, o_rows, o_cols, rows, cols in taps.clipped():
+                    gx[:, :, rows, cols] += per_tap[:, :, u, v, o_rows, o_cols]
+            if want_k:
+                windows = taps.windows(_padded(x, pad))
+                gk = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
+        else:
+            # The transpose of kn2row: each tap's output gradient at the
+            # input it read, under the flipped tap.
+            g_taps = np.zeros((b, n_out, kh, kw, h, w))
+            for u, v, o_rows, o_cols, rows, cols in taps.clipped():
+                g_taps[:, :, kh - 1 - u, kw - 1 - v, rows, cols] = g[:, :, o_rows, o_cols]
+            g_taps = g_taps.reshape(b, -1, h * w)
+            if want_x:
+                flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
+                gx = (flipped @ g_taps).reshape(x.shape)
+            if want_k:
+                gk = np.tensordot(g_taps, x.reshape(b, n_in, -1), axes=([0, 2], [0, 2]))
+                gk = gk.reshape(n_out, kh, kw, n_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    return gb, gx, gk
 
 
 def _int_at_least(name, value, least):

@@ -60,10 +60,14 @@ class SizeMismatchError(CorruptCheckpointError):
     """Declared sizes disagree with the architecture or the file length."""
 
 
-def as_index(name, value) -> int:
+def as_index(name, value, least=None) -> int:
     """``value`` as an int via ``operator.index``; ShapeError naming
-    ``name`` when it is not an integer (a float such as 2.0 included)."""
+    ``name`` when it is not an integer (a float such as 2.0 included) or
+    is below ``least``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ShapeError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ShapeError(f"{name} must be at least {least}, got {value}")
+    return value

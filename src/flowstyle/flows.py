@@ -18,11 +18,12 @@ arrays in give arrays out and taped :class:`~flowstyle.autodiff.Var`
 values give taped Vars: the trainer differentiates through both
 directions of the network while inference stays tape-free.
 
-A tape-free walk writes the couplings' hidden maps into two buffers that
-belong to that walk alone: the couplings of a block reuse them, and they
-are dropped when the walk returns. Nothing is cached on the module or
-the model, so concurrent reads of one model stay safe. A taped walk
-uses no buffer: it allocates every activation its tape keeps.
+Every walk writes the couplings' hidden maps into two buffers that
+belong to that walk alone: the couplings of a block reuse them. A taped
+coupling records one node that keeps only its output and recomputes its
+hidden maps into the same buffers in backward, so a training tape holds
+no hidden map. Nothing is cached on the module or the model, so
+concurrent reads of one model stay safe.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateScaleError, ShapeError, StateError, as_index
+from .errors import (
+    DegenerateScaleError,
+    NumericError,
+    ShapeError,
+    StateError,
+    as_index,
+)
 from .linalg import mat_inverse
 
 ACTNORM_SCALE_FLOOR = 1e-6
@@ -110,10 +117,7 @@ class FlowNetConfig:
         for name in (
             "n_blocks", "n_flows", "hidden", "in_channels", "in_height", "in_width"
         ):
-            value = as_index(name, getattr(self, name))
-            object.__setattr__(self, name, value)
-            if value < 1:
-                raise ShapeError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, as_index(name, getattr(self, name), 1))
         # No extent of at most n_blocks bits is divisible by a power that
         # large; testing that first spares a huge n_blocks a huge power.
         extents = (self.in_height, self.in_width)
@@ -231,38 +235,97 @@ def invconv_apply(x, weight, inverse: bool = False):
     return ad.channel_mix(x, weight)
 
 
-def nn_forward(x_a, w1, b1, w2, b2, w3, b3, maps=None):
+def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
     """The coupling's inner network: 3x3 -> ReLU -> 1x1 -> ReLU -> 3x3.
 
     Zero-padded, stride 1; output shape equals input shape. Each layer is
     one :func:`autodiff.conv2d` call with its bias (and ReLU) fused, so a
-    taped call records three nodes. Given ``maps`` (a walk's
-    :class:`_HiddenMaps`, array calls only), the two hidden maps are
-    written into its buffers instead of fresh arrays.
+    taped call records three nodes. :func:`coupling_apply` runs the same
+    convolutions but records one node; composed with ``split_half``,
+    ``add``/``sub`` and ``concat_half``, this per-op graph is the
+    reference that its values and gradients are tested against.
     """
-    h1 = h2 = None
-    if maps is not None:
-        b, _, h, w = ad._data(x_a).shape
-        h1, h2 = maps.pair((b, ad._data(w1).shape[0], h, w))
-    h = ad.conv2d(x_a, w1, b1, pad=1, relu=True, out=h1)
-    h = ad.conv2d(h, w2, b2, pad=0, relu=True, out=h2)
+    h = ad.conv2d(x_a, w1, b1, pad=1, relu=True)
+    h = ad.conv2d(h, w2, b2, pad=0, relu=True)
     return ad.conv2d(h, w3, b3, pad=1)
 
 
+def _hidden(x_a, w1, b1, w2, b2, maps):
+    """The inner network's two hidden maps of the array ``x_a``, written
+    into the buffers of ``maps``."""
+    b, _, h, w = x_a.shape
+    h1, h2 = maps.pair((b, w1.shape[0], h, w))
+    ad.conv2d(x_a, w1, b1, pad=1, relu=True, out=h1)
+    ad.conv2d(h1, w2, b2, pad=0, relu=True, out=h2)
+    return h1, h2
+
+
 def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False, maps=None):
-    """Additive coupling: y = concat(x_a, x_b + NN(x_a)); exact inverse."""
-    x_a, x_b = ad.split_half(x)
-    shift = nn_forward(x_a, w1, b1, w2, b2, w3, b3, maps)
-    y_b = ad.sub(x_b, shift) if inverse else ad.add(x_b, shift)
-    return ad.concat_half(x_a, y_b)
+    """Additive coupling: y = concat(x_a, x_b + NN(x_a)); exact inverse.
+
+    The output is computed on arrays, with the hidden maps in the
+    buffers of ``maps`` (a walk's :class:`_HiddenMaps`; a fresh one when
+    None) and ``y_b`` written straight into the output. When any operand
+    is a Var, the result is a Var with one ``coupling`` node whose only
+    kept array is that output. Its backward takes ``x_a`` from the
+    output, recomputes the two hidden maps from it and runs the three
+    convolution gradients, so the tape holds no hidden map. Values and
+    gradients equal (``array_equal``) those of the per-op graph
+    ``split_half`` -> :func:`nn_forward` -> ``add`` (``sub`` for the
+    inverse) -> ``concat_half``.
+    """
+    weights = (w1, b1, w2, b2, w3, b3)
+    dx = ad._data(x)
+    dw1, db1, dw2, db2, dw3, db3 = (ad._data(p) for p in weights)
+    if dx.ndim != 4 or dx.shape[1] % 2:
+        raise ShapeError(f"coupling needs a (B,C,H,W) input with even C, got {dx.shape}")
+    half = dx.shape[1] // 2
+    tape = ad._tape_of(x, *weights)
+    if maps is None:
+        maps = _HiddenMaps()
+    x_a, x_b = dx[:, :half], dx[:, half:]
+    _, h2 = _hidden(x_a, dw1, db1, dw2, db2, maps)
+    shift = ad.conv2d(h2, dw3, db3, pad=1)
+    y = np.empty(dx.shape)
+    y[:, :half] = x_a
+    (np.subtract if inverse else np.add)(x_b, shift, out=y[:, half:])
+    if tape is None:
+        return y
+
+    def conv_grads(g, h, w, b, pad, relu_out=None, want_x=True):
+        return ad._conv2d_grads(
+            g, h, ad._data(w), 1, pad, relu_out, bias=isinstance(b, ad.Var),
+            want_x=want_x, want_k=isinstance(w, ad.Var),
+        )
+
+    def back(g):
+        x_a, g_a, g_b = y[:, :half], g[:, :half], g[:, half:]
+        h1, h2 = _hidden(x_a, dw1, db1, dw2, db2, maps)
+        gb3, gh2, gw3 = conv_grads(-g_b if inverse else g_b, h2, w3, b3, 1)
+        gb2, gh1, gw2 = conv_grads(gh2, h1, w2, b2, 0, h2)
+        gb1, gx_a, gw1 = conv_grads(gh1, x_a, w1, b1, 1, h1, isinstance(x, ad.Var))
+        for p, grad in zip(weights, (gw1, gb1, gw2, gb2, gw3, gb3)):
+            ad._accum(p, grad)
+        if isinstance(x, ad.Var):
+            # The per-op graph's order: x_a's gradient is g_a + conv1's input
+            # gradient, then each half adds into x's (zero-started) buffer.
+            gx_a += g_a
+            if x.grad is None:
+                x.grad = np.zeros_like(dx)
+            x.grad[:, :half] += gx_a
+            x.grad[:, half:] += g_b
+
+    return ad._record(tape, "coupling", y, back, (x, *weights))
 
 
 class _HiddenMaps:
     """The two hidden-map buffers that the couplings of one walk share.
 
-    Every coupling of a block writes its hidden maps into the same pair;
-    a coupling of another shape replaces it. No result of a walk is
-    one of these buffers, so they die with the walk.
+    Every coupling of a block writes its hidden maps into the same pair,
+    in the forward and again when its tape node recomputes them in
+    backward; a coupling of another shape replaces the pair. No result
+    of a walk is one of these buffers, so they die with the walk and
+    with its couplings' tape nodes.
     """
 
     __slots__ = ("_pair",)
@@ -346,13 +409,19 @@ class FlowNet:
             raise StateError("actnorm layers are uninitialized; run initialize_actnorms")
 
     def forward(self, x, params=None):
-        """Project an image batch to its latent feature (the encoder)."""
+        """Project an image batch to its latent feature (the encoder).
+
+        A NaN or infinite pixel raises NumericError.
+        """
         self._check_image(ad._data(x))
         self._require_initialized()
         return self._walk(x, params, inverse=False)
 
     def inverse(self, z, params=None):
-        """Map a latent feature back to image space (the exact decoder)."""
+        """Map a latent feature back to image space (the exact decoder).
+
+        A NaN or infinite value raises NumericError.
+        """
         data = ad._data(z)
         c_lat = self.config.latent_shape()[0]
         if data.ndim != 4 or data.shape[1] != c_lat:
@@ -362,15 +431,19 @@ class FlowNet:
 
     def _walk(self, v, params, inverse):
         """Apply every layer (reversed when ``inverse``); ``params`` maps
-        names to values that take the place of stored ones.
+        names to values that take the place of stored ones. A non-finite
+        input raises NumericError before any layer runs.
 
-        An array walk gives its couplings one :class:`_HiddenMaps`,
-        made here and dropped on return, so concurrent walks share no
-        buffer. A taped walk allocates every activation that its tape
-        keeps.
+        Every walk gives its couplings one :class:`_HiddenMaps`, made
+        here, so concurrent walks share no buffer. An array walk drops it
+        on return; a taped walk's coupling nodes keep it to recompute
+        their hidden maps in backward, and keep no hidden map themselves.
         """
+        if not np.isfinite(ad._data(v)).all():
+            what = "latent" if inverse else "image"
+            raise NumericError(f"{what} input holds NaN or infinite values")
         store = self.params if params is None else {**self.params, **params}
-        maps = None if ad._tape_of(v, *store.values()) else _HiddenMaps()
+        maps = _HiddenMaps()
         for layer in reversed(self.layers) if inverse else self.layers:
             weights = (store[name] for name in layer.shapes)
             if layer.kind == "coupling":
@@ -388,7 +461,7 @@ def build_flownet(config: FlowNetConfig, seed: int = 0) -> FlowNet:
     Gaussian, determinant-sign fixed), and actnorms await data-dependent
     initialization.
     """
-    rng = np.random.default_rng(as_index("seed", seed))
+    rng = np.random.default_rng(as_index("seed", seed, 0))
     params = {}
     for layer in config.layers():
         for name, shape in layer.shapes.items():
@@ -435,7 +508,7 @@ def randomize_couplings(model: FlowNet, seed: int = 0, scale: float = 1.0):
     ``scale`` multiplies the 1/sqrt(fan_in) weight magnitude. Per
     coupling the three kernels are drawn first, then the three biases.
     """
-    rng = np.random.default_rng(as_index("seed", seed))
+    rng = np.random.default_rng(as_index("seed", seed, 0))
     for layer in model.layers:
         if layer.kind != "coupling":
             continue

@@ -60,9 +60,9 @@ class LossNet:
 def build_lossnet(
     seed: int = 0, in_channels: int = 3, widths=LOSSNET_WIDTHS
 ) -> LossNet:
-    rng = np.random.default_rng(as_index("seed", seed))
+    rng = np.random.default_rng(as_index("seed", seed, 0))
     kernels, biases = [], []
-    c_in = as_index("in_channels", in_channels)
+    c_in = as_index("in_channels", in_channels, 1)
     for width in widths:
         fan_in = c_in * 9
         kernels.append(rng.standard_normal((width, c_in, 3, 3)) * np.sqrt(2.0 / fan_in))
@@ -85,12 +85,10 @@ class TrainConfig:
     crop_size: int = 32
 
     def __post_init__(self):
-        for name in ("iterations", "batch_size", "crop_size", "seed"):
-            object.__setattr__(self, name, as_index(name, getattr(self, name)))
-        if self.iterations < 0 or self.batch_size < 1 or self.crop_size < 1:
-            raise ShapeError("iterations/batch_size/crop_size out of range")
-        if self.seed < 0:
-            raise ShapeError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (
+            ("iterations", 0), ("batch_size", 1), ("crop_size", 1), ("seed", 0)
+        ):
+            object.__setattr__(self, name, as_index(name, getattr(self, name), least))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ShapeError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"

@@ -27,6 +27,7 @@ and then return Vars, so training differentiates through the same
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,6 +289,8 @@ def transfer_apply(kind: TransferKind, f_c, f_s, alpha: float = 1.0) -> np.ndarr
     ``alpha`` interpolates between the untouched content feature (0) and
     the fully transferred feature (1).
     """
+    if not isinstance(alpha, numbers.Real):
+        raise ShapeError(f"alpha must be a real number, got {alpha!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ShapeError(f"alpha must lie in [0, 1], got {alpha}")
     if kind.name == "adain":

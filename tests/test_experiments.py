@@ -63,6 +63,12 @@ class TestStylize:
         assert np.max(np.abs(s_out.mean - s_style.mean)) < 1e-9
         assert np.max(np.abs(s_out.std - s_style.std)) < 1e-9
 
+    @pytest.mark.parametrize("alpha", ["a", None, 1j], ids=["str", "none", "complex"])
+    def test_non_real_alpha_rejected(self, alpha):
+        content, style = images()
+        with pytest.raises(ShapeError, match="alpha"):
+            stylize(make_model(), ADAIN, content, style, alpha=alpha)
+
     def test_indivisible_extent_gives_padding_hint(self):
         model = make_model()
         with pytest.raises(ShapeError, match="multiple"):

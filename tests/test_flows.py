@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowstyle.autodiff as ad
+from flowstyle import flows
 from flowstyle.errors import (
     DegenerateScaleError,
+    NumericError,
     ShapeError,
     SingularMatrixError,
     StateError,
@@ -24,7 +26,7 @@ from flowstyle.flows import (
     randomize_couplings,
     squeeze_apply,
 )
-from flowstyle.training import build_lossnet
+from flowstyle.training import TrainConfig, build_lossnet, training_loss
 
 
 def make_model(n_blocks=1, n_flows=2, hidden=4, shape=(2, 3, 8, 8), seed=0):
@@ -175,10 +177,92 @@ class TestCoupling:
         back = coupling_apply(coupling_apply(x, **p), **p, inverse=True)
         assert np.max(np.abs(back - x)) < 1e-12
 
-    def test_odd_channels_rejected(self):
+    @pytest.mark.parametrize("taped", [False, True], ids=["arrays", "taped"])
+    def test_odd_channels_rejected(self, taped):
         p = make_coupling(4, 3)
+        x = np.zeros((1, 5, 4, 4))
+        if taped:
+            tape = ad.Tape()
+            x, p = ad.Var(x, tape), {n: ad.Var(a, tape) for n, a in p.items()}
         with pytest.raises(ShapeError):
-            coupling_apply(np.zeros((1, 5, 4, 4)), **p)
+            coupling_apply(x, **p)
+
+
+def coupling_reference(x, w1, b1, w2, b2, w3, b3, inverse=False, maps=None):
+    """The coupling as its per-op graph: split, taped inner network, add
+    (sub for the inverse), concat. ``maps``, which a walk passes, is
+    unused."""
+    x_a, x_b = ad.split_half(x)
+    shift = nn_forward(x_a, w1, b1, w2, b2, w3, b3)
+    return ad.concat_half(x_a, ad.sub(x_b, shift) if inverse else ad.add(x_b, shift))
+
+
+class TestCouplingNode:
+    """A taped coupling records one node and recomputes its hidden maps in
+    backward, with the per-op graph's bits."""
+
+    @staticmethod
+    def run(apply, x, p, probe, inverse):
+        tape = ad.Tape()
+        xv = ad.Var(x, tape)
+        pvars = {n: ad.Var(a, tape) for n, a in p.items()}
+        # Through an op, so the coupling's input starts without a gradient.
+        y = apply(ad.mul(xv, 1.0), **pvars, inverse=inverse)
+        ops = [node.op for node in tape.nodes]
+        ad.backward(ad.sum_all(ad.mul(y, probe)))
+        return ops, [y.data, xv.grad] + [v.grad for v in pvars.values()]
+
+    # Hidden 5 against half 3 and hidden 4 against half 6: every conv runs
+    # on both GEMM sides of conv2d.
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("c,hidden", [(6, 5), (12, 4)])
+    def test_values_and_gradients_equal_per_op_graph(self, c, hidden, batch, inverse):
+        rng = np.random.default_rng(c + hidden + batch)
+        p = make_coupling(c, hidden, seed=c, zero_last=False)
+        x = rng.standard_normal((batch, c, 5, 7))
+        probe = rng.standard_normal(x.shape)
+        ops, got = self.run(coupling_apply, x, p, probe, inverse)
+        _, want = self.run(coupling_reference, x, p, probe, inverse)
+        assert ops == ["mul", "coupling"]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(coupling_apply(x, **p, inverse=inverse), want[0])
+
+    @staticmethod
+    def loss_tape(apply, monkeypatch):
+        model, batch = make_model(n_blocks=2, n_flows=2, hidden=7, shape=(2, 3, 8, 8))
+        randomize_couplings(model, seed=2)
+        monkeypatch.setattr(flows, "coupling_apply", apply)
+        tape = ad.Tape()
+        pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
+        style = np.random.default_rng(3).random(batch.shape)
+        cfg = TrainConfig(iterations=1)
+        total, _, _ = training_loss(model, pvars, batch, style, cfg, build_lossnet(0))
+        return tape, total, pvars
+
+    def test_training_tape_keeps_no_hidden_map(self, monkeypatch):
+        tape, total, pvars = self.loss_tape(coupling_apply, monkeypatch)
+        ops = [node.op for node in tape.nodes]
+        # Four couplings per walk; two encodes and one decode.
+        assert ops.count("coupling") == 4 * 3
+        assert "split_half" not in ops and "concat_half" not in ops
+        leaves = {id(v) for v in pvars.values()}
+        values = [
+            v for node in tape.nodes for v in node.inputs + node.outs if id(v) not in leaves
+        ]
+        assert values
+        assert not [v.shape for v in values if v.data.ndim == 4 and v.shape[1] == 7]
+        ad.backward(total)
+
+    def test_training_gradients_equal_per_op_graph(self, monkeypatch):
+        grads = []
+        for apply in (coupling_apply, coupling_reference):
+            _, total, pvars = self.loss_tape(apply, monkeypatch)
+            ad.backward(total)
+            grads.append({name: var.grad for name, var in pvars.items()})
+        for name, grad in grads[0].items():
+            np.testing.assert_array_equal(grad, grads[1][name], err_msg=name)
 
 
 class TestNnForward:
@@ -270,6 +354,22 @@ class TestConfig:
         with pytest.raises(ShapeError, match=name):
             make()
 
+    @pytest.mark.parametrize(
+        "name,make",
+        [
+            ("seed", lambda: build_flownet(FlowNetConfig(1, 2, 4, 3, 16, 16), seed=-1)),
+            ("seed", lambda: randomize_couplings(make_model()[0], seed=-1)),
+            ("seed", lambda: build_lossnet(-1, 3)),
+            ("in_channels", lambda: build_lossnet(0, 0)),
+            ("in_channels", lambda: build_lossnet(0, -2)),
+        ],
+        ids=["build-seed", "randomize-seed", "lossnet-seed", "lossnet-zero-channels",
+             "lossnet-negative-channels"],
+    )
+    def test_negative_seed_or_count_rejected(self, name, make):
+        with pytest.raises(ShapeError, match=name):
+            make()
+
     def test_integer_like_counts_become_int(self):
         cfg = FlowNetConfig(np.int64(1), 2, np.int32(4), 3, 16, 16)
         assert (type(cfg.n_blocks), type(cfg.hidden)) == (int, int)
@@ -287,6 +387,15 @@ class TestFlowNet:
         model = build_flownet(cfg)
         with pytest.raises(StateError):
             model.inverse(np.zeros((1, 12, 4, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_non_finite_input_rejected(self, direction, bad):
+        model, batch = make_model()
+        x = (batch if direction == "forward" else model.forward(batch)).copy()
+        x[0, 1, 2, 3] = bad
+        with pytest.raises(NumericError, match="infinite"):
+            getattr(model, direction)(x)
 
     def test_round_trip_small_model(self):
         model, batch = make_model(n_blocks=2, n_flows=2, shape=(2, 3, 8, 8))

@@ -126,6 +126,12 @@ class TestReconError:
         per_image = max(recon_error(model, batch[i : i + 1]) for i in range(3))
         assert abs(whole - per_image) < 1e-15
 
+    def test_nan_image_raises_instead_of_nan(self):
+        bad = image(15)
+        bad[0, 0, 3, 4] = np.nan
+        with pytest.raises(NumericError):
+            recon_error(small_model(4), bad)
+
 
 class TestMetricReport:
     def test_line_format(self):
