@@ -14,10 +14,11 @@ no gradient reached and drops each node's closure, inputs and outputs
 as soon as it has run, so an activation and its gradient are freed
 once no node still to run can reach them: the peak is the forward
 pass's activations plus the gradients in flight, not twice the
-activations. The activations are fewer where a layer records one node
-for a whole composition: the additive coupling in
-:mod:`flowstyle.flows` keeps only its output and recomputes its hidden
-maps in backward, so no tape holds them.
+activations. The activations are fewer where one node stands for a
+whole composition: a taped walk of the flow network in
+:mod:`flowstyle.flows` records a single node that keeps only the walk's
+output and rebuilds every layer's input from its output in backward,
+so no tape holds a flow activation.
 
 Ops accept plain ndarrays or python scalars anywhere a Var is allowed;
 those operands are constants and receive no gradient. Every Var lives on
@@ -32,6 +33,8 @@ meant to live for one training step and be discarded.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -53,6 +56,11 @@ class Tape:
     the sweep ends. The nodes stay as the record of which ops ran. A tape
     never passed to ``backward`` stays alive until Python's cyclic garbage
     collector next runs.
+
+    A node may stand for many ops: a taped flow walk is one ``walk`` node
+    whose backward rebuilds what it did not keep, so the tape of a
+    training step holds three flow activations (each walk's output) at
+    any depth.
     """
 
     __slots__ = ("nodes", "__weakref__")
@@ -337,7 +345,9 @@ def conv2d(
       nothing, so no padded copy is made. Scratch: the (B, kh*kw*O, H*W)
       product.
 
-    Each side's backward is its transpose through the same clipped taps.
+    Each side's backward is its transpose through the same clipped taps;
+    a 1x1, stride-1, unpadded convolution's two gradients are direct
+    channel GEMMs instead, with the same bits.
     For I <= O the input gradient adds the taps of ``k`` as (I*kh*kw, O)
     @ the output gradient into the unpadded gradient, and the kernel
     gradient is one ``tensordot`` of the output gradient with the windows
@@ -347,9 +357,10 @@ def conv2d(
     matrix is the input gradient, and its product with the unpadded
     input the kernel gradient. Each gradient is computed only when its
     operand takes one, by :func:`_conv2d_grads`, which the coupling's
-    node in :mod:`flowstyle.flows` also calls. The tape keeps the input,
-    the kernel and the output, never a padded copy, a window buffer or a
-    ReLU mask.
+    backward rule in :mod:`flowstyle.flows` also calls. The clipped taps
+    of each geometry are computed once (:func:`_clipped_taps`). The tape
+    keeps the input, the kernel and the output, never a padded copy, a
+    window buffer or a ReLU mask.
 
     ``out``, as in numpy, is a C-contiguous float64 array of the output's
     shape that receives the result (bias and ReLU applied), and is what
@@ -445,7 +456,13 @@ def _conv2d_grads(
     if bias:
         gb = _unbroadcast(g, (1, n_out, 1, 1)).reshape(n_out)
     with blas_threads(b * n_out * n_in * kh * kw * h_out * w_out):
-        if n_in <= n_out:
+        if kh == kw == 1 and stride == 1 and not pad:
+            # A 1x1 convolution is a channel GEMM: no windows, no taps.
+            if want_x:
+                gx = (k.reshape(n_out, n_in).T @ g.reshape(b, n_out, -1)).reshape(x.shape)
+            if want_k:
+                gk = np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3])).reshape(k.shape)
+        elif n_in <= n_out:
             if want_x:
                 per_tap = (k.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
                     b, n_in, kh, kw, h_out, w_out
@@ -505,11 +522,7 @@ class _Taps:
         """(u, v, out_rows, out_cols, rows, cols) for every tap that reaches
         the unpadded input: output window ``[out_rows, out_cols]`` reads the
         input at ``[rows, cols]`` through tap (u, v)."""
-        s, p = self.stride, self.pad
-        rows = _clip_axis(self.kh, self.h, self.h_out, s, p)
-        cols = _clip_axis(self.kw, self.w, self.w_out, s, p)
-        return [(u, v, o_rows, o_cols, i_rows, i_cols)
-                for u, o_rows, i_rows in rows for v, o_cols, i_cols in cols]
+        return _clipped_taps(self.kh, self.kw, self.stride, self.pad, self.h, self.w)
 
     def windows(self, xp):
         """Read-only (B, I, Ho, Wo, kh, kw) view of every window of the
@@ -522,6 +535,19 @@ class _Taps:
             (sb, si, s * sh, s * sw, sh, sw),
             writeable=False,
         )
+
+
+@functools.lru_cache(maxsize=256)
+def _clipped_taps(kh, kw, s, p, h, w):
+    """:meth:`_Taps.clipped` of one geometry, computed once per geometry.
+
+    The result is a tuple of tuples, so no caller can change the cached
+    value.
+    """
+    rows = _clip_axis(kh, h, (h + 2 * p - kh) // s + 1, s, p)
+    cols = _clip_axis(kw, w, (w + 2 * p - kw) // s + 1, s, p)
+    return tuple((u, v, o_rows, o_cols, i_rows, i_cols)
+                 for u, o_rows, i_rows in rows for v, o_cols, i_cols in cols)
 
 
 def _clip_axis(k, n, n_out, s, p):
@@ -545,10 +571,23 @@ def _mix(m, x):
     return out.reshape(b, m.shape[0], h, w)
 
 
-def _mix_grad(g, x):
-    """Gradient of ``_mix`` w.r.t. its matrix: sum over b,h,w of g x^T."""
-    with blas_threads(g.size * x.shape[1]):
-        return np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))
+def _mix_grads(g, x, w, w_inv=None, want_w=True):
+    """The (input, matrix) gradients of :func:`channel_mix` of ``x`` by
+    ``w``, or of :func:`channel_mix_inv` when ``w_inv`` is given, from the
+    output gradient ``g``; the matrix gradient is None unless wanted.
+
+    The matrix gradient is the sum over b,h,w of g x^T, taken through
+    d(W^{-1}) = -W^{-1} dW W^{-1} for the inverse.
+    """
+    m = w if w_inv is None else w_inv
+    gx = _mix(m.T, g)
+    gw = None
+    if want_w:
+        with blas_threads(g.size * x.shape[1]):
+            gw = np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))
+        if w_inv is not None:
+            gw = -(w_inv.T @ gw @ w_inv.T)
+    return gx, gw
 
 
 def channel_mix(x, w) -> Value:
@@ -559,9 +598,9 @@ def channel_mix(x, w) -> Value:
     out = _mix(dw, dx)
 
     def back(g):
-        _accum(x, _mix(dw.T, g))
-        if isinstance(w, Var):
-            _accum(w, _mix_grad(g, dx))
+        gx, gw = _mix_grads(g, dx, dw, want_w=isinstance(w, Var))
+        _accum(x, gx)
+        _accum(w, gw)
 
     return _record(_tape_of(x, w), "channel_mix", out, back, (x, w))
 
@@ -570,17 +609,16 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
     """Per-position mixing by the inverse matrix, y = W^{-1} x.
 
     ``w_inv`` is the precomputed inverse (callers own the inversion so its
-    failure mode stays theirs). Gradient w.r.t. W uses
-    d(W^{-1}) = -W^{-1} dW W^{-1}.
+    failure mode stays theirs).
     """
     dx = _data(x)
     m = np.asarray(w_inv, dtype=np.float64)
     out = _mix(m, dx)
 
     def back(g):
-        _accum(x, _mix(m.T, g))
-        if isinstance(w, Var):
-            _accum(w, -(m.T @ _mix_grad(g, dx) @ m.T))
+        gx, gw = _mix_grads(g, dx, _data(w), m, want_w=isinstance(w, Var))
+        _accum(x, gx)
+        _accum(w, gw)
 
     return _record(_tape_of(x, w), "channel_mix_inv", out, back, (x, w))
 

@@ -15,15 +15,21 @@ layout are all generated from that list.
 
 All layer functions are built from :mod:`~flowstyle.autodiff` ops, so
 arrays in give arrays out and taped :class:`~flowstyle.autodiff.Var`
-values give taped Vars: the trainer differentiates through both
-directions of the network while inference stays tape-free.
+values give taped Vars; on Vars they are the per-op reference graph.
+
+A walk of the whole network (:meth:`FlowNet.forward` /
+:meth:`FlowNet.inverse`) always runs its layers on arrays. When its
+input or a parameter is a Var it records one ``walk`` node that keeps
+only its output: every layer is exactly invertible, so the node's
+backward rebuilds each layer's input from its output with one backward
+rule per layer kind, and a training step's memory does not grow with
+depth. The trainer differentiates through both directions of the
+network while inference stays tape-free.
 
 Every walk writes the couplings' hidden maps into two buffers that
-belong to that walk alone: the couplings of a block reuse them. A taped
-coupling records one node that keeps only its output and recomputes its
-hidden maps into the same buffers in backward, so a training tape holds
-no hidden map. Nothing is cached on the module or the model, so
-concurrent reads of one model stay safe.
+belong to that walk alone: the couplings of a block reuse them, in the
+forward and again when the backward recomputes them. Nothing is cached
+on the module or the model, so concurrent reads of one model stay safe.
 """
 
 from __future__ import annotations
@@ -225,13 +231,17 @@ def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return scale, -mean * scale, clamped
 
 
-def invconv_apply(x, weight, inverse: bool = False):
-    """Mix channels at every spatial position by W (or W^{-1})."""
+def invconv_apply(x, weight, inverse: bool = False, w_inv=None):
+    """Mix channels at every spatial position by W (or W^{-1}).
+
+    ``w_inv`` is W^{-1} when the caller has already inverted W (a walk
+    keeps it for its backward); otherwise the inverse is computed here.
+    """
     w = ad._data(weight)
     if ad._data(x).shape[1] != w.shape[0]:
         raise ShapeError("invconv channel count mismatch")
     if inverse:
-        return ad.channel_mix_inv(x, weight, mat_inverse(w))
+        return ad.channel_mix_inv(x, weight, mat_inverse(w) if w_inv is None else w_inv)
     return ad.channel_mix(x, weight)
 
 
@@ -267,12 +277,11 @@ def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False, maps=None):
     buffers of ``maps`` (a walk's :class:`_HiddenMaps`; a fresh one when
     None) and ``y_b`` written straight into the output. When any operand
     is a Var, the result is a Var with one ``coupling`` node whose only
-    kept array is that output. Its backward takes ``x_a`` from the
-    output, recomputes the two hidden maps from it and runs the three
-    convolution gradients, so the tape holds no hidden map. Values and
-    gradients equal (``array_equal``) those of the per-op graph
-    ``split_half`` -> :func:`nn_forward` -> ``add`` (``sub`` for the
-    inverse) -> ``concat_half``.
+    kept array is that output; its backward is :func:`_coupling_back`,
+    the rule a taped walk also runs. Values and gradients equal
+    (``array_equal``) those of the per-op graph ``split_half`` ->
+    :func:`nn_forward` -> ``add`` (``sub`` for the inverse) ->
+    ``concat_half``.
     """
     weights = (w1, b1, w2, b2, w3, b3)
     dx = ad._data(x)
@@ -292,40 +301,97 @@ def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False, maps=None):
     if tape is None:
         return y
 
-    def conv_grads(g, h, w, b, pad, relu_out=None, want_x=True):
-        return ad._conv2d_grads(
-            g, h, ad._data(w), 1, pad, relu_out, bias=isinstance(b, ad.Var),
-            want_x=want_x, want_k=isinstance(w, ad.Var),
-        )
-
     def back(g):
-        x_a, g_a, g_b = y[:, :half], g[:, :half], g[:, half:]
-        h1, h2 = _hidden(x_a, dw1, db1, dw2, db2, maps)
-        gb3, gh2, gw3 = conv_grads(-g_b if inverse else g_b, h2, w3, b3, 1)
-        gb2, gh1, gw2 = conv_grads(gh2, h1, w2, b2, 0, h2)
-        gb1, gx_a, gw1 = conv_grads(gh1, x_a, w1, b1, 1, h1, isinstance(x, ad.Var))
-        for p, grad in zip(weights, (gw1, gb1, gw2, gb2, gw3, gb3)):
-            ad._accum(p, grad)
-        if isinstance(x, ad.Var):
-            # The per-op graph's order: x_a's gradient is g_a + conv1's input
-            # gradient, then each half adds into x's (zero-started) buffer.
-            gx_a += g_a
-            if x.grad is None:
-                x.grad = np.zeros_like(dx)
-            x.grad[:, :half] += gx_a
-            x.grad[:, half:] += g_b
+        ad._accum(x, _coupling_back(y.copy(), g.copy(), weights, inverse, maps)[1])
 
     return ad._record(tape, "coupling", y, back, (x, *weights))
+
+
+# ---------------------------------------------------------------------------
+# backward rules: each rebuilds a layer's input from its output
+#
+# A rule takes the layer's output ``y`` and output gradient ``g``, which it
+# may overwrite, and its weights as the walk passed them (Vars or arrays).
+# It accumulates the gradient of every weight Var and returns the layer's
+# input and that input's gradient.
+
+
+def _channel_sum(a):
+    """Sum of ``a`` (B,C,H,W) over batch and space, in the reduction order
+    of the per-op graph's broadcast gradient."""
+    return ad._unbroadcast(a, (1, a.shape[1], 1, 1)).reshape(-1)
+
+
+def _squeeze_back(y, g, inverse):
+    undo = ad._squeeze_data if inverse else ad._unsqueeze_data
+    return undo(y), undo(g)
+
+
+def _actnorm_back(y, g, scale, bias, inverse):
+    s, b = (ad._data(p)[:, None, None] for p in (scale, bias))
+    if inverse:  # y = (x - b) / s
+        y *= s
+        ad._accum(scale, _channel_sum(-g * y / (s * s)))
+        g /= s
+        ad._accum(bias, -_channel_sum(g))
+        y += b
+    else:  # y = s * x + b
+        ad._accum(bias, _channel_sum(g))
+        y -= b
+        y /= s
+        ad._accum(scale, _channel_sum(g * y))
+        g *= s
+    return y, g
+
+
+def _invconv_back(y, g, weight, inverse, w_inv):
+    """``w_inv`` is the W^{-1} that an inverse walk's forward computed; a
+    forward walk's rule inverts W itself, once per walk."""
+    w = ad._data(weight)
+    x = ad._mix(w, y) if inverse else ad._mix(mat_inverse(w), y)
+    gx, gw = ad._mix_grads(g, x, w, w_inv, want_w=isinstance(weight, ad.Var))
+    ad._accum(weight, gw)
+    return x, gx
+
+
+def _coupling_back(y, g, weights, inverse, maps):
+    """``x_a = y_a``; the hidden maps are recomputed from it into the
+    buffers of ``maps``, and with them the shift, so ``x_b = y_b - shift``
+    (``+`` for the inverse). conv3 is seeded with ``g_b`` (``-g_b`` for
+    the inverse) and the input gradient is ``g_a`` + conv1's input
+    gradient in the first half and ``g_b`` in the second, the per-op
+    graph's sums."""
+    dw1, db1, dw2, db2, dw3, db3 = (ad._data(p) for p in weights)
+    half = y.shape[1] // 2
+    x_a, y_b, g_a, g_b = y[:, :half], y[:, half:], g[:, :half], g[:, half:]
+    h1, h2 = _hidden(x_a, dw1, db1, dw2, db2, maps)
+    shift = ad.conv2d(h2, dw3, db3, pad=1)
+    (np.add if inverse else np.subtract)(y_b, shift, out=y_b)
+
+    def conv_grads(g, h, i, pad, relu_out=None):
+        w, b = weights[2 * i], weights[2 * i + 1]
+        return ad._conv2d_grads(
+            g, h, ad._data(w), 1, pad, relu_out,
+            bias=isinstance(b, ad.Var), want_k=isinstance(w, ad.Var),
+        )
+
+    gb3, gh2, gw3 = conv_grads(-g_b if inverse else g_b, h2, 2, 1)
+    gb2, gh1, gw2 = conv_grads(gh2, h1, 1, 0, h2)
+    gb1, gx_a, gw1 = conv_grads(gh1, x_a, 0, 1, h1)
+    for p, grad in zip(weights, (gw1, gb1, gw2, gb2, gw3, gb3)):
+        ad._accum(p, grad)
+    g_a += gx_a
+    return y, g
 
 
 class _HiddenMaps:
     """The two hidden-map buffers that the couplings of one walk share.
 
     Every coupling of a block writes its hidden maps into the same pair,
-    in the forward and again when its tape node recomputes them in
-    backward; a coupling of another shape replaces the pair. No result
-    of a walk is one of these buffers, so they die with the walk and
-    with its couplings' tape nodes.
+    in the forward and again when a backward rule recomputes them; a
+    coupling of another shape replaces the pair. No result of a walk is
+    one of these buffers, so they die with the walk and with its tape
+    node.
     """
 
     __slots__ = ("_pair",)
@@ -434,23 +500,59 @@ class FlowNet:
         names to values that take the place of stored ones. A non-finite
         input raises NumericError before any layer runs.
 
-        Every walk gives its couplings one :class:`_HiddenMaps`, made
-        here, so concurrent walks share no buffer. An array walk drops it
-        on return; a taped walk's coupling nodes keep it to recompute
-        their hidden maps in backward, and keep no hidden map themselves.
+        The layers always run on arrays, in one loop, with one
+        :class:`_HiddenMaps` made here for the couplings, so concurrent
+        walks share no buffer. When ``v`` or any parameter is a Var, the
+        walk records one ``walk`` node. It keeps only the walk's output,
+        the hidden-map buffers and the invconv inverses the forward
+        computed. Its backward copies the output and its gradient, then
+        visits the layers in reverse; each layer's rule
+        (``_squeeze_back``, ``_actnorm_back``, ``_invconv_back``,
+        ``_coupling_back``) rebuilds the layer's input from its output in
+        place and accumulates the layer's gradients. So a training tape
+        holds no flow activation but each walk's output, at any depth.
+        Rebuilt inputs are exact only up to rounding, so gradients differ
+        from the per-op graph's in their last bits.
         """
         if not np.isfinite(ad._data(v)).all():
             what = "latent" if inverse else "image"
             raise NumericError(f"{what} input holds NaN or infinite values")
         store = self.params if params is None else {**self.params, **params}
-        maps = _HiddenMaps()
-        for layer in reversed(self.layers) if inverse else self.layers:
-            weights = (store[name] for name in layer.shapes)
-            if layer.kind == "coupling":
-                v = coupling_apply(v, *weights, inverse=inverse, maps=maps)
+        steps = [
+            (layer.kind, tuple(store[name] for name in layer.shapes))
+            for layer in (reversed(self.layers) if inverse else self.layers)
+        ]
+        maps, inverses = _HiddenMaps(), {}
+        y = ad._data(v)
+        for i, (kind, weights) in enumerate(steps):
+            arrays = [ad._data(p) for p in weights]
+            if kind == "coupling":
+                y = coupling_apply(y, *arrays, inverse=inverse, maps=maps)
+            elif kind == "invconv" and inverse:
+                inverses[i] = mat_inverse(arrays[0])
+                y = invconv_apply(y, *arrays, inverse=True, w_inv=inverses[i])
             else:
-                v = _APPLY[layer.kind](v, *weights, inverse=inverse)
-        return v
+                y = _APPLY[kind](y, *arrays, inverse=inverse)
+        inputs = (v, *(p for _, weights in steps for p in weights))
+        tape = ad._tape_of(*inputs)
+        if tape is None:
+            return y
+
+        def back(g):
+            x, g = y.copy(), g.copy()
+            for i in reversed(range(len(steps))):
+                kind, weights = steps[i]
+                if kind == "squeeze":
+                    x, g = _squeeze_back(x, g, inverse)
+                elif kind == "actnorm":
+                    x, g = _actnorm_back(x, g, *weights, inverse)
+                elif kind == "invconv":
+                    x, g = _invconv_back(x, g, *weights, inverse, inverses.get(i))
+                else:
+                    x, g = _coupling_back(x, g, weights, inverse, maps)
+            ad._accum(v, g)
+
+        return ad._record(tape, "walk", y, back, inputs)
 
 
 def build_flownet(config: FlowNetConfig, seed: int = 0) -> FlowNet:

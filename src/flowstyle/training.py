@@ -124,16 +124,22 @@ def adam_update(
     state: AdamState,
     lr: float,
 ) -> None:
-    """One in-place Adam step over all parameters (fixed dict order)."""
+    """One in-place Adam step over all parameters (fixed dict order).
+
+    The moment arrays are updated in place, with the bits of
+    ``b1 * m + (1 - b1) * g`` (and likewise for ``v``).
+    """
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1**t)
-        v_hat = state.v[name] / (1.0 - b2**t)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 

@@ -524,6 +524,38 @@ class TestConvKernels:
         assert_rel_close(xv.grad, gx)
         assert_rel_close(kv.grad, gk)
 
+    # The coupling's w2 at train-32 (hidden 64, blocks at 16x16 and 8x8)
+    # and train-tiny (hidden 8 at 8x8), batch 2.
+    @pytest.mark.parametrize("hidden,extent", [(64, 16), (64, 8), (8, 8)])
+    def test_1x1_gradients_equal_windowed_path(self, hidden, extent):
+        """A 1x1, stride-1, unpadded backward is two direct GEMMs with the
+        bits of the general I <= O path: per-tap GEMM added into zeros, and
+        the kernel gradient over the window view."""
+        rng = np.random.default_rng(hidden + extent)
+        x = np.maximum(rng.standard_normal((2, hidden, extent, extent)), 0.0)
+        k = rng.standard_normal((hidden, hidden, 1, 1)) / hidden
+        out = np.maximum(rng.standard_normal(x.shape), 0.0)
+        g = rng.standard_normal(x.shape)
+        _, gx, gk = ad._conv2d_grads(g.copy(), x, k, 1, 0, out)
+        g *= out > 0.0
+        per_tap = k.reshape(hidden, -1).T @ g.reshape(2, hidden, -1)
+        want_gx = np.zeros_like(x)
+        want_gx += per_tap.reshape(x.shape)
+        windows = ad._Taps(1, 1, 1, 0, extent, extent).windows(x)
+        want_gk = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
+        np.testing.assert_array_equal(gx, want_gx)
+        np.testing.assert_array_equal(gk, want_gk)
+
+    def test_tap_geometry_is_computed_once_per_shape(self):
+        taps = ad._Taps(3, 3, 2, 1, 7, 9).clipped()
+        assert isinstance(taps, tuple) and all(isinstance(t, tuple) for t in taps)
+        assert ad._Taps(3, 3, 2, 1, 7, 9).clipped() is taps
+        rows = ad._clip_axis(3, 7, 4, 2, 1)
+        cols = ad._clip_axis(3, 9, 5, 2, 1)
+        assert taps == tuple(
+            (u, v, o_r, o_c, r, c) for u, o_r, r in rows for v, o_c, c in cols
+        )
+
     @pytest.mark.parametrize("channels", ORIENTATIONS)
     @pytest.mark.parametrize("ksize,pad", [(3, 1), (1, 0)])
     @pytest.mark.parametrize("stride", [1, 2])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,30 @@ def coupling_reference(x, w1, b1, w2, b2, w3, b3, inverse=False, maps=None):
     return ad.concat_half(x_a, ad.sub(x_b, shift) if inverse else ad.add(x_b, shift))
 
 
+# Ops that only a flow layer records; a taped walk records none of them.
+FLOW_LAYER_OPS = {
+    "coupling", "channel_mix", "channel_mix_inv", "squeeze2", "unsqueeze2",
+    "split_half", "concat_half",
+}
+
+
+def reference_walk(model, v, params, inverse):
+    """``FlowNet._walk`` as the per-op graph of its layers:
+    ``actnorm_apply``, ``invconv_apply``, ``squeeze_apply`` and
+    ``coupling_reference`` on Vars, one tape node per op."""
+    store = model.params if params is None else {**model.params, **params}
+    apply = {**LAYER_FUNCTIONS, "coupling": coupling_reference}
+    for layer in reversed(model.layers) if inverse else model.layers:
+        v = apply[layer.kind](v, *(store[name] for name in layer.shapes), inverse=inverse)
+    return v
+
+
+def assert_rel_close(got, want, name="", rel=1e-10):
+    """Within ``rel`` of the largest magnitude of ``want``."""
+    scale = float(np.max(np.abs(want), initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rel * scale, err_msg=name)
+
+
 class TestCouplingNode:
     """A taped coupling records one node and recomputes its hidden maps in
     backward, with the per-op graph's bits."""
@@ -230,10 +256,13 @@ class TestCouplingNode:
         np.testing.assert_array_equal(coupling_apply(x, **p, inverse=inverse), want[0])
 
     @staticmethod
-    def loss_tape(apply, monkeypatch):
+    def loss_tape(monkeypatch, walk=None):
+        """A taped ``training_loss`` on a two-block, hidden-7 model; ``walk``
+        takes the place of ``FlowNet._walk`` when given."""
         model, batch = make_model(n_blocks=2, n_flows=2, hidden=7, shape=(2, 3, 8, 8))
         randomize_couplings(model, seed=2)
-        monkeypatch.setattr(flows, "coupling_apply", apply)
+        if walk is not None:
+            monkeypatch.setattr(FlowNet, "_walk", walk)
         tape = ad.Tape()
         pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
         style = np.random.default_rng(3).random(batch.shape)
@@ -242,27 +271,98 @@ class TestCouplingNode:
         return tape, total, pvars
 
     def test_training_tape_keeps_no_hidden_map(self, monkeypatch):
-        tape, total, pvars = self.loss_tape(coupling_apply, monkeypatch)
+        tape, total, pvars = self.loss_tape(monkeypatch)
         ops = [node.op for node in tape.nodes]
-        # Four couplings per walk; two encodes and one decode.
-        assert ops.count("coupling") == 4 * 3
-        assert "split_half" not in ops and "concat_half" not in ops
+        # One node per walk: two encodes and one decode, and no node of a
+        # flow layer.
+        assert ops.count("walk") == 3
+        assert not set(ops) & FLOW_LAYER_OPS
         leaves = {id(v) for v in pvars.values()}
         values = [
             v for node in tape.nodes for v in node.inputs + node.outs if id(v) not in leaves
         ]
         assert values
-        assert not [v.shape for v in values if v.data.ndim == 4 and v.shape[1] == 7]
+        # No hidden map (7 channels) and no block-0 activation (12 channels).
+        assert not [v.shape for v in values if v.data.ndim == 4 and v.shape[1] in (7, 12)]
         ad.backward(total)
 
     def test_training_gradients_equal_per_op_graph(self, monkeypatch):
         grads = []
-        for apply in (coupling_apply, coupling_reference):
-            _, total, pvars = self.loss_tape(apply, monkeypatch)
+        for walk in (None, reference_walk):
+            _, total, pvars = self.loss_tape(monkeypatch, walk)
             ad.backward(total)
             grads.append({name: var.grad for name, var in pvars.items()})
         for name, grad in grads[0].items():
-            np.testing.assert_array_equal(grad, grads[1][name], err_msg=name)
+            assert_rel_close(grad, grads[1][name], name)
+
+
+class TestWalkNode:
+    """A taped walk runs its layers on arrays and records one ``walk`` node,
+    whose backward rebuilds each layer's input from its output."""
+
+    @staticmethod
+    def run(walk, model, v, inverse, taped):
+        """Output, tape ops and gradients of a probed walk in which ``v``
+        (through an op, so it starts without a gradient) and the parameters
+        named by ``taped`` are Vars."""
+        tape = ad.Tape()
+        leaf = ad.Var(v, tape)
+        x = ad.mul(leaf, 1.0) if "v" in taped else v
+        pvars = {n: ad.Var(a, tape) for n, a in model.params.items() if n in taped}
+        y = walk(model, x, pvars, inverse)
+        ops = [node.op for node in tape.nodes]
+        probe = np.random.default_rng(6).standard_normal(y.shape)
+        kept = y.data.copy()
+        ad.backward(ad.sum_all(ad.mul(y, probe)))
+        np.testing.assert_array_equal(y.data, kept)
+        np.testing.assert_array_equal(y.grad, probe)
+        grads = {"v": leaf.grad, **{n: p.grad for n, p in pvars.items()}}
+        return y.data, ops, grads
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    @pytest.mark.parametrize("taped", ["all", "input", "params"])
+    def test_values_and_gradients_match_per_op_walk(self, inverse, taped):
+        model, batch = TestWalkBuffers.model()
+        v = np.random.default_rng(4).standard_normal((2, 48, 4, 4)) if inverse else batch
+        names = {"all": {"v", *model.params}, "input": {"v"}, "params": set(model.params)}
+        taped = names[taped]
+        y, ops, got = self.run(FlowNet._walk, model, v, inverse, taped)
+        want_y, want_ops, want = self.run(reference_walk, model, v, inverse, taped)
+        np.testing.assert_array_equal(y, model._walk(v, None, inverse))
+        np.testing.assert_array_equal(y, want_y)
+        assert ops == (["mul"] if "v" in taped else []) + ["walk"]
+        assert set(want_ops) & FLOW_LAYER_OPS
+        assert got.keys() == want.keys()
+        for name, grad in want.items():
+            if name == "v" and "v" not in taped:
+                continue
+            assert_rel_close(got[name], grad, name)
+
+    @staticmethod
+    def loss_peak(n_flows):
+        """tracemalloc peak of a crop-32, batch-2, hidden-64 taped
+        ``training_loss`` and its ``backward``, less the parameter
+        gradients."""
+        model, batch = make_model(
+            n_blocks=2, n_flows=n_flows, hidden=64, shape=(2, 3, 32, 32)
+        )
+        randomize_couplings(model, seed=1)
+        style = np.random.default_rng(2).random(batch.shape)
+        lossnet, cfg = build_lossnet(0), TrainConfig(iterations=1)
+        tracemalloc.start()
+        try:
+            tape = ad.Tape()
+            pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
+            total, _, _ = training_loss(model, pvars, batch, style, cfg, lossnet)
+            ad.backward(total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(p.grad.nbytes for p in pvars.values())
+
+    def test_training_memory_does_not_grow_with_depth(self):
+        shallow, deep = self.loss_peak(4), self.loss_peak(16)
+        assert abs(deep - shallow) < 2**20, (shallow, deep)
 
 
 class TestNnForward:

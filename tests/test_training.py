@@ -169,6 +169,20 @@ class TestAdam:
         assert state.step == 4
         np.testing.assert_allclose(p, [expect], atol=1e-15)
 
+    def test_moments_update_in_place_with_out_of_place_bits(self):
+        rng = np.random.default_rng(0)
+        p = rng.standard_normal((3, 4))
+        state = AdamState(m={"p": rng.standard_normal((3, 4))},
+                          v={"p": rng.random((3, 4))}, step=2)
+        m, v = state.m["p"], state.v["p"]
+        g = rng.standard_normal((3, 4))
+        want_m = 0.9 * m + (1.0 - 0.9) * g
+        want_v = 0.999 * v + (1.0 - 0.999) * g * g
+        adam_update({"p": p}, {"p": g}, state, lr=0.01)
+        assert state.m["p"] is m and state.v["p"] is v
+        np.testing.assert_array_equal(m, want_m)
+        np.testing.assert_array_equal(v, want_v)
+
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = np.array([1.5, -2.0])
         state = AdamState.for_params({"p": p})
