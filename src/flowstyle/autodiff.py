@@ -39,7 +39,7 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import NumericError, ShapeError, StateError
+from .errors import NumericError, ShapeError, StateError, as_index
 from .linalg import blas_threads
 
 _SQUEEZE_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major 2x2 order
@@ -59,7 +59,7 @@ class Tape:
 
     A node may stand for many ops: a taped flow walk is one ``walk`` node
     whose backward rebuilds what it did not keep, so the tape of a
-    training step holds three flow activations (each walk's output) at
+    training step holds two flow activations (each walk's output) at
     any depth.
     """
 
@@ -529,12 +529,14 @@ class _Taps:
         padded input ``xp``."""
         sb, si, sh, sw = xp.strides
         s = self.stride
-        return as_strided(
-            xp,
-            xp.shape[:2] + (self.h_out, self.w_out, self.kh, self.kw),
-            (sb, si, s * sh, s * sw, sh, sw),
-            writeable=False,
-        )
+        shape = xp.shape[:2] + (self.h_out, self.w_out, self.kh, self.kw)
+        strides = (sb, si, s * sh, s * sw, sh, sw)
+        if not xp.flags.c_contiguous:
+            return as_strided(xp, shape, strides, writeable=False)
+        # A view straight on the buffer: a fraction of as_strided's cost.
+        view = np.ndarray(shape, np.float64, xp, 0, strides)
+        view.flags.writeable = False
+        return view
 
 
 @functools.lru_cache(maxsize=256)
@@ -677,13 +679,28 @@ def unsqueeze2(x) -> Value:
 def split_half(x) -> tuple[Value, Value]:
     """Split channels into two equal halves: two arrays for an array,
     two Vars for a Var."""
-    dx = _data(x)
-    c = dx.shape[1]
+    c = _data(x).shape[1]
     if c % 2:
         raise ShapeError(f"split_half needs an even channel count, got {c}")
-    half = c // 2
-    a = np.ascontiguousarray(dx[:, :half])
-    b = np.ascontiguousarray(dx[:, half:])
+    return _split(x, 1, c // 2, "split_half")
+
+
+def split_batch(x, n: int) -> tuple[Value, Value]:
+    """Split a batch into its first ``n`` samples and the rest: two arrays
+    for an array, two Vars for a Var."""
+    b, n = _data(x).shape[0], as_index("split_batch n", n, 1)
+    if n >= b:
+        raise ShapeError(f"split_batch n must be below the batch size {b}, got {n}")
+    return _split(x, 0, n, "split_batch")
+
+
+def _split(x, axis, at, op):
+    """``x`` cut before index ``at`` of ``axis`` into two C-contiguous
+    parts, recorded as one node named ``op`` when ``x`` is a Var."""
+    dx = _data(x)
+    head = (slice(None),) * axis + (slice(None, at),)
+    tail = (slice(None),) * axis + (slice(at, None),)
+    a, b = np.ascontiguousarray(dx[head]), np.ascontiguousarray(dx[tail])
     if not isinstance(x, Var):
         return a, b
     a, b = _op_output(a, x.tape), _op_output(b, x.tape)
@@ -692,11 +709,11 @@ def split_half(x) -> tuple[Value, Value]:
         if x.grad is None:
             x.grad = np.zeros_like(dx)
         if a.grad is not None:
-            x.grad[:, :half] += a.grad
+            x.grad[head] += a.grad
         if b.grad is not None:
-            x.grad[:, half:] += b.grad
+            x.grad[tail] += b.grad
 
-    x.tape.nodes.append(_Node("split_half", back, (x,), (a, b)))
+    x.tape.nodes.append(_Node(op, back, (x,), (a, b)))
     return a, b
 
 

@@ -28,8 +28,10 @@ network while inference stays tape-free.
 
 Every walk writes the couplings' hidden maps into two buffers that
 belong to that walk alone: the couplings of a block reuse them, in the
-forward and again when the backward recomputes them. Nothing is cached
-on the module or the model, so concurrent reads of one model stay safe.
+forward and again when the backward recomputes them. The walks of one
+training step share each invconv weight's inverse through the step's
+parameter mapping (:class:`_StepParams`). Nothing is cached on the
+module or the model, so concurrent reads of one model stay safe.
 """
 
 from __future__ import annotations
@@ -345,11 +347,14 @@ def _actnorm_back(y, g, scale, bias, inverse):
 
 
 def _invconv_back(y, g, weight, inverse, w_inv):
-    """``w_inv`` is the W^{-1} that an inverse walk's forward computed; a
-    forward walk's rule inverts W itself, once per walk."""
+    """``w_inv`` is W^{-1}, from the walk's scratch (:func:`_inverse_of`):
+    an inverse walk's forward used it, and a forward walk's rule rebuilds
+    its input with it."""
     w = ad._data(weight)
-    x = ad._mix(w, y) if inverse else ad._mix(mat_inverse(w), y)
-    gx, gw = ad._mix_grads(g, x, w, w_inv, want_w=isinstance(weight, ad.Var))
+    x = ad._mix(w if inverse else w_inv, y)
+    gx, gw = ad._mix_grads(
+        g, x, w, w_inv if inverse else None, want_w=isinstance(weight, ad.Var)
+    )
     ad._accum(weight, gw)
     return x, gx
 
@@ -403,6 +408,31 @@ class _HiddenMaps:
         if not self._pair or self._pair[0].shape != shape:
             self._pair = (np.empty(shape), np.empty(shape))
         return self._pair
+
+
+class _StepParams(dict):
+    """Parameter values for the walks of one training step, with the
+    scratch those walks share: ``inverses`` maps an invconv layer's name
+    to W^{-1}. Whichever walk needs a weight's inverse first (an inverse
+    walk's forward, or a forward walk's backward) computes it, and the
+    others reuse it, so a step inverts each weight once. It serves the
+    walks of one set of weights only and dies with the step.
+    """
+
+    __slots__ = ("inverses",)
+
+    def __init__(self, params):
+        super().__init__(params or {})
+        self.inverses = {}
+
+
+def _inverse_of(inverses, name, w):
+    """W^{-1} of the invconv ``name`` from ``inverses``, computed and kept
+    there on first use."""
+    w_inv = inverses.get(name)
+    if w_inv is None:
+        w_inv = inverses[name] = mat_inverse(w)
+    return w_inv
 
 
 def squeeze_apply(x, inverse: bool = False):
@@ -504,9 +534,11 @@ class FlowNet:
         :class:`_HiddenMaps` made here for the couplings, so concurrent
         walks share no buffer. When ``v`` or any parameter is a Var, the
         walk records one ``walk`` node. It keeps only the walk's output,
-        the hidden-map buffers and the invconv inverses the forward
-        computed. Its backward copies the output and its gradient, then
-        visits the layers in reverse; each layer's rule
+        the hidden-map buffers and the invconv inverses, which come from
+        ``params`` when it is a :class:`_StepParams` (the walks of a step
+        share them) and are made for this walk otherwise. Its backward
+        copies the output and its gradient, then visits the layers in
+        reverse; each layer's rule
         (``_squeeze_back``, ``_actnorm_back``, ``_invconv_back``,
         ``_coupling_back``) rebuilds the layer's input from its output in
         place and accumulates the layer's gradients. So a training tape
@@ -518,19 +550,20 @@ class FlowNet:
             what = "latent" if inverse else "image"
             raise NumericError(f"{what} input holds NaN or infinite values")
         store = self.params if params is None else {**self.params, **params}
+        inverses = params.inverses if isinstance(params, _StepParams) else {}
         steps = [
-            (layer.kind, tuple(store[name] for name in layer.shapes))
+            (layer, tuple(store[name] for name in layer.shapes))
             for layer in (reversed(self.layers) if inverse else self.layers)
         ]
-        maps, inverses = _HiddenMaps(), {}
+        maps = _HiddenMaps()
         y = ad._data(v)
-        for i, (kind, weights) in enumerate(steps):
-            arrays = [ad._data(p) for p in weights]
+        for layer, weights in steps:
+            kind, arrays = layer.kind, [ad._data(p) for p in weights]
             if kind == "coupling":
                 y = coupling_apply(y, *arrays, inverse=inverse, maps=maps)
             elif kind == "invconv" and inverse:
-                inverses[i] = mat_inverse(arrays[0])
-                y = invconv_apply(y, *arrays, inverse=True, w_inv=inverses[i])
+                w_inv = _inverse_of(inverses, layer.name, arrays[0])
+                y = invconv_apply(y, *arrays, inverse=True, w_inv=w_inv)
             else:
                 y = _APPLY[kind](y, *arrays, inverse=inverse)
         inputs = (v, *(p for _, weights in steps for p in weights))
@@ -540,14 +573,15 @@ class FlowNet:
 
         def back(g):
             x, g = y.copy(), g.copy()
-            for i in reversed(range(len(steps))):
-                kind, weights = steps[i]
+            for layer, weights in reversed(steps):
+                kind = layer.kind
                 if kind == "squeeze":
                     x, g = _squeeze_back(x, g, inverse)
                 elif kind == "actnorm":
                     x, g = _actnorm_back(x, g, *weights, inverse)
                 elif kind == "invconv":
-                    x, g = _invconv_back(x, g, *weights, inverse, inverses.get(i))
+                    w_inv = _inverse_of(inverses, layer.name, ad._data(weights[0]))
+                    x, g = _invconv_back(x, g, *weights, inverse, w_inv)
                 else:
                     x, g = _coupling_back(x, g, weights, inverse, maps)
             ad._accum(v, g)
@@ -585,10 +619,14 @@ def initialize_actnorms(model: FlowNet, batch) -> list[tuple[str, list[int]]]:
 
     The batch is pushed through the net layer by layer; each actnorm is
     initialized on the activations that actually reach it. Returns
-    ``(layer_name, clamped_channel_indices)`` diagnostics.
+    ``(layer_name, clamped_channel_indices)`` diagnostics. A NaN or
+    infinite value in the batch raises NumericError before any statistic
+    is taken.
     """
     data = np.asarray(batch, dtype=np.float64)
     model._check_image(data)
+    if not np.isfinite(data).all():
+        raise NumericError("actnorm initialization batch holds NaN or infinite values")
     diagnostics = []
     x = data
     for layer in model.layers:

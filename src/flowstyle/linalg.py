@@ -14,7 +14,6 @@ import ctypes
 import functools
 import glob
 import os
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -48,25 +47,33 @@ def _openblas_thread_calls():
     return None
 
 
-@contextmanager
-def blas_threads(macs: float = 0):
+class blas_threads:
     """Run the block's BLAS calls on one thread unless each product does
     ``macs >= THREADED_MIN_MACS`` multiply-adds; restore the count on exit.
 
     The count is process-wide: blocks must not overlap across Python
-    threads. Without numpy's OpenBLAS the count is left alone.
+    threads. Without numpy's OpenBLAS the count is left alone. A plain
+    class rather than a generator: every conv2d enters one.
     """
-    calls = _openblas_thread_calls()
-    if calls is None or macs >= THREADED_MIN_MACS:
-        yield
-        return
-    get, set_ = calls
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+
+    __slots__ = ("_macs", "_restore")
+
+    def __init__(self, macs: float = 0):
+        self._macs = macs
+        self._restore = None
+
+    def __enter__(self):
+        calls = _openblas_thread_calls()
+        if calls is not None and self._macs < THREADED_MIN_MACS:
+            get, set_ = calls
+            self._restore = (set_, get())
+            set_(1)
+
+    def __exit__(self, *exc):
+        if self._restore is not None:
+            set_, before = self._restore
+            self._restore = None
+            set_(before)
 
 
 class SymMatrix:

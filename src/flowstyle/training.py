@@ -8,6 +8,12 @@ statistically-matched target; the style term matches per-stage channel
 mean/std against the style image. Gradients flow through the encoder,
 the transfer, and the decoder.
 
+A step walks the flow twice and runs the LossNet three times: one
+forward walk encodes content and style stacked as one batch, one inverse
+walk decodes, and the LossNet sees the content, style and decoded images
+once each. The walks share each invconv weight's inverse. Content and
+style therefore share (C, H, W); their batch sizes may differ.
+
 Everything is deterministic given the config seed: same seed and data
 order reproduce bit-identical parameters.
 """
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericError, ShapeError, as_index
-from .flows import FlowNet, initialize_actnorms
+from .flows import FlowNet, _StepParams, initialize_actnorms
 from .transfer import adain, channel_stats
 
 LOSSNET_WIDTHS = (16, 32, 64, 64)
@@ -156,12 +162,10 @@ def adain_traced(f_c, f_s):
 def content_loss(stylized_image, target_feature, lossnet: LossNet):
     """RMS distance between the image's top-stage features and the target.
 
-    Returns a float for array input, a Var for Var input.
+    Returns a float for array input, a Var for Var input. A target of
+    another shape than those features raises ShapeError.
     """
-    top = lossnet.top_feature(stylized_image)
-    d = ad.sub(top, np.asarray(target_feature, dtype=np.float64))
-    out = ad.sqrt(ad.mean_all(ad.mul(d, d)))
-    return out if isinstance(out, ad.Var) else float(out)
+    return _content_term(lossnet.top_feature(stylized_image), target_feature)
 
 
 def style_loss(stylized_image, style_image, lossnet: LossNet):
@@ -169,18 +173,7 @@ def style_loss(stylized_image, style_image, lossnet: LossNet):
 
     Returns a float for array input, a Var for Var input.
     """
-    targets = [channel_stats(f) for f in lossnet.features(style_image)]
-    total = None
-    for feat, target in zip(lossnet.features(stylized_image), targets):
-        stats = channel_stats(feat)
-        d_mu = ad.sub(stats.mean, target.mean)
-        d_sd = ad.sub(stats.std, target.std)
-        term = ad.add(
-            ad.sqrt(ad.sum_all(ad.mul(d_mu, d_mu))),
-            ad.sqrt(ad.sum_all(ad.mul(d_sd, d_sd))),
-        )
-        total = term if total is None else ad.add(total, term)
-    return total if isinstance(total, ad.Var) else float(total)
+    return _style_term(lossnet.features(stylized_image), lossnet.features(style_image))
 
 
 def transfer_target(lossnet: LossNet, content, style) -> np.ndarray:
@@ -189,9 +182,36 @@ def transfer_target(lossnet: LossNet, content, style) -> np.ndarray:
     The content image's top features with their per-channel mean/std
     replaced by the style image's; computed outside the tape.
     """
-    f_c = lossnet.top_feature(content)
-    f_s = lossnet.top_feature(style)
-    return adain(f_c, f_s)
+    return adain(lossnet.top_feature(content), lossnet.top_feature(style))
+
+
+def _content_term(top, target):
+    """:func:`content_loss` of an image's top-stage features ``top``."""
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != ad._data(top).shape:
+        raise ShapeError(
+            f"content target has shape {target.shape}, but the image's top-stage "
+            f"features have shape {ad._data(top).shape}"
+        )
+    d = ad.sub(top, target)
+    out = ad.sqrt(ad.mean_all(ad.mul(d, d)))
+    return out if isinstance(out, ad.Var) else float(out)
+
+
+def _style_term(feats, style_feats):
+    """:func:`style_loss` of an image's per-stage features ``feats``
+    against the style image's ``style_feats``."""
+    total = None
+    for feat, style_feat in zip(feats, style_feats):
+        stats, target = channel_stats(feat), channel_stats(style_feat)
+        d_mu = ad.sub(stats.mean, target.mean)
+        d_sd = ad.sub(stats.std, target.std)
+        term = ad.add(
+            ad.sqrt(ad.sum_all(ad.mul(d_mu, d_mu))),
+            ad.sqrt(ad.sum_all(ad.mul(d_sd, d_sd))),
+        )
+        total = term if total is None else ad.add(total, term)
+    return total if isinstance(total, ad.Var) else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +230,46 @@ def training_loss(model: FlowNet, params, content, style, cfg: TrainConfig, loss
 
     ``params`` maps name -> value. Taped Vars give taped losses to
     differentiate; arrays give the content and style losses as floats.
+    ``content`` and ``style`` are image arrays of one (C, H, W) (else
+    ShapeError); their batch sizes may differ.
+
+    One forward walk encodes content and style stacked as one batch; the
+    latent is split before AdaIN, which pools its statistics over the
+    batch. One inverse walk decodes, and the walks share each invconv's
+    inverse. The LossNet runs three times: on content and style off the
+    tape, on the decoded image on it. The losses equal (``==``) those of
+    separate ``model.forward`` calls composed with
+    :func:`transfer_target`, :func:`content_loss` and :func:`style_loss`.
     """
-    f_c = model.forward(content, params=params)
-    f_s = model.forward(style, params=params)
-    f_cs = adain(f_c, f_s)
-    decoded = model.inverse(f_cs, params=params)
-    target = transfer_target(lossnet, content, style)
-    l_c = content_loss(decoded, target, lossnet)
-    l_s = style_loss(decoded, style, lossnet)
+    content, style = _check_images(content, style)
+    params = _StepParams(params)
+    latent = model.forward(np.concatenate([content, style]), params=params)
+    f_c, f_s = ad.split_batch(latent, content.shape[0])
+    decoded = model.inverse(adain(f_c, f_s), params=params)
+    style_feats = lossnet.features(style)
+    target = adain(lossnet.top_feature(content), style_feats[-1])
+    feats = lossnet.features(decoded)
+    l_c = _content_term(feats[-1], target)
+    l_s = _style_term(feats, style_feats)
     total = ad.add(ad.mul(l_c, cfg.lambda_content), ad.mul(l_s, cfg.lambda_style))
     return total, l_c, l_s
+
+
+def _check_images(content, style):
+    """Content and style as float64 (B, C, H, W) arrays that share
+    (C, H, W)."""
+    arrays = []
+    for name, img in (("content", content), ("style", style)):
+        if isinstance(img, ad.Var):
+            raise ShapeError(f"{name} images must be arrays, not an autodiff Var")
+        arrays.append(np.asarray(img, dtype=np.float64))
+    c, s = arrays
+    if c.ndim != 4 or s.ndim != 4 or c.shape[1:] != s.shape[1:]:
+        raise ShapeError(
+            f"content and style must be (B,C,H,W) batches of one (C,H,W), "
+            f"got {c.shape} and {s.shape}"
+        )
+    return c, s
 
 
 def train_step(
@@ -233,7 +283,7 @@ def train_step(
 
     The learning rate for the update is lr / (1 + decay * completed_steps).
     """
-    content, style = (np.asarray(b, dtype=np.float64) for b in batch)
+    content, style = _check_images(*batch)
     if not model.initialized:
         initialize_actnorms(model, np.concatenate([content, style], axis=0))
     tape = ad.Tape()
@@ -270,6 +320,30 @@ def _as_chw(img) -> np.ndarray:
     return a
 
 
+def _as_pairs(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pair source as (content, style) (C,H,W) arrays, all with one
+    channel count; ShapeError for a non-pair or a channel mismatch and
+    NumericError for a NaN or infinite value, each naming the pair."""
+    checked = []
+    for i, item in enumerate(pairs):
+        try:
+            content, style = item
+        except (TypeError, ValueError):
+            raise ShapeError(f"pair {i} is not a (content, style) pair") from None
+        content, style = _as_chw(content), _as_chw(style)
+        channels = checked[0][0].shape[0] if checked else content.shape[0]
+        if content.shape[0] != channels or style.shape[0] != channels:
+            raise ShapeError(
+                f"pair {i}: content {content.shape} and style {style.shape} must "
+                f"both have {channels} channels"
+            )
+        for name, img in (("content", content), ("style", style)):
+            if not np.isfinite(img).all():
+                raise NumericError(f"{name} image of pair {i} holds NaN or infinite values")
+        checked.append((content, style))
+    return checked
+
+
 def train(
     model: FlowNet,
     cfg: TrainConfig,
@@ -290,7 +364,7 @@ def train(
     """
     if lossnet is None:
         lossnet = build_lossnet(cfg.seed, model.config.in_channels)
-    pairs = [( _as_chw(c), _as_chw(s)) for c, s in pairs]
+    pairs = _as_pairs(pairs)
     if not pairs:
         raise ShapeError("data source yielded no image pairs")
     rng = np.random.default_rng(cfg.seed)

@@ -108,6 +108,18 @@ class TestForwardValues:
         a, b = ad.split_half(x)
         np.testing.assert_array_equal(ad.concat_half(a, b), x)
 
+    def test_split_batch(self):
+        x = np.random.default_rng(7).standard_normal((3, 2, 2, 2))
+        a, b = ad.split_batch(x, 1)
+        np.testing.assert_array_equal(a, x[:1])
+        np.testing.assert_array_equal(b, x[1:])
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [0, 3, -1, 1.0])
+    def test_split_batch_needs_both_parts(self, n):
+        with pytest.raises(ShapeError, match="split_batch"):
+            ad.split_batch(np.zeros((3, 2, 2, 2)), n)
+
 
 # (name, op, operand shapes): every op, called on its operands alone.
 OP_CASES = [
@@ -132,6 +144,7 @@ OP_CASES = [
     ("squeeze2", ad.squeeze2, [(1, 2, 4, 4)]),
     ("unsqueeze2", ad.unsqueeze2, [(1, 8, 2, 2)]),
     ("split_half", ad.split_half, [(1, 4, 2, 2)]),
+    ("split_batch", lambda x: ad.split_batch(x, 1), [(3, 2, 2, 2)]),
     ("concat_half", ad.concat_half, [(1, 2, 2, 2), (1, 2, 2, 2)]),
 ]
 CASE_IDS = [case[0] for case in OP_CASES]
@@ -278,6 +291,13 @@ class TestGradients:
             return ad.sum_all(ad.mul(y, y))
 
         fd_check({"x": (2, 4, 2, 2)}, build)
+
+    def test_split_batch(self):
+        def build(p):
+            a, b = ad.split_batch(p["x"], 2)
+            return ad.add(ad.sum_all(ad.mul(a, 3.0)), ad.sum_all(ad.mul(b, b)))
+
+        fd_check({"x": (3, 2, 2, 2)}, build)
 
     def test_reshape(self):
         def build(p):
@@ -545,6 +565,34 @@ class TestConvKernels:
         want_gk = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
         np.testing.assert_array_equal(gx, want_gx)
         np.testing.assert_array_equal(gk, want_gk)
+
+    def test_windows_read_any_strides(self):
+        """The window view reads the array it is given at its own strides
+        (a pad-0 convolution passes its input, which may be a view) and
+        is read-only."""
+        x = np.random.default_rng(8).standard_normal((2, 6, 7, 9))
+        taps = ad._Taps(3, 3, 2, 0, 7, 9)
+        for view in (x, x[:, ::2], x[:, :, :, ::-1], x[:, 1:4]):
+            got = taps.windows(view)
+            np.testing.assert_array_equal(got, taps.windows(view.copy()))
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("channels", ORIENTATIONS)
+    def test_unpadded_conv_of_a_view_equals_its_copy(self, channels):
+        n_in, n_out = channels
+        rng = np.random.default_rng(n_in + 3 * n_out)
+        x = rng.standard_normal((2, 2 * n_in, 7, 9))[:, ::2]
+        k = rng.standard_normal((n_out, n_in, 3, 3))
+        probe = rng.standard_normal((2, n_out, 5, 7))
+        results = []
+        for data in (x, x.copy()):
+            tape = ad.Tape()
+            xv, kv = ad.Var(data, tape), ad.Var(k, tape)
+            y = ad.conv2d(xv, kv)
+            ad.backward(ad.sum_all(ad.mul(y, probe)))
+            results.append((y.data, xv.grad, kv.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
 
     def test_tap_geometry_is_computed_once_per_shape(self):
         taps = ad._Taps(3, 3, 2, 1, 7, 9).clipped()

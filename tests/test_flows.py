@@ -273,9 +273,9 @@ class TestCouplingNode:
     def test_training_tape_keeps_no_hidden_map(self, monkeypatch):
         tape, total, pvars = self.loss_tape(monkeypatch)
         ops = [node.op for node in tape.nodes]
-        # One node per walk: two encodes and one decode, and no node of a
-        # flow layer.
-        assert ops.count("walk") == 3
+        # One node per walk: one encode of content and style stacked, one
+        # decode, and no node of a flow layer.
+        assert ops.count("walk") == 2
         assert not set(ops) & FLOW_LAYER_OPS
         leaves = {id(v) for v in pvars.values()}
         values = [

@@ -7,11 +7,15 @@ import pytest
 
 import flowstyle.autodiff as ad
 from flowstyle.errors import NumericError, ShapeError
+from flowstyle import flows
 from flowstyle.flows import (
+    FlowNet,
     FlowNetConfig,
     build_flownet,
     copy_flownet,
     initialize_actnorms,
+    named_config,
+    randomize_couplings,
 )
 from flowstyle.training import (
     AdamState,
@@ -25,6 +29,7 @@ from flowstyle.training import (
     train,
     train_step,
     training_loss,
+    transfer_target,
 )
 from flowstyle.transfer import adain
 
@@ -91,6 +96,13 @@ class TestContentLoss:
         img = np.random.default_rng(2).random((1, 3, 16, 16))
         t = net.top_feature(img) + 1e-3
         assert abs(content_loss(img, t, net) - 1e-3) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(1, 64, 1, 1), (2, 64, 2, 2), (64,)])
+    def test_target_of_another_shape_rejected(self, shape):
+        net = build_lossnet(3)
+        img = np.random.default_rng(3).random((2, 3, 16, 16))
+        with pytest.raises(ShapeError, match=r"\(2, 64, 1, 1\)"):
+            content_loss(img, np.zeros(shape), net)
 
     def test_matches_direct_norm(self):
         net = build_lossnet(3)
@@ -362,3 +374,171 @@ class TestGradCheckOnModel:
 
         report = ad.grad_check(model.params, loss_fn)
         assert report.passed, report.failures
+
+
+def reference_loss(model, params, content, style, cfg, lossnet):
+    """``training_loss`` composed from its public parts: one encode walk
+    per image batch, ``transfer_target``, ``content_loss`` and
+    ``style_loss``."""
+    f_c = model.forward(content, params=params)
+    f_s = model.forward(style, params=params)
+    decoded = model.inverse(adain(f_c, f_s), params=params)
+    target = transfer_target(lossnet, content, style)
+    l_c = content_loss(decoded, target, lossnet)
+    l_s = style_loss(decoded, style, lossnet)
+    total = ad.add(ad.mul(l_c, cfg.lambda_content), ad.mul(l_s, cfg.lambda_style))
+    return total, l_c, l_s
+
+
+def step_setup(shape, batches=(2, 2)):
+    """An initialized model with random couplings, a content and a style
+    batch and the LossNet, at the train-tiny or the crop-32 shape."""
+    if shape == "train-tiny":
+        config = FlowNetConfig(1, 2, 8, 3, 16, 16)
+    else:
+        config = named_config("flow8-block2", in_height=32, in_width=32)
+    model = build_flownet(config, seed=20)
+    rng = np.random.default_rng(21)
+    extent = config.in_height
+    content, style = (rng.random((b, 3, extent, extent)) for b in batches)
+    initialize_actnorms(model, np.concatenate([content, style]))
+    randomize_couplings(model, seed=22)
+    return model, content, style, build_lossnet(0)
+
+
+def taped_loss(loss, model, content, style, lossnet):
+    """Taped total of ``loss``, its tape and the parameters' gradients."""
+    tape = ad.Tape()
+    pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
+    total, _, _ = loss(model, pvars, content, style, TrainConfig(iterations=1), lossnet)
+    ops = [node.op for node in tape.nodes]
+    ad.backward(total)
+    return float(total.data), ops, {name: var.grad for name, var in pvars.items()}
+
+
+class TestStepShape:
+    """A step is one stacked encode walk, one decode walk and three
+    LossNet passes, with the values of its public parts."""
+
+    @pytest.mark.parametrize("batches", [(2, 2), (1, 3)], ids=["same", "mixed"])
+    @pytest.mark.parametrize("shape", ["train-tiny", "crop-32"])
+    def test_losses_equal_public_parts(self, shape, batches):
+        model, content, style, net = step_setup(shape, batches)
+        cfg = TrainConfig(iterations=1)
+        got = training_loss(model, model.params, content, style, cfg, net)
+        want = reference_loss(model, model.params, content, style, cfg, net)
+        assert [float(v) for v in got] == [float(v) for v in want]
+        assert type(got[1]) is float and type(got[2]) is float
+
+    @pytest.mark.parametrize("shape", ["train-tiny", "crop-32"])
+    def test_taped_total_and_gradients_match_public_parts(self, shape):
+        model, content, style, net = step_setup(shape)
+        total, _, grads = taped_loss(training_loss, model, content, style, net)
+        want_total, _, want = taped_loss(reference_loss, model, content, style, net)
+        assert total == want_total
+        # Against the largest gradient over all parameters: some are zero
+        # up to rounding (the last coupling's bias is about 3e-17).
+        scale = max(float(np.max(np.abs(g))) for g in want.values())
+        for name, grad in want.items():
+            np.testing.assert_allclose(
+                grads[name], grad, rtol=0.0, atol=1e-12 * scale, err_msg=name
+            )
+
+    def test_tape_holds_two_walks_and_the_decoded_images_lossnet(self):
+        model, content, style, net = step_setup("train-tiny")
+        _, ops, _ = taped_loss(training_loss, model, content, style, net)
+        assert ops.count("walk") == 2
+        assert ops.count("conv2d") == len(net.kernels) == 4
+
+    def test_walks_lossnet_passes_and_inverses_per_call(self, monkeypatch):
+        model, content, style, net = step_setup("train-tiny")
+        calls = {"walk": 0, "features": 0, "mat_inverse": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(FlowNet, "_walk", counted("walk", FlowNet._walk))
+        monkeypatch.setattr(LossNet, "features", counted("features", LossNet.features))
+        monkeypatch.setattr(flows, "mat_inverse", counted("mat_inverse", flows.mat_inverse))
+        taped_loss(training_loss, model, content, style, net)
+        invconvs = sum(layer.kind == "invconv" for layer in model.layers)
+        assert calls == {"walk": 2, "features": 3, "mat_inverse": invconvs}
+
+    def test_400_step_runs_replay_bit_for_bit(self):
+        cfg = TrainConfig(iterations=400, batch_size=2, crop_size=16, seed=23)
+
+        def run():
+            model, log = tiny_model(seed=24), io.StringIO()
+            train(model, cfg, tiny_pairs(seed=25), lossnet=build_lossnet(0), log_stream=log)
+            return model, log.getvalue()
+
+        (a, log_a), (b, log_b) = run(), run()
+        assert log_a == log_b and len(log_a.splitlines()) == 400
+        for name, param in a.params.items():
+            np.testing.assert_array_equal(param, b.params[name])
+
+
+class TestMalformedTrainingData:
+    def test_channel_mismatch_names_both_shapes(self):
+        rng = np.random.default_rng(26)
+        pairs = [(rng.random((3, 16, 16)), rng.random((1, 16, 16)))]
+        with pytest.raises(ShapeError, match=r"\(3, 16, 16\).*\(1, 16, 16\)"):
+            train(tiny_model(), TrainConfig(iterations=1, crop_size=16), pairs)
+
+    def test_pairs_must_share_a_channel_count(self):
+        rng = np.random.default_rng(27)
+        pairs = [
+            (rng.random((3, 16, 16)), rng.random((3, 16, 16))),
+            (rng.random((1, 16, 16)), rng.random((1, 16, 16))),
+        ]
+        with pytest.raises(ShapeError, match="pair 1"):
+            train(tiny_model(), TrainConfig(iterations=1, crop_size=16), pairs)
+
+    @pytest.mark.parametrize("item", [
+        np.zeros((3, 16, 16)), (np.zeros((3, 16, 16)),) * 3, 7,
+    ], ids=["image", "triple", "number"])
+    def test_non_pair_rejected(self, item):
+        pairs = [(np.zeros((3, 16, 16)), np.zeros((3, 16, 16))), item]
+        with pytest.raises(ShapeError, match="pair 1 is not"):
+            train(tiny_model(), TrainConfig(iterations=1, crop_size=16), pairs)
+
+    @pytest.mark.parametrize("style_shape", [(2, 3, 8, 8), (2, 1, 16, 16)])
+    def test_training_loss_needs_one_chw(self, style_shape):
+        model, content, _, net = step_setup("train-tiny")
+        style = np.zeros(style_shape)
+        with pytest.raises(ShapeError, match=r"\(2, 3, 16, 16\)"):
+            training_loss(model, model.params, content, style, TrainConfig(), net)
+
+    def test_training_loss_takes_image_arrays(self):
+        model, content, style, net = step_setup("train-tiny")
+        with pytest.raises(ShapeError, match="content images must be arrays"):
+            training_loss(model, model.params, ad.Var(content, ad.Tape()), style,
+                          TrainConfig(), net)
+
+    def test_train_step_checks_before_concatenating(self):
+        model, net = tiny_model(), build_lossnet(0)
+        batch = (np.zeros((2, 3, 16, 16)), np.zeros((2, 1, 16, 16)))
+        with pytest.raises(ShapeError, match=r"\(2, 1, 16, 16\)"):
+            train_step(model, net, batch, TrainConfig(), AdamState.for_params(model.params))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["content", "style"])
+    def test_non_finite_image_raises_numeric_error(self, which, bad):
+        pairs = tiny_pairs(n=2)
+        image = pairs[1][which == "style"]
+        image[1, 2, 3] = bad
+        with pytest.raises(NumericError, match=f"{which} image of pair 1"):
+            train(tiny_model(), TrainConfig(iterations=1, crop_size=16), pairs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_actnorm_batch_raises_numeric_error(self, bad):
+        model = tiny_model()
+        batch = np.random.default_rng(28).random((2, 3, 16, 16))
+        batch[0, 0, 0, 0] = bad
+        with pytest.raises(NumericError, match="NaN or infinite"):
+            initialize_actnorms(model, batch)
+        assert not model.initialized
