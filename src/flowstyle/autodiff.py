@@ -350,12 +350,12 @@ def conv2d(
     channel GEMMs instead, with the same bits.
     For I <= O the input gradient adds the taps of ``k`` as (I*kh*kw, O)
     @ the output gradient into the unpadded gradient, and the kernel
-    gradient is one ``tensordot`` of the output gradient with the windows
-    of the padded input. For I > O each tap's slice of the output
-    gradient goes to the input it read, under the flipped tap, in a
-    (B, O*kh*kw, H*W) matrix; the flipped kernel as (I, O*kh*kw) @ that
-    matrix is the input gradient, and its product with the unpadded
-    input the kernel gradient. Each gradient is computed only when its
+    gradient is one ``np.dot`` of the output gradient with the windows
+    of the padded input (:func:`_batch_dot`). For I > O each tap's slice
+    of the output gradient goes to the input it read, under the flipped
+    tap, in a (B, O*kh*kw, H*W) matrix; the flipped kernel as
+    (I, O*kh*kw) @ that matrix is the input gradient, and its product
+    with the unpadded input the kernel gradient. Each gradient is computed only when its
     operand takes one, by :func:`_conv2d_grads`, which the coupling's
     backward rule in :mod:`flowstyle.flows` also calls. The clipped taps
     of each geometry are computed once (:func:`_clipped_taps`). The tape
@@ -461,7 +461,7 @@ def _conv2d_grads(
             if want_x:
                 gx = (k.reshape(n_out, n_in).T @ g.reshape(b, n_out, -1)).reshape(x.shape)
             if want_k:
-                gk = np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3])).reshape(k.shape)
+                gk = _batch_dot(g, x).reshape(k.shape)
         elif n_in <= n_out:
             if want_x:
                 per_tap = (k.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
@@ -472,7 +472,7 @@ def _conv2d_grads(
                     gx[:, :, rows, cols] += per_tap[:, :, u, v, o_rows, o_cols]
             if want_k:
                 windows = taps.windows(_padded(x, pad))
-                gk = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
+                gk = _batch_dot(g, windows)
         else:
             # The transpose of kn2row: each tap's output gradient at the
             # input it read, under the flipped tap.
@@ -484,9 +484,24 @@ def _conv2d_grads(
                 flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
                 gx = (flipped @ g_taps).reshape(x.shape)
             if want_k:
-                gk = np.tensordot(g_taps, x.reshape(b, n_in, -1), axes=([0, 2], [0, 2]))
+                gk = _batch_dot(g_taps, x.reshape(b, n_in, -1))
                 gk = gk.reshape(n_out, kh, kw, n_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return gb, gx, gk
+
+
+def _batch_dot(g, x):
+    """Sum over the batch and ``g``'s trailing axes of ``g`` (B, O, *S)
+    times ``x`` (B, I, *S, *R): an (O, I, *R) array.
+
+    It is ``np.tensordot(g, x, axes=([0, 2, ...], [0, 2, ...]))`` without
+    tensordot's generic axis bookkeeping: the same transposes and
+    reshapes into one ``np.dot``, so the same bits.
+    """
+    space = tuple(range(2, g.ndim))
+    rest = tuple(range(g.ndim, x.ndim))
+    a = g.transpose(1, 0, *space).reshape(g.shape[1], -1)
+    b = x.transpose(0, *space, 1, *rest).reshape(a.shape[1], -1)
+    return np.dot(a, b).reshape(g.shape[1], x.shape[1], *x.shape[g.ndim:])
 
 
 def _int_at_least(name, value, least):
@@ -586,7 +601,7 @@ def _mix_grads(g, x, w, w_inv=None, want_w=True):
     gw = None
     if want_w:
         with blas_threads(g.size * x.shape[1]):
-            gw = np.tensordot(g, x, axes=([0, 2, 3], [0, 2, 3]))
+            gw = _batch_dot(g, x)
         if w_inv is not None:
             gw = -(w_inv.T @ gw @ w_inv.T)
     return gx, gw

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, as_index
-from .flows import FlowNet, FlowNetConfig, build_flownet
+from .flows import FlowNet, FlowNetConfig, _StepParams, build_flownet
 from .metrics import gram_loss, recon_error, ssim
 from .training import LossNet, TrainConfig, build_lossnet, train
 from .transfer import ADAIN, FACTORS, TransferKind, transfer_apply
@@ -73,15 +73,18 @@ def leak_test(
     round 1 is SSIM 1 / drift 0 by construction. A statistics-preserving
     transfer keeps drift at rounding level; a patch-replacement transfer
     drifts monotonically. The style image is encoded once, so ``rounds``
-    rounds take ``rounds + 1`` forward and ``rounds`` inverse passes.
+    rounds take ``rounds + 1`` forward and ``rounds`` inverse passes,
+    which share one inverse of each invconv weight.
     """
     rounds = as_index("rounds", rounds)
     if rounds < 1:
         raise ShapeError(f"rounds must be >= 1, got {rounds}")
     f_s = _encode(model, style)
+    scratch = _StepParams({})
 
     def restyle(image):
-        return model.inverse(transfer_apply(kind, _encode(model, image), f_s, alpha))
+        f_cs = transfer_apply(kind, _encode(model, image), f_s, alpha)
+        return model.inverse(f_cs, params=scratch)
 
     first = restyle(content)
     ssims = [ssim(first, first)]
@@ -102,13 +105,16 @@ def reverse_transfer(
     With an exactly invertible network and a statistics-preserving
     transfer the second pass restores the content image. The content
     latent serves as the second pass's style latent, so the whole takes
-    three forward and two inverse passes.
+    three forward and two inverse passes, which share one inverse of each
+    invconv weight.
     """
     if kind.name not in FACTORS:
         raise ShapeError(f"reverse transfer requires one of {tuple(FACTORS)}")
-    f_c = _encode(model, content)
-    stylized = model.inverse(transfer_apply(kind, f_c, _encode(model, style)))
-    recovered = model.inverse(transfer_apply(kind, _encode(model, stylized), f_c))
+    f_c, scratch = _encode(model, content), _StepParams({})
+    stylized = model.inverse(transfer_apply(kind, f_c, _encode(model, style)), params=scratch)
+    recovered = model.inverse(
+        transfer_apply(kind, _encode(model, stylized), f_c), params=scratch
+    )
     return stylized, recovered
 
 

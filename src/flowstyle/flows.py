@@ -30,7 +30,8 @@ Every walk writes the couplings' hidden maps into two buffers that
 belong to that walk alone: the couplings of a block reuse them, in the
 forward and again when the backward recomputes them. The walks of one
 training step share each invconv weight's inverse through the step's
-parameter mapping (:class:`_StepParams`). Nothing is cached on the
+parameter mapping (:class:`_StepParams`), as do the decode walks of
+one ``leak_test`` or ``reverse_transfer`` call. Nothing is cached on the
 module or the model, so concurrent reads of one model stay safe.
 """
 
@@ -411,12 +412,13 @@ class _HiddenMaps:
 
 
 class _StepParams(dict):
-    """Parameter values for the walks of one training step, with the
+    """Parameter values for the walks of one training step (or of one
+    experiment call, with no values, so the stored ones apply), with the
     scratch those walks share: ``inverses`` maps an invconv layer's name
     to W^{-1}. Whichever walk needs a weight's inverse first (an inverse
     walk's forward, or a forward walk's backward) computes it, and the
     others reuse it, so a step inverts each weight once. It serves the
-    walks of one set of weights only and dies with the step.
+    walks of one set of weights only and dies with the step or call.
     """
 
     __slots__ = ("inverses",)

@@ -8,11 +8,15 @@ statistically-matched target; the style term matches per-stage channel
 mean/std against the style image. Gradients flow through the encoder,
 the transfer, and the decoder.
 
-A step walks the flow twice and runs the LossNet three times: one
-forward walk encodes content and style stacked as one batch, one inverse
-walk decodes, and the LossNet sees the content, style and decoded images
-once each. The walks share each invconv weight's inverse. Content and
-style therefore share (C, H, W); their batch sizes may differ.
+A step walks the flow twice and runs the LossNet twice: one forward
+walk encodes content and style stacked as one batch, one inverse walk
+decodes, and the LossNet sees content and style stacked as one batch off
+the tape and the decoded image on it. The walks share each invconv
+weight's inverse. Content and style therefore share (C, H, W); their
+batch sizes may differ. AdaIN, the content term and the style term are
+one tape node each, with closed-form backwards, so a step's tape holds
+the two walks, the ``split_batch``, AdaIN, the decoded image's LossNet
+stages, the two loss terms and their weighted sum.
 
 Everything is deterministic given the config seed: same seed and data
 order reproduce bit-identical parameters.
@@ -29,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NumericError, ShapeError, as_index
 from .flows import FlowNet, _StepParams, initialize_actnorms
-from .transfer import adain, channel_stats
+from .transfer import _inv_above, _moments, _moments_grad, _pc, adain
 
 LOSSNET_WIDTHS = (16, 32, 64, 64)
 
@@ -44,6 +48,8 @@ class LossNet:
     def __init__(self, kernels, biases, seed: int):
         self.kernels = tuple(np.asarray(k, dtype=np.float64) for k in kernels)
         self.biases = tuple(np.asarray(b, dtype=np.float64) for b in biases)
+        if not self.kernels:
+            raise ShapeError("a LossNet needs at least one stage")
         self.seed = seed
         for k in self.kernels:
             k.flags.writeable = False
@@ -52,7 +58,10 @@ class LossNet:
 
     def features(self, image) -> list[ad.Value]:
         """Per-stage feature maps for an image batch (B,C,H,W): arrays
-        for an array, Vars for a Var."""
+        for an array, Vars for a Var. A NaN or infinite pixel raises
+        NumericError before any stage runs."""
+        if not np.isfinite(ad._data(image)).all():
+            raise NumericError("LossNet input holds NaN or infinite values")
         feats = []
         for k, b in zip(self.kernels, self.biases):
             image = ad.conv2d(image, k, b, stride=2, pad=1, relu=True)
@@ -66,9 +75,18 @@ class LossNet:
 def build_lossnet(
     seed: int = 0, in_channels: int = 3, widths=LOSSNET_WIDTHS
 ) -> LossNet:
+    """A LossNet with one stage per entry of ``widths``, each a positive
+    integer; anything else, or no width, raises ShapeError."""
     rng = np.random.default_rng(as_index("seed", seed, 0))
     kernels, biases = [], []
     c_in = as_index("in_channels", in_channels, 1)
+    try:
+        widths = list(widths)
+    except TypeError:
+        raise ShapeError(f"LossNet widths must be a sequence, got {widths!r}") from None
+    widths = [as_index("LossNet width", width, 1) for width in widths]
+    if not widths:
+        raise ShapeError("a LossNet needs at least one stage width")
     for width in widths:
         fan_in = c_in * 9
         kernels.append(rng.standard_normal((width, c_in, 3, 3)) * np.sqrt(2.0 / fan_in))
@@ -162,8 +180,9 @@ def adain_traced(f_c, f_s):
 def content_loss(stylized_image, target_feature, lossnet: LossNet):
     """RMS distance between the image's top-stage features and the target.
 
-    Returns a float for array input, a Var for Var input. A target of
-    another shape than those features raises ShapeError.
+    Returns a float for array input, a Var for Var input. The target
+    must be a finite array of those features' shape: a Var or another
+    shape raises ShapeError, a NaN or infinite value NumericError.
     """
     return _content_term(lossnet.top_feature(stylized_image), target_feature)
 
@@ -186,32 +205,70 @@ def transfer_target(lossnet: LossNet, content, style) -> np.ndarray:
 
 
 def _content_term(top, target):
-    """:func:`content_loss` of an image's top-stage features ``top``."""
+    """:func:`content_loss` of an image's top-stage features ``top``.
+
+    ``target`` must be a finite array of their shape (ShapeError for a
+    Var or another shape, NumericError for a NaN or infinite value). A
+    taped ``top`` gives a Var from one ``content_term`` node, whose
+    backward sends d / (n * loss) down (0 at a zero loss, as
+    ``autodiff.sqrt`` does).
+    """
+    if isinstance(target, ad.Var):
+        raise ShapeError("content target must be an array, not an autodiff Var")
     target = np.asarray(target, dtype=np.float64)
     if target.shape != ad._data(top).shape:
         raise ShapeError(
             f"content target has shape {target.shape}, but the image's top-stage "
             f"features have shape {ad._data(top).shape}"
         )
-    d = ad.sub(top, target)
-    out = ad.sqrt(ad.mean_all(ad.mul(d, d)))
-    return out if isinstance(out, ad.Var) else float(out)
+    if not np.isfinite(target).all():
+        raise NumericError("content target holds NaN or infinite values")
+    d = ad._data(top) - target
+    out = np.sqrt(np.asarray((d * d).mean()))
+    if not isinstance(top, ad.Var):
+        return float(out)
+
+    def back(g):
+        ad._accum(top, d * (g * _inv_above(out, 0.0) / d.size))
+
+    return ad._record(top.tape, "content_term", out, back, (top,))
 
 
 def _style_term(feats, style_feats):
     """:func:`style_loss` of an image's per-stage features ``feats``
-    against the style image's ``style_feats``."""
-    total = None
+    against the style image's ``style_feats``.
+
+    With a taped Var among them the result is a Var from one
+    ``style_term`` node over all stages. It keeps each stage's
+    per-channel statistics and differences, and no array feature; its
+    backward rebuilds each taped feature's centered values from its
+    input and sends each norm's gradient d / ||d|| (0 at a zero norm)
+    through the stage's mean and floored std by
+    :func:`transfer._moments_grad`.
+    """
+    stages, total = [], None
     for feat, style_feat in zip(feats, style_feats):
-        stats, target = channel_stats(feat), channel_stats(style_feat)
-        d_mu = ad.sub(stats.mean, target.mean)
-        d_sd = ad.sub(stats.std, target.std)
-        term = ad.add(
-            ad.sqrt(ad.sum_all(ad.mul(d_mu, d_mu))),
-            ad.sqrt(ad.sum_all(ad.mul(d_sd, d_sd))),
+        (mean, root, std), (mean_s, root_s, std_s) = (
+            _moments(ad._data(f)) for f in (feat, style_feat)
         )
-        total = term if total is None else ad.add(total, term)
-    return total if isinstance(total, ad.Var) else float(total)
+        d_mu, d_sd = mean - mean_s, std - std_s
+        n_mu, n_sd = np.sqrt((d_mu * d_mu).sum()), np.sqrt((d_sd * d_sd).sum())
+        term = n_mu + n_sd
+        total = term if total is None else total + term
+        sides = ((feat, mean, root, 1.0), (style_feat, mean_s, root_s, -1.0))
+        stages.append(([side for side in sides if isinstance(side[0], ad.Var)],
+                       d_mu * _inv_above(n_mu, 0.0), d_sd * _inv_above(n_sd, 0.0)))
+    tape = ad._tape_of(*feats, *style_feats)
+    if tape is None:
+        return float(total)
+
+    def back(g):
+        for sides, u_mu, u_sd in stages:
+            for f, mean, root, sign in sides:
+                grad = _moments_grad(f.data - _pc(mean), root, sign * g * u_mu, sign * g * u_sd)
+                ad._accum(f, grad)
+
+    return ad._record(tape, "style_term", total, back, (*feats, *style_feats))
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +293,22 @@ def training_loss(model: FlowNet, params, content, style, cfg: TrainConfig, loss
     One forward walk encodes content and style stacked as one batch; the
     latent is split before AdaIN, which pools its statistics over the
     batch. One inverse walk decodes, and the walks share each invconv's
-    inverse. The LossNet runs three times: on content and style off the
-    tape, on the decoded image on it. The losses equal (``==``) those of
-    separate ``model.forward`` calls composed with
-    :func:`transfer_target`, :func:`content_loss` and :func:`style_loss`.
+    inverse. The LossNet runs twice: on content and style stacked as one
+    batch off the tape, whose per-stage features are then sliced apart,
+    and on the decoded image on it. AdaIN, the content term and the
+    style term are one tape node each. The losses equal (``==``) those
+    of separate ``model.forward`` calls composed with
+    :func:`transfer_target`, :func:`content_loss` and :func:`style_loss`:
+    conv2d multiplies each sample of a batch on its own.
     """
     content, style = _check_images(content, style)
-    params = _StepParams(params)
-    latent = model.forward(np.concatenate([content, style]), params=params)
-    f_c, f_s = ad.split_batch(latent, content.shape[0])
+    params, n = _StepParams(params), content.shape[0]
+    images = np.concatenate([content, style])
+    f_c, f_s = ad.split_batch(model.forward(images, params=params), n)
     decoded = model.inverse(adain(f_c, f_s), params=params)
-    style_feats = lossnet.features(style)
-    target = adain(lossnet.top_feature(content), style_feats[-1])
+    fixed = lossnet.features(images)
+    style_feats = [f[n:] for f in fixed]
+    target = adain(fixed[-1][:n], style_feats[-1])
     feats = lossnet.features(decoded)
     l_c = _content_term(feats[-1], target)
     l_s = _style_term(feats, style_feats)

@@ -21,8 +21,10 @@ so repeated application corrupts content.
 All functions are pure and operate on float64 (B,C,H,W) arrays. AdaIN's
 functions also accept taped :class:`~flowstyle.autodiff.Var` features
 and then return Vars, so training differentiates through the same
-``adain`` that inference runs; the WCT and patch-swap functions raise
-``ShapeError`` when given a Var.
+``adain`` that inference runs: ``adain`` and ``channel_stats`` record
+one node each, whose backward is the closed-form gradient through the
+per-channel mean and floored std (:func:`_moments_grad`). The WCT and
+patch-swap functions raise ``ShapeError`` when given a Var.
 """
 
 from __future__ import annotations
@@ -106,17 +108,71 @@ def _check_feature(f, name, arrays_only=False):
     return f if isinstance(f, ad.Var) else a
 
 
+def _pc(v):
+    """A length-C vector as (1,C,1,1), to broadcast over a feature."""
+    return v.reshape(1, -1, 1, 1)
+
+
+def _moments(a):
+    """Per-channel (mean, raw std, floored std) of the feature array
+    ``a``: the array code of :func:`channel_stats`, with the bits of its
+    per-op graph."""
+    mean = a.mean(axis=(0, 2, 3))
+    centered = a - _pc(mean)
+    root = np.sqrt((centered * centered).mean(axis=(0, 2, 3)))
+    return mean, root, np.maximum(root, EPS_STD)
+
+
+def _inv_above(x, floor):
+    """1/x where x > ``floor``, else 0: the subgradient factor of a root
+    (``floor`` 0, as in ``autodiff.sqrt``) or of a floored std (``floor``
+    EPS_STD, the mask of ``autodiff.maximum_scalar``)."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x > floor)
+
+
+def _moments_grad(centered, root, g_mean, g_std, g_centered=None):
+    """Gradient with respect to a feature ``x`` of its per-channel mean
+    and floored std, given their gradients ``g_mean`` and ``g_std`` and
+    an optional gradient ``g_centered`` on ``centered = x - mean`` itself.
+
+    This is the BatchNorm backward: ``x`` gets the gradient G of
+    ``centered`` plus (g_mean - sum G) / n per channel, where G adds
+    g_std / (n * root) * centered to ``g_centered``. A channel whose raw
+    std ``root`` is at most EPS_STD gets no std gradient, which also
+    covers a root of exactly 0: the subgradients of the per-op graph.
+    """
+    n = centered.size // centered.shape[1]
+    g = centered * _pc(_inv_above(root, EPS_STD) * g_std / n)
+    if g_centered is not None:
+        g += g_centered
+    g += _pc((g_mean - g.sum(axis=(0, 2, 3))) / n)
+    return g
+
+
 def channel_stats(f) -> FeatureStats:
     """Per-channel moments over batch and spatial positions.
 
     Standard deviation uses the population convention (divide by N) and
     is floored at 1e-6 so constant channels stay usable downstream.
+
+    A taped Var gives two Vars from one ``channel_stats`` node (as
+    ``autodiff.split_half`` does) whose backward is
+    :func:`_moments_grad`; it keeps the raw std and rebuilds the
+    centered feature from its input.
     """
     f = _check_feature(f, "feature")
-    mean = ad.channel_mean(f)
-    centered = ad.sub(f, ad.per_channel(mean))
-    std = ad.sqrt(ad.channel_mean(ad.mul(centered, centered)))
-    return FeatureStats(mean, ad.maximum_scalar(std, EPS_STD))
+    mean, root, std = _moments(ad._data(f))
+    if not isinstance(f, ad.Var):
+        return FeatureStats(mean, std)
+    mean, std = ad._op_output(mean, f.tape), ad._op_output(std, f.tape)
+
+    def back():
+        g_mean, g_std = (0.0 if v.grad is None else v.grad for v in (mean, std))
+        ad._accum(f, _moments_grad(f.data - _pc(mean.data), root, g_mean, g_std))
+
+    f.tape.nodes.append(ad._Node("channel_stats", back, (f,), (mean, std)))
+    return FeatureStats(mean, std)
 
 
 def adain_content_factor(f):
@@ -125,22 +181,58 @@ def adain_content_factor(f):
     return ad.div(ad.sub(f, ad.per_channel(s.mean)), ad.per_channel(s.std))
 
 
-def apply_style_factor(content_factor, stats: FeatureStats):
-    """Recombine: content_factor * std + mean."""
-    x = _check_feature(content_factor, "content factor")
-    c = ad._data(x).shape[1]
-    shapes = (ad._data(stats.mean).shape, ad._data(stats.std).shape)
+def _check_stats(c, mean, std):
+    shapes = (ad._data(mean).shape, ad._data(std).shape)
     if set(shapes) != {(c,)}:
         raise ShapeError(
             f"style statistics must have shape ({c},) for {c} channels, "
             f"got mean {shapes[0]} and std {shapes[1]}"
         )
+
+
+def apply_style_factor(content_factor, stats: FeatureStats):
+    """Recombine: content_factor * std + mean."""
+    x = _check_feature(content_factor, "content factor")
+    _check_stats(ad._data(x).shape[1], stats.mean, stats.std)
     return ad.add(ad.mul(x, ad.per_channel(stats.std)), ad.per_channel(stats.mean))
 
 
 def adain(f_c, f_s):
-    """Match the content feature's per-channel mean/std to the style's."""
-    return apply_style_factor(adain_content_factor(f_c), channel_stats(f_s))
+    """Match the content feature's per-channel mean/std to the style's.
+
+    The value is ``apply_style_factor(adain_content_factor(f_c),
+    channel_stats(f_s))``, computed on arrays in one pass that both the
+    array and the taped call run. With a taped Var operand the result is
+    a Var from one ``adain`` node that keeps the per-channel statistics
+    only: its backward rebuilds the standardized content feature from
+    ``f_c`` and sends the gradient through both sides' mean and std by
+    :func:`_moments_grad`.
+    """
+    f_c, f_s = _check_feature(f_c, "feature"), _check_feature(f_s, "feature")
+    dc, ds = ad._data(f_c), ad._data(f_s)
+    (mean_c, root_c, std_c), (mean_s, root_s, std_s) = _moments(dc), _moments(ds)
+    _check_stats(dc.shape[1], mean_s, std_s)
+    # In place, with the bits of (dc - mean_c) / std_c * std_s + mean_s.
+    out = dc - _pc(mean_c)
+    out /= _pc(std_c)
+    out *= _pc(std_s)
+    out += _pc(mean_s)
+    tape = ad._tape_of(f_c, f_s)
+    if tape is None:
+        return out
+
+    def back(g):
+        centered = dc - _pc(mean_c)
+        norm = centered / _pc(std_c)
+        if isinstance(f_s, ad.Var):
+            g_mean, g_std = g.sum(axis=(0, 2, 3)), (g * norm).sum(axis=(0, 2, 3))
+            ad._accum(f_s, _moments_grad(ds - _pc(mean_s), root_s, g_mean, g_std))
+        if isinstance(f_c, ad.Var):
+            g_centered = g * _pc(std_s / std_c)
+            g_std = -(g_centered * norm).sum(axis=(0, 2, 3))
+            ad._accum(f_c, _moments_grad(centered, root_c, 0.0, g_std, g_centered))
+
+    return ad._record(tape, "adain", out, back, (f_c, f_s))
 
 
 def _flatten_channels(a) -> np.ndarray:

@@ -1,0 +1,50 @@
+"""The loss side of a training step as its per-op graph.
+
+``channel_stats``, ``adain``, the style term and the content term
+composed of :mod:`flowstyle.autodiff` ops, one tape node per op, as they
+were written before each became one node. The single-node versions in
+:mod:`flowstyle.transfer` and :mod:`flowstyle.training` are tested
+against these: the same values (``==``), and gradients equal up to
+rounding.
+"""
+
+import flowstyle.autodiff as ad
+from flowstyle.transfer import EPS_STD, FeatureStats
+
+
+def stats_reference(f):
+    """Per-channel mean and floored std: 7 ops."""
+    mean = ad.channel_mean(f)
+    centered = ad.sub(f, ad.per_channel(mean))
+    std = ad.sqrt(ad.channel_mean(ad.mul(centered, centered)))
+    return FeatureStats(mean, ad.maximum_scalar(std, EPS_STD))
+
+
+def adain_reference(f_c, f_s):
+    """The content factor of ``f_c`` recombined with the stats of ``f_s``."""
+    s_c = stats_reference(f_c)
+    norm = ad.div(ad.sub(f_c, ad.per_channel(s_c.mean)), ad.per_channel(s_c.std))
+    s_s = stats_reference(f_s)
+    return ad.add(ad.mul(norm, ad.per_channel(s_s.std)), ad.per_channel(s_s.mean))
+
+
+def style_term_reference(feats, style_feats):
+    """Sum over stages of ||mu - mu_s||_2 + ||sigma - sigma_s||_2."""
+    total = None
+    for feat, style_feat in zip(feats, style_feats):
+        stats, target = stats_reference(feat), stats_reference(style_feat)
+        d_mu = ad.sub(stats.mean, target.mean)
+        d_sd = ad.sub(stats.std, target.std)
+        term = ad.add(
+            ad.sqrt(ad.sum_all(ad.mul(d_mu, d_mu))),
+            ad.sqrt(ad.sum_all(ad.mul(d_sd, d_sd))),
+        )
+        total = term if total is None else ad.add(total, term)
+    return total if isinstance(total, ad.Var) else float(total)
+
+
+def content_term_reference(top, target):
+    """RMS distance between ``top`` and the array ``target``."""
+    d = ad.sub(top, target)
+    out = ad.sqrt(ad.mean_all(ad.mul(d, d)))
+    return out if isinstance(out, ad.Var) else float(out)

@@ -566,6 +566,24 @@ class TestConvKernels:
         np.testing.assert_array_equal(gx, want_gx)
         np.testing.assert_array_equal(gk, want_gk)
 
+    # Kernel and matrix gradients at train-32 and train-tiny shapes: a 1x1
+    # conv, the window view of a padded 3x3 input, the kn2row taps and an
+    # invconv of the stacked batch.
+    @pytest.mark.parametrize("g_shape,x_shape,axes,windows", [
+        ((2, 64, 16, 16), (2, 64, 16, 16), ([0, 2, 3], [0, 2, 3]), None),
+        ((2, 8, 8, 8), (2, 6, 8, 8), ([0, 2, 3], [0, 2, 3]), (3, 3, 1, 1)),
+        ((2, 6 * 9, 64), (2, 8, 64), ([0, 2], [0, 2]), None),
+        ((4, 12, 8, 8), (4, 12, 8, 8), ([0, 2, 3], [0, 2, 3]), None),
+    ], ids=["1x1", "windows", "taps", "mix"])
+    def test_batch_dot_equals_tensordot(self, g_shape, x_shape, axes, windows):
+        rng = np.random.default_rng(len(g_shape) + g_shape[1])
+        g, x = rng.standard_normal(g_shape), rng.standard_normal(x_shape)
+        if windows is not None:
+            kh, kw, stride, pad = windows
+            taps = ad._Taps(kh, kw, stride, pad, *x_shape[2:])
+            x = taps.windows(ad._padded(x, pad))
+        np.testing.assert_array_equal(ad._batch_dot(g, x), np.tensordot(g, x, axes=axes))
+
     def test_windows_read_any_strides(self):
         """The window view reads the array it is given at its own strides
         (a pad-0 convolution passes its input, which may be a view) and

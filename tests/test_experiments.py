@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowstyle import flows
 from flowstyle.errors import ShapeError
 from flowstyle.experiments import (
     LeakReport,
@@ -25,6 +26,7 @@ from flowstyle.transfer import (
     WCT,
     apply_style_factor,
     channel_stats,
+    transfer_apply,
 )
 
 
@@ -258,3 +260,51 @@ def test_non_integer_count_rejected(name):
     """A count that is not an integer is a ShapeError naming the count."""
     with pytest.raises(ShapeError, match=f"{name} must be an integer"):
         NON_INTEGER_COUNTS[name]()
+
+
+class TestOneInversePerCall:
+    """The decode walks of one leak_test or reverse_transfer call share one
+    inverse of each invconv weight, with the outputs of walks that each
+    invert their own."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        inverse = flows.mat_inverse
+
+        def call(w):
+            calls.append(w)
+            return inverse(w)
+
+        monkeypatch.setattr(flows, "mat_inverse", call)
+        return calls
+
+    @pytest.mark.parametrize("kind", [ADAIN, WCT, PATCHSWAP], ids=lambda k: k.name)
+    def test_leak_test(self, kind, monkeypatch):
+        model = make_model(n_flows=3)
+        content, style = images()
+        f_s = model.forward(style)
+        outputs, current = [], content
+        for _ in range(3):
+            current = model.inverse(transfer_apply(kind, model.forward(current), f_s))
+            outputs.append(current)
+        calls = self.counted(monkeypatch)
+        report = leak_test(model, kind, content, style, rounds=3)
+        assert len(calls) == sum(layer.kind == "invconv" for layer in model.layers) == 3
+        assert report.ssim_vs_first == tuple(ssim(out, outputs[0]) for out in outputs)
+        assert report.drift_vs_first == tuple(
+            float(np.max(np.abs(out - outputs[0]))) for out in outputs
+        )
+
+    @pytest.mark.parametrize("kind", [ADAIN, WCT], ids=lambda k: k.name)
+    def test_reverse_transfer(self, kind, monkeypatch):
+        model = make_model(n_flows=3)
+        content, style = images()
+        f_c = model.forward(content)
+        stylized = model.inverse(transfer_apply(kind, f_c, model.forward(style)))
+        recovered = model.inverse(transfer_apply(kind, model.forward(stylized), f_c))
+        calls = self.counted(monkeypatch)
+        got = reverse_transfer(model, kind, content, style)
+        assert len(calls) == 3
+        np.testing.assert_array_equal(got[0], stylized)
+        np.testing.assert_array_equal(got[1], recovered)

@@ -4,10 +4,16 @@ import weakref
 
 import numpy as np
 import pytest
+from loss_oracles import (
+    adain_reference,
+    content_term_reference,
+    stats_reference,
+    style_term_reference,
+)
 
 import flowstyle.autodiff as ad
 from flowstyle.errors import NumericError, ShapeError
-from flowstyle import flows
+from flowstyle import flows, training
 from flowstyle.flows import (
     FlowNet,
     FlowNetConfig,
@@ -31,7 +37,7 @@ from flowstyle.training import (
     training_loss,
     transfer_target,
 )
-from flowstyle.transfer import adain
+from flowstyle.transfer import adain, channel_stats
 
 
 def tiny_pairs(n=4, shape=(3, 16, 16), seed=0):
@@ -82,6 +88,34 @@ class TestLossNet:
         with pytest.raises(ValueError):
             net.kernels[0][0, 0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("widths", [(), (4, 0), (-1,), (2.5,), (4.0,), ("4",), 4])
+    def test_bad_widths_rejected(self, widths):
+        with pytest.raises(ShapeError, match="width|stage"):
+            build_lossnet(0, widths=widths)
+
+    def test_integer_widths_of_any_type_accepted(self):
+        net = build_lossnet(0, widths=(np.int64(4), 2))
+        assert [k.shape[0] for k in net.kernels] == [4, 2]
+
+    def test_lossnet_needs_a_stage(self):
+        with pytest.raises(ShapeError, match="stage"):
+            LossNet([], [], seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_raises_numeric_error(self, bad):
+        net = build_lossnet(0)
+        img = np.random.default_rng(0).random((1, 3, 16, 16))
+        img[0, 1, 2, 3] = bad
+        for image in (img, ad.Var(img, ad.Tape())):
+            with pytest.raises(NumericError, match="NaN or infinite"):
+                net.features(image)
+        target = net.top_feature(np.zeros((1, 3, 16, 16)))
+        with pytest.raises(NumericError, match="NaN or infinite"):
+            content_loss(img, target, net)
+        for pair in ((img, np.zeros_like(img)), (np.zeros_like(img), img)):
+            with pytest.raises(NumericError, match="NaN or infinite"):
+                style_loss(*pair, net)
+
 
 class TestContentLoss:
     def test_zero_when_target_matches(self):
@@ -103,6 +137,22 @@ class TestContentLoss:
         img = np.random.default_rng(3).random((2, 3, 16, 16))
         with pytest.raises(ShapeError, match=r"\(2, 64, 1, 1\)"):
             content_loss(img, np.zeros(shape), net)
+
+    def test_var_target_rejected(self):
+        net = build_lossnet(3)
+        img = np.random.default_rng(3).random((1, 3, 16, 16))
+        target = ad.Var(net.top_feature(img), ad.Tape())
+        with pytest.raises(ShapeError, match="not an autodiff Var"):
+            content_loss(img, target, net)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        net = build_lossnet(3)
+        img = np.random.default_rng(3).random((1, 3, 16, 16))
+        target = net.top_feature(img)
+        target[0, 5, 0, 0] = bad
+        with pytest.raises(NumericError, match="content target"):
+            content_loss(img, target, net)
 
     def test_matches_direct_norm(self):
         net = build_lossnet(3)
@@ -466,7 +516,7 @@ class TestStepShape:
         monkeypatch.setattr(flows, "mat_inverse", counted("mat_inverse", flows.mat_inverse))
         taped_loss(training_loss, model, content, style, net)
         invconvs = sum(layer.kind == "invconv" for layer in model.layers)
-        assert calls == {"walk": 2, "features": 3, "mat_inverse": invconvs}
+        assert calls == {"walk": 2, "features": 2, "mat_inverse": invconvs}
 
     def test_400_step_runs_replay_bit_for_bit(self):
         cfg = TrainConfig(iterations=400, batch_size=2, crop_size=16, seed=23)
@@ -480,6 +530,206 @@ class TestStepShape:
         assert log_a == log_b and len(log_a.splitlines()) == 400
         for name, param in a.params.items():
             np.testing.assert_array_equal(param, b.params[name])
+
+
+def per_op_losses(monkeypatch):
+    """Make ``training_loss`` build AdaIN and both loss terms per op."""
+    monkeypatch.setattr(training, "adain", adain_reference)
+    monkeypatch.setattr(training, "_style_term", style_term_reference)
+    monkeypatch.setattr(training, "_content_term", content_term_reference)
+
+
+def assert_grads_close(got, want, rel=1e-12):
+    """Each gradient within ``rel`` of the largest gradient of ``want``."""
+    scale = max(float(np.max(np.abs(g), initial=0.0)) for g in want.values())
+    for name, grad in want.items():
+        assert np.isfinite(got[name]).all(), name
+        np.testing.assert_allclose(got[name], grad, rtol=0.0, atol=rel * scale, err_msg=name)
+
+
+def probed(fn, arrays, taped, probe_seed=0):
+    """Value, tape ops and gradients of ``sum(fn(*inputs) * probe)`` where
+    the inputs named by ``taped`` are Vars (through an op, so they start
+    without a gradient) and the rest arrays."""
+    tape = ad.Tape()
+    leaves = {n: ad.Var(a, tape) for n, a in arrays.items()}
+    inputs = [ad.mul(leaves[n], 1.0) if n in taped else a for n, a in arrays.items()]
+    out = fn(*inputs)
+    ops = [node.op for node in tape.nodes if node.op != "mul"]
+    probe = np.random.default_rng(probe_seed).standard_normal(out.shape)
+    ad.backward(ad.sum_all(ad.mul(out, probe)))
+    return out.data, ops, {n: leaves[n].grad for n in taped}
+
+
+def constant_channel(f, c, spread=0.0):
+    """``f`` with channel ``c`` at 0.25, plus ``spread`` times its old
+    values: a raw std of 0, or of about ``spread``."""
+    f = f.copy()
+    f[:, c] = 0.25 + spread * f[:, c]
+    return f
+
+
+class TestLossNodes:
+    """AdaIN, the style term and the content term are one tape node each,
+    with the values of their per-op graphs and their gradients up to
+    rounding."""
+
+    @pytest.mark.parametrize("shape", ["train-tiny", "crop-32"])
+    def test_step_equals_per_op_losses(self, shape, monkeypatch):
+        model, content, style, net = step_setup(shape)
+        total, ops, grads = taped_loss(training_loss, model, content, style, net)
+        per_op_losses(monkeypatch)
+        want_total, want_ops, want = taped_loss(training_loss, model, content, style, net)
+        assert total == want_total
+        assert_grads_close(grads, want)
+        assert ops == ["walk", "split_batch", "adain", "walk"] + ["conv2d"] * 4 + [
+            "content_term", "style_term", "mul", "mul", "add"
+        ]
+        assert len(want_ops) == 103
+
+    @pytest.mark.parametrize("taped", [("fc", "fs"), ("fc",), ("fs",)])
+    @pytest.mark.parametrize("case", ["random", "constant content channel",
+                                      "floored content std", "floored style std"])
+    def test_adain_node_equals_per_op_graph(self, case, taped):
+        rng = np.random.default_rng(30)
+        f_c = rng.standard_normal((2, 4, 3, 5)) * 2.0 + 1.0
+        f_s = rng.standard_normal((1, 4, 4, 4)) - 0.5
+        if case == "constant content channel":
+            f_c = constant_channel(f_c, 1)
+        elif case == "floored content std":
+            f_c = constant_channel(f_c, 1, spread=1e-8)
+        elif case == "floored style std":
+            f_s = constant_channel(f_s, 2, spread=1e-8)
+        arrays = {"fc": f_c, "fs": f_s}
+        out, ops, grads = probed(adain, arrays, taped)
+        want_out, _, want = probed(adain_reference, arrays, taped)
+        assert ops == ["adain"]
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(adain(f_c, f_s), want_out)
+        assert_grads_close(grads, want)
+
+    @pytest.mark.parametrize("spread", [None, 0.0, 1e-8],
+                             ids=["random", "constant channel", "floored std"])
+    def test_channel_stats_node_equals_per_op_graph(self, spread):
+        f = np.random.default_rng(31).standard_normal((2, 3, 4, 4))
+        if spread is not None:
+            f = constant_channel(f, 0, spread)
+
+        def both(stats):
+            def fn(x):
+                s = stats(x)
+                return ad.add(ad.per_channel(s.mean), ad.per_channel(s.std))
+
+            return fn
+
+        out, ops, grads = probed(both(channel_stats), {"x": f}, ("x",))
+        want_out, _, want = probed(both(stats_reference), {"x": f}, ("x",))
+        assert ops == ["channel_stats", "reshape", "reshape", "add"]
+        np.testing.assert_array_equal(out, want_out)
+        assert_grads_close(grads, want)
+
+    def test_channel_stats_node_has_two_outputs(self):
+        f = np.random.default_rng(32).standard_normal((1, 3, 4, 4))
+        tape = ad.Tape()
+        stats = channel_stats(ad.Var(f, tape))
+        (node,) = tape.nodes
+        assert node.op == "channel_stats" and node.outs == (stats.mean, stats.std)
+        ad.backward(ad.sum_all(stats.std))  # the mean takes no gradient
+        assert node.outs == ()
+
+    @staticmethod
+    def stage_features(seed, equal=False, spread=None):
+        net = build_lossnet(0, widths=(6, 5))
+        rng = np.random.default_rng(seed)
+        image, style = rng.random((2, 3, 16, 16)), rng.random((1, 3, 16, 16))
+        feats = net.features(style if equal else image)
+        if spread is not None:
+            feats[0] = constant_channel(feats[0], 3, spread)
+        return {f"f{i}": f for i, f in enumerate(feats)}, net.features(style)
+
+    @pytest.mark.parametrize("case", ["random", "constant channel", "floored std",
+                                      "equal to style"])
+    def test_style_term_node_equals_per_op_graph(self, case):
+        spread = {"constant channel": 0.0, "floored std": 1e-8}.get(case)
+        feats, style_feats = self.stage_features(33, case == "equal to style", spread)
+
+        def term(fn):
+            return lambda *fs: ad.reshape(fn(list(fs), style_feats), (1,))
+
+        out, ops, grads = probed(term(training._style_term), feats, tuple(feats))
+        want_out, _, want = probed(term(style_term_reference), feats, tuple(feats))
+        assert ops == ["style_term", "reshape"]
+        assert out == want_out
+        assert training._style_term(list(feats.values()), style_feats) == float(want_out[0])
+        if case == "equal to style":
+            # Every norm is 0: its subgradient is 0, as autodiff.sqrt's.
+            assert out[0] == 0.0
+            for grad in grads.values():
+                np.testing.assert_array_equal(grad, np.zeros_like(grad))
+        else:
+            assert_grads_close(grads, want)
+
+    def test_style_term_differentiates_the_style_side(self):
+        feats, style_feats = self.stage_features(34)
+        arrays = {**feats, **{f"s{i}": f for i, f in enumerate(style_feats)}}
+
+        def term(fn):
+            return lambda a0, a1, s0, s1: ad.reshape(fn([a0, a1], [s0, s1]), (1,))
+
+        _, _, grads = probed(term(training._style_term), arrays, tuple(arrays))
+        _, _, want = probed(term(style_term_reference), arrays, tuple(arrays))
+        assert_grads_close(grads, want)
+
+    @pytest.mark.parametrize("case", ["random", "equal to target"])
+    def test_content_term_node_equals_per_op_graph(self, case):
+        rng = np.random.default_rng(35)
+        top = rng.standard_normal((2, 6, 2, 2))
+        target = top.copy() if case == "equal to target" else rng.standard_normal(top.shape)
+
+        def term(fn):
+            return lambda x: ad.reshape(fn(x, target), (1,))
+
+        out, ops, grads = probed(term(training._content_term), {"x": top}, ("x",))
+        want_out, _, want = probed(term(content_term_reference), {"x": top}, ("x",))
+        assert ops == ["content_term", "reshape"]
+        assert out == want_out
+        if case == "equal to target":
+            assert out[0] == 0.0
+            np.testing.assert_array_equal(grads["x"], np.zeros_like(top))
+        else:
+            assert_grads_close(grads, want)
+
+    @pytest.mark.parametrize("taped", [("fc", "fs"), ("fc",), ("fs",)])
+    def test_adain_passes_grad_check(self, taped):
+        rng = np.random.default_rng(36)
+        params = {"fc": rng.standard_normal((2, 3, 3, 3)),
+                  "fs": 2.0 * rng.standard_normal((1, 3, 4, 3)) + 1.0}
+        fixed = {n: a.copy() for n, a in params.items() if n not in taped}
+        # A probe, since sum(out * out) does not depend on the content.
+        probe = rng.standard_normal(params["fc"].shape)
+
+        def build(p):
+            out = adain(*(fixed.get(n, p.get(n)) for n in ("fc", "fs")))
+            return ad.sum_all(ad.mul(ad.mul(out, out), probe))
+
+        report = ad.grad_check({n: params[n] for n in taped}, build)
+        assert report.passed, report.failures
+
+    def test_style_term_passes_grad_check(self):
+        feats, style_feats = self.stage_features(37)
+
+        def build(p):
+            return training._style_term([p["f0"], p["f1"]], style_feats)
+
+        report = ad.grad_check(feats, build)
+        assert report.passed, report.failures
+
+    def test_content_term_passes_grad_check(self):
+        rng = np.random.default_rng(38)
+        target = rng.standard_normal((1, 4, 2, 2))
+        report = ad.grad_check({"x": rng.standard_normal(target.shape)},
+                               lambda p: training._content_term(p["x"], target))
+        assert report.passed, report.failures
 
 
 class TestMalformedTrainingData:
