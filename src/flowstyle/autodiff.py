@@ -315,6 +315,64 @@ def per_channel(v) -> Value:
 
 # ---------------------------------------------------------------------------
 # structured ops
+#
+# Each structured op has one array kernel, written for the channel-major
+# layout (C, B, H, W) in which a flow walk runs: the channels of the whole
+# batch are the rows of one (C, B*H*W) matrix. Every gradient is one 2-D
+# GEMM over those columns; a forward multiplies each sample's columns on
+# their own, without a copy (:func:`_by_sample`), so that a sample's
+# values do not depend on its batch. The public ops take and give NCHW
+# arrays and reach the kernels through :func:`_swap`, a view at batch 1.
+
+
+def _swap(a):
+    """``a`` with its first two axes swapped, C-contiguous: NCHW to
+    channel-major (C, B, H, W) and back. At batch 1 (or one channel) the
+    two layouts are the same memory and this is a view of ``a``."""
+    return np.ascontiguousarray(a.swapaxes(0, 1))
+
+
+def _channel_sum(a):
+    """Sum of a channel-major ``a`` (C, B, H, W) over batch, then rows,
+    then columns: the reduction order of :func:`_unbroadcast` on the NCHW
+    array, so the same bits."""
+    return a.sum(axis=1).sum(axis=1).sum(axis=1)
+
+
+def _check_real(op, *operands):
+    """ShapeError when an array operand is complex: its conversion to
+    float64 would keep the real part and answer for another input."""
+    for x in operands:
+        if not isinstance(x, Var) and np.iscomplexobj(x):
+            raise ShapeError(f"{op}: expected real values, got {np.asarray(x).dtype}")
+
+
+class _Scratch:
+    """Named buffers that the kernels of one flow walk reuse.
+
+    :meth:`take` hands out the buffer kept under a name, replaced when the
+    shape asked for differs, so the couplings of a block write their
+    hidden maps, and in the backward their convolutions' temporaries,
+    into the same memory each time. A walk makes its own, and no result
+    of a walk is one of its buffers, so it dies with the walk and with
+    its tape node; nothing is kept on the module or the model.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape):
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape)
+        return buf
+
+
+def _take(scratch, name, shape):
+    """A buffer of ``shape`` from ``scratch``, or a new one when None."""
+    return np.empty(shape) if scratch is None else scratch.take(name, shape)
 
 
 def conv2d(
@@ -323,56 +381,33 @@ def conv2d(
     """2-d convolution (cross-correlation), zero padding, square stride,
     then an optional per-channel bias and ReLU.
 
-    ``x`` is (B,I,H,W), ``k`` is (O,I,kh,kw), ``bias`` is (O,) or None;
-    ``stride`` is an integer of at least 1 and ``pad`` one of at least 0.
-    The output and every gradient equal (``array_equal``) those of
-    ``relu(add(conv2d(x, k), per_channel(bias)))``, but come from one
-    tape node whose bias and ReLU run in place on the GEMM's output.
-    Backward masks the output gradient by ``out > 0`` (the kept output
-    is positive exactly where the pre-activation was) and sums it over
-    batch and space for the bias gradient.
+    ``x`` is (B,I,H,W) with B >= 1, ``k`` is (O,I,kh,kw) and ``bias`` is
+    (O,) or None, all real (a complex operand or an empty batch raises
+    ``ShapeError``); ``stride`` is an integer of at least 1 and ``pad``
+    one of at least 0. The output and every gradient equal
+    (``array_equal``) those of ``relu(add(conv2d(x, k), per_channel(bias)))``,
+    but come from one tape node whose bias and ReLU run in place on the
+    GEMM's output. Backward masks the output gradient by ``out > 0`` (the
+    kept output is positive exactly where the pre-activation was) and
+    sums it over batch and space for the bias gradient.
 
-    The output and each gradient are one BLAS GEMM in NCHW layout plus
-    strided adds, with the scratch buffer sized by the smaller channel
-    side, which the shapes alone decide:
-
-    * ``I <= O``: copy every kernel window of the padded input into a
-      (B, I*kh*kw, Ho*Wo) matrix and multiply by ``k`` as (O, I*kh*kw).
-      Scratch: the padded input and that matrix.
-    * ``I > O``: multiply the unpadded input by ``k`` as (kh*kw*O, I),
-      then add each tap's slice of that product into the output window
-      it reaches, clipped at the border: taps on the zero padding add
-      nothing, so no padded copy is made. Scratch: the (B, kh*kw*O, H*W)
-      product.
-
-    Each side's backward is its transpose through the same clipped taps;
-    a 1x1, stride-1, unpadded convolution's two gradients are direct
-    channel GEMMs instead, with the same bits.
-    For I <= O the input gradient adds the taps of ``k`` as (I*kh*kw, O)
-    @ the output gradient into the unpadded gradient, and the kernel
-    gradient is one ``np.dot`` of the output gradient with the windows
-    of the padded input (:func:`_batch_dot`). For I > O each tap's slice
-    of the output gradient goes to the input it read, under the flipped
-    tap, in a (B, O*kh*kw, H*W) matrix; the flipped kernel as
-    (I, O*kh*kw) @ that matrix is the input gradient, and its product
-    with the unpadded input the kernel gradient. Each gradient is computed only when its
-    operand takes one, by :func:`_conv2d_grads`, which the coupling's
-    backward rule in :mod:`flowstyle.flows` also calls. The clipped taps
-    of each geometry are computed once (:func:`_clipped_taps`). The tape
-    keeps the input, the kernel and the output, never a padded copy, a
-    window buffer or a ReLU mask.
+    This NCHW op is the channel-major kernels :func:`_conv` and
+    :func:`_conv_grads`, which state the GEMM forms, reached through
+    :func:`_swap`: free at batch 1, one copy each way otherwise. The
+    tape keeps the input, the kernel and the output, never a padded
+    copy, a column matrix or a ReLU mask.
 
     ``out``, as in numpy, is a C-contiguous float64 array of the output's
     shape that receives the result (bias and ReLU applied), and is what
     the call returns. It serves array calls only: a Var operand, or an
     array that does not fit, raises ``ShapeError``.
-
-    Convolutions of fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds
-    run their GEMMs on one BLAS thread (:func:`linalg.blas_threads`).
     """
+    _check_real("conv2d", x, k, bias)
     dx, dk = _data(x), _data(k)
     if dx.ndim != 4 or dk.ndim != 4:
         raise ShapeError("conv2d expects rank-4 input and kernel")
+    if dx.shape[0] == 0:
+        raise ShapeError(f"conv2d needs a batch of at least one, got shape {dx.shape}")
     if dx.shape[1] != dk.shape[1]:
         raise ShapeError(
             f"conv2d channel mismatch: input {dx.shape[1]}, kernel {dk.shape[1]}"
@@ -404,22 +439,11 @@ def conv2d(
             )
     else:
         out = np.empty((b, n_out, h_out, w_out))
-    macs = b * n_out * n_in * kh * kw * h_out * w_out
-    with blas_threads(macs):
-        if n_in <= n_out:
-            cols = taps.windows(_padded(dx, pad)).transpose(0, 1, 4, 5, 2, 3)
-            np.matmul(dk.reshape(n_out, -1), cols.reshape(b, -1, h_out * w_out),
-                      out=out.reshape(b, n_out, -1))
-        else:
-            prod = dk.transpose(2, 3, 0, 1).reshape(-1, n_in) @ dx.reshape(b, n_in, -1)
-            prod = prod.reshape(b, kh, kw, n_out, h, w)
-            out.fill(0.0)
-            for u, v, o_rows, o_cols, rows, cols in taps.clipped():
-                out[:, :, o_rows, o_cols] += prod[:, u, v, :, rows, cols]
-    if bias is not None:
-        out += _data(bias)[:, None, None]
-    if relu:
-        np.maximum(out, 0.0, out=out)
+    # At batch 1 the kernel writes straight into ``out``.
+    res = _conv(_swap(dx), dk, None if bias is None else _data(bias), stride, pad, relu,
+                out=_swap(out) if b == 1 else None)
+    if b > 1:
+        np.copyto(out, res.swapaxes(0, 1))
 
     def back(g):
         gb, gx, gk = _conv2d_grads(
@@ -437,71 +461,179 @@ def conv2d(
 def _conv2d_grads(
     g, x, k, stride, pad, relu_out=None, bias=False, want_x=True, want_k=True
 ):
-    """The (bias, input, kernel) gradients of one :func:`conv2d` from its
-    output gradient ``g``, each None unless wanted.
+    """The (bias, input, kernel) gradients of one NCHW :func:`conv2d` from
+    its output gradient ``g``, each None unless wanted: :func:`_conv_grads`
+    through :func:`_swap`. ``relu_out`` is the forward's output when it
+    fused a ReLU; ``g`` may then be masked in place, so it must be a
+    buffer that nothing else reads.
+    """
+    gb, gx, gk = _conv_grads(
+        _swap(g), _swap(x), k, stride, pad, None if relu_out is None else _swap(relu_out),
+        bias=bias, want_x=want_x, want_k=want_k,
+    )
+    return gb, None if gx is None else _swap(gx), gk
+
+
+def _by_sample(a, m, b, out):
+    """``a`` @ ``m`` into ``out``, where ``m`` holds the channel-major
+    columns of ``b`` samples: one GEMM per sample's columns, on strided
+    views (no copy). A forward value then has the same bits at any batch
+    size. One GEMM over all the columns would not: BLAS computes the
+    columns at the ragged edge of its tiles with other kernels, so at
+    sample extents such as 5x7, or the LossNet's 2x2 outputs, a sample's
+    values would move in the last bit with its batch.
+    """
+    n = m.shape[1] // b
+    np.matmul(a, m.reshape(-1, b, n).swapaxes(0, 1), out=out.reshape(-1, b, n).swapaxes(0, 1))
+
+
+def _direct(k, stride, pad):
+    """Whether a convolution by ``k`` is 1x1, stride 1 and unpadded: a
+    plain channel GEMM."""
+    return k.shape[2] == k.shape[3] == 1 and stride == 1 and not pad
+
+
+def _uses_cols(k, stride, pad):
+    """Whether a convolution by ``k`` multiplies an im2col matrix
+    (:func:`_im2col`): ``I <= O`` and not direct."""
+    return k.shape[1] <= k.shape[0] and not _direct(k, stride, pad)
+
+
+def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scratch=None):
+    """The convolution kernel, channel-major: ``x`` (I, B, H, W) by ``k``
+    (O, I, kh, kw), then the optional ``bias`` (O,) and ReLU, into ``out``
+    (O, B, Ho, Wo), C-contiguous (a new array when None), which it returns.
+
+    Each form is one GEMM against the (K, B*N) matrix of the whole
+    batch, run one sample's N columns at a time (:func:`_by_sample`), so
+    an output value has the same bits at any batch size. The shapes
+    alone choose the form:
+
+    * 1x1, stride 1, unpadded (:func:`_direct`):
+      ``k`` as (O, I) @ ``x`` as (I, B*H*W).
+    * ``I <= O``, im2col: ``k`` as (O, I*kh*kw) @ ``cols``, the
+      (I*kh*kw, B*Ho*Wo) matrix of every kernel window of the padded
+      input (:func:`_im2col`). A caller that built ``cols`` passes it.
+    * ``I > O``, kn2row: ``k`` as (kh*kw*O, I) @ ``x`` as (I, B*H*W),
+      then each tap's slice of that product is added into the output
+      window it reaches, clipped at the border: taps on the zero padding
+      add nothing, so no padded copy is made.
+
+    ``scratch`` (a walk's :class:`_Scratch`) hands out the column matrix
+    and the kn2row product, which is its ``taps`` buffer; without it they
+    are new arrays. GEMMs of
+    fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds run on one BLAS
+    thread (:func:`linalg.blas_threads`).
+    """
+    n_out, n_in, kh, kw = k.shape
+    _, b, h, w = x.shape
+    taps = _Taps(kh, kw, stride, pad, h, w)
+    if out is None:
+        out = np.empty((n_out, b, taps.h_out, taps.w_out))
+    out2d = out.reshape(n_out, -1)
+    with blas_threads(out2d.size * n_in * kh * kw):
+        if _direct(k, stride, pad):
+            _by_sample(k.reshape(n_out, n_in), x.reshape(n_in, -1), b, out2d)
+        elif n_in <= n_out:
+            if cols is None:
+                cols = _im2col(x, k, stride, pad, scratch)
+            _by_sample(k.reshape(n_out, -1), cols, b, out2d)
+        else:
+            prod = _take(scratch, "taps", (kh * kw * n_out, b * h * w))
+            _by_sample(k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
+            prod = prod.reshape(kh, kw, n_out, b, h, w)
+            out.fill(0.0)
+            for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
+                out[:, :, o_rows, o_cols] += prod[u, v, :, :, rows, cols_]
+    if bias is not None:
+        out += bias[:, None, None, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _conv_grads(
+    g, x, k, stride, pad, relu_out=None, bias=False, want_x=True, want_k=True,
+    cols=None, scratch=None,
+):
+    """The (bias, input, kernel) gradients of one :func:`_conv` from its
+    output gradient ``g`` (O, B, Ho, Wo), each None unless wanted.
 
     ``x`` and ``k`` are the forward's arrays and ``stride`` and ``pad``
     its geometry. ``relu_out`` is the forward's output when it fused a
     ReLU: ``g`` is then masked by ``relu_out > 0`` in place, so it must
     be a buffer that nothing else reads. ``bias`` asks for the bias
-    gradient.
+    gradient (:func:`_channel_sum`). With ``g`` as g2d (O, B*Ho*Wo) and
+    ``x`` as x2d (I, B*H*W), each gradient is one 2-D GEMM:
+
+    * direct: input ``k.T @ g2d``, kernel ``g2d @ x2d.T``.
+    * im2col: input ``k.T @ g2d``, each tap of which is added into a
+      zeroed gradient at the input it read; kernel ``g2d @ cols.T``,
+      with the forward's column matrix ``cols`` when the caller kept it.
+    * kn2row: each tap's slice of ``g`` goes to the input it read, under
+      the flipped tap, in an (O*kh*kw, B*H*W) matrix; the flipped kernel
+      as (I, O*kh*kw) @ that matrix is the input gradient, and the matrix
+      @ ``x2d.T`` the kernel gradient.
+
+    ``scratch`` hands out the temporaries, never a returned gradient; the
+    per-tap product and the kn2row tap matrix, which no call keeps, share
+    its ``taps`` buffer with the forward's kn2row product.
     """
     n_out, n_in, kh, kw = k.shape
-    b, _, h, w = x.shape
+    _, b, h, w = x.shape
     taps = _Taps(kh, kw, stride, pad, h, w)
-    h_out, w_out = taps.h_out, taps.w_out
     if relu_out is not None:
         np.multiply(g, relu_out > 0.0, out=g)
     gb = gx = gk = None
     if bias:
-        gb = _unbroadcast(g, (1, n_out, 1, 1)).reshape(n_out)
-    with blas_threads(b * n_out * n_in * kh * kw * h_out * w_out):
-        if kh == kw == 1 and stride == 1 and not pad:
-            # A 1x1 convolution is a channel GEMM: no windows, no taps.
+        gb = _channel_sum(g)
+    g2d = g.reshape(n_out, -1)
+    with blas_threads(g2d.size * n_in * kh * kw):
+        if _direct(k, stride, pad):
             if want_x:
-                gx = (k.reshape(n_out, n_in).T @ g.reshape(b, n_out, -1)).reshape(x.shape)
+                gx = (k.reshape(n_out, n_in).T @ g2d).reshape(x.shape)
             if want_k:
-                gk = _batch_dot(g, x).reshape(k.shape)
+                gk = (g2d @ x.reshape(n_in, -1).T).reshape(k.shape)
         elif n_in <= n_out:
             if want_x:
-                per_tap = (k.reshape(n_out, -1).T @ g.reshape(b, n_out, -1)).reshape(
-                    b, n_in, kh, kw, h_out, w_out
-                )
-                gx = np.zeros_like(x)
-                for u, v, o_rows, o_cols, rows, cols in taps.clipped():
-                    gx[:, :, rows, cols] += per_tap[:, :, u, v, o_rows, o_cols]
+                per_tap = _take(scratch, "taps", (n_in * kh * kw, g2d.shape[1]))
+                np.matmul(k.reshape(n_out, -1).T, g2d, out=per_tap)
+                per_tap = per_tap.reshape(n_in, kh, kw, b, taps.h_out, taps.w_out)
+                gx = np.zeros(x.shape)
+                for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
+                    gx[:, :, rows, cols_] += per_tap[:, u, v, :, o_rows, o_cols]
             if want_k:
-                windows = taps.windows(_padded(x, pad))
-                gk = _batch_dot(g, windows)
+                if cols is None:
+                    cols = _im2col(x, k, stride, pad, scratch)
+                gk = (g2d @ cols.T).reshape(k.shape)
         else:
-            # The transpose of kn2row: each tap's output gradient at the
-            # input it read, under the flipped tap.
-            g_taps = np.zeros((b, n_out, kh, kw, h, w))
-            for u, v, o_rows, o_cols, rows, cols in taps.clipped():
-                g_taps[:, :, kh - 1 - u, kw - 1 - v, rows, cols] = g[:, :, o_rows, o_cols]
-            g_taps = g_taps.reshape(b, -1, h * w)
+            g_taps = _take(scratch, "taps", (n_out * kh * kw, b * h * w))
+            g_taps.fill(0.0)
+            per_tap = g_taps.reshape(n_out, kh, kw, b, h, w)
+            for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
+                per_tap[:, kh - 1 - u, kw - 1 - v, :, rows, cols_] = g[:, :, o_rows, o_cols]
             if want_x:
                 flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
                 gx = (flipped @ g_taps).reshape(x.shape)
             if want_k:
-                gk = _batch_dot(g_taps, x.reshape(b, n_in, -1))
+                gk = g_taps @ x.reshape(n_in, -1).T
                 gk = gk.reshape(n_out, kh, kw, n_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     return gb, gx, gk
 
 
-def _batch_dot(g, x):
-    """Sum over the batch and ``g``'s trailing axes of ``g`` (B, O, *S)
-    times ``x`` (B, I, *S, *R): an (O, I, *R) array.
-
-    It is ``np.tensordot(g, x, axes=([0, 2, ...], [0, 2, ...]))`` without
-    tensordot's generic axis bookkeeping: the same transposes and
-    reshapes into one ``np.dot``, so the same bits.
-    """
-    space = tuple(range(2, g.ndim))
-    rest = tuple(range(g.ndim, x.ndim))
-    a = g.transpose(1, 0, *space).reshape(g.shape[1], -1)
-    b = x.transpose(0, *space, 1, *rest).reshape(a.shape[1], -1)
-    return np.dot(a, b).reshape(g.shape[1], x.shape[1], *x.shape[g.ndim:])
+def _im2col(x, k, stride, pad, scratch=None, name="cols"):
+    """The (I*kh*kw, B*Ho*Wo) column matrix of a convolution by ``k`` of
+    the channel-major ``x`` (I, B, H, W): row (i, u, v) holds tap (u, v)
+    of channel i at every output position of every sample, read from
+    the zero-padded input. It is ``scratch``'s buffer ``name`` when
+    ``scratch`` is given."""
+    n_in, b, h, w = x.shape
+    kh, kw = k.shape[2:]
+    taps = _Taps(kh, kw, stride, pad, h, w)
+    cols = _take(scratch, name, (n_in * kh * kw, b * taps.h_out * taps.w_out))
+    np.copyto(cols.reshape(n_in, kh, kw, b, taps.h_out, taps.w_out),
+              taps.windows(_padded(x, pad)).transpose(0, 4, 5, 1, 2, 3))
+    return cols
 
 
 def _int_at_least(name, value, least):
@@ -512,11 +644,12 @@ def _int_at_least(name, value, least):
 
 
 def _padded(x, pad):
-    """``x`` with ``pad`` zeros around its two spatial axes (``x`` itself at 0)."""
+    """``x`` with ``pad`` zeros around its two spatial (last) axes (``x``
+    itself at 0)."""
     if not pad:
         return x
-    b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    c, b, h, w = x.shape
+    xp = np.zeros((c, b, h + 2 * pad, w + 2 * pad))
     xp[:, :, pad:-pad, pad:-pad] = x
     return xp
 
@@ -540,8 +673,8 @@ class _Taps:
         return _clipped_taps(self.kh, self.kw, self.stride, self.pad, self.h, self.w)
 
     def windows(self, xp):
-        """Read-only (B, I, Ho, Wo, kh, kw) view of every window of the
-        padded input ``xp``."""
+        """Read-only (A, B, Ho, Wo, kh, kw) view of every window of the
+        padded input ``xp`` (A, B, Hp, Wp), in either layout."""
         sb, si, sh, sw = xp.strides
         s = self.stride
         shape = xp.shape[:2] + (self.h_out, self.w_out, self.kh, self.kw)
@@ -581,42 +714,51 @@ def _clip_axis(k, n, n_out, s, p):
 
 
 def _mix(m, x):
-    """Apply matrix ``m`` (O,I) to the channels of ``x`` (B,I,H,W) by GEMM."""
-    b, _, h, w = x.shape
+    """Apply matrix ``m`` (O,I) to the channels of the channel-major ``x``
+    (I,B,H,W): ``m`` @ ``x`` as (I, B*H*W), by sample (:func:`_by_sample`)."""
+    _, b, h, w = x.shape
+    out = np.empty((m.shape[0], b, h, w))
     with blas_threads(m.size * b * h * w):
-        out = m @ x.reshape(b, x.shape[1], h * w)
-    return out.reshape(b, m.shape[0], h, w)
+        _by_sample(m, x.reshape(x.shape[0], -1), b, out.reshape(m.shape[0], -1))
+    return out
 
 
 def _mix_grads(g, x, w, w_inv=None, want_w=True):
-    """The (input, matrix) gradients of :func:`channel_mix` of ``x`` by
-    ``w``, or of :func:`channel_mix_inv` when ``w_inv`` is given, from the
+    """The (input, matrix) gradients of :func:`_mix` of the channel-major
+    ``x`` by ``w``, or by ``w_inv`` = W^{-1} when it is given, from the
     output gradient ``g``; the matrix gradient is None unless wanted.
 
-    The matrix gradient is the sum over b,h,w of g x^T, taken through
+    The input gradient is ``m.T @ g2d``; the matrix gradient is
+    ``g2d @ x2d.T``, the sum over b,h,w of g x^T, taken through
     d(W^{-1}) = -W^{-1} dW W^{-1} for the inverse.
     """
     m = w if w_inv is None else w_inv
-    gx = _mix(m.T, g)
+    g2d = g.reshape(g.shape[0], -1)
     gw = None
-    if want_w:
-        with blas_threads(g.size * x.shape[1]):
-            gw = _batch_dot(g, x)
-        if w_inv is not None:
-            gw = -(w_inv.T @ gw @ w_inv.T)
+    with blas_threads(g.size * x.shape[0]):
+        gx = (m.T @ g2d).reshape(x.shape)
+        if want_w:
+            gw = g2d @ x.reshape(x.shape[0], -1).T
+    if gw is not None and w_inv is not None:
+        gw = -(w_inv.T @ gw @ w_inv.T)
     return gx, gw
 
 
+def _check_mix(op, x, m):
+    if x.ndim != 4 or x.shape[1] != m.shape[1]:
+        raise ShapeError(f"{op}: {m.shape} cannot act on {x.shape}")
+
+
 def channel_mix(x, w) -> Value:
-    """Per-position channel mixing y = W x (a 1x1 convolution by matrix W)."""
+    """Per-position channel mixing y = W x (a 1x1 convolution by matrix W)
+    of an NCHW ``x``: :func:`_mix` through :func:`_swap`."""
     dx, dw = _data(x), _data(w)
-    if dx.shape[1] != dw.shape[1]:
-        raise ShapeError(f"channel_mix: {dw.shape} cannot act on {dx.shape}")
-    out = _mix(dw, dx)
+    _check_mix("channel_mix", dx, dw)
+    out = _swap(_mix(dw, _swap(dx)))
 
     def back(g):
-        gx, gw = _mix_grads(g, dx, dw, want_w=isinstance(w, Var))
-        _accum(x, gx)
+        gx, gw = _mix_grads(_swap(g), _swap(dx), dw, want_w=isinstance(w, Var))
+        _accum(x, _swap(gx))
         _accum(w, gw)
 
     return _record(_tape_of(x, w), "channel_mix", out, back, (x, w))
@@ -630,11 +772,12 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
     """
     dx = _data(x)
     m = np.asarray(w_inv, dtype=np.float64)
-    out = _mix(m, dx)
+    _check_mix("channel_mix_inv", dx, m)
+    out = _swap(_mix(m, _swap(dx)))
 
     def back(g):
-        gx, gw = _mix_grads(g, dx, _data(w), m, want_w=isinstance(w, Var))
-        _accum(x, gx)
+        gx, gw = _mix_grads(_swap(g), _swap(dx), _data(w), m, want_w=isinstance(w, Var))
+        _accum(x, _swap(gx))
         _accum(w, gw)
 
     return _record(_tape_of(x, w), "channel_mix_inv", out, back, (x, w))
@@ -653,28 +796,30 @@ def squeeze2(x) -> Value:
         raise ShapeError(f"squeeze needs even spatial extents, got {h}x{w}")
 
     def back(g):
-        _accum(x, _unsqueeze_data(g))
+        _accum(x, _swap(_unsqueeze_data(_swap(g))))
 
-    out = _squeeze_data(dx)
-    return _record(_tape_of(x), "squeeze2", np.ascontiguousarray(out), back, (x,))
+    out = _swap(_squeeze_data(_swap(dx)))
+    return _record(_tape_of(x), "squeeze2", out, back, (x,))
 
 
 def _squeeze_data(x):
-    b, c, h, w = x.shape
+    """:func:`squeeze2` of the channel-major ``x`` (C,B,H,W): (4C,B,H/2,W/2)."""
+    c, b, h, w = x.shape
     return (
-        x.reshape(b, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(b, 4 * c, h // 2, w // 2)
+        x.reshape(c, b, h // 2, 2, w // 2, 2)
+        .transpose(0, 3, 5, 1, 2, 4)
+        .reshape(4 * c, b, h // 2, w // 2)
     )
 
 
 def _unsqueeze_data(z):
-    b, c4, h2, w2 = z.shape
+    """:func:`unsqueeze2` of the channel-major ``z`` (4C,B,h,w): (C,B,2h,2w)."""
+    c4, b, h2, w2 = z.shape
     c = c4 // 4
     return (
-        z.reshape(b, c, 2, 2, h2, w2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(b, c, 2 * h2, 2 * w2)
+        z.reshape(c, 2, 2, b, h2, w2)
+        .transpose(0, 3, 4, 1, 5, 2)
+        .reshape(c, b, 2 * h2, 2 * w2)
     )
 
 
@@ -685,10 +830,10 @@ def unsqueeze2(x) -> Value:
         raise ShapeError(f"unsqueeze needs channels divisible by 4, got {dx.shape[1]}")
 
     def back(g):
-        _accum(x, _squeeze_data(g))
+        _accum(x, _swap(_squeeze_data(_swap(g))))
 
-    out = _unsqueeze_data(dx)
-    return _record(_tape_of(x), "unsqueeze2", np.ascontiguousarray(out), back, (x,))
+    out = _swap(_unsqueeze_data(_swap(dx)))
+    return _record(_tape_of(x), "unsqueeze2", out, back, (x,))
 
 
 def split_half(x) -> tuple[Value, Value]:

@@ -25,7 +25,7 @@ from .transfer import ADAIN, FACTORS, TransferKind, transfer_apply
 
 def _encode(model: FlowNet, image) -> np.ndarray:
     """Project an image batch to its latent feature: one forward pass."""
-    return model.forward(np.asarray(image, dtype=np.float64))
+    return model.forward(image)
 
 
 def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1.0) -> np.ndarray:

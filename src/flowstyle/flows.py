@@ -13,9 +13,10 @@ and shapes, and checkpoint tag. The parameters live in one flat ordered
 walks, actnorm initialization, copying, training and the checkpoint file
 layout are all generated from that list.
 
-All layer functions are built from :mod:`~flowstyle.autodiff` ops, so
-arrays in give arrays out and taped :class:`~flowstyle.autodiff.Var`
-values give taped Vars; on Vars they are the per-op reference graph.
+The public layer functions take NCHW arrays or taped
+:class:`~flowstyle.autodiff.Var` values: on arrays they run the
+channel-major kernels that a walk runs, and on Vars they are the per-op
+reference graph (the coupling records one node).
 
 A walk of the whole network (:meth:`FlowNet.forward` /
 :meth:`FlowNet.inverse`) always runs its layers on arrays. When its
@@ -26,9 +27,13 @@ rule per layer kind, and a training step's memory does not grow with
 depth. The trainer differentiates through both directions of the
 network while inference stays tape-free.
 
-Every walk writes the couplings' hidden maps into two buffers that
-belong to that walk alone: the couplings of a block reuse them, in the
-forward and again when the backward recomputes them. The walks of one
+A walk runs channel-major, (C, B, H, W), so that each convolution and
+channel mix works on one (C, B*H*W) matrix of the whole batch; the
+layouts coincide at batch 1. Every walk writes the couplings' hidden
+maps, and in its backward the convolutions' temporaries, into scratch
+buffers that belong to that walk alone: the couplings of a block reuse
+them, in the forward and again when the backward recomputes them. The
+walks of one
 training step share each invconv weight's inverse through the step's
 parameter mapping (:class:`_StepParams`), as do the decode walks of
 one ``leak_test`` or ``reverse_transfer`` call. Nothing is cached on the
@@ -55,6 +60,10 @@ from .linalg import mat_inverse
 
 ACTNORM_SCALE_FLOOR = 1e-6
 ACTNORM_STD_FLOOR = 1e-6
+# Largest relative error with which a walk's backward may rebuild its
+# input: the round-trip bound of the acceptance criteria. Healthy models
+# rebuild to about 1e-14.
+REBUILD_TOL = 1e-9
 SQUEEZE_FACTOR = 2
 
 # (n_flows, n_blocks) for the architecture names used throughout the docs.
@@ -209,13 +218,39 @@ def _check_scale(scale: np.ndarray):
 
 
 def actnorm_apply(x, scale, bias, inverse: bool = False):
-    """Per-channel affine map y = scale * x + bias (or its inverse)."""
+    """Per-channel affine map y = scale * x + bias (or its inverse).
+
+    On arrays this is :func:`_actnorm` through ``autodiff._swap``; a Var
+    operand gives the per-op graph of ``mul`` and ``add`` (``sub`` and
+    ``div`` for the inverse), with the same values.
+    """
     _check_scale(ad._data(scale))
     if ad._data(x).shape[1] != ad._data(scale).shape[0]:
         raise ShapeError("actnorm channel count mismatch")
+    if ad._tape_of(x, scale, bias) is None:
+        arrays = (ad._data(p) for p in (scale, bias))
+        return ad._swap(_actnorm(ad._swap(ad._data(x)), *arrays, inverse))
     if inverse:
         return ad.div(ad.sub(x, ad.per_channel(bias)), ad.per_channel(scale))
     return ad.add(ad.mul(x, ad.per_channel(scale)), ad.per_channel(bias))
+
+
+def _actnorm(x, scale, bias, inverse=False, out=None):
+    """The actnorm kernel on the channel-major ``x`` (C,B,H,W): ``scale *
+    x + bias``, or ``(x - bias) / scale`` for the inverse, computed into
+    ``out`` (``x`` itself runs it in place; a new array when None) with
+    two ufuncs."""
+    _check_scale(scale)
+    if x.shape[0] != scale.shape[0]:
+        raise ShapeError("actnorm channel count mismatch")
+    s, b = scale[:, None, None, None], bias[:, None, None, None]
+    if inverse:
+        out = np.subtract(x, b, out=out)
+        out /= s
+    else:
+        out = np.multiply(x, s, out=out)
+        out += b
+    return out
 
 
 def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -263,49 +298,58 @@ def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
     return ad.conv2d(h, w3, b3, pad=1)
 
 
-def _hidden(x_a, w1, b1, w2, b2, maps):
-    """The inner network's two hidden maps of the array ``x_a``, written
-    into the buffers of ``maps``."""
-    b, _, h, w = x_a.shape
-    h1, h2 = maps.pair((b, w1.shape[0], h, w))
-    ad.conv2d(x_a, w1, b1, pad=1, relu=True, out=h1)
-    ad.conv2d(h1, w2, b2, pad=0, relu=True, out=h2)
-    return h1, h2
+def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, temps=None, cols=None):
+    """The inner network of the channel-major ``x_a``: the coupling's
+    shift, in ``temps``'s buffer ``shift``, and the two hidden maps, in
+    ``scratch``'s buffers ``h1`` and ``h2``. The convs take their
+    temporaries from ``temps`` (new arrays when None); ``cols`` is
+    conv1's column matrix when the caller built it."""
+    shape = (w1.shape[0],) + x_a.shape[1:]
+    h1 = ad._conv(x_a, w1, b1, 1, 1, True, scratch.take("h1", shape), cols, temps)
+    h2 = ad._conv(h1, w2, b2, 1, 0, True, scratch.take("h2", shape), scratch=temps)
+    out = ad._take(temps, "shift", (w3.shape[0],) + x_a.shape[1:])
+    return ad._conv(h2, w3, b3, 1, 1, out=out, scratch=temps), h1, h2
 
 
-def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False, maps=None):
+def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, scratch, out=None):
+    """The coupling kernel on the channel-major ``x`` (C,B,H,W), whose
+    halves are the leading-axis slices ``x[:C/2]`` and ``x[C/2:]``:
+    ``y_b = x_b + shift(x_a)`` (``-`` for the inverse) is written into
+    ``out`` (``x`` itself runs it in place; a new array when None)."""
+    half = x.shape[0] // 2
+    shift = _shift(x[:half], w1, b1, w2, b2, w3, b3, scratch)[0]
+    if out is None:
+        out = np.empty(x.shape)
+        out[:half] = x[:half]
+    (np.subtract if inverse else np.add)(x[half:], shift, out=out[half:])
+    return out
+
+
+def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False):
     """Additive coupling: y = concat(x_a, x_b + NN(x_a)); exact inverse.
 
-    The output is computed on arrays, with the hidden maps in the
-    buffers of ``maps`` (a walk's :class:`_HiddenMaps`; a fresh one when
-    None) and ``y_b`` written straight into the output. When any operand
-    is a Var, the result is a Var with one ``coupling`` node whose only
-    kept array is that output; its backward is :func:`_coupling_back`,
-    the rule a taped walk also runs. Values and gradients equal
-    (``array_equal``) those of the per-op graph ``split_half`` ->
-    :func:`nn_forward` -> ``add`` (``sub`` for the inverse) ->
-    ``concat_half``.
+    The output is :func:`_coupling` on arrays, through ``autodiff._swap``.
+    When any operand is a Var, the result is a Var with one ``coupling``
+    node whose only kept array is that output; its backward is
+    :func:`_coupling_back`, the rule a taped walk also runs. Values and
+    gradients equal (``array_equal``) those of the per-op graph
+    ``split_half`` -> :func:`nn_forward` -> ``add`` (``sub`` for the
+    inverse) -> ``concat_half``.
     """
     weights = (w1, b1, w2, b2, w3, b3)
     dx = ad._data(x)
-    dw1, db1, dw2, db2, dw3, db3 = (ad._data(p) for p in weights)
     if dx.ndim != 4 or dx.shape[1] % 2:
         raise ShapeError(f"coupling needs a (B,C,H,W) input with even C, got {dx.shape}")
-    half = dx.shape[1] // 2
     tape = ad._tape_of(x, *weights)
-    if maps is None:
-        maps = _HiddenMaps()
-    x_a, x_b = dx[:, :half], dx[:, half:]
-    _, h2 = _hidden(x_a, dw1, db1, dw2, db2, maps)
-    shift = ad.conv2d(h2, dw3, db3, pad=1)
-    y = np.empty(dx.shape)
-    y[:, :half] = x_a
-    (np.subtract if inverse else np.add)(x_b, shift, out=y[:, half:])
+    scratch = ad._Scratch()
+    arrays = [ad._data(p) for p in weights]
+    y = ad._swap(_coupling(ad._swap(dx), *arrays, inverse, scratch))
     if tape is None:
         return y
 
     def back(g):
-        ad._accum(x, _coupling_back(y.copy(), g.copy(), weights, inverse, maps)[1])
+        x_cm, g_cm = y.swapaxes(0, 1).copy(), g.swapaxes(0, 1).copy()
+        ad._accum(x, ad._swap(_coupling_back(x_cm, g_cm, weights, inverse, scratch)[1]))
 
     return ad._record(tape, "coupling", y, back, (x, *weights))
 
@@ -313,16 +357,10 @@ def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False, maps=None):
 # ---------------------------------------------------------------------------
 # backward rules: each rebuilds a layer's input from its output
 #
-# A rule takes the layer's output ``y`` and output gradient ``g``, which it
-# may overwrite, and its weights as the walk passed them (Vars or arrays).
-# It accumulates the gradient of every weight Var and returns the layer's
-# input and that input's gradient.
-
-
-def _channel_sum(a):
-    """Sum of ``a`` (B,C,H,W) over batch and space, in the reduction order
-    of the per-op graph's broadcast gradient."""
-    return ad._unbroadcast(a, (1, a.shape[1], 1, 1)).reshape(-1)
+# A rule takes the layer's channel-major output ``y`` and output gradient
+# ``g``, which it may overwrite, and its weights as the walk passed them
+# (Vars or arrays). It accumulates the gradient of every weight Var and
+# returns the layer's input and that input's gradient.
 
 
 def _squeeze_back(y, g, inverse):
@@ -331,18 +369,18 @@ def _squeeze_back(y, g, inverse):
 
 
 def _actnorm_back(y, g, scale, bias, inverse):
-    s, b = (ad._data(p)[:, None, None] for p in (scale, bias))
+    s, b = (ad._data(p)[:, None, None, None] for p in (scale, bias))
     if inverse:  # y = (x - b) / s
         y *= s
-        ad._accum(scale, _channel_sum(-g * y / (s * s)))
+        ad._accum(scale, ad._channel_sum(-g * y / (s * s)))
         g /= s
-        ad._accum(bias, -_channel_sum(g))
+        ad._accum(bias, -ad._channel_sum(g))
         y += b
     else:  # y = s * x + b
-        ad._accum(bias, _channel_sum(g))
+        ad._accum(bias, ad._channel_sum(g))
         y -= b
         y /= s
-        ad._accum(scale, _channel_sum(g * y))
+        ad._accum(scale, ad._channel_sum(g * y))
         g *= s
     return y, g
 
@@ -360,55 +398,35 @@ def _invconv_back(y, g, weight, inverse, w_inv):
     return x, gx
 
 
-def _coupling_back(y, g, weights, inverse, maps):
-    """``x_a = y_a``; the hidden maps are recomputed from it into the
-    buffers of ``maps``, and with them the shift, so ``x_b = y_b - shift``
-    (``+`` for the inverse). conv3 is seeded with ``g_b`` (``-g_b`` for
-    the inverse) and the input gradient is ``g_a`` + conv1's input
-    gradient in the first half and ``g_b`` in the second, the per-op
-    graph's sums."""
+def _coupling_back(y, g, weights, inverse, scratch):
+    """``x_a = y_a``; the hidden maps are recomputed from it into
+    ``scratch``, and with them the shift, so ``x_b = y_b - shift`` (``+``
+    for the inverse). conv3 is seeded with ``g_b`` (``-g_b`` for the
+    inverse) and the input gradient is ``g_a`` + conv1's input gradient
+    in the first half and ``g_b`` in the second, the per-op graph's sums.
+    conv1's kernel gradient reuses the column matrix that its recompute
+    built."""
     dw1, db1, dw2, db2, dw3, db3 = (ad._data(p) for p in weights)
-    half = y.shape[1] // 2
-    x_a, y_b, g_a, g_b = y[:, :half], y[:, half:], g[:, :half], g[:, half:]
-    h1, h2 = _hidden(x_a, dw1, db1, dw2, db2, maps)
-    shift = ad.conv2d(h2, dw3, db3, pad=1)
+    half = y.shape[0] // 2
+    x_a, y_b, g_a, g_b = y[:half], y[half:], g[:half], g[half:]
+    cols = ad._im2col(x_a, dw1, 1, 1, scratch, "cols1") if ad._uses_cols(dw1, 1, 1) else None
+    shift, h1, h2 = _shift(x_a, dw1, db1, dw2, db2, dw3, db3, scratch, scratch, cols)
     (np.add if inverse else np.subtract)(y_b, shift, out=y_b)
 
-    def conv_grads(g, h, i, pad, relu_out=None):
+    def conv_grads(g, h, i, pad, relu_out=None, cols=None):
         w, b = weights[2 * i], weights[2 * i + 1]
-        return ad._conv2d_grads(
-            g, h, ad._data(w), 1, pad, relu_out,
-            bias=isinstance(b, ad.Var), want_k=isinstance(w, ad.Var),
+        return ad._conv_grads(
+            g, h, ad._data(w), 1, pad, relu_out, bias=isinstance(b, ad.Var),
+            want_k=isinstance(w, ad.Var), cols=cols, scratch=scratch,
         )
 
     gb3, gh2, gw3 = conv_grads(-g_b if inverse else g_b, h2, 2, 1)
     gb2, gh1, gw2 = conv_grads(gh2, h1, 1, 0, h2)
-    gb1, gx_a, gw1 = conv_grads(gh1, x_a, 0, 1, h1)
+    gb1, gx_a, gw1 = conv_grads(gh1, x_a, 0, 1, h1, cols)
     for p, grad in zip(weights, (gw1, gb1, gw2, gb2, gw3, gb3)):
         ad._accum(p, grad)
     g_a += gx_a
     return y, g
-
-
-class _HiddenMaps:
-    """The two hidden-map buffers that the couplings of one walk share.
-
-    Every coupling of a block writes its hidden maps into the same pair,
-    in the forward and again when a backward rule recomputes them; a
-    coupling of another shape replaces the pair. No result of a walk is
-    one of these buffers, so they die with the walk and with its tape
-    node.
-    """
-
-    __slots__ = ("_pair",)
-
-    def __init__(self):
-        self._pair = ()
-
-    def pair(self, shape):
-        if not self._pair or self._pair[0].shape != shape:
-            self._pair = (np.empty(shape), np.empty(shape))
-        return self._pair
 
 
 class _StepParams(dict):
@@ -440,14 +458,6 @@ def _inverse_of(inverses, name, w):
 def squeeze_apply(x, inverse: bool = False):
     """2x2 space-to-depth with the fixed row-major offset order."""
     return ad.unsqueeze2(x) if inverse else ad.squeeze2(x)
-
-
-_APPLY = {
-    "squeeze": squeeze_apply,
-    "actnorm": actnorm_apply,
-    "invconv": invconv_apply,
-    "coupling": coupling_apply,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +519,10 @@ class FlowNet:
     def forward(self, x, params=None):
         """Project an image batch to its latent feature (the encoder).
 
-        A NaN or infinite pixel raises NumericError.
+        A complex, empty or misshapen batch raises ShapeError; a NaN or
+        infinite pixel raises NumericError.
         """
+        ad._check_real("FlowNet.forward", x)
         self._check_image(ad._data(x))
         self._require_initialized()
         return self._walk(x, params, inverse=False)
@@ -518,8 +530,10 @@ class FlowNet:
     def inverse(self, z, params=None):
         """Map a latent feature back to image space (the exact decoder).
 
-        A NaN or infinite value raises NumericError.
+        A complex, empty or misshapen latent raises ShapeError; a NaN or
+        infinite value raises NumericError.
         """
+        ad._check_real("FlowNet.inverse", z)
         data = ad._data(z)
         c_lat = self.config.latent_shape()[0]
         if data.ndim != 4 or data.shape[1] != c_lat:
@@ -529,52 +543,70 @@ class FlowNet:
 
     def _walk(self, v, params, inverse):
         """Apply every layer (reversed when ``inverse``); ``params`` maps
-        names to values that take the place of stored ones. A non-finite
-        input raises NumericError before any layer runs.
+        names to values of the same shapes that take the place of stored
+        ones. An empty input or a misshapen value raises ShapeError and a
+        non-finite input NumericError, before any layer runs.
 
-        The layers always run on arrays, in one loop, with one
-        :class:`_HiddenMaps` made here for the couplings, so concurrent
-        walks share no buffer. When ``v`` or any parameter is a Var, the
-        walk records one ``walk`` node. It keeps only the walk's output,
-        the hidden-map buffers and the invconv inverses, which come from
+        The walk runs channel-major: it converts its input to (C, B, H, W)
+        once on entry (``autodiff._swap``, a view at batch 1) and its
+        output back once on exit. Inside, every kernel sees the channels
+        of the whole batch as the rows of one (C, B*H*W) matrix: the
+        invconv is ``W @ x2d``, each coupling conv one GEMM against its
+        column matrix (``autodiff._conv``; forwards go one sample's
+        columns at a time, each gradient is one 2-D GEMM over all of
+        them), the coupling's halves are leading-axis slices, and squeeze
+        and actnorm act on axis 0.
+        Actnorm and the coupling run in place on the walk's own working
+        array, never on the caller's input, which the entry view may be.
+
+        The layers run on arrays, in one loop, with one ``_Scratch`` made
+        here for the couplings' hidden maps and conv temporaries, so
+        concurrent walks share no buffer. When ``v`` or any parameter is a
+        Var, the walk records one ``walk`` node. It keeps the walk's input
+        and output, the scratch and the invconv inverses, which come from
         ``params`` when it is a :class:`_StepParams` (the walks of a step
         share them) and are made for this walk otherwise. Its backward
-        copies the output and its gradient, then visits the layers in
-        reverse; each layer's rule
-        (``_squeeze_back``, ``_actnorm_back``, ``_invconv_back``,
-        ``_coupling_back``) rebuilds the layer's input from its output in
-        place and accumulates the layer's gradients. So a training tape
+        copies the output and its gradient to channel-major, then visits
+        the layers in reverse; each layer's rule (``_squeeze_back``,
+        ``_actnorm_back``, ``_invconv_back``, ``_coupling_back``) rebuilds
+        the layer's input from its output in place and accumulates the
+        layer's gradients, with the same GEMM forms. So a training tape
         holds no flow activation but each walk's output, at any depth.
         Rebuilt inputs are exact only up to rounding, so gradients differ
-        from the per-op graph's in their last bits.
+        from the per-op graph's in their last bits; a backward that
+        rebuilds the walk's input with a relative error above
+        ``REBUILD_TOL`` raises NumericError (:func:`_check_rebuild`).
         """
-        if not np.isfinite(ad._data(v)).all():
+        data = ad._data(v)
+        _check_nonempty(data)
+        if not np.isfinite(data).all():
             what = "latent" if inverse else "image"
             raise NumericError(f"{what} input holds NaN or infinite values")
+        for name, p in (params or {}).items():
+            if name in self.params and ad._data(p).shape != self.params[name].shape:
+                raise ShapeError(
+                    f"parameter {name} has shape {ad._data(p).shape}, "
+                    f"its layer needs {self.params[name].shape}"
+                )
         store = self.params if params is None else {**self.params, **params}
         inverses = params.inverses if isinstance(params, _StepParams) else {}
         steps = [
             (layer, tuple(store[name] for name in layer.shapes))
             for layer in (reversed(self.layers) if inverse else self.layers)
         ]
-        maps = _HiddenMaps()
-        y = ad._data(v)
+        scratch = ad._Scratch()
+        y = ad._swap(data)
         for layer, weights in steps:
-            kind, arrays = layer.kind, [ad._data(p) for p in weights]
-            if kind == "coupling":
-                y = coupling_apply(y, *arrays, inverse=inverse, maps=maps)
-            elif kind == "invconv" and inverse:
-                w_inv = _inverse_of(inverses, layer.name, arrays[0])
-                y = invconv_apply(y, *arrays, inverse=True, w_inv=w_inv)
-            else:
-                y = _APPLY[kind](y, *arrays, inverse=inverse)
+            arrays = [ad._data(p) for p in weights]
+            y = _run_layer(layer, y, arrays, inverse, scratch, inverses, data)
+        y = ad._swap(y)
         inputs = (v, *(p for _, weights in steps for p in weights))
         tape = ad._tape_of(*inputs)
         if tape is None:
             return y
 
         def back(g):
-            x, g = y.copy(), g.copy()
+            x, g = y.swapaxes(0, 1).copy(), g.swapaxes(0, 1).copy()
             for layer, weights in reversed(steps):
                 kind = layer.kind
                 if kind == "squeeze":
@@ -585,10 +617,47 @@ class FlowNet:
                     w_inv = _inverse_of(inverses, layer.name, ad._data(weights[0]))
                     x, g = _invconv_back(x, g, *weights, inverse, w_inv)
                 else:
-                    x, g = _coupling_back(x, g, weights, inverse, maps)
-            ad._accum(v, g)
+                    x, g = _coupling_back(x, g, weights, inverse, scratch)
+            _check_rebuild(x, data, inverse)
+            ad._accum(v, ad._swap(g))
 
         return ad._record(tape, "walk", y, back, inputs)
+
+
+def _check_nonempty(data):
+    if data.shape[0] == 0 or 0 in data.shape[2:]:
+        raise ShapeError(f"cannot walk an empty batch of shape {data.shape}")
+
+
+def _run_layer(layer, y, arrays, inverse, scratch, inverses, caller):
+    """One layer of a walk on its channel-major array ``y``, with the
+    layer's weights ``arrays``: its kernel, or its inverse's. Actnorm and
+    the coupling run in place unless ``y`` may share memory with the
+    ``caller``'s input array. ``scratch`` and ``inverses`` are the walk's
+    (:class:`autodiff._Scratch`, :func:`_inverse_of`)."""
+    out = None if np.may_share_memory(y, caller) else y
+    if layer.kind == "squeeze":
+        return (ad._unsqueeze_data if inverse else ad._squeeze_data)(y)
+    if layer.kind == "actnorm":
+        return _actnorm(y, *arrays, inverse, out)
+    if layer.kind == "invconv":
+        return ad._mix(_inverse_of(inverses, layer.name, arrays[0]) if inverse else arrays[0], y)
+    return _coupling(y, *arrays, inverse, scratch, out)
+
+
+def _check_rebuild(x, v, inverse):
+    """NumericError unless the channel-major input ``x`` that a walk's
+    backward rebuilt is within ``REBUILD_TOL`` of the walk's NCHW input
+    ``v``, relative to ``v``'s largest magnitude (or to 1, if larger)."""
+    scale = max(float(np.max(np.abs(v))), 1.0)
+    err = float(np.max(np.abs(x.swapaxes(0, 1) - v))) / scale
+    if not err <= REBUILD_TOL:
+        walk = "inverse" if inverse else "forward"
+        raise NumericError(
+            f"the {walk} walk's backward rebuilt its input with relative error "
+            f"{err:.3e}, above {REBUILD_TOL:g}: an ill-conditioned invconv or "
+            f"actnorm leaves its gradients inexact"
+        )
 
 
 def build_flownet(config: FlowNetConfig, seed: int = 0) -> FlowNet:
@@ -622,23 +691,26 @@ def initialize_actnorms(model: FlowNet, batch) -> list[tuple[str, list[int]]]:
     The batch is pushed through the net layer by layer; each actnorm is
     initialized on the activations that actually reach it. Returns
     ``(layer_name, clamped_channel_indices)`` diagnostics. A NaN or
-    infinite value in the batch raises NumericError before any statistic
-    is taken.
+    infinite value in the batch raises NumericError, and a complex or
+    empty one ShapeError, before any statistic is taken.
     """
+    ad._check_real("initialize_actnorms", batch)
     data = np.asarray(batch, dtype=np.float64)
     model._check_image(data)
+    _check_nonempty(data)
     if not np.isfinite(data).all():
         raise NumericError("actnorm initialization batch holds NaN or infinite values")
     diagnostics = []
-    x = data
+    x, scratch = ad._swap(data), ad._Scratch()
     for layer in model.layers:
         if layer.init_flag and not model.actnorm_initialized[layer.name]:
-            scale, bias, clamped = actnorm_init(x)
+            scale, bias, clamped = actnorm_init(ad._swap(x))
             model.params.update(zip(layer.shapes, (scale, bias)))
             model.actnorm_initialized[layer.name] = True
             if clamped:
                 diagnostics.append((layer.name, clamped))
-        x = _APPLY[layer.kind](x, *(model.params[name] for name in layer.shapes))
+        arrays = [model.params[name] for name in layer.shapes]
+        x = _run_layer(layer, x, arrays, False, scratch, {}, data)
     return diagnostics
 
 

@@ -323,6 +323,7 @@ def _check_images(content, style):
     for name, img in (("content", content), ("style", style)):
         if isinstance(img, ad.Var):
             raise ShapeError(f"{name} images must be arrays, not an autodiff Var")
+        ad._check_real(f"{name} images", img)
         arrays.append(np.asarray(img, dtype=np.float64))
     c, s = arrays
     if c.ndim != 4 or s.ndim != 4 or c.shape[1:] != s.shape[1:]:
@@ -373,6 +374,7 @@ def _crop(img: np.ndarray, size: int, rng) -> np.ndarray:
 
 
 def _as_chw(img) -> np.ndarray:
+    ad._check_real("training images", img)
     a = np.asarray(img, dtype=np.float64)
     if a.ndim == 4 and a.shape[0] == 1:
         a = a[0]

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -549,8 +550,9 @@ class TestConvKernels:
     @pytest.mark.parametrize("hidden,extent", [(64, 16), (64, 8), (8, 8)])
     def test_1x1_gradients_equal_windowed_path(self, hidden, extent):
         """A 1x1, stride-1, unpadded backward is two direct GEMMs with the
-        bits of the general I <= O path: per-tap GEMM added into zeros, and
-        the kernel gradient over the window view."""
+        bits of the general I <= O path: the per-tap GEMM added into
+        zeros, and the kernel gradient against the column matrix that the
+        window view gives, all over channel-major (C, B*H*W) matrices."""
         rng = np.random.default_rng(hidden + extent)
         x = np.maximum(rng.standard_normal((2, hidden, extent, extent)), 0.0)
         k = rng.standard_normal((hidden, hidden, 1, 1)) / hidden
@@ -558,31 +560,100 @@ class TestConvKernels:
         g = rng.standard_normal(x.shape)
         _, gx, gk = ad._conv2d_grads(g.copy(), x, k, 1, 0, out)
         g *= out > 0.0
-        per_tap = k.reshape(hidden, -1).T @ g.reshape(2, hidden, -1)
-        want_gx = np.zeros_like(x)
-        want_gx += per_tap.reshape(x.shape)
-        windows = ad._Taps(1, 1, 1, 0, extent, extent).windows(x)
-        want_gk = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
-        np.testing.assert_array_equal(gx, want_gx)
+        g2d = g.transpose(1, 0, 2, 3).reshape(hidden, -1)
+        want_gx = np.zeros((hidden, g2d.shape[1]))
+        want_gx += k.reshape(hidden, -1).T @ g2d
+        xc = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+        windows = ad._Taps(1, 1, 1, 0, extent, extent).windows(xc)
+        cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(hidden, -1)
+        want_gk = (g2d @ cols.T).reshape(k.shape)
+        np.testing.assert_array_equal(gx, want_gx.reshape(xc.shape).transpose(1, 0, 2, 3))
         np.testing.assert_array_equal(gk, want_gk)
 
-    # Kernel and matrix gradients at train-32 and train-tiny shapes: a 1x1
-    # conv, the window view of a padded 3x3 input, the kn2row taps and an
-    # invconv of the stacked batch.
-    @pytest.mark.parametrize("g_shape,x_shape,axes,windows", [
-        ((2, 64, 16, 16), (2, 64, 16, 16), ([0, 2, 3], [0, 2, 3]), None),
-        ((2, 8, 8, 8), (2, 6, 8, 8), ([0, 2, 3], [0, 2, 3]), (3, 3, 1, 1)),
-        ((2, 6 * 9, 64), (2, 8, 64), ([0, 2], [0, 2]), None),
-        ((4, 12, 8, 8), (4, 12, 8, 8), ([0, 2, 3], [0, 2, 3]), None),
-    ], ids=["1x1", "windows", "taps", "mix"])
-    def test_batch_dot_equals_tensordot(self, g_shape, x_shape, axes, windows):
-        rng = np.random.default_rng(len(g_shape) + g_shape[1])
-        g, x = rng.standard_normal(g_shape), rng.standard_normal(x_shape)
-        if windows is not None:
-            kh, kw, stride, pad = windows
-            taps = ad._Taps(kh, kw, stride, pad, *x_shape[2:])
-            x = taps.windows(ad._padded(x, pad))
-        np.testing.assert_array_equal(ad._batch_dot(g, x), np.tensordot(g, x, axes=axes))
+    # Kernel gradients at the coupling's train-32 and train-tiny shapes
+    # (batch 4, the stacked encode walk) and at a LossNet stride-2 shape:
+    # (in, out, kernel, pad, stride, extent).
+    @pytest.mark.parametrize("geometry", [
+        (64, 64, 1, 0, 1, 16), (6, 64, 3, 1, 1, 16), (64, 24, 3, 1, 1, 8),
+        (6, 8, 3, 1, 1, 8), (8, 6, 3, 1, 1, 8), (16, 32, 3, 1, 2, 16),
+    ], ids=["1x1", "im2col", "kn2row", "tiny-im2col", "tiny-kn2row", "lossnet"])
+    def test_kernel_gradient_equals_tensordot(self, geometry):
+        """The kernel gradient, one GEMM of the output gradient with the
+        column matrix (or the kn2row tap matrix) over all of the batch's
+        columns, is the sum over batch and space of g times each window:
+        ``np.tensordot`` over the window view, to rounding."""
+        n_in, n_out, ksize, pad, stride, extent = geometry
+        rng = np.random.default_rng(n_in + n_out + extent)
+        x = rng.standard_normal((4, n_in, extent, extent))
+        k = rng.standard_normal((n_out, n_in, ksize, ksize))
+        taps = ad._Taps(ksize, ksize, stride, pad, extent, extent)
+        g = rng.standard_normal((4, n_out, taps.h_out, taps.w_out))
+        _, _, gk = ad._conv2d_grads(g, x, k, stride, pad, want_x=False)
+        windows = taps.windows(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
+        want = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
+        assert_rel_close(gk, want, rtol=1e-14)
+
+    @pytest.mark.parametrize("geometry", [
+        (6, 64, 16, 1, 1), (64, 64, 16, 0, 1), (64, 6, 16, 1, 1),
+        (24, 64, 8, 1, 1), (64, 24, 8, 1, 1),
+        (6, 8, 8, 1, 1), (8, 8, 8, 0, 1), (8, 6, 8, 1, 1),
+        (3, 16, 32, 1, 2), (16, 32, 16, 1, 2), (32, 64, 8, 1, 2), (64, 64, 4, 1, 2),
+        (3, 16, 16, 1, 2), (64, 64, 2, 1, 2),
+        (6, 64, 128, 1, 1), (64, 6, 128, 1, 1), (24, 64, 64, 1, 1), (64, 24, 64, 1, 1),
+    ], ids=[
+        "train32-b0-w1", "train32-w2", "train32-b0-w3", "train32-b1-w1", "train32-b1-w3",
+        "tiny-w1", "tiny-w2", "tiny-w3",
+        "lossnet-32", "lossnet-16", "lossnet-8", "lossnet-4", "lossnet-tiny-16",
+        "lossnet-2", "stylize-b0-w1", "stylize-b0-w3", "stylize-b1-w1", "stylize-b1-w3",
+    ])
+    def test_forward_kernel_is_batch_independent(self, geometry):
+        """At batch 4 the channel-major forward kernel gives each sample
+        the bits of that sample alone, at the train-32, train-tiny,
+        LossNet stride-2 and stylize shapes: a stacked LossNet pass equals
+        separate ones. (in, out, extent, pad, stride); 1x1 where pad is 0."""
+        n_in, n_out, extent, pad, stride = geometry
+        ksize = 3 if pad else 1
+        rng = np.random.default_rng(n_in * n_out + extent)
+        x = rng.standard_normal((n_in, 4, extent, extent))
+        k = rng.standard_normal((n_out, n_in, ksize, ksize))
+        bias = rng.standard_normal(n_out)
+        whole = ad._conv(x, k, bias, stride, pad, relu=True)
+        for i in range(4):
+            one = ad._conv(np.ascontiguousarray(x[:, i : i + 1]), k, bias, stride, pad, True)
+            np.testing.assert_array_equal(whole[:, i : i + 1], one)
+
+    def test_conv_kernel_reuses_given_columns(self):
+        """The forward and the kernel gradient take a column matrix that
+        the caller built (as the coupling's backward does for conv1) with
+        the bits of one they build themselves; a scratch hands out the
+        same buffers again."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((6, 4, 16, 16))
+        k = rng.standard_normal((64, 6, 3, 3))
+        g = rng.standard_normal((64, 4, 16, 16))
+        assert ad._uses_cols(k, 1, 1) and not ad._uses_cols(k[:4], 1, 1)
+        scratch = ad._Scratch()
+        cols = ad._im2col(x, k, 1, 1, scratch, "cols1")
+        assert scratch.take("cols1", cols.shape) is cols
+        fresh = ad._conv_grads(g.copy(), x, k, 1, 1)
+        for kept in (ad._conv_grads(g.copy(), x, k, 1, 1, cols=cols, scratch=scratch),
+                     ad._conv_grads(g.copy(), x, k, 1, 1, scratch=scratch)):
+            for got, want in zip(kept[1:], fresh[1:]):
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(ad._conv(x, k, pad=1, cols=cols), ad._conv(x, k, pad=1))
+
+    @pytest.mark.parametrize("operand", ["x", "k", "bias"])
+    def test_complex_operand_rejected(self, operand):
+        args = {"x": np.ones((1, 2, 5, 5)), "k": np.ones((3, 2, 3, 3)), "bias": np.ones(3)}
+        args[operand] = args[operand] + 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="real"):
+                ad.conv2d(args["x"], args["k"], args["bias"], pad=1)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ShapeError, match="batch"):
+            ad.conv2d(np.ones((0, 2, 5, 5)), np.ones((3, 2, 3, 3)), pad=1)
 
     def test_windows_read_any_strides(self):
         """The window view reads the array it is given at its own strides
@@ -650,11 +721,12 @@ class TestConvKernels:
         with pytest.raises(ShapeError, match=name):
             ad.conv2d(np.zeros((1, 2, 5, 5)), np.zeros((3, 2, 3, 3)), **geometry)
 
+    @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("channels", ORIENTATIONS)
-    def test_conv2d_out_is_filled_and_returned(self, channels):
+    def test_conv2d_out_is_filled_and_returned(self, channels, batch):
         n_in, n_out = channels
         rng = np.random.default_rng(30 + n_in)
-        x = rng.standard_normal((2, n_in, 7, 6))
+        x = rng.standard_normal((batch, n_in, 7, 6))
         k = rng.standard_normal((n_out, n_in, 3, 3))
         bias = rng.standard_normal(n_out)
         want = ad.conv2d(x, k, bias, pad=1, relu=True)

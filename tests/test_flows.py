@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from flowstyle.flows import (
     randomize_couplings,
     squeeze_apply,
 )
-from flowstyle.training import TrainConfig, build_lossnet, training_loss
+from flowstyle.experiments import stylize
+from flowstyle.training import TrainConfig, build_lossnet, train, training_loss
+from flowstyle.transfer import ADAIN
 
 
 def make_model(n_blocks=1, n_flows=2, hidden=4, shape=(2, 3, 8, 8), seed=0):
@@ -680,3 +683,175 @@ class TestLayerList:
         params = dict(model.params, **{"b0.f0.invconv.weight": np.eye(3)})
         with pytest.raises(ShapeError):
             FlowNet(model.config, params)
+
+
+def conditioned_model(config, cond, seed=0):
+    """A model whose every invconv weight has singular values from 1 down
+    to 1/cond, actnorms initialized on a random batch and random
+    couplings; with the content and style batches of one step."""
+    model = build_flownet(config, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for layer in model.layers:
+        if layer.kind == "invconv":
+            (name,) = layer.shapes
+            c = model.params[name].shape[0]
+            u, _ = np.linalg.qr(rng.standard_normal((c, c)))
+            v, _ = np.linalg.qr(rng.standard_normal((c, c)))
+            model.params[name] = u @ np.diag(np.geomspace(1.0, 1.0 / cond, c)) @ v.T
+    e = config.in_height
+    content, style = rng.random((2, 3, e, e)), rng.random((2, 3, e, e))
+    initialize_actnorms(model, np.concatenate([content, style]))
+    randomize_couplings(model, seed=seed + 2)
+    return model, content, style
+
+
+def taped_step(model, content, style):
+    tape = ad.Tape()
+    pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
+    total, _, _ = training_loss(
+        model, pvars, content, style, TrainConfig(iterations=1), build_lossnet(0)
+    )
+    ad.backward(total)
+    return pvars
+
+
+class TestChannelMajorWalk:
+    """The walk runs channel-major (C, B, H, W) on its own arrays."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("extent", [2, 8])
+    def test_walks_leave_their_inputs_unchanged(self, batch, extent):
+        # At 2x2 a batch-1 squeeze is a view of the caller's image.
+        model, _ = make_model(n_blocks=1, n_flows=2, hidden=4, shape=(2, 3, extent, extent))
+        randomize_couplings(model, seed=1)
+        rng = np.random.default_rng(batch + extent)
+        x = rng.random((batch, 3, extent, extent))
+        z = rng.standard_normal((batch, 12, extent // 2, extent // 2))
+        kept = x.copy(), z.copy()
+        y, back = model.forward(x), model.inverse(z)
+        np.testing.assert_array_equal(x, kept[0])
+        np.testing.assert_array_equal(z, kept[1])
+        assert not np.may_share_memory(y, x) and not np.may_share_memory(back, z)
+        tape = ad.Tape()
+        pvars = {n: ad.Var(a, tape) for n, a in model.params.items()}
+        zv = ad.Var(z, tape)
+        ad.backward(ad.sum_all(ad.mul(model.inverse(zv, pvars), 1.0)))
+        ad.backward(ad.sum_all(ad.mul(model.forward(x, pvars), 1.0)))
+        np.testing.assert_array_equal(x, kept[0])
+        np.testing.assert_array_equal(z, kept[1])
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    @pytest.mark.parametrize("shape", ["train-tiny", "crop-32"])
+    def test_batch_of_four_equals_four_walks(self, shape, inverse):
+        """Each sample of a batch-4 walk has the bits of its own walk: the
+        stacked encode of a training step relies on it."""
+        if shape == "train-tiny":
+            config = FlowNetConfig(1, 2, 8, 3, 16, 16)
+        else:
+            config = named_config("flow8-block2", in_height=32, in_width=32, hidden=64)
+        model, content, style = conditioned_model(config, 1.0)
+        x = np.concatenate([content, style])
+        v = model.forward(x) if inverse else x
+        walk = model.inverse if inverse else model.forward
+        whole = walk(v)
+        for i in range(4):
+            np.testing.assert_array_equal(whole[i : i + 1], walk(v[i : i + 1]))
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse", "init"])
+    def test_empty_batch_rejected(self, direction):
+        model, batch = make_model()
+        v = model.forward(batch) if direction == "inverse" else batch
+        for empty in (v[:0], v[:, :, :0]):
+            with pytest.raises(ShapeError, match="empty"):
+                if direction == "init":
+                    initialize_actnorms(build_flownet(model.config), empty)
+                else:
+                    getattr(model, direction)(empty)
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse", "init"])
+    def test_complex_input_rejected(self, direction):
+        model, batch = make_model()
+        v = model.forward(batch) if direction == "inverse" else batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="real"):
+                if direction == "init":
+                    initialize_actnorms(build_flownet(model.config), v + 0j)
+                else:
+                    getattr(model, direction)(v + 0j)
+
+    def test_ill_conditioned_walk_raises_on_its_rebuild(self):
+        """With every invconv at condition 100 the decode walk cannot
+        rebuild its latent from the image, so its gradients would not be
+        the model's: backward raises, naming the walk and the mismatch."""
+        config = named_config("flow8-block2", in_height=16, in_width=16, hidden=8)
+        model, content, style = conditioned_model(config, 100.0)
+        with pytest.raises(NumericError, match=r"inverse walk.*relative error \d"):
+            taped_step(model, content, style)
+
+    @pytest.mark.parametrize("shape", ["criterion-7", "train-32"])
+    def test_healthy_models_rebuild_their_inputs(self, shape, monkeypatch):
+        if shape == "criterion-7":
+            model = build_flownet(FlowNetConfig(1, 2, 8, 3, 16, 16), seed=70)
+            rng = np.random.default_rng(7000)
+            content, style = rng.random((2, 3, 16, 16)), rng.random((2, 3, 16, 16))
+            initialize_actnorms(model, np.concatenate([content, style]))
+        else:
+            config = named_config("flow8-block2", in_height=32, in_width=32, hidden=64)
+            model, content, style = conditioned_model(config, 1.0)
+        errors = []
+
+        def recorded(x, v, inverse):
+            errors.append(float(np.max(np.abs(x.swapaxes(0, 1) - v))))
+            check(x, v, inverse)
+
+        check = flows._check_rebuild
+        monkeypatch.setattr(flows, "_check_rebuild", recorded)
+        taped_step(model, content, style)
+        assert len(errors) == 2 and max(errors) < 1e-13
+
+    def test_rebuild_check_bound(self):
+        """The bound is relative to the input's largest magnitude."""
+        v = np.random.default_rng(3).standard_normal((2, 3, 4, 4)) * 10.0
+        x, scale = v.swapaxes(0, 1), np.max(np.abs(v))
+        flows._check_rebuild(x + 1e-10 * scale, v, False)
+        with pytest.raises(NumericError, match=r"forward walk.*relative error 1\.000e-08"):
+            flows._check_rebuild(x + 1e-8 * scale, v, False)
+        with pytest.raises(NumericError, match="inverse walk"):
+            flows._check_rebuild(x * np.nan, v, True)
+
+    @pytest.mark.parametrize("name", ["b0.f0.invconv.weight", "b0.f1.coupling.w1"])
+    def test_misshapen_parameter_rejected(self, name):
+        model, batch = make_model()
+        bad = {name: np.ones(model.params[name].shape[:-1] + (1,))}
+        with pytest.raises(ShapeError, match=name):
+            model.forward(batch, params=bad)
+
+    @pytest.mark.parametrize("entry", ["stylize", "training_loss", "train"])
+    def test_complex_images_rejected_at_the_entry_points(self, entry):
+        model, batch = make_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="real"):
+                if entry == "stylize":
+                    stylize(model, ADAIN, batch[:1] + 0j, batch[1:])
+                elif entry == "training_loss":
+                    training_loss(model, model.params, batch + 0j, batch,
+                                  TrainConfig(iterations=1), build_lossnet(0))
+                else:
+                    pairs = [(batch[0] + 0j, batch[1])]
+                    train(model, TrainConfig(iterations=1, batch_size=1, crop_size=8), pairs)
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_equal_halves_keep_conv1_columns(self, inverse):
+        """With hidden equal to the channel half, conv1 and conv3 both take
+        the im2col form with column matrices of one shape; conv1's kernel
+        gradient must still use its own."""
+        rng = np.random.default_rng(11)
+        p = make_coupling(8, 4, seed=8, zero_last=False)
+        x = rng.standard_normal((2, 8, 6, 6))
+        probe = rng.standard_normal(x.shape)
+        _, got = TestCouplingNode.run(coupling_apply, x, p, probe, inverse)
+        _, want = TestCouplingNode.run(coupling_reference, x, p, probe, inverse)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
