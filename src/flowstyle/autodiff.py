@@ -375,9 +375,7 @@ def _take(scratch, name, shape):
     return np.empty(shape) if scratch is None else scratch.take(name, shape)
 
 
-def conv2d(
-    x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False, out=None
-) -> Value:
+def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -> Value:
     """2-d convolution (cross-correlation), zero padding, square stride,
     then an optional per-channel bias and ReLU.
 
@@ -396,11 +394,6 @@ def conv2d(
     :func:`_swap`: free at batch 1, one copy each way otherwise. The
     tape keeps the input, the kernel and the output, never a padded
     copy, a column matrix or a ReLU mask.
-
-    ``out``, as in numpy, is a C-contiguous float64 array of the output's
-    shape that receives the result (bias and ReLU applied), and is what
-    the call returns. It serves array calls only: a Var operand, or an
-    array that does not fit, raises ``ShapeError``.
     """
     _check_real("conv2d", x, k, bias)
     dx, dk = _data(x), _data(k)
@@ -423,22 +416,7 @@ def conv2d(
     h_out, w_out = taps.h_out, taps.w_out
     if h_out <= 0 or w_out <= 0:
         raise ShapeError("conv2d kernel larger than padded input")
-    tape = _tape_of(x, k, bias)
-    if out is not None:
-        if tape is not None:
-            raise ShapeError("conv2d cannot write a taped result into out=")
-        if not (
-            isinstance(out, np.ndarray)
-            and out.dtype == np.float64
-            and out.flags.c_contiguous
-            and out.shape == (b, n_out, h_out, w_out)
-        ):
-            raise ShapeError(
-                f"conv2d out= must be a C-contiguous float64 array of shape "
-                f"{(b, n_out, h_out, w_out)}"
-            )
-    else:
-        out = np.empty((b, n_out, h_out, w_out))
+    out = np.empty((b, n_out, h_out, w_out))
     # At batch 1 the kernel writes straight into ``out``.
     res = _conv(_swap(dx), dk, None if bias is None else _data(bias), stride, pad, relu,
                 out=_swap(out) if b == 1 else None)
@@ -455,7 +433,7 @@ def conv2d(
         _accum(k, gk)
         _accum(x, gx)
 
-    return _record(tape, "conv2d", out, back, (x, k, bias))
+    return _record(_tape_of(x, k, bias), "conv2d", out, back, (x, k, bias))
 
 
 def _conv2d_grads(

@@ -16,16 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import _check_real
 from .errors import ShapeError, as_index
 from .flows import FlowNet, FlowNetConfig, _StepParams, build_flownet
 from .metrics import gram_loss, recon_error, ssim
 from .training import LossNet, TrainConfig, build_lossnet, train
 from .transfer import ADAIN, FACTORS, TransferKind, transfer_apply
-
-
-def _encode(model: FlowNet, image) -> np.ndarray:
-    """Project an image batch to its latent feature: one forward pass."""
-    return model.forward(image)
 
 
 def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1.0) -> np.ndarray:
@@ -34,7 +30,7 @@ def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1
     The returned tensor is *not* clamped to [0, 1]; clamping happens only
     at file-write time so repeated stylization stays exact.
     """
-    f_cs = transfer_apply(kind, _encode(model, content), _encode(model, style), alpha)
+    f_cs = transfer_apply(kind, model.forward(content), model.forward(style), alpha)
     return model.inverse(f_cs)
 
 
@@ -79,11 +75,11 @@ def leak_test(
     rounds = as_index("rounds", rounds)
     if rounds < 1:
         raise ShapeError(f"rounds must be >= 1, got {rounds}")
-    f_s = _encode(model, style)
+    f_s = model.forward(style)
     scratch = _StepParams({})
 
     def restyle(image):
-        f_cs = transfer_apply(kind, _encode(model, image), f_s, alpha)
+        f_cs = transfer_apply(kind, model.forward(image), f_s, alpha)
         return model.inverse(f_cs, params=scratch)
 
     first = restyle(content)
@@ -110,10 +106,10 @@ def reverse_transfer(
     """
     if kind.name not in FACTORS:
         raise ShapeError(f"reverse transfer requires one of {tuple(FACTORS)}")
-    f_c, scratch = _encode(model, content), _StepParams({})
-    stylized = model.inverse(transfer_apply(kind, f_c, _encode(model, style)), params=scratch)
+    f_c, scratch = model.forward(content), _StepParams({})
+    stylized = model.inverse(transfer_apply(kind, f_c, model.forward(style)), params=scratch)
     recovered = model.inverse(
-        transfer_apply(kind, _encode(model, stylized), f_c), params=scratch
+        transfer_apply(kind, model.forward(stylized), f_c), params=scratch
     )
     return stylized, recovered
 
@@ -128,7 +124,7 @@ def content_factor_image(model: FlowNet, kind: TransferKind, content) -> np.ndar
     if kind.name not in FACTORS:
         raise ShapeError(f"content factor requires one of {tuple(FACTORS)}")
     content_factor = FACTORS[kind.name][0]
-    return model.inverse(content_factor(_encode(model, content)))
+    return model.inverse(content_factor(model.forward(content)))
 
 
 def ablation_run(
@@ -143,9 +139,11 @@ def ablation_run(
 
     Per config the table row carries the worst round-trip error over the
     evaluation contents plus SSIM (content vs stylized) and Gram loss
-    (style vs stylized) averaged over the evaluation pairs.
+    (style vs stylized) averaged over the evaluation pairs. A complex
+    evaluation image raises ShapeError before any training.
     """
     kind = kind or ADAIN
+    eval_pairs = [(_as_batch(content), _as_batch(style)) for content, style in eval_pairs]
     rows = ["config\trecon_error\tssim\tgram_loss"]
     for config in configs:
         model = build_flownet(config, seed=cfg.seed)
@@ -154,8 +152,6 @@ def ablation_run(
         worst_recon = 0.0
         ssims, grams = [], []
         for content, style in eval_pairs:
-            content = _as_batch(content)
-            style = _as_batch(style)
             stylized = stylize(model, kind, content, style)
             worst_recon = max(worst_recon, recon_error(model, content))
             ssims.append(ssim(content, stylized))
@@ -169,6 +165,7 @@ def ablation_run(
 
 
 def _as_batch(img) -> np.ndarray:
+    _check_real("ablation_run", img)
     a = np.asarray(img, dtype=np.float64)
     if a.ndim == 3:
         a = a[np.newaxis]

@@ -13,11 +13,6 @@ and shapes, and checkpoint tag. The parameters live in one flat ordered
 walks, actnorm initialization, copying, training and the checkpoint file
 layout are all generated from that list.
 
-The public layer functions take NCHW arrays or taped
-:class:`~flowstyle.autodiff.Var` values: on arrays they run the
-channel-major kernels that a walk runs, and on Vars they are the per-op
-reference graph (the coupling records one node).
-
 A walk of the whole network (:meth:`FlowNet.forward` /
 :meth:`FlowNet.inverse`) always runs its layers on arrays. When its
 input or a parameter is a Var it records one ``walk`` node that keeps
@@ -204,7 +199,7 @@ def named_config(
 
 
 # ---------------------------------------------------------------------------
-# single-layer operations
+# layer kernels: each runs one layer on a channel-major array
 
 
 def _check_scale(scale: np.ndarray):
@@ -215,24 +210,6 @@ def _check_scale(scale: np.ndarray):
             f"actnorm scale for channel {i} is {scale[i]:.3e}; it must be finite "
             f"and at least {ACTNORM_SCALE_FLOOR:g} in magnitude to invert"
         )
-
-
-def actnorm_apply(x, scale, bias, inverse: bool = False):
-    """Per-channel affine map y = scale * x + bias (or its inverse).
-
-    On arrays this is :func:`_actnorm` through ``autodiff._swap``; a Var
-    operand gives the per-op graph of ``mul`` and ``add`` (``sub`` and
-    ``div`` for the inverse), with the same values.
-    """
-    _check_scale(ad._data(scale))
-    if ad._data(x).shape[1] != ad._data(scale).shape[0]:
-        raise ShapeError("actnorm channel count mismatch")
-    if ad._tape_of(x, scale, bias) is None:
-        arrays = (ad._data(p) for p in (scale, bias))
-        return ad._swap(_actnorm(ad._swap(ad._data(x)), *arrays, inverse))
-    if inverse:
-        return ad.div(ad.sub(x, ad.per_channel(bias)), ad.per_channel(scale))
-    return ad.add(ad.mul(x, ad.per_channel(scale)), ad.per_channel(bias))
 
 
 def _actnorm(x, scale, bias, inverse=False, out=None):
@@ -269,35 +246,6 @@ def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return scale, -mean * scale, clamped
 
 
-def invconv_apply(x, weight, inverse: bool = False, w_inv=None):
-    """Mix channels at every spatial position by W (or W^{-1}).
-
-    ``w_inv`` is W^{-1} when the caller has already inverted W (a walk
-    keeps it for its backward); otherwise the inverse is computed here.
-    """
-    w = ad._data(weight)
-    if ad._data(x).shape[1] != w.shape[0]:
-        raise ShapeError("invconv channel count mismatch")
-    if inverse:
-        return ad.channel_mix_inv(x, weight, mat_inverse(w) if w_inv is None else w_inv)
-    return ad.channel_mix(x, weight)
-
-
-def nn_forward(x_a, w1, b1, w2, b2, w3, b3):
-    """The coupling's inner network: 3x3 -> ReLU -> 1x1 -> ReLU -> 3x3.
-
-    Zero-padded, stride 1; output shape equals input shape. Each layer is
-    one :func:`autodiff.conv2d` call with its bias (and ReLU) fused, so a
-    taped call records three nodes. :func:`coupling_apply` runs the same
-    convolutions but records one node; composed with ``split_half``,
-    ``add``/``sub`` and ``concat_half``, this per-op graph is the
-    reference that its values and gradients are tested against.
-    """
-    h = ad.conv2d(x_a, w1, b1, pad=1, relu=True)
-    h = ad.conv2d(h, w2, b2, pad=0, relu=True)
-    return ad.conv2d(h, w3, b3, pad=1)
-
-
 def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, temps=None, cols=None):
     """The inner network of the channel-major ``x_a``: the coupling's
     shift, in ``temps``'s buffer ``shift``, and the two hidden maps, in
@@ -323,35 +271,6 @@ def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, scratch, out=None):
         out[:half] = x[:half]
     (np.subtract if inverse else np.add)(x[half:], shift, out=out[half:])
     return out
-
-
-def coupling_apply(x, w1, b1, w2, b2, w3, b3, inverse: bool = False):
-    """Additive coupling: y = concat(x_a, x_b + NN(x_a)); exact inverse.
-
-    The output is :func:`_coupling` on arrays, through ``autodiff._swap``.
-    When any operand is a Var, the result is a Var with one ``coupling``
-    node whose only kept array is that output; its backward is
-    :func:`_coupling_back`, the rule a taped walk also runs. Values and
-    gradients equal (``array_equal``) those of the per-op graph
-    ``split_half`` -> :func:`nn_forward` -> ``add`` (``sub`` for the
-    inverse) -> ``concat_half``.
-    """
-    weights = (w1, b1, w2, b2, w3, b3)
-    dx = ad._data(x)
-    if dx.ndim != 4 or dx.shape[1] % 2:
-        raise ShapeError(f"coupling needs a (B,C,H,W) input with even C, got {dx.shape}")
-    tape = ad._tape_of(x, *weights)
-    scratch = ad._Scratch()
-    arrays = [ad._data(p) for p in weights]
-    y = ad._swap(_coupling(ad._swap(dx), *arrays, inverse, scratch))
-    if tape is None:
-        return y
-
-    def back(g):
-        x_cm, g_cm = y.swapaxes(0, 1).copy(), g.swapaxes(0, 1).copy()
-        ad._accum(x, ad._swap(_coupling_back(x_cm, g_cm, weights, inverse, scratch)[1]))
-
-    return ad._record(tape, "coupling", y, back, (x, *weights))
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +372,6 @@ def _inverse_of(inverses, name, w):
     if w_inv is None:
         w_inv = inverses[name] = mat_inverse(w)
     return w_inv
-
-
-def squeeze_apply(x, inverse: bool = False):
-    """2x2 space-to-depth with the fixed row-major offset order."""
-    return ad.unsqueeze2(x) if inverse else ad.squeeze2(x)
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +487,10 @@ class FlowNet:
         layer's gradients, with the same GEMM forms. So a training tape
         holds no flow activation but each walk's output, at any depth.
         Rebuilt inputs are exact only up to rounding, so gradients differ
-        from the per-op graph's in their last bits; a backward that
-        rebuilds the walk's input with a relative error above
-        ``REBUILD_TOL`` raises NumericError (:func:`_check_rebuild`).
+        in their last bits from those of the layers' per-op graph
+        (``tests/flow_oracles.py``); a backward that rebuilds the walk's
+        input with a relative error above ``REBUILD_TOL`` raises
+        NumericError (:func:`_check_rebuild`).
         """
         data = ad._data(v)
         _check_nonempty(data)

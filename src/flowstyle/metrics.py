@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .autodiff import _check_real
 from .errors import NumericError, ShapeError
 from .training import LossNet, content_loss
 
@@ -37,7 +38,11 @@ def _filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def ssim(a, b) -> float:
-    """Mean structural similarity between two image batches in [0, 1]."""
+    """Mean structural similarity between two image batches in [0, 1].
+
+    A complex image raises ShapeError.
+    """
+    _check_real("ssim", a, b)
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:
@@ -88,8 +93,10 @@ def recon_error(model, image) -> float:
     """Round-trip error ||inverse(forward(image)) - image||_inf.
 
     Computed per image independently (no cross-batch coupling), so
-    slicing the batch cannot change any image's error.
+    slicing the batch cannot change any image's error. A complex image
+    raises ShapeError.
     """
+    _check_real("recon_error", image)
     x = np.asarray(image, dtype=np.float64)
     return float(np.max(np.abs(model.inverse(model.forward(x)) - x)))
 

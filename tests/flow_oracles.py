@@ -1,0 +1,67 @@
+"""The flow layers as their per-op graph.
+
+Each layer composed of public :mod:`flowstyle.autodiff` ops on NCHW
+values, one tape node per op: the way a walk was taped before it became
+one ``walk`` node over the array kernels of :mod:`flowstyle.flows`. The
+walk node, and the coupling kernel with its backward rule, are tested
+against these: the same values (``==``), the coupling's gradients too,
+and a whole walk's gradients up to the rounding of its rebuilt inputs.
+"""
+
+import flowstyle.autodiff as ad
+from flowstyle.linalg import mat_inverse
+
+# Ops that only a flow layer records; a taped walk records none of them.
+FLOW_LAYER_OPS = {
+    "coupling", "channel_mix", "channel_mix_inv", "squeeze2", "unsqueeze2",
+    "split_half", "concat_half",
+}
+
+
+def squeeze_reference(x, inverse=False):
+    return ad.unsqueeze2(x) if inverse else ad.squeeze2(x)
+
+
+def actnorm_reference(x, scale, bias, inverse=False):
+    """``scale * x + bias``, or ``(x - bias) / scale`` for the inverse."""
+    if inverse:
+        return ad.div(ad.sub(x, ad.per_channel(bias)), ad.per_channel(scale))
+    return ad.add(ad.mul(x, ad.per_channel(scale)), ad.per_channel(bias))
+
+
+def invconv_reference(x, weight, inverse=False):
+    if not inverse:
+        return ad.channel_mix(x, weight)
+    w = weight.data if isinstance(weight, ad.Var) else weight
+    return ad.channel_mix_inv(x, weight, mat_inverse(w))
+
+
+def inner_network_reference(x_a, w1, b1, w2, b2, w3, b3):
+    """3x3 -> ReLU -> 1x1 -> ReLU -> 3x3, one ``conv2d`` node per layer."""
+    h = ad.conv2d(x_a, w1, b1, pad=1, relu=True)
+    h = ad.conv2d(h, w2, b2, pad=0, relu=True)
+    return ad.conv2d(h, w3, b3, pad=1)
+
+
+def coupling_reference(x, w1, b1, w2, b2, w3, b3, inverse=False):
+    """Split, inner network, add (sub for the inverse), concat."""
+    x_a, x_b = ad.split_half(x)
+    shift = inner_network_reference(x_a, w1, b1, w2, b2, w3, b3)
+    return ad.concat_half(x_a, ad.sub(x_b, shift) if inverse else ad.add(x_b, shift))
+
+
+REFERENCE_LAYERS = {
+    "squeeze": squeeze_reference,
+    "actnorm": actnorm_reference,
+    "invconv": invconv_reference,
+    "coupling": coupling_reference,
+}
+
+
+def reference_walk(model, v, params, inverse):
+    """``FlowNet._walk`` as the per-op graph of its layers."""
+    store = model.params if params is None else {**model.params, **params}
+    for layer in reversed(model.layers) if inverse else model.layers:
+        weights = (store[name] for name in layer.shapes)
+        v = REFERENCE_LAYERS[layer.kind](v, *weights, inverse=inverse)
+    return v

@@ -721,39 +721,6 @@ class TestConvKernels:
         with pytest.raises(ShapeError, match=name):
             ad.conv2d(np.zeros((1, 2, 5, 5)), np.zeros((3, 2, 3, 3)), **geometry)
 
-    @pytest.mark.parametrize("batch", [1, 2])
-    @pytest.mark.parametrize("channels", ORIENTATIONS)
-    def test_conv2d_out_is_filled_and_returned(self, channels, batch):
-        n_in, n_out = channels
-        rng = np.random.default_rng(30 + n_in)
-        x = rng.standard_normal((batch, n_in, 7, 6))
-        k = rng.standard_normal((n_out, n_in, 3, 3))
-        bias = rng.standard_normal(n_out)
-        want = ad.conv2d(x, k, bias, pad=1, relu=True)
-        buf = np.full(want.shape, np.nan)
-        got = ad.conv2d(x, k, bias, pad=1, relu=True, out=buf)
-        assert got is buf
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize(
-        "case", ["taped input", "taped kernel", "wrong shape", "not contiguous", "float32"]
-    )
-    def test_conv2d_out_misuse_rejected(self, case):
-        x, k = np.ones((1, 2, 5, 5)), np.ones((3, 2, 3, 3))
-        buf = np.empty((1, 3, 5, 5))
-        if case == "taped input":
-            x = ad.Var(x, ad.Tape())
-        elif case == "taped kernel":
-            k = ad.Var(k, ad.Tape())
-        elif case == "wrong shape":
-            buf = np.empty((1, 3, 5, 4))
-        elif case == "not contiguous":
-            buf = np.empty((1, 3, 5, 10))[..., ::2]
-        else:
-            buf = buf.astype(np.float32)
-        with pytest.raises(ShapeError, match="out="):
-            ad.conv2d(x, k, pad=1, out=buf)
-
     @pytest.mark.parametrize("channels", ORIENTATIONS)
     def test_channel_mix_matches_reference(self, channels):
         n_in, n_out = channels

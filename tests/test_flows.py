@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from flow_oracles import FLOW_LAYER_OPS, coupling_reference, reference_walk
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,18 +19,15 @@ from flowstyle.errors import (
 from flowstyle.flows import (
     FlowNet,
     FlowNetConfig,
-    actnorm_apply,
     actnorm_init,
     build_flownet,
-    coupling_apply,
     initialize_actnorms,
-    invconv_apply,
     named_config,
-    nn_forward,
     randomize_couplings,
-    squeeze_apply,
 )
-from flowstyle.experiments import stylize
+from flowstyle.experiments import ablation_run, stylize
+from flowstyle.linalg import mat_inverse
+from flowstyle.metrics import recon_error, ssim
 from flowstyle.training import TrainConfig, build_lossnet, train, training_loss
 from flowstyle.transfer import ADAIN
 
@@ -42,42 +40,62 @@ def make_model(n_blocks=1, n_flows=2, hidden=4, shape=(2, 3, 8, 8), seed=0):
     return model, batch
 
 
-LAYER_FUNCTIONS = {
-    "squeeze": squeeze_apply,
-    "actnorm": actnorm_apply,
-    "invconv": invconv_apply,
-    "coupling": coupling_apply,
-}
+# The layer kernels on NCHW batches, each through the channel-major
+# layout (C, B, H, W) that a walk runs it in.
+
+
+def squeeze(x, inverse=False):
+    return ad._swap((ad._unsqueeze_data if inverse else ad._squeeze_data)(ad._swap(x)))
+
+
+def actnorm(x, scale, bias, inverse=False):
+    return ad._swap(flows._actnorm(ad._swap(x), scale, bias, inverse))
+
+
+def invconv(x, weight, inverse=False):
+    return ad._swap(ad._mix(mat_inverse(weight) if inverse else weight, ad._swap(x)))
+
+
+def inner_network(x_a, w1, b1, w2, b2, w3, b3):
+    return ad._swap(flows._shift(ad._swap(x_a), w1, b1, w2, b2, w3, b3, ad._Scratch())[0])
+
+
+def coupling(x, w1, b1, w2, b2, w3, b3, inverse=False):
+    weights = (w1, b1, w2, b2, w3, b3)
+    return ad._swap(flows._coupling(ad._swap(x), *weights, inverse, ad._Scratch()))
+
+
+LAYER_KERNELS = {"squeeze": squeeze, "actnorm": actnorm, "invconv": invconv, "coupling": coupling}
 
 
 class TestActnorm:
     def test_identity_params(self):
         x = np.random.default_rng(0).standard_normal((1, 3, 4, 4))
-        np.testing.assert_array_equal(actnorm_apply(x, np.ones(3), np.zeros(3)), x)
+        np.testing.assert_array_equal(actnorm(x, np.ones(3), np.zeros(3)), x)
 
     def test_hand_case(self):
         p = (np.array([2.0]), np.array([1.0]))
         x = np.full((1, 1, 1, 1), 0.5)
-        y = actnorm_apply(x, *p)
+        y = actnorm(x, *p)
         assert y[0, 0, 0, 0] == 2.0
-        back = actnorm_apply(y, *p, inverse=True)
+        back = actnorm(y, *p, inverse=True)
         assert back[0, 0, 0, 0] == 0.5
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         p = (rng.uniform(0.5, 2.0, 5), rng.standard_normal(5))
         x = rng.standard_normal((2, 5, 6, 6))
-        back = actnorm_apply(actnorm_apply(x, *p), *p, inverse=True)
+        back = actnorm(actnorm(x, *p), *p, inverse=True)
         assert np.max(np.abs(back - x)) < 1e-12
 
     def test_degenerate_scale_rejected(self):
         with pytest.raises(DegenerateScaleError):
-            actnorm_apply(np.zeros((1, 1, 2, 2)), np.array([1e-7]), np.zeros(1))
+            actnorm(np.zeros((1, 1, 2, 2)), np.array([1e-7]), np.zeros(1))
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
     def test_non_finite_scale_rejected(self, scale):
         with pytest.raises(DegenerateScaleError):
-            actnorm_apply(np.zeros((1, 1, 2, 2)), np.array([scale]), np.zeros(1))
+            actnorm(np.zeros((1, 1, 2, 2)), np.array([scale]), np.zeros(1))
         model, batch = make_model()
         model.params["b0.f1.actnorm.scale"][2] = scale
         with pytest.raises(DegenerateScaleError):
@@ -105,7 +123,7 @@ class TestActnorm:
         rng = np.random.default_rng(3)
         x = 3.0 * rng.standard_normal((2, 4, 8, 8)) + 1.5
         scale, bias, _ = actnorm_init(x)
-        y = actnorm_apply(x, scale, bias)
+        y = actnorm(x, scale, bias)
         np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
         np.testing.assert_allclose(y.std(axis=(0, 2, 3)), 1.0, atol=1e-6)
 
@@ -121,13 +139,13 @@ class TestActnorm:
 class TestInvConv:
     def test_identity_weight(self):
         x = np.random.default_rng(4).standard_normal((1, 3, 4, 4))
-        out = invconv_apply(x, np.eye(3))
+        out = invconv(x, np.eye(3))
         np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_channel_swap(self):
         x = np.random.default_rng(5).standard_normal((1, 2, 3, 3))
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = invconv_apply(x, swap)
+        out = invconv(x, swap)
         np.testing.assert_array_equal(out[:, 0], x[:, 1])
         np.testing.assert_array_equal(out[:, 1], x[:, 0])
 
@@ -135,13 +153,15 @@ class TestInvConv:
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         x = rng.standard_normal((2, 6, 5, 5))
-        back = invconv_apply(invconv_apply(x, q), q, inverse=True)
+        back = invconv(invconv(x, q), q, inverse=True)
         assert np.max(np.abs(back - x)) < 1e-10
 
     def test_singular_weight_rejected(self):
-        w = np.array([[1.0, 1.0], [1.0, 1.0]])
+        model, batch = make_model()
+        z = model.forward(batch)
+        model.params["b0.f1.invconv.weight"] = np.ones((12, 12))
         with pytest.raises(SingularMatrixError):
-            invconv_apply(np.zeros((1, 2, 2, 2)), w, inverse=True)
+            model.inverse(z)
 
 
 def make_coupling(c, hidden, seed=0, zero_last=True):
@@ -164,14 +184,14 @@ class TestCoupling:
     def test_zero_init_is_exact_identity(self):
         p = make_coupling(4, 3, zero_last=True)
         x = np.random.default_rng(7).standard_normal((2, 4, 6, 6))
-        np.testing.assert_array_equal(coupling_apply(x, **p), x)
+        np.testing.assert_array_equal(coupling(x, **p), x)
 
     def test_constant_shift(self):
         # With the inner network pinned to a constant c, y_b = x_b + c.
         p = make_coupling(4, 3, zero_last=True)
         p["b3"] = np.array([0.7, -0.3])
         x = np.random.default_rng(8).standard_normal((1, 4, 4, 4))
-        y = coupling_apply(x, **p)
+        y = coupling(x, **p)
         np.testing.assert_array_equal(y[:, :2], x[:, :2])
         np.testing.assert_allclose(y[:, 2] - x[:, 2], 0.7, atol=1e-15)
         np.testing.assert_allclose(y[:, 3] - x[:, 3], -0.3, atol=1e-15)
@@ -179,46 +199,8 @@ class TestCoupling:
     def test_round_trip(self):
         p = make_coupling(6, 5, seed=9, zero_last=False)
         x = np.random.default_rng(10).standard_normal((2, 6, 8, 8))
-        back = coupling_apply(coupling_apply(x, **p), **p, inverse=True)
+        back = coupling(coupling(x, **p), **p, inverse=True)
         assert np.max(np.abs(back - x)) < 1e-12
-
-    @pytest.mark.parametrize("taped", [False, True], ids=["arrays", "taped"])
-    def test_odd_channels_rejected(self, taped):
-        p = make_coupling(4, 3)
-        x = np.zeros((1, 5, 4, 4))
-        if taped:
-            tape = ad.Tape()
-            x, p = ad.Var(x, tape), {n: ad.Var(a, tape) for n, a in p.items()}
-        with pytest.raises(ShapeError):
-            coupling_apply(x, **p)
-
-
-def coupling_reference(x, w1, b1, w2, b2, w3, b3, inverse=False, maps=None):
-    """The coupling as its per-op graph: split, taped inner network, add
-    (sub for the inverse), concat. ``maps``, which a walk passes, is
-    unused."""
-    x_a, x_b = ad.split_half(x)
-    shift = nn_forward(x_a, w1, b1, w2, b2, w3, b3)
-    return ad.concat_half(x_a, ad.sub(x_b, shift) if inverse else ad.add(x_b, shift))
-
-
-# Ops that only a flow layer records; a taped walk records none of them.
-FLOW_LAYER_OPS = {
-    "coupling", "channel_mix", "channel_mix_inv", "squeeze2", "unsqueeze2",
-    "split_half", "concat_half",
-}
-
-
-def reference_walk(model, v, params, inverse):
-    """``FlowNet._walk`` as the per-op graph of its layers:
-    ``actnorm_apply``, ``invconv_apply``, ``squeeze_apply`` and
-    ``coupling_reference`` on Vars, one tape node per op."""
-    store = model.params if params is None else {**model.params, **params}
-    apply = {**LAYER_FUNCTIONS, "coupling": coupling_reference}
-    for layer in reversed(model.layers) if inverse else model.layers:
-        v = apply[layer.kind](v, *(store[name] for name in layer.shapes), inverse=inverse)
-    return v
-
 
 def assert_rel_close(got, want, name="", rel=1e-10):
     """Within ``rel`` of the largest magnitude of ``want``."""
@@ -227,19 +209,29 @@ def assert_rel_close(got, want, name="", rel=1e-10):
 
 
 class TestCouplingNode:
-    """A taped coupling records one node and recomputes its hidden maps in
-    backward, with the per-op graph's bits."""
+    """The coupling kernel, and its backward rule, which recomputes the
+    hidden maps, have the per-op graph's bits."""
 
     @staticmethod
-    def run(apply, x, p, probe, inverse):
+    def run(x, p, probe, inverse, kernel):
+        """The output and the gradients of the input and of the weights,
+        which are leaf Vars, of the coupling of ``x`` probed by ``probe``:
+        the kernel and its rule, which must rebuild ``x``, when ``kernel``,
+        else the per-op graph."""
         tape = ad.Tape()
-        xv = ad.Var(x, tape)
         pvars = {n: ad.Var(a, tape) for n, a in p.items()}
+        if kernel:
+            scratch = ad._Scratch()
+            y = ad._swap(flows._coupling(ad._swap(x), *p.values(), inverse, scratch))
+            y_cm, g_cm = y.swapaxes(0, 1).copy(), probe.swapaxes(0, 1).copy()
+            x_cm, gx = flows._coupling_back(y_cm, g_cm, tuple(pvars.values()), inverse, scratch)
+            assert_rel_close(ad._swap(x_cm), x, "rebuilt input", rel=1e-14)
+            return [y, ad._swap(gx)] + [v.grad for v in pvars.values()]
+        xv = ad.Var(x, tape)
         # Through an op, so the coupling's input starts without a gradient.
-        y = apply(ad.mul(xv, 1.0), **pvars, inverse=inverse)
-        ops = [node.op for node in tape.nodes]
+        y = coupling_reference(ad.mul(xv, 1.0), **pvars, inverse=inverse)
         ad.backward(ad.sum_all(ad.mul(y, probe)))
-        return ops, [y.data, xv.grad] + [v.grad for v in pvars.values()]
+        return [y.data, xv.grad] + [v.grad for v in pvars.values()]
 
     # Hidden 5 against half 3 and hidden 4 against half 6: every conv runs
     # on both GEMM sides of conv2d.
@@ -251,12 +243,10 @@ class TestCouplingNode:
         p = make_coupling(c, hidden, seed=c, zero_last=False)
         x = rng.standard_normal((batch, c, 5, 7))
         probe = rng.standard_normal(x.shape)
-        ops, got = self.run(coupling_apply, x, p, probe, inverse)
-        _, want = self.run(coupling_reference, x, p, probe, inverse)
-        assert ops == ["mul", "coupling"]
+        got = self.run(x, p, probe, inverse, kernel=True)
+        want = self.run(x, p, probe, inverse, kernel=False)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
-        np.testing.assert_array_equal(coupling_apply(x, **p, inverse=inverse), want[0])
 
     @staticmethod
     def loss_tape(monkeypatch, walk=None):
@@ -371,7 +361,7 @@ class TestWalkNode:
 class TestNnForward:
     def test_zero_final_layer_gives_zero(self):
         p = make_coupling(4, 3, zero_last=True)
-        out = nn_forward(np.random.default_rng(11).standard_normal((1, 2, 5, 5)), **p)
+        out = inner_network(np.random.default_rng(11).standard_normal((1, 2, 5, 5)), **p)
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
     def test_hand_trace_single_pixel(self):
@@ -393,31 +383,24 @@ class TestNnForward:
         h1 = max(2.0 * v + 0.1, 0.0)
         g2 = max(3.0 * h1 + 0.2, 0.0)
         expect = 0.5 * g2 + 0.05
-        out = nn_forward(x, **p)
+        out = inner_network(x, **p)
         np.testing.assert_allclose(out[0, 0, 0, 0], expect, atol=1e-15)
 
     def test_shape_preserved(self):
         p = make_coupling(6, 4, zero_last=False)
         x = np.zeros((2, 3, 7, 9))
-        assert nn_forward(x, **p).shape == x.shape
-
-    def test_taped_call_records_one_node_per_layer(self):
-        p = make_coupling(6, 4, zero_last=False)
-        tape = ad.Tape()
-        params = {name: ad.Var(arr, tape) for name, arr in p.items()}
-        nn_forward(ad.Var(np.ones((1, 3, 5, 5)), tape), **params)
-        assert [node.op for node in tape.nodes] == ["conv2d"] * 3
+        assert inner_network(x, **p).shape == x.shape
 
 
 class TestSqueeze:
     def test_stated_ordering(self):
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = squeeze_apply(x)
+        out = squeeze(x)
         np.testing.assert_array_equal(out.reshape(-1), [1.0, 2.0, 3.0, 4.0])
 
     def test_round_trip_bit_identical(self):
         x = np.random.default_rng(12).standard_normal((1, 3, 8, 8))
-        np.testing.assert_array_equal(squeeze_apply(squeeze_apply(x), inverse=True), x)
+        np.testing.assert_array_equal(squeeze(squeeze(x), inverse=True), x)
 
 
 class TestConfig:
@@ -536,12 +519,12 @@ class TestFlowNet:
         # Fresh model = squeeze + actnorm + orthogonal mix only, bit-exact.
         model, batch = make_model(n_blocks=1, n_flows=2, shape=(2, 3, 8, 8))
         x = batch
-        manual = squeeze_apply(x)
+        manual = squeeze(x)
         for f in ("b0.f0", "b0.f1"):
-            manual = actnorm_apply(
+            manual = actnorm(
                 manual, model.params[f"{f}.actnorm.scale"], model.params[f"{f}.actnorm.bias"]
             )
-            manual = invconv_apply(manual, model.params[f"{f}.invconv.weight"])
+            manual = invconv(manual, model.params[f"{f}.invconv.weight"])
         np.testing.assert_array_equal(model.forward(x), manual)
 
     def test_identity_model_inverse_is_unsqueeze_only(self):
@@ -551,7 +534,7 @@ class TestFlowNet:
         for f in ("b0.f0", "b0.f1"):  # actnorms keep w=1, b=0
             model.params[f"{f}.invconv.weight"] = np.eye(cfg.block_channels(0))
         z = np.random.default_rng(15).standard_normal((1, 12, 4, 4))
-        np.testing.assert_array_equal(model.inverse(z), squeeze_apply(z, inverse=True))
+        np.testing.assert_array_equal(model.inverse(z), squeeze(z, inverse=True))
 
     def test_composability_matches_layer_fold(self):
         model, _ = make_model(n_blocks=2, n_flows=2, shape=(1, 3, 8, 8))
@@ -560,11 +543,11 @@ class TestFlowNet:
         v = x
         for layer in model.layers:
             weights = [model.params[name] for name in layer.shapes]
-            v = LAYER_FUNCTIONS[layer.kind](v, *weights)
+            v = LAYER_KERNELS[layer.kind](v, *weights)
         np.testing.assert_array_equal(model.forward(x), v)
         for layer in reversed(model.layers):
             weights = [model.params[name] for name in layer.shapes]
-            v = LAYER_FUNCTIONS[layer.kind](v, *weights, inverse=True)
+            v = LAYER_KERNELS[layer.kind](v, *weights, inverse=True)
         np.testing.assert_array_equal(model.inverse(model.forward(x)), v)
 
     def test_element_count_preserved_per_layer(self):
@@ -572,7 +555,7 @@ class TestFlowNet:
         x = batch
         for layer in model.layers:
             weights = [model.params[name] for name in layer.shapes]
-            x = LAYER_FUNCTIONS[layer.kind](x, *weights)
+            x = LAYER_KERNELS[layer.kind](x, *weights)
             assert x.size == batch.size
 
     def test_forward_accepts_other_divisible_extents(self):
@@ -827,20 +810,30 @@ class TestChannelMajorWalk:
         with pytest.raises(ShapeError, match=name):
             model.forward(batch, params=bad)
 
-    @pytest.mark.parametrize("entry", ["stylize", "training_loss", "train"])
+    @pytest.mark.parametrize(
+        "entry", ["stylize", "training_loss", "train", "ssim", "recon_error", "ablation_run"]
+    )
     def test_complex_images_rejected_at_the_entry_points(self, entry):
         model, batch = make_model()
+        train_cfg = TrainConfig(iterations=1, batch_size=1, crop_size=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ShapeError, match="real"):
                 if entry == "stylize":
                     stylize(model, ADAIN, batch[:1] + 0j, batch[1:])
+                elif entry == "ssim":
+                    image = np.random.default_rng(5).random((1, 3, 16, 16))
+                    ssim(image + 1j * image, image)
+                elif entry == "recon_error":
+                    recon_error(model, batch + 1j * batch)
+                elif entry == "ablation_run":
+                    pairs = [(batch[0], batch[1])]
+                    ablation_run([model.config], pairs, [(batch[0] + 0j, batch[1])], train_cfg)
                 elif entry == "training_loss":
                     training_loss(model, model.params, batch + 0j, batch,
                                   TrainConfig(iterations=1), build_lossnet(0))
                 else:
-                    pairs = [(batch[0] + 0j, batch[1])]
-                    train(model, TrainConfig(iterations=1, batch_size=1, crop_size=8), pairs)
+                    train(model, train_cfg, [(batch[0] + 0j, batch[1])])
 
     @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
     def test_equal_halves_keep_conv1_columns(self, inverse):
@@ -851,7 +844,7 @@ class TestChannelMajorWalk:
         p = make_coupling(8, 4, seed=8, zero_last=False)
         x = rng.standard_normal((2, 8, 6, 6))
         probe = rng.standard_normal(x.shape)
-        _, got = TestCouplingNode.run(coupling_apply, x, p, probe, inverse)
-        _, want = TestCouplingNode.run(coupling_reference, x, p, probe, inverse)
+        got = TestCouplingNode.run(x, p, probe, inverse, kernel=True)
+        want = TestCouplingNode.run(x, p, probe, inverse, kernel=False)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
