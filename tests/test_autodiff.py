@@ -642,6 +642,27 @@ class TestConvKernels:
                 np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(ad._conv(x, k, pad=1, cols=cols), ad._conv(x, k, pad=1))
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("ksize,pad", [(3, 1), (1, 0)])
+    @pytest.mark.parametrize("channels", ORIENTATIONS)
+    def test_conv_kernel_fills_and_returns_out(self, channels, ksize, pad, batch):
+        """Given ``out``, the channel-major kernel writes every value of
+        it (bias and ReLU applied) in each form (direct 1x1, im2col,
+        kn2row) and returns it: the coupling's third conv writes the
+        shift straight into the walk's buffer this way, and ``conv2d``
+        at batch 1 its own output."""
+        n_in, n_out = channels
+        rng = np.random.default_rng(30 + n_in + ksize + batch)
+        x = rng.standard_normal((batch, n_in, 7, 6))
+        k = rng.standard_normal((n_out, n_in, ksize, ksize))
+        bias = rng.standard_normal(n_out)
+        want = np.maximum(direct_conv(x, k, 1, pad) + bias[:, None, None], 0.0)
+        buf = np.full((n_out, batch) + want.shape[2:], np.nan)
+        got = ad._conv(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), k, bias, 1, pad,
+                       relu=True, out=buf)
+        assert got is buf
+        assert_rel_close(got.transpose(1, 0, 2, 3), want)
+
     @pytest.mark.parametrize("operand", ["x", "k", "bias"])
     def test_complex_operand_rejected(self, operand):
         args = {"x": np.ones((1, 2, 5, 5)), "k": np.ones((3, 2, 3, 3)), "bias": np.ones(3)}
