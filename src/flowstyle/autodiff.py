@@ -35,6 +35,7 @@ meant to live for one training step and be discarded.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -348,25 +349,32 @@ def _check_real(op, *operands):
 
 
 class _Scratch:
-    """Named buffers that the kernels of one flow walk reuse.
+    """Named buffers that the kernels of the flow walks of one call reuse.
 
-    :meth:`take` hands out the buffer kept under a name, replaced when the
-    shape asked for differs, so the couplings of a block write their
-    hidden maps, and in the backward their convolutions' temporaries,
-    into the same memory each time. A walk makes its own, and no result
-    of a walk is one of its buffers, so it dies with the walk and with
-    its tape node; nothing is kept on the module or the model.
+    :meth:`take` hands out the buffer kept under a name: the same array
+    again for the same shape, and a leading view of its memory for a
+    smaller one, which grows only when a larger shape is asked for. So
+    the couplings of every block write their hidden maps and their
+    convolutions' temporaries, forward and backward, into the same memory
+    each time. One call (a training step, a stylization) makes one and
+    hands it to each of its walks, which run one after another; no result
+    of a walk is one of its buffers, so it dies with the call and with
+    its tape nodes; nothing is kept on the module or the model.
     """
 
-    __slots__ = ("_buffers",)
+    __slots__ = ("_flat", "_views")
 
     def __init__(self):
-        self._buffers = {}
+        self._flat, self._views = {}, {}
 
     def take(self, name, shape):
-        buf = self._buffers.get(name)
+        buf = self._views.get(name)
         if buf is None or buf.shape != shape:
-            buf = self._buffers[name] = np.empty(shape)
+            n = math.prod(shape)
+            flat = self._flat.get(name)
+            if flat is None or flat.size < n:
+                flat = self._flat[name] = np.empty(n)
+            buf = self._views[name] = flat[:n].reshape(shape)
         return buf
 
 
@@ -495,11 +503,17 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
     * ``I > O``, kn2row: ``k`` as (kh*kw*O, I) @ ``x`` as (I, B*H*W),
       then each tap's slice of that product is added into the output
       window it reaches, clipped at the border: taps on the zero padding
-      add nothing, so no padded copy is made.
+      add nothing, so no padded copy is made. In a "same" geometry
+      (:attr:`_Taps.same`, the coupling's 3x3, pad 1) each tap is one
+      contiguous add of a shifted slice on every sample's flattened H*W
+      axis (:meth:`_Taps.flat`), after the product's columns that a tap
+      never reads inside the image are zeroed: a read that wraps into
+      another row adds +0.0, which leaves the sum's bits as the clipped
+      adds give them (it starts at +0.0, so it is never -0.0).
 
-    ``scratch`` (a walk's :class:`_Scratch`) hands out the column matrix
-    and the kn2row product, which is its ``taps`` buffer; without it they
-    are new arrays. GEMMs of
+    ``scratch`` (the :class:`_Scratch` of the walks of one call) hands
+    out the column matrix and the kn2row product, which share its
+    ``taps`` buffer; without it they are new arrays. GEMMs of
     fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds run on one BLAS
     thread (:func:`linalg.blas_threads`).
     """
@@ -514,15 +528,24 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
             _by_sample(k.reshape(n_out, n_in), x.reshape(n_in, -1), b, out2d)
         elif n_in <= n_out:
             if cols is None:
-                cols = _im2col(x, k, stride, pad, scratch)
+                cols = _im2col(x, k, stride, pad, scratch, "taps")
             _by_sample(k.reshape(n_out, -1), cols, b, out2d)
         else:
             prod = _take(scratch, "taps", (kh * kw * n_out, b * h * w))
             _by_sample(k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
-            prod = prod.reshape(kh, kw, n_out, b, h, w)
             out.fill(0.0)
-            for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
-                out[:, :, o_rows, o_cols] += prod[u, v, :, :, rows, cols_]
+            if taps.same:
+                shifts, wraps = taps.flat()
+                p6 = prod.reshape(kh, kw, n_out, b, h, w)
+                for v, never_read, _ in wraps:
+                    p6[:, v, :, :, :, never_read] = 0.0
+                o3, p3 = out.reshape(n_out, b, -1), prod.reshape(kh, kw, n_out, b, -1)
+                for u, v, d, lo, hi in shifts:
+                    o3[:, :, lo:hi] += p3[u, v, :, :, lo + d : hi + d]
+            else:
+                prod = prod.reshape(kh, kw, n_out, b, h, w)
+                for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
+                    out[:, :, o_rows, o_cols] += prod[u, v, :, :, rows, cols_]
     if bias is not None:
         out += bias[:, None, None, None]
     if relu:
@@ -604,13 +627,36 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     the channel-major ``x`` (I, B, H, W): row (i, u, v) holds tap (u, v)
     of channel i at every output position of every sample, read from
     the zero-padded input. It is ``scratch``'s buffer ``name`` when
-    ``scratch`` is given."""
+    ``scratch`` is given.
+
+    A "same" geometry (:attr:`_Taps.same`) makes no padded copy: each tap
+    is one contiguous copy of a shifted slice of every sample's flattened
+    H*W axis (:meth:`_Taps.flat`), after the rows that read above or
+    below the input are zeroed, and the output columns at which a tap
+    reads left or right of it are zeroed after the copies. Any other
+    geometry copies the window view of the padded input."""
     n_in, b, h, w = x.shape
     kh, kw = k.shape[2:]
     taps = _Taps(kh, kw, stride, pad, h, w)
     cols = _take(scratch, name, (n_in * kh * kw, b * taps.h_out * taps.w_out))
-    np.copyto(cols.reshape(n_in, kh, kw, b, taps.h_out, taps.w_out),
-              taps.windows(_padded(x, pad)).transpose(0, 4, 5, 1, 2, 3))
+    if not taps.same:
+        np.copyto(cols.reshape(n_in, kh, kw, b, taps.h_out, taps.w_out),
+                  taps.windows(_padded(x, pad)).transpose(0, 4, 5, 1, 2, 3))
+        return cols
+    n = h * w
+    c5, x3 = cols.reshape(n_in, kh, kw, b, n), x.reshape(n_in, b, n)
+    for u in range(kh):  # rows above or below the input read nothing
+        reach = (u - pad) * w
+        if reach < 0:
+            c5[:, u, :, :, : pad - reach] = 0.0
+        elif reach > 0:
+            c5[:, u, :, :, max(0, n - reach - pad) :] = 0.0
+    shifts, wraps = taps.flat()
+    for u, v, d, lo, hi in shifts:
+        c5[:, u, v, :, lo:hi] = x3[:, :, lo + d : hi + d]
+    c6 = cols.reshape(n_in, kh, kw, b, h, w)
+    for v, _, reads_nothing in wraps:
+        c6[:, :, v, :, :, reads_nothing] = 0.0
     return cols
 
 
@@ -636,19 +682,38 @@ class _Taps:
     """Kernel-tap geometry of one convolution: (kh, kw) taps at ``stride``
     over an (h, w) input with ``pad`` zeros on every side."""
 
-    __slots__ = ("kh", "kw", "stride", "pad", "h", "w", "h_out", "w_out")
+    __slots__ = ("kh", "kw", "stride", "pad", "h", "w", "h_out", "w_out", "same")
 
     def __init__(self, kh, kw, stride, pad, h, w):
         self.kh, self.kw, self.stride, self.pad = kh, kw, stride, pad
         self.h, self.w = h, w
         self.h_out = (h + 2 * pad - kh) // stride + 1
         self.w_out = (w + 2 * pad - kw) // stride + 1
+        # Stride 1 and (k - 1) / 2 zeros around a square k x k kernel: the
+        # output has the input's extent, and :meth:`flat` applies.
+        self.same = stride == 1 and kh == kw == 2 * pad + 1
 
     def clipped(self):
         """(u, v, out_rows, out_cols, rows, cols) for every tap that reaches
         the unpadded input: output window ``[out_rows, out_cols]`` reads the
         input at ``[rows, cols]`` through tap (u, v)."""
         return _clipped_taps(self.kh, self.kw, self.stride, self.pad, self.h, self.w)
+
+    def flat(self):
+        """The taps of a :attr:`same` geometry on each sample's flattened
+        h*w axis, where tap (u, v) reads output position ``i`` at input
+        position ``i + d``, ``d = (u - pad) * w + (v - pad)``.
+
+        Returns ``shifts``, (u, v, d, lo, hi) for every tap whose range
+        ``lo <= i < hi`` of in-bounds reads is not empty, and ``wraps``,
+        (v, never_read, reads_nothing) for every tap column ``v`` but the
+        centre one: the input columns that no tap of that column reads
+        inside the image, and the output columns at which it reads
+        outside, where a flat read wraps into the next or previous row
+        (column slices). A flat read in a row above or below the image
+        falls outside ``lo:hi``.
+        """
+        return _flat_taps(self.kh, self.pad, self.h, self.w)
 
     def windows(self, xp):
         """Read-only (A, B, Ho, Wo, kh, kw) view of every window of the
@@ -676,6 +741,26 @@ def _clipped_taps(kh, kw, s, p, h, w):
     cols = _clip_axis(kw, w, (w + 2 * p - kw) // s + 1, s, p)
     return tuple((u, v, o_rows, o_cols, i_rows, i_cols)
                  for u, o_rows, i_rows in rows for v, o_cols, i_cols in cols)
+
+
+@functools.lru_cache(maxsize=256)
+def _flat_taps(k, p, h, w):
+    """:meth:`_Taps.flat` of one geometry, computed once per geometry."""
+    n = h * w
+    shifts, wraps = [], []
+    for u in range(k):
+        for v in range(k):
+            d = (u - p) * w + (v - p)
+            lo, hi = max(0, -d), min(n, n - d)
+            if lo < hi:
+                shifts.append((u, v, d, lo, hi))
+    for v in range(k):
+        dv = v - p
+        if dv < 0:
+            wraps.append((v, slice(max(0, w + dv), w), slice(0, min(w, -dv))))
+        elif dv > 0:
+            wraps.append((v, slice(0, min(w, dv)), slice(max(0, w - dv), w)))
+    return tuple(shifts), tuple(wraps)
 
 
 def _clip_axis(k, n, n_out, s, p):

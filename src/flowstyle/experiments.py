@@ -28,10 +28,12 @@ def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1
     """Project both images, transfer statistics in latent space, decode.
 
     The returned tensor is *not* clamped to [0, 1]; clamping happens only
-    at file-write time so repeated stylization stays exact.
+    at file-write time so repeated stylization stays exact. The three
+    walks share one set of scratch buffers.
     """
-    f_cs = transfer_apply(kind, model.forward(content), model.forward(style), alpha)
-    return model.inverse(f_cs)
+    step = _StepParams({})
+    f_cs = transfer_apply(kind, model.forward(content, step), model.forward(style, step), alpha)
+    return model.inverse(f_cs, step)
 
 
 @dataclass(frozen=True)
@@ -70,17 +72,18 @@ def leak_test(
     transfer keeps drift at rounding level; a patch-replacement transfer
     drifts monotonically. The style image is encoded once, so ``rounds``
     rounds take ``rounds + 1`` forward and ``rounds`` inverse passes,
-    which share one inverse of each invconv weight.
+    which share one inverse of each invconv weight and one set of scratch
+    buffers.
     """
     rounds = as_index("rounds", rounds)
     if rounds < 1:
         raise ShapeError(f"rounds must be >= 1, got {rounds}")
-    f_s = model.forward(style)
-    scratch = _StepParams({})
+    step = _StepParams({})
+    f_s = model.forward(style, step)
 
     def restyle(image):
-        f_cs = transfer_apply(kind, model.forward(image), f_s, alpha)
-        return model.inverse(f_cs, params=scratch)
+        f_cs = transfer_apply(kind, model.forward(image, step), f_s, alpha)
+        return model.inverse(f_cs, step)
 
     first = restyle(content)
     ssims = [ssim(first, first)]
@@ -102,15 +105,14 @@ def reverse_transfer(
     transfer the second pass restores the content image. The content
     latent serves as the second pass's style latent, so the whole takes
     three forward and two inverse passes, which share one inverse of each
-    invconv weight.
+    invconv weight and one set of scratch buffers.
     """
     if kind.name not in FACTORS:
         raise ShapeError(f"reverse transfer requires one of {tuple(FACTORS)}")
-    f_c, scratch = model.forward(content), _StepParams({})
-    stylized = model.inverse(transfer_apply(kind, f_c, model.forward(style)), params=scratch)
-    recovered = model.inverse(
-        transfer_apply(kind, model.forward(stylized), f_c), params=scratch
-    )
+    step = _StepParams({})
+    f_c = model.forward(content, step)
+    stylized = model.inverse(transfer_apply(kind, f_c, model.forward(style, step)), step)
+    recovered = model.inverse(transfer_apply(kind, model.forward(stylized, step), f_c), step)
     return stylized, recovered
 
 
@@ -123,8 +125,8 @@ def content_factor_image(model: FlowNet, kind: TransferKind, content) -> np.ndar
     """
     if kind.name not in FACTORS:
         raise ShapeError(f"content factor requires one of {tuple(FACTORS)}")
-    content_factor = FACTORS[kind.name][0]
-    return model.inverse(content_factor(model.forward(content)))
+    content_factor, step = FACTORS[kind.name][0], _StepParams({})
+    return model.inverse(content_factor(model.forward(content, step)), step)
 
 
 def ablation_run(

@@ -25,14 +25,15 @@ network while inference stays tape-free.
 A walk runs channel-major, (C, B, H, W), so that each convolution and
 channel mix works on one (C, B*H*W) matrix of the whole batch; the
 layouts coincide at batch 1. Every walk writes the couplings' hidden
-maps, and in its backward the convolutions' temporaries, into scratch
-buffers that belong to that walk alone: the couplings of a block reuse
-them, in the forward and again when the backward recomputes them. The
-walks of one
-training step share each invconv weight's inverse through the step's
-parameter mapping (:class:`_StepParams`), as do the decode walks of
-one ``leak_test`` or ``reverse_transfer`` call. Nothing is cached on the
-module or the model, so concurrent reads of one model stay safe.
+maps and the convolutions' temporaries, in the forward and again when
+its backward recomputes them, into scratch buffers that belong to one
+call: the couplings of every block reuse them. The walks of one training
+step, or of one ``stylize``, ``leak_test``, ``reverse_transfer``,
+``content_factor_image`` or ``recon_error`` call, share those buffers
+and each invconv weight's inverse through the call's parameter mapping
+(:class:`_StepParams`); a walk given none makes its own. Nothing is
+cached on the module or the model, so concurrent reads of one model
+stay safe.
 """
 
 from __future__ import annotations
@@ -246,17 +247,16 @@ def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return scale, -mean * scale, clamped
 
 
-def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, temps=None, cols=None):
+def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, cols=None):
     """The inner network of the channel-major ``x_a``: the coupling's
-    shift, in ``temps``'s buffer ``shift``, and the two hidden maps, in
-    ``scratch``'s buffers ``h1`` and ``h2``. The convs take their
-    temporaries from ``temps`` (new arrays when None); ``cols`` is
-    conv1's column matrix when the caller built it."""
+    shift and the two hidden maps, in ``scratch``'s buffers ``shift``,
+    ``h1`` and ``h2``. The convs take their temporaries from ``scratch``
+    too; ``cols`` is conv1's column matrix when the caller built it."""
     shape = (w1.shape[0],) + x_a.shape[1:]
-    h1 = ad._conv(x_a, w1, b1, 1, 1, True, scratch.take("h1", shape), cols, temps)
-    h2 = ad._conv(h1, w2, b2, 1, 0, True, scratch.take("h2", shape), scratch=temps)
-    out = ad._take(temps, "shift", (w3.shape[0],) + x_a.shape[1:])
-    return ad._conv(h2, w3, b3, 1, 1, out=out, scratch=temps), h1, h2
+    h1 = ad._conv(x_a, w1, b1, 1, 1, True, scratch.take("h1", shape), cols, scratch)
+    h2 = ad._conv(h1, w2, b2, 1, 0, True, scratch.take("h2", shape), scratch=scratch)
+    out = scratch.take("shift", (w3.shape[0],) + x_a.shape[1:])
+    return ad._conv(h2, w3, b3, 1, 1, out=out, scratch=scratch), h1, h2
 
 
 def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, scratch, out=None):
@@ -329,7 +329,7 @@ def _coupling_back(y, g, weights, inverse, scratch):
     half = y.shape[0] // 2
     x_a, y_b, g_a, g_b = y[:half], y[half:], g[:half], g[half:]
     cols = ad._im2col(x_a, dw1, 1, 1, scratch, "cols1") if ad._uses_cols(dw1, 1, 1) else None
-    shift, h1, h2 = _shift(x_a, dw1, db1, dw2, db2, dw3, db3, scratch, scratch, cols)
+    shift, h1, h2 = _shift(x_a, dw1, db1, dw2, db2, dw3, db3, scratch, cols)
     (np.add if inverse else np.subtract)(y_b, shift, out=y_b)
 
     def conv_grads(g, h, i, pad, relu_out=None, cols=None):
@@ -351,18 +351,22 @@ def _coupling_back(y, g, weights, inverse, scratch):
 class _StepParams(dict):
     """Parameter values for the walks of one training step (or of one
     experiment call, with no values, so the stored ones apply), with the
-    scratch those walks share: ``inverses`` maps an invconv layer's name
-    to W^{-1}. Whichever walk needs a weight's inverse first (an inverse
+    scratch those walks share. ``inverses`` maps an invconv layer's name
+    to W^{-1}: whichever walk needs a weight's inverse first (an inverse
     walk's forward, or a forward walk's backward) computes it, and the
-    others reuse it, so a step inverts each weight once. It serves the
-    walks of one set of weights only and dies with the step or call.
+    others reuse it, so a step inverts each weight once. ``scratch`` is
+    the :class:`autodiff._Scratch` into which every walk, one after
+    another, writes its couplings' hidden maps and conv temporaries. It
+    serves the walks of one set of weights only and dies with the step
+    or call.
     """
 
-    __slots__ = ("inverses",)
+    __slots__ = ("inverses", "scratch")
 
     def __init__(self, params):
         super().__init__(params or {})
         self.inverses = {}
+        self.scratch = ad._Scratch()
 
 
 def _inverse_of(inverses, name, w):
@@ -384,7 +388,7 @@ class FlowNet:
     ``params`` maps every parameter name of :attr:`layers` to its array,
     in layer order; ``actnorm_initialized`` maps every actnorm layer name
     to its data-dependent-init state. Apply with :meth:`forward` /
-    :meth:`inverse`. Concurrent reads are safe (each walk owns its
+    :meth:`inverse`. Concurrent reads are safe (each call owns its
     scratch buffers); initialization and training mutate parameters and
     require exclusive access.
     """
@@ -473,13 +477,14 @@ class FlowNet:
         Actnorm and the coupling run in place on the walk's own working
         array, never on the caller's input, which the entry view may be.
 
-        The layers run on arrays, in one loop, with one ``_Scratch`` made
-        here for the couplings' hidden maps and conv temporaries, so
-        concurrent walks share no buffer. When ``v`` or any parameter is a
-        Var, the walk records one ``walk`` node. It keeps the walk's input
-        and output, the scratch and the invconv inverses, which come from
-        ``params`` when it is a :class:`_StepParams` (the walks of a step
-        share them) and are made for this walk otherwise. Its backward
+        The layers run on arrays, in one loop, with one ``_Scratch`` for
+        the couplings' hidden maps and conv temporaries. It and the
+        invconv inverses come from ``params`` when it is a
+        :class:`_StepParams` (the walks of one call share them, one walk
+        after another) and are made for this walk otherwise, so concurrent
+        calls share no buffer. When ``v`` or any parameter is a Var, the
+        walk records one ``walk`` node. It keeps the walk's input and
+        output, the scratch and the inverses. Its backward
         copies the output and its gradient to channel-major, then visits
         the layers in reverse; each layer's rule (``_squeeze_back``,
         ``_actnorm_back``, ``_invconv_back``, ``_coupling_back``) rebuilds
@@ -504,12 +509,14 @@ class FlowNet:
                     f"its layer needs {self.params[name].shape}"
                 )
         store = self.params if params is None else {**self.params, **params}
-        inverses = params.inverses if isinstance(params, _StepParams) else {}
+        if isinstance(params, _StepParams):
+            inverses, scratch = params.inverses, params.scratch
+        else:
+            inverses, scratch = {}, ad._Scratch()
         steps = [
             (layer, tuple(store[name] for name in layer.shapes))
             for layer in (reversed(self.layers) if inverse else self.layers)
         ]
-        scratch = ad._Scratch()
         y = ad._swap(data)
         for layer, weights in steps:
             arrays = [ad._data(p) for p in weights]

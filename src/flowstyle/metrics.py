@@ -15,6 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import _check_real
 from .errors import NumericError, ShapeError
+from .flows import _StepParams
 from .training import LossNet, content_loss
 
 SSIM_WINDOW = 11
@@ -97,8 +98,8 @@ def recon_error(model, image) -> float:
     raises ShapeError.
     """
     _check_real("recon_error", image)
-    x = np.asarray(image, dtype=np.float64)
-    return float(np.max(np.abs(model.inverse(model.forward(x)) - x)))
+    x, step = np.asarray(image, dtype=np.float64), _StepParams({})
+    return float(np.max(np.abs(model.inverse(model.forward(x, step), step) - x)))
 
 
 def feature_distance(a, b, lossnet: LossNet) -> float:

@@ -58,8 +58,9 @@ class LossNet:
 
     def features(self, image) -> list[ad.Value]:
         """Per-stage feature maps for an image batch (B,C,H,W): arrays
-        for an array, Vars for a Var. A NaN or infinite pixel raises
-        NumericError before any stage runs."""
+        for an array, Vars for a Var. A complex image raises ShapeError
+        and a NaN or infinite pixel NumericError, before any stage runs."""
+        ad._check_real("LossNet.features", image)
         if not np.isfinite(ad._data(image)).all():
             raise NumericError("LossNet input holds NaN or infinite values")
         feats = []

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conv_oracles import im2col_reference, kn2row_reference
 
 import flowstyle.autodiff as ad
 from flowstyle.errors import NumericError, ShapeError, StateError
@@ -641,6 +642,53 @@ class TestConvKernels:
             for got, want in zip(kept[1:], fresh[1:]):
                 np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(ad._conv(x, k, pad=1, cols=cols), ad._conv(x, k, pad=1))
+
+    def test_scratch_hands_out_leading_views(self):
+        """An equal shape gets the same array back, a smaller one a
+        leading view of its memory, and only a larger one new memory."""
+        scratch = ad._Scratch()
+        big = scratch.take("taps", (4, 6))
+        assert scratch.take("taps", (4, 6)) is big
+        small = scratch.take("taps", (2, 5))
+        assert small.shape == (2, 5) and small.flags.c_contiguous
+        assert small.__array_interface__["data"] == big.__array_interface__["data"]
+        assert scratch.take("taps", (2, 5)) is small
+        assert not np.shares_memory(scratch.take("taps", (5, 6)), big)
+        assert not np.shares_memory(scratch.take("h1", (2, 5)), big)
+
+    @pytest.mark.parametrize("signed_zeros", [False, True], ids=["values", "signed-zeros"])
+    @pytest.mark.parametrize("with_bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("channels", [(3, 5), (5, 3)], ids=["I<O", "I>O"])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("extent", [(1, 1), (1, 2), (2, 2), (5, 7)])
+    def test_flat_taps_equal_clipped_taps(self, extent, batch, channels, with_bias,
+                                          signed_zeros):
+        """At 3x3, pad 1, stride 1 the column matrix and the kn2row sum,
+        made of flat shifted slices, have the bytes of the clipped tap
+        loops (``tests/conv_oracles.py``), at extents smaller than the
+        kernel too; a signed-zeros input holds -0.0 across every channel
+        of some positions and +0.0 and -0.0 at others."""
+        n_in, n_out = channels
+        rng = np.random.default_rng(extent[0] * 10 + extent[1] + 100 * batch + n_in)
+        x = rng.standard_normal((n_in, batch) + extent)
+        if signed_zeros:
+            x = np.where(rng.random((1, batch) + extent) < 0.5, -0.0, x)
+            x[rng.random(x.shape) < 0.2] = 0.0
+            x[rng.random(x.shape) < 0.2] = -0.0
+        k = rng.standard_normal((n_out, n_in, 3, 3))
+        bias = rng.standard_normal(n_out) if with_bias else None
+        assert ad._Taps(3, 3, 1, 1, *extent).same
+        assert ad._im2col(x, k, 1, 1).tobytes() == im2col_reference(x, k, 1, 1).tobytes()
+        got = ad._conv(x, k, bias, 1, 1, scratch=ad._Scratch())
+        if n_in > n_out:
+            assert got.tobytes() == kn2row_reference(x, k, bias, 1, 1).tobytes()
+        else:
+            want = np.empty_like(got)
+            ad._by_sample(k.reshape(n_out, -1), im2col_reference(x, k, 1, 1), batch,
+                          want.reshape(n_out, -1))
+            if bias is not None:
+                want += bias[:, None, None, None]
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("ksize,pad", [(3, 1), (1, 0)])

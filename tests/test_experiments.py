@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import flowstyle.autodiff as ad
 from flowstyle import flows
 from flowstyle.errors import ShapeError
 from flowstyle.experiments import (
@@ -18,10 +19,11 @@ from flowstyle.flows import (
     initialize_actnorms,
     randomize_couplings,
 )
-from flowstyle.metrics import ssim
+from flowstyle.metrics import recon_error, ssim
 from flowstyle.training import TrainConfig, build_lossnet
 from flowstyle.transfer import (
     ADAIN,
+    FACTORS,
     PATCHSWAP,
     WCT,
     apply_style_factor,
@@ -308,3 +310,76 @@ class TestOneInversePerCall:
         assert len(calls) == 3
         np.testing.assert_array_equal(got[0], stylized)
         np.testing.assert_array_equal(got[1], recovered)
+
+
+def separate_leak_test(model, kind, content, style, rounds):
+    f_s = model.forward(style)
+    outputs, current = [], content
+    for _ in range(rounds):
+        current = model.inverse(transfer_apply(kind, model.forward(current), f_s))
+        outputs.append(current)
+    return LeakReport(
+        rounds,
+        tuple(ssim(out, outputs[0]) for out in outputs),
+        tuple(float(np.max(np.abs(out - outputs[0]))) for out in outputs),
+    )
+
+
+# Each call, and the same result from walks that each make their own scratch.
+ONE_SCRATCH_CALLS = {
+    "stylize": (
+        lambda m, c, s: stylize(m, WCT, c, s),
+        lambda m, c, s: m.inverse(transfer_apply(WCT, m.forward(c), m.forward(s))),
+    ),
+    "leak_test": (
+        lambda m, c, s: leak_test(m, ADAIN, c, s, rounds=3),
+        lambda m, c, s: separate_leak_test(m, ADAIN, c, s, 3),
+    ),
+    "reverse_transfer": (
+        lambda m, c, s: reverse_transfer(m, ADAIN, c, s),
+        lambda m, c, s: (
+            stylized := m.inverse(transfer_apply(ADAIN, m.forward(c), m.forward(s))),
+            m.inverse(transfer_apply(ADAIN, m.forward(stylized), m.forward(c))),
+        ),
+    ),
+    "content_factor_image": (
+        lambda m, c, s: content_factor_image(m, WCT, c),
+        lambda m, c, s: m.inverse(FACTORS["wct"][0](m.forward(c))),
+    ),
+    "recon_error": (
+        lambda m, c, s: recon_error(m, c),
+        lambda m, c, s: float(np.max(np.abs(m.inverse(m.forward(c)) - c))),
+    ),
+}
+
+
+class TestOneScratchPerCall:
+    """The walks of one call write into one scratch; the call returns
+    what walks that each make their own give, and nothing it returns is
+    scratch memory."""
+
+    @pytest.mark.parametrize("entry", sorted(ONE_SCRATCH_CALLS))
+    def test_call_equals_separate_walks(self, entry, monkeypatch):
+        model = build_flownet(FlowNetConfig(2, 2, 8, 3, 16, 16), seed=5)
+        initialize_actnorms(model, np.random.default_rng(6).random((2, 3, 16, 16)))
+        randomize_couplings(model, seed=7)
+        content, style = images()
+        call, separate = ONE_SCRATCH_CALLS[entry]
+        want = separate(model, content, style)
+        scratches, take = [], ad._Scratch.take
+
+        def recorded(scratch, name, shape):
+            if not any(s is scratch for s in scratches):
+                scratches.append(scratch)
+            return take(scratch, name, shape)
+
+        monkeypatch.setattr(ad._Scratch, "take", recorded)
+        got = call(model, content, style)
+        assert len(scratches) == 1
+        if isinstance(want, LeakReport):
+            assert got == want
+            return
+        for g, w in zip(got, want) if isinstance(want, tuple) else [(got, want)]:
+            np.testing.assert_array_equal(g, w)
+            for buf in scratches[0]._flat.values():
+                assert not np.shares_memory(g, buf)

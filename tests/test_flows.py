@@ -27,7 +27,13 @@ from flowstyle.flows import (
 )
 from flowstyle.experiments import ablation_run, stylize
 from flowstyle.linalg import mat_inverse
-from flowstyle.metrics import recon_error, ssim
+from flowstyle.metrics import (
+    evaluate_stylization,
+    feature_distance,
+    gram_loss,
+    recon_error,
+    ssim,
+)
 from flowstyle.training import TrainConfig, build_lossnet, train, training_loss
 from flowstyle.transfer import ADAIN
 
@@ -810,9 +816,10 @@ class TestChannelMajorWalk:
         with pytest.raises(ShapeError, match=name):
             model.forward(batch, params=bad)
 
-    @pytest.mark.parametrize(
-        "entry", ["stylize", "training_loss", "train", "ssim", "recon_error", "ablation_run"]
-    )
+    @pytest.mark.parametrize("entry", [
+        "stylize", "training_loss", "train", "ssim", "recon_error", "ablation_run",
+        "gram_loss", "feature_distance", "evaluate_stylization",
+    ])
     def test_complex_images_rejected_at_the_entry_points(self, entry):
         model, batch = make_model()
         train_cfg = TrainConfig(iterations=1, batch_size=1, crop_size=8)
@@ -829,6 +836,13 @@ class TestChannelMajorWalk:
                 elif entry == "ablation_run":
                     pairs = [(batch[0], batch[1])]
                     ablation_run([model.config], pairs, [(batch[0] + 0j, batch[1])], train_cfg)
+                elif entry == "gram_loss":
+                    gram_loss(batch + 1j * batch, batch, build_lossnet(0))
+                elif entry == "feature_distance":
+                    feature_distance(batch, batch + 1j * batch, build_lossnet(0))
+                elif entry == "evaluate_stylization":
+                    evaluate_stylization(model, build_lossnet(0), batch, batch,
+                                         batch + 1j * batch)
                 elif entry == "training_loss":
                     training_loss(model, model.params, batch + 0j, batch,
                                   TrainConfig(iterations=1), build_lossnet(0))
