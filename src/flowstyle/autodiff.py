@@ -40,7 +40,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import NumericError, ShapeError, StateError, as_index
+from .errors import NumericError, ShapeError, StateError, as_feature, as_index
 from .linalg import blas_threads
 
 _SQUEEZE_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major 2x2 order
@@ -340,14 +340,6 @@ def _channel_sum(a):
     return a.sum(axis=1).sum(axis=1).sum(axis=1)
 
 
-def _check_real(op, *operands):
-    """ShapeError when an array operand is complex: its conversion to
-    float64 would keep the real part and answer for another input."""
-    for x in operands:
-        if not isinstance(x, Var) and np.iscomplexobj(x):
-            raise ShapeError(f"{op}: expected real values, got {np.asarray(x).dtype}")
-
-
 class _Scratch:
     """Named buffers that the kernels of the flow walks of one call reuse.
 
@@ -387,10 +379,11 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
     """2-d convolution (cross-correlation), zero padding, square stride,
     then an optional per-channel bias and ReLU.
 
-    ``x`` is (B,I,H,W) with B >= 1, ``k`` is (O,I,kh,kw) and ``bias`` is
-    (O,) or None, all real (a complex operand or an empty batch raises
-    ``ShapeError``); ``stride`` is an integer of at least 1 and ``pad``
-    one of at least 0. The output and every gradient equal
+    ``x`` is (B,I,H,W) and ``k`` (O,I,kh,kw), neither empty, and ``bias``
+    is (O,) or None, all real (:func:`~flowstyle.errors.as_feature`,
+    without its finiteness test: a complex operand or an empty batch
+    raises ``ShapeError``); ``stride`` is an integer of at least 1 and
+    ``pad`` one of at least 0. The output and every gradient equal
     (``array_equal``) those of ``relu(add(conv2d(x, k), per_channel(bias)))``,
     but come from one tape node whose bias and ReLU run in place on the
     GEMM's output. Backward masks the output gradient by ``out > 0`` (the
@@ -403,22 +396,17 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
     tape keeps the input, the kernel and the output, never a padded
     copy, a column matrix or a ReLU mask.
     """
-    _check_real("conv2d", x, k, bias)
+    x = as_feature("conv2d input", x, finite=False)
+    k = as_feature("conv2d kernel", k, finite=False)
     dx, dk = _data(x), _data(k)
-    if dx.ndim != 4 or dk.ndim != 4:
-        raise ShapeError("conv2d expects rank-4 input and kernel")
-    if dx.shape[0] == 0:
-        raise ShapeError(f"conv2d needs a batch of at least one, got shape {dx.shape}")
     if dx.shape[1] != dk.shape[1]:
         raise ShapeError(
             f"conv2d channel mismatch: input {dx.shape[1]}, kernel {dk.shape[1]}"
         )
     n_out, n_in, kh, kw = dk.shape
-    if bias is not None and _data(bias).shape != (n_out,):
-        raise ShapeError(
-            f"conv2d bias must have shape ({n_out},), got {_data(bias).shape}"
-        )
-    stride, pad = _int_at_least("stride", stride, 1), _int_at_least("pad", pad, 0)
+    if bias is not None:
+        bias = as_feature("conv2d bias", bias, shape=(n_out,), finite=False)
+    stride, pad = as_index("conv2d stride", stride, 1), as_index("conv2d pad", pad, 0)
     b, _, h, w = dx.shape
     taps = _Taps(kh, kw, stride, pad, h, w)
     h_out, w_out = taps.h_out, taps.w_out
@@ -660,13 +648,6 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     return cols
 
 
-def _int_at_least(name, value, least):
-    """``value`` as an int, or ShapeError unless it is an integer >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ShapeError(f"conv2d {name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
 def _padded(x, pad):
     """``x`` with ``pad`` zeros around its two spatial (last) axes (``x``
     itself at 0)."""
@@ -807,16 +788,12 @@ def _mix_grads(g, x, w, w_inv=None, want_w=True):
     return gx, gw
 
 
-def _check_mix(op, x, m):
-    if x.ndim != 4 or x.shape[1] != m.shape[1]:
-        raise ShapeError(f"{op}: {m.shape} cannot act on {x.shape}")
-
-
 def channel_mix(x, w) -> Value:
     """Per-position channel mixing y = W x (a 1x1 convolution by matrix W)
     of an NCHW ``x``: :func:`_mix` through :func:`_swap`."""
     dx, dw = _data(x), _data(w)
-    _check_mix("channel_mix", dx, dw)
+    if dx.ndim != 4 or dw.ndim != 2 or dx.shape[1] != dw.shape[1]:
+        raise ShapeError(f"channel_mix: {dw.shape} cannot act on {dx.shape}")
     out = _swap(_mix(dw, _swap(dx)))
 
     def back(g):
@@ -835,7 +812,8 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
     """
     dx = _data(x)
     m = np.asarray(w_inv, dtype=np.float64)
-    _check_mix("channel_mix_inv", dx, m)
+    if dx.ndim != 4 or m.ndim != 2 or dx.shape[1] != m.shape[1]:
+        raise ShapeError(f"channel_mix_inv: {m.shape} cannot act on {dx.shape}")
     out = _swap(_mix(m, _swap(dx)))
 
     def back(g):

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _check_real
-from .errors import ShapeError, as_index
+from .errors import ShapeError, as_batch, as_index, as_real
 from .flows import FlowNet, FlowNetConfig, _StepParams, build_flownet
 from .metrics import gram_loss, recon_error, ssim
 from .training import LossNet, TrainConfig, build_lossnet, train
@@ -31,7 +30,7 @@ def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1
     at file-write time so repeated stylization stays exact. The three
     walks share one set of scratch buffers.
     """
-    step = _StepParams({})
+    step, alpha = _StepParams({}), as_real("alpha", alpha, 0.0, 1.0)
     f_cs = transfer_apply(kind, model.forward(content, step), model.forward(style, step), alpha)
     return model.inverse(f_cs, step)
 
@@ -75,9 +74,7 @@ def leak_test(
     which share one inverse of each invconv weight and one set of scratch
     buffers.
     """
-    rounds = as_index("rounds", rounds)
-    if rounds < 1:
-        raise ShapeError(f"rounds must be >= 1, got {rounds}")
+    rounds, alpha = as_index("rounds", rounds, 1), as_real("alpha", alpha, 0.0, 1.0)
     step = _StepParams({})
     f_s = model.forward(style, step)
 
@@ -141,8 +138,9 @@ def ablation_run(
 
     Per config the table row carries the worst round-trip error over the
     evaluation contents plus SSIM (content vs stylized) and Gram loss
-    (style vs stylized) averaged over the evaluation pairs. A complex
-    evaluation image raises ShapeError before any training.
+    (style vs stylized) averaged over the evaluation pairs. Each
+    evaluation image, (C,H,W) or a batch, is checked by
+    :func:`errors.as_batch` before any training.
     """
     kind = kind or ADAIN
     eval_pairs = [(_as_batch(content), _as_batch(style)) for content, style in eval_pairs]
@@ -167,8 +165,4 @@ def ablation_run(
 
 
 def _as_batch(img) -> np.ndarray:
-    _check_real("ablation_run", img)
-    a = np.asarray(img, dtype=np.float64)
-    if a.ndim == 3:
-        a = a[np.newaxis]
-    return a
+    return as_batch("evaluation image", np.expand_dims(img, 0) if np.ndim(img) == 3 else img)

@@ -50,6 +50,8 @@ from .errors import (
     NumericError,
     ShapeError,
     StateError,
+    as_batch,
+    as_feature,
     as_index,
 )
 from .linalg import mat_inverse
@@ -219,8 +221,6 @@ def _actnorm(x, scale, bias, inverse=False, out=None):
     ``out`` (``x`` itself runs it in place; a new array when None) with
     two ufuncs."""
     _check_scale(scale)
-    if x.shape[0] != scale.shape[0]:
-        raise ShapeError("actnorm channel count mismatch")
     s, b = scale[:, None, None, None], bias[:, None, None, None]
     if inverse:
         out = np.subtract(x, b, out=out)
@@ -402,14 +402,14 @@ class FlowNet:
         self.config = config
         self.layers = tuple(config.layers())
         shapes = [(n, s) for layer in self.layers for n, s in layer.shapes.items()]
-        if [(n, np.shape(a)) for n, a in params.items()] != shapes:
-            raise ShapeError("parameter names or shapes do not match the layer list")
+        if list(params) != [n for n, _ in shapes]:
+            raise ShapeError("parameter names do not match the layer list")
         flagged = [layer.name for layer in self.layers if layer.init_flag]
         if actnorm_initialized is None:
             actnorm_initialized = dict.fromkeys(flagged, False)
         if list(actnorm_initialized) != flagged:
             raise ShapeError("actnorm init flags do not match the layer list")
-        self.params = dict(params)
+        self.params = {n: as_batch(n, params[n], shape=s) for n, s in shapes}
         self.actnorm_initialized = dict(actnorm_initialized)
 
     @property
@@ -438,9 +438,9 @@ class FlowNet:
         """Project an image batch to its latent feature (the encoder).
 
         A complex, empty or misshapen batch raises ShapeError; a NaN or
-        infinite pixel raises NumericError.
+        infinite pixel raises NumericError (:func:`errors.as_feature`).
         """
-        ad._check_real("FlowNet.forward", x)
+        x = as_feature("image", x)
         self._check_image(ad._data(x))
         self._require_initialized()
         return self._walk(x, params, inverse=False)
@@ -449,9 +449,9 @@ class FlowNet:
         """Map a latent feature back to image space (the exact decoder).
 
         A complex, empty or misshapen latent raises ShapeError; a NaN or
-        infinite value raises NumericError.
+        infinite value raises NumericError (:func:`errors.as_feature`).
         """
-        ad._check_real("FlowNet.inverse", z)
+        z = as_feature("latent", z)
         data = ad._data(z)
         c_lat = self.config.latent_shape()[0]
         if data.ndim != 4 or data.shape[1] != c_lat:
@@ -462,8 +462,9 @@ class FlowNet:
     def _walk(self, v, params, inverse):
         """Apply every layer (reversed when ``inverse``); ``params`` maps
         names to values of the same shapes that take the place of stored
-        ones. An empty input or a misshapen value raises ShapeError and a
-        non-finite input NumericError, before any layer runs.
+        ones; a misshapen or complex value raises ShapeError before any
+        layer runs. The caller (:meth:`forward`, :meth:`inverse`) has
+        checked ``v``.
 
         The walk runs channel-major: it converts its input to (C, B, H, W)
         once on entry (``autodiff._swap``, a view at batch 1) and its
@@ -498,16 +499,9 @@ class FlowNet:
         NumericError (:func:`_check_rebuild`).
         """
         data = ad._data(v)
-        _check_nonempty(data)
-        if not np.isfinite(data).all():
-            what = "latent" if inverse else "image"
-            raise NumericError(f"{what} input holds NaN or infinite values")
         for name, p in (params or {}).items():
-            if name in self.params and ad._data(p).shape != self.params[name].shape:
-                raise ShapeError(
-                    f"parameter {name} has shape {ad._data(p).shape}, "
-                    f"its layer needs {self.params[name].shape}"
-                )
+            if name in self.params:
+                as_feature(name, p, shape=self.params[name].shape, finite=False)
         store = self.params if params is None else {**self.params, **params}
         if isinstance(params, _StepParams):
             inverses, scratch = params.inverses, params.scratch
@@ -544,11 +538,6 @@ class FlowNet:
             ad._accum(v, ad._swap(g))
 
         return ad._record(tape, "walk", y, back, inputs)
-
-
-def _check_nonempty(data):
-    if data.shape[0] == 0 or 0 in data.shape[2:]:
-        raise ShapeError(f"cannot walk an empty batch of shape {data.shape}")
 
 
 def _run_layer(layer, y, arrays, inverse, scratch, inverses, caller):
@@ -614,14 +603,11 @@ def initialize_actnorms(model: FlowNet, batch) -> list[tuple[str, list[int]]]:
     initialized on the activations that actually reach it. Returns
     ``(layer_name, clamped_channel_indices)`` diagnostics. A NaN or
     infinite value in the batch raises NumericError, and a complex or
-    empty one ShapeError, before any statistic is taken.
+    empty one ShapeError (:func:`errors.as_batch`), before any statistic
+    is taken.
     """
-    ad._check_real("initialize_actnorms", batch)
-    data = np.asarray(batch, dtype=np.float64)
+    data = as_batch("actnorm initialization batch", batch)
     model._check_image(data)
-    _check_nonempty(data)
-    if not np.isfinite(data).all():
-        raise NumericError("actnorm initialization batch holds NaN or infinite values")
     diagnostics = []
     x, scratch = ad._swap(data), ad._Scratch()
     for layer in model.layers:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import _check_real
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, as_batch
 from .flows import _StepParams
 from .training import LossNet, content_loss
 
@@ -41,15 +40,11 @@ def _filter_valid(img: np.ndarray, g: np.ndarray) -> np.ndarray:
 def ssim(a, b) -> float:
     """Mean structural similarity between two image batches in [0, 1].
 
-    A complex image raises ShapeError.
+    Both are checked by :func:`errors.as_batch` and must share a shape.
     """
-    _check_real("ssim", a, b)
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
+    x, y = as_batch("first ssim image", a), as_batch("second ssim image", b)
     if x.shape != y.shape:
         raise ShapeError(f"ssim needs equal shapes, got {x.shape} vs {y.shape}")
-    if x.ndim != 4:
-        raise ShapeError(f"ssim expects (B,C,H,W), got {x.shape}")
     if x.shape[2] < SSIM_WINDOW or x.shape[3] < SSIM_WINDOW:
         raise ShapeError(
             f"images must be at least {SSIM_WINDOW}x{SSIM_WINDOW} for the "
@@ -84,9 +79,10 @@ def gram_matrices(lossnet: LossNet, image) -> list[np.ndarray]:
 
 
 def gram_loss(a, b, lossnet: LossNet) -> float:
-    """Mean over stages of the MSE between normalized Gram matrices."""
-    ga = gram_matrices(lossnet, a)
-    gb = gram_matrices(lossnet, b)
+    """Mean over stages of the MSE between normalized Gram matrices of
+    two image batches, each checked by :func:`errors.as_batch`."""
+    ga = gram_matrices(lossnet, as_batch("first gram image", a))
+    gb = gram_matrices(lossnet, as_batch("second gram image", b))
     return float(np.mean([((p - q) ** 2).mean() for p, q in zip(ga, gb)]))
 
 
@@ -94,11 +90,10 @@ def recon_error(model, image) -> float:
     """Round-trip error ||inverse(forward(image)) - image||_inf.
 
     Computed per image independently (no cross-batch coupling), so
-    slicing the batch cannot change any image's error. A complex image
-    raises ShapeError.
+    slicing the batch cannot change any image's error. The image is
+    checked by :func:`errors.as_batch`.
     """
-    _check_real("recon_error", image)
-    x, step = np.asarray(image, dtype=np.float64), _StepParams({})
+    x, step = as_batch("image", image), _StepParams({})
     return float(np.max(np.abs(model.inverse(model.forward(x, step), step) - x)))
 
 

@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ImageFormatError, NumericError, ShapeError
+from .errors import ImageFormatError, ShapeError, as_batch
 
 _WHITESPACE = b" \t\n\r\v\f"
 
@@ -99,23 +99,17 @@ def quantize(t: np.ndarray) -> np.ndarray:
 def write_image(path, t) -> None:
     """Write a (1, 3, H, W) or (3, H, W) tensor as a canonical P6 file.
 
-    Non-finite pixels raise :class:`NumericError` and an empty image
-    :class:`ShapeError`; nothing is written.
+    The tensor is checked by :func:`errors.as_batch` (NumericError for
+    non-finite pixels, ShapeError otherwise); nothing is written.
 
     The write is atomic: bytes go to a temp file in the target directory
     which is then renamed over the destination.
     """
-    a = np.asarray(t, dtype=np.float64)
-    if a.ndim == 4:
-        if a.shape[0] != 1:
-            raise ShapeError(f"can only write single images, got batch {a.shape[0]}")
-        a = a[0]
-    if a.ndim != 3 or a.shape[0] != 3 or a.size == 0:
-        raise ShapeError(f"expected (3,H,W) pixels with H, W >= 1, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NumericError("image contains NaN or inf pixels")
-    h, w = a.shape[1], a.shape[2]
-    raster = quantize(a).transpose(1, 2, 0).tobytes()
+    a = as_batch("image", np.expand_dims(t, 0) if np.ndim(t) == 3 else t)
+    if a.shape[:2] != (1, 3):
+        raise ShapeError(f"expected one (3,H,W) image, got shape {a.shape}")
+    h, w = a.shape[2], a.shape[3]
+    raster = quantize(a[0]).transpose(1, 2, 0).tobytes()
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     atomic_write(path, header + raster)
 

@@ -25,13 +25,12 @@ order reproduce bit-identical parameters.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericError, ShapeError, as_index
+from .errors import NumericError, ShapeError, as_batch, as_feature, as_index, as_real
 from .flows import FlowNet, _StepParams, initialize_actnorms
 from .transfer import _inv_above, _moments, _moments_grad, _pc, adain
 
@@ -46,11 +45,15 @@ class LossNet:
     """
 
     def __init__(self, kernels, biases, seed: int):
-        self.kernels = tuple(np.asarray(k, dtype=np.float64) for k in kernels)
-        self.biases = tuple(np.asarray(b, dtype=np.float64) for b in biases)
-        if not self.kernels:
-            raise ShapeError("a LossNet needs at least one stage")
-        self.seed = seed
+        self.kernels = tuple(as_batch("LossNet kernel", k) for k in kernels)
+        self.biases = tuple(as_batch("LossNet bias", b, k.shape[:1])
+                            for k, b in zip(self.kernels, biases))
+        if not self.kernels or len(self.biases) != len(self.kernels):
+            raise ShapeError(
+                f"a LossNet needs at least one stage and one bias per kernel, got "
+                f"{len(self.kernels)} kernels and {len(self.biases)} biases"
+            )
+        self.seed = as_index("seed", seed, 0)
         for k in self.kernels:
             k.flags.writeable = False
         for b in self.biases:
@@ -58,11 +61,10 @@ class LossNet:
 
     def features(self, image) -> list[ad.Value]:
         """Per-stage feature maps for an image batch (B,C,H,W): arrays
-        for an array, Vars for a Var. A complex image raises ShapeError
-        and a NaN or infinite pixel NumericError, before any stage runs."""
-        ad._check_real("LossNet.features", image)
-        if not np.isfinite(ad._data(image)).all():
-            raise NumericError("LossNet input holds NaN or infinite values")
+        for an array, Vars for a Var. A complex or empty image raises
+        ShapeError and a NaN or infinite pixel NumericError
+        (:func:`errors.as_feature`), before any stage runs."""
+        image = as_feature("LossNet input", image)
         feats = []
         for k, b in zip(self.kernels, self.biases):
             image = ad.conv2d(image, k, b, stride=2, pad=1, relu=True)
@@ -114,14 +116,10 @@ class TrainConfig:
             ("iterations", 0), ("batch_size", 1), ("crop_size", 1), ("seed", 0)
         ):
             object.__setattr__(self, name, as_index(name, getattr(self, name), least))
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ShapeError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
-        for name in ("lr_decay", "lambda_content", "lambda_style"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ShapeError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("learning_rate", "lr_decay", "lambda_content", "lambda_style"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name), 0.0))
+        if self.learning_rate == 0.0:
+            raise ShapeError("learning_rate must be > 0, got 0.0")
 
 
 @dataclass
@@ -185,7 +183,8 @@ def content_loss(stylized_image, target_feature, lossnet: LossNet):
     must be a finite array of those features' shape: a Var or another
     shape raises ShapeError, a NaN or infinite value NumericError.
     """
-    return _content_term(lossnet.top_feature(stylized_image), target_feature)
+    top = lossnet.top_feature(stylized_image)
+    return _content_term(top, as_batch("content target", target_feature, ad._data(top).shape))
 
 
 def style_loss(stylized_image, style_image, lossnet: LossNet):
@@ -206,24 +205,11 @@ def transfer_target(lossnet: LossNet, content, style) -> np.ndarray:
 
 
 def _content_term(top, target):
-    """:func:`content_loss` of an image's top-stage features ``top``.
-
-    ``target`` must be a finite array of their shape (ShapeError for a
-    Var or another shape, NumericError for a NaN or infinite value). A
-    taped ``top`` gives a Var from one ``content_term`` node, whose
-    backward sends d / (n * loss) down (0 at a zero loss, as
-    ``autodiff.sqrt`` does).
+    """:func:`content_loss` of an image's top-stage features ``top``
+    against the float64 array ``target`` of their shape. A taped ``top``
+    gives a Var from one ``content_term`` node, whose backward sends
+    d / (n * loss) down (0 at a zero loss, as ``autodiff.sqrt`` does).
     """
-    if isinstance(target, ad.Var):
-        raise ShapeError("content target must be an array, not an autodiff Var")
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != ad._data(top).shape:
-        raise ShapeError(
-            f"content target has shape {target.shape}, but the image's top-stage "
-            f"features have shape {ad._data(top).shape}"
-        )
-    if not np.isfinite(target).all():
-        raise NumericError("content target holds NaN or infinite values")
     d = ad._data(top) - target
     out = np.sqrt(np.asarray((d * d).mean()))
     if not isinstance(top, ad.Var):
@@ -288,8 +274,8 @@ def training_loss(model: FlowNet, params, content, style, cfg: TrainConfig, loss
 
     ``params`` maps name -> value. Taped Vars give taped losses to
     differentiate; arrays give the content and style losses as floats.
-    ``content`` and ``style`` are image arrays of one (C, H, W) (else
-    ShapeError); their batch sizes may differ.
+    ``content`` and ``style`` are image batches of one (C, H, W)
+    (:func:`_as_batches`); their batch sizes may differ.
 
     One forward walk encodes content and style stacked as one batch; the
     latent is split before AdaIN, which pools its statistics over the
@@ -302,7 +288,7 @@ def training_loss(model: FlowNet, params, content, style, cfg: TrainConfig, loss
     :func:`transfer_target`, :func:`content_loss` and :func:`style_loss`:
     conv2d multiplies each sample of a batch on its own.
     """
-    content, style = _check_images(content, style)
+    content, style = _as_batches(content, style)
     params, n = _StepParams(params), content.shape[0]
     images = np.concatenate([content, style])
     f_c, f_s = ad.split_batch(model.forward(images, params=params), n)
@@ -317,20 +303,13 @@ def training_loss(model: FlowNet, params, content, style, cfg: TrainConfig, loss
     return total, l_c, l_s
 
 
-def _check_images(content, style):
-    """Content and style as float64 (B, C, H, W) arrays that share
-    (C, H, W)."""
-    arrays = []
-    for name, img in (("content", content), ("style", style)):
-        if isinstance(img, ad.Var):
-            raise ShapeError(f"{name} images must be arrays, not an autodiff Var")
-        ad._check_real(f"{name} images", img)
-        arrays.append(np.asarray(img, dtype=np.float64))
-    c, s = arrays
-    if c.ndim != 4 or s.ndim != 4 or c.shape[1:] != s.shape[1:]:
+def _as_batches(content, style):
+    """Content and style as image batches (:func:`errors.as_batch`)
+    that share (C, H, W); ShapeError naming both shapes otherwise."""
+    c, s = as_batch("content images", content), as_batch("style images", style)
+    if c.shape[1:] != s.shape[1:]:
         raise ShapeError(
-            f"content and style must be (B,C,H,W) batches of one (C,H,W), "
-            f"got {c.shape} and {s.shape}"
+            f"content and style must be batches of one (C,H,W), got {c.shape} and {s.shape}"
         )
     return c, s
 
@@ -346,7 +325,7 @@ def train_step(
 
     The learning rate for the update is lr / (1 + decay * completed_steps).
     """
-    content, style = _check_images(*batch)
+    content, style = _as_batches(*batch)
     if not model.initialized:
         initialize_actnorms(model, np.concatenate([content, style], axis=0))
     tape = ad.Tape()
@@ -374,36 +353,33 @@ def _crop(img: np.ndarray, size: int, rng) -> np.ndarray:
     return img[:, y : y + size, x : x + size]
 
 
-def _as_chw(img) -> np.ndarray:
-    ad._check_real("training images", img)
-    a = np.asarray(img, dtype=np.float64)
-    if a.ndim == 4 and a.shape[0] == 1:
-        a = a[0]
-    if a.ndim != 3:
-        raise ShapeError(f"expected a (C,H,W) image, got shape {a.shape}")
-    return a
+def _as_chw(name, img) -> np.ndarray:
+    """A (C,H,W) image, or a batch of one, as a checked (C,H,W) array."""
+    a = as_batch(name, np.expand_dims(img, 0) if np.ndim(img) == 3 else img)
+    if a.shape[0] != 1:
+        raise ShapeError(f"{name} must be one (C,H,W) image, got shape {a.shape}")
+    return a[0]
 
 
 def _as_pairs(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
     """The pair source as (content, style) (C,H,W) arrays, all with one
-    channel count; ShapeError for a non-pair or a channel mismatch and
-    NumericError for a NaN or infinite value, each naming the pair."""
+    channel count; ShapeError for a non-pair, a malformed image or a
+    channel mismatch and NumericError for a NaN or infinite value, each
+    naming the pair."""
     checked = []
     for i, item in enumerate(pairs):
         try:
             content, style = item
         except (TypeError, ValueError):
             raise ShapeError(f"pair {i} is not a (content, style) pair") from None
-        content, style = _as_chw(content), _as_chw(style)
+        content = _as_chw(f"content image of pair {i}", content)
+        style = _as_chw(f"style image of pair {i}", style)
         channels = checked[0][0].shape[0] if checked else content.shape[0]
         if content.shape[0] != channels or style.shape[0] != channels:
             raise ShapeError(
                 f"pair {i}: content {content.shape} and style {style.shape} must "
                 f"both have {channels} channels"
             )
-        for name, img in (("content", content), ("style", style)):
-            if not np.isfinite(img).all():
-                raise NumericError(f"{name} image of pair {i} holds NaN or infinite values")
         checked.append((content, style))
     return checked
 

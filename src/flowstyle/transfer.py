@@ -24,18 +24,18 @@ and then return Vars, so training differentiates through the same
 ``adain`` that inference runs: ``adain`` and ``channel_stats`` record
 one node each, whose backward is the closed-form gradient through the
 per-channel mean and floored std (:func:`_moments_grad`). The WCT and
-patch-swap functions raise ``ShapeError`` when given a Var.
+patch-swap functions take arrays only (:func:`~flowstyle.errors.as_batch`,
+where the others use :func:`~flowstyle.errors.as_feature`).
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericError, ShapeError, as_index
+from .errors import ShapeError, as_batch, as_feature, as_index, as_real
 from .linalg import SymMatrix, matmul, sym_pows
 
 EPS_STD = 1e-6
@@ -78,34 +78,14 @@ class TransferKind:
         if self.name not in _KINDS:
             raise ShapeError(f"unknown transfer kind {self.name!r}; known: {_KINDS}")
         for field in ("patch_size", "stride"):
-            object.__setattr__(self, field, as_index(field, getattr(self, field)))
-        if self.patch_size < 1 or self.patch_size % 2 == 0:
-            raise ShapeError(f"patch_size must be odd and >= 1, got {self.patch_size}")
-        if self.stride < 1:
-            raise ShapeError(f"stride must be >= 1, got {self.stride}")
+            object.__setattr__(self, field, as_index(field, getattr(self, field), 1))
+        if self.patch_size % 2 == 0:
+            raise ShapeError(f"patch_size must be odd, got {self.patch_size}")
 
 
 ADAIN = TransferKind("adain")
 WCT = TransferKind("wct")
 PATCHSWAP = TransferKind("patchswap")
-
-
-def _check_feature(f, name, arrays_only=False):
-    """``f`` once it is a finite (B,C,H,W) feature with a non-empty
-    spatial extent: a Var as is, anything else as a float64 array.
-
-    With ``arrays_only`` (WCT and patch swap, which have no autodiff
-    path) a Var is rejected."""
-    if arrays_only and isinstance(f, ad.Var):
-        raise ShapeError(f"{name} must be an array, not an autodiff Var")
-    a = ad._data(f)
-    if a.ndim != 4:
-        raise ShapeError(f"{name} must be (B,C,H,W), got shape {a.shape}")
-    if a.shape[2] * a.shape[3] == 0:
-        raise ShapeError(f"{name} has an empty spatial extent")
-    if not np.isfinite(a).all():
-        raise NumericError(f"{name} contains NaN or inf values")
-    return f if isinstance(f, ad.Var) else a
 
 
 def _pc(v):
@@ -161,7 +141,7 @@ def channel_stats(f) -> FeatureStats:
     :func:`_moments_grad`; it keeps the raw std and rebuilds the
     centered feature from its input.
     """
-    f = _check_feature(f, "feature")
+    f = as_feature("feature", f)
     mean, root, std = _moments(ad._data(f))
     if not isinstance(f, ad.Var):
         return FeatureStats(mean, std)
@@ -181,19 +161,12 @@ def adain_content_factor(f):
     return ad.div(ad.sub(f, ad.per_channel(s.mean)), ad.per_channel(s.std))
 
 
-def _check_stats(c, mean, std):
-    shapes = (ad._data(mean).shape, ad._data(std).shape)
-    if set(shapes) != {(c,)}:
-        raise ShapeError(
-            f"style statistics must have shape ({c},) for {c} channels, "
-            f"got mean {shapes[0]} and std {shapes[1]}"
-        )
-
-
 def apply_style_factor(content_factor, stats: FeatureStats):
     """Recombine: content_factor * std + mean."""
-    x = _check_feature(content_factor, "content factor")
-    _check_stats(ad._data(x).shape[1], stats.mean, stats.std)
+    x = as_feature("content factor", content_factor)
+    c = ad._data(x).shape[1]
+    for part in ("mean", "std"):
+        as_feature(f"style {part}", getattr(stats, part), shape=(c,))
     return ad.add(ad.mul(x, ad.per_channel(stats.std)), ad.per_channel(stats.mean))
 
 
@@ -208,10 +181,11 @@ def adain(f_c, f_s):
     ``f_c`` and sends the gradient through both sides' mean and std by
     :func:`_moments_grad`.
     """
-    f_c, f_s = _check_feature(f_c, "feature"), _check_feature(f_s, "feature")
+    f_c, f_s = as_feature("content feature", f_c), as_feature("style feature", f_s)
     dc, ds = ad._data(f_c), ad._data(f_s)
+    if dc.shape[1] != ds.shape[1]:
+        raise ShapeError(f"channel mismatch: content {dc.shape[1]}, style {ds.shape[1]}")
     (mean_c, root_c, std_c), (mean_s, root_s, std_s) = _moments(dc), _moments(ds)
-    _check_stats(dc.shape[1], mean_s, std_s)
     # In place, with the bits of (dc - mean_c) / std_c * std_s + mean_s.
     out = dc - _pc(mean_c)
     out /= _pc(std_c)
@@ -255,8 +229,7 @@ def cov_factor(f) -> CovFactor:
     eigenvalue clamp of ``sym_pow``. Both powers come from one
     eigendecomposition.
     """
-    a = _check_feature(f, "feature", arrays_only=True)
-    x = _flatten_channels(a)
+    x = _flatten_channels(as_batch("feature", f))
     n = x.shape[1]
     if n < 2:
         raise ShapeError(f"covariance needs at least 2 samples, got {n}")
@@ -280,7 +253,7 @@ def wct_content_factor(f) -> np.ndarray:
 
 def apply_cov_factor(content_factor, factor: CovFactor) -> np.ndarray:
     """Recombine: cov^{1/2} * whitened_factor + mean."""
-    a = _check_feature(content_factor, "content factor", arrays_only=True)
+    a = as_batch("content factor", content_factor)
     c = a.shape[1]
     shapes = (factor.mean.shape, factor.colorer.shape)
     if shapes != ((c,), (c, c)):
@@ -320,15 +293,18 @@ def patch_swap(f_c, f_s, patch_size: int = 3, stride: int = 1) -> np.ndarray:
 
     Matching maximizes cosine similarity of channel-unrolled patches
     (ties go to the lowest style patch index); overlapping replacements
-    are averaged. This transfer is intentionally *not* invertible.
+    are averaged, so ``stride`` may not exceed ``patch_size``. This
+    transfer is intentionally *not* invertible.
     """
-    a = _check_feature(f_c, "content feature", arrays_only=True)
-    b = _check_feature(f_s, "style feature", arrays_only=True)
+    a, b = as_batch("content feature", f_c), as_batch("style feature", f_s)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"channel mismatch: content {a.shape[1]}, style {b.shape[1]}")
-    patch_size, stride = as_index("patch_size", patch_size), as_index("stride", stride)
-    if patch_size < 1 or stride < 1:
-        raise ShapeError("patch_size and stride must be >= 1")
+    patch_size, stride = as_index("patch_size", patch_size, 1), as_index("stride", stride, 1)
+    if stride > patch_size:
+        raise ShapeError(
+            f"stride {stride} exceeds patch_size {patch_size}: the positions "
+            f"between patches would have no value"
+        )
     for name, arr in (("content", a), ("style", b)):
         if patch_size > arr.shape[2] or patch_size > arr.shape[3]:
             raise ShapeError(
@@ -379,12 +355,10 @@ def transfer_apply(kind: TransferKind, f_c, f_s, alpha: float = 1.0) -> np.ndarr
     """Dispatch to the selected module, then blend with the content.
 
     ``alpha`` interpolates between the untouched content feature (0) and
-    the fully transferred feature (1).
+    the fully transferred feature (1). Both features must be arrays.
     """
-    if not isinstance(alpha, numbers.Real):
-        raise ShapeError(f"alpha must be a real number, got {alpha!r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ShapeError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = as_real("alpha", alpha, 0.0, 1.0)
+    f_c, f_s = as_batch("content feature", f_c), as_batch("style feature", f_s)
     if kind.name == "adain":
         f_cs = adain(f_c, f_s)
     elif kind.name == "wct":
@@ -393,4 +367,4 @@ def transfer_apply(kind: TransferKind, f_c, f_s, alpha: float = 1.0) -> np.ndarr
         f_cs = patch_swap(f_c, f_s, kind.patch_size, kind.stride)
     if alpha == 1.0:
         return f_cs
-    return alpha * f_cs + (1.0 - alpha) * np.asarray(f_c, dtype=np.float64)
+    return alpha * f_cs + (1.0 - alpha) * f_c

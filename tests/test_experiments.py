@@ -27,7 +27,9 @@ from flowstyle.transfer import (
     PATCHSWAP,
     WCT,
     apply_style_factor,
+    TransferKind,
     channel_stats,
+    patch_swap,
     transfer_apply,
 )
 
@@ -254,6 +256,9 @@ NON_INTEGER_COUNTS = {
     "batch_size": lambda: TrainConfig(batch_size=1.5),
     "crop_size": lambda: TrainConfig(crop_size=16.0),
     "seed": lambda: TrainConfig(seed=1.5),
+    "hidden": lambda: flows.named_config("flow8-block2", hidden=True),
+    "stride": lambda: patch_swap(*images(), stride=True),
+    "patch_size": lambda: TransferKind("patchswap", patch_size=True),
 }
 
 

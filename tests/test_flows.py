@@ -438,9 +438,11 @@ class TestConfig:
             ("seed", lambda: randomize_couplings(make_model()[0], seed=1.5)),
             ("seed", lambda: build_lossnet(1.5, 3)),
             ("in_channels", lambda: build_lossnet(0, 3.0)),
+            ("hidden", lambda: FlowNetConfig(1, 2, True, 3, 16, 16)),
+            ("seed", lambda: build_flownet(FlowNetConfig(1, 2, 4, 3, 16, 16), seed=True)),
         ],
         ids=["config", "extent", "build-seed", "randomize-seed", "lossnet-seed",
-             "lossnet-channels"],
+             "lossnet-channels", "config-true", "build-seed-true"],
     )
     def test_non_integer_count_or_seed_rejected(self, name, make):
         with pytest.raises(ShapeError, match=name):

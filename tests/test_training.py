@@ -88,7 +88,7 @@ class TestLossNet:
         with pytest.raises(ValueError):
             net.kernels[0][0, 0, 0, 0] = 1.0
 
-    @pytest.mark.parametrize("widths", [(), (4, 0), (-1,), (2.5,), (4.0,), ("4",), 4])
+    @pytest.mark.parametrize("widths", [(), (4, 0), (-1,), (2.5,), (4.0,), ("4",), 4, (True,)])
     def test_bad_widths_rejected(self, widths):
         with pytest.raises(ShapeError, match="width|stage"):
             build_lossnet(0, widths=widths)
@@ -388,7 +388,7 @@ class TestTrain:
         with pytest.raises(ShapeError):
             train(tiny_model(), TrainConfig(iterations=1), [])
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, True])
     @pytest.mark.parametrize(
         "field", ["learning_rate", "lr_decay", "lambda_content", "lambda_style"]
     )

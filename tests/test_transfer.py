@@ -319,7 +319,8 @@ class TestPatchSwap:
             patch_swap(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2)), patch_size=3)
 
     @pytest.mark.parametrize(
-        "field,value", [("patch_size", 2.5), ("patch_size", 3.0), ("stride", 1.5)]
+        "field,value",
+        [("patch_size", 2.5), ("patch_size", 3.0), ("stride", 1.5), ("stride", True)],
     )
     def test_non_integer_patch_parameter_rejected(self, field, value):
         f = random_feature((1, 2, 6, 6), seed=40)
@@ -365,7 +366,8 @@ class TestTransferApply:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("patch_size", 3.0), ("stride", 1.5), ("stride", "1"), ("patch_size", None)],
+        [("patch_size", 3.0), ("stride", 1.5), ("stride", "1"), ("patch_size", None),
+         ("patch_size", True)],
     )
     def test_non_integer_patch_parameter_rejected(self, field, value):
         with pytest.raises(ShapeError, match=field):
