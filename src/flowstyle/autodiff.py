@@ -38,7 +38,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericError, ShapeError, StateError, as_feature, as_index
 from .linalg import blas_threads
@@ -322,8 +321,9 @@ def per_channel(v) -> Value:
 # batch are the rows of one (C, B*H*W) matrix. Every gradient is one 2-D
 # GEMM over those columns; a forward multiplies each sample's columns on
 # their own, without a copy (:func:`_by_sample`), so that a sample's
-# values do not depend on its batch. The public ops take and give NCHW
-# arrays and reach the kernels through :func:`_swap`, a view at batch 1.
+# values do not depend on its batch. The channel mixes run on the conv
+# kernel's 1x1 form. The public ops take and give NCHW arrays and reach
+# the kernels through :func:`_swap`, a view at batch 1.
 
 
 def _swap(a):
@@ -407,45 +407,23 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
     if bias is not None:
         bias = as_feature("conv2d bias", bias, shape=(n_out,), finite=False)
     stride, pad = as_index("conv2d stride", stride, 1), as_index("conv2d pad", pad, 0)
-    b, _, h, w = dx.shape
-    taps = _Taps(kh, kw, stride, pad, h, w)
-    h_out, w_out = taps.h_out, taps.w_out
-    if h_out <= 0 or w_out <= 0:
+    taps = _Taps(kh, kw, stride, pad, *dx.shape[2:])
+    if taps.h_out <= 0 or taps.w_out <= 0:
         raise ShapeError("conv2d kernel larger than padded input")
-    out = np.empty((b, n_out, h_out, w_out))
-    # At batch 1 the kernel writes straight into ``out``.
-    res = _conv(_swap(dx), dk, None if bias is None else _data(bias), stride, pad, relu,
-                out=_swap(out) if b == 1 else None)
-    if b > 1:
-        np.copyto(out, res.swapaxes(0, 1))
+    out = _swap(_conv(_swap(dx), dk, None if bias is None else _data(bias), stride, pad, relu))
 
     def back(g):
-        gb, gx, gk = _conv2d_grads(
-            g, dx, dk, stride, pad, out if relu else None,
+        gb, gx, gk = _conv_grads(
+            _swap(g), _swap(dx), dk, stride, pad, _swap(out) if relu else None,
             bias=isinstance(bias, Var), want_x=isinstance(x, Var),
             want_k=isinstance(k, Var),
         )
         _accum(bias, gb)
         _accum(k, gk)
-        _accum(x, gx)
+        if gx is not None:
+            _accum(x, _swap(gx))
 
     return _record(_tape_of(x, k, bias), "conv2d", out, back, (x, k, bias))
-
-
-def _conv2d_grads(
-    g, x, k, stride, pad, relu_out=None, bias=False, want_x=True, want_k=True
-):
-    """The (bias, input, kernel) gradients of one NCHW :func:`conv2d` from
-    its output gradient ``g``, each None unless wanted: :func:`_conv_grads`
-    through :func:`_swap`. ``relu_out`` is the forward's output when it
-    fused a ReLU; ``g`` may then be masked in place, so it must be a
-    buffer that nothing else reads.
-    """
-    gb, gx, gk = _conv_grads(
-        _swap(g), _swap(x), k, stride, pad, None if relu_out is None else _swap(relu_out),
-        bias=bias, want_x=want_x, want_k=want_k,
-    )
-    return gb, None if gx is None else _swap(gx), gk
 
 
 def _by_sample(a, m, b, out):
@@ -484,7 +462,9 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
     alone choose the form:
 
     * 1x1, stride 1, unpadded (:func:`_direct`):
-      ``k`` as (O, I) @ ``x`` as (I, B*H*W).
+      ``k`` as (O, I) @ ``x`` as (I, B*H*W). This is also the channel
+      mix, by a matrix ``m`` passed as ``m[:, :, None, None]``: the
+      invconv of a flow walk, and :func:`channel_mix`.
     * ``I <= O``, im2col: ``k`` as (O, I*kh*kw) @ ``cols``, the
       (I*kh*kw, B*Ho*Wo) matrix of every kernel window of the padded
       input (:func:`_im2col`). A caller that built ``cols`` passes it.
@@ -614,22 +594,24 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     """The (I*kh*kw, B*Ho*Wo) column matrix of a convolution by ``k`` of
     the channel-major ``x`` (I, B, H, W): row (i, u, v) holds tap (u, v)
     of channel i at every output position of every sample, read from
-    the zero-padded input. It is ``scratch``'s buffer ``name`` when
-    ``scratch`` is given.
+    the zero-padded input, of which no copy is made. It is ``scratch``'s
+    buffer ``name`` when ``scratch`` is given.
 
-    A "same" geometry (:attr:`_Taps.same`) makes no padded copy: each tap
-    is one contiguous copy of a shifted slice of every sample's flattened
-    H*W axis (:meth:`_Taps.flat`), after the rows that read above or
-    below the input are zeroed, and the output columns at which a tap
-    reads left or right of it are zeroed after the copies. Any other
-    geometry copies the window view of the padded input."""
+    A "same" geometry (:attr:`_Taps.same`) copies each tap as one
+    contiguous shifted slice of every sample's flattened H*W axis
+    (:meth:`_Taps.flat`), after the rows that read above or below the
+    input are zeroed, and zeroes the output columns at which a tap reads
+    left or right of it after the copies. Any other geometry zeroes the
+    matrix and copies in each tap's clipped window (:meth:`_Taps.clipped`)."""
     n_in, b, h, w = x.shape
     kh, kw = k.shape[2:]
     taps = _Taps(kh, kw, stride, pad, h, w)
     cols = _take(scratch, name, (n_in * kh * kw, b * taps.h_out * taps.w_out))
     if not taps.same:
-        np.copyto(cols.reshape(n_in, kh, kw, b, taps.h_out, taps.w_out),
-                  taps.windows(_padded(x, pad)).transpose(0, 4, 5, 1, 2, 3))
+        cols.fill(0.0)
+        c6 = cols.reshape(n_in, kh, kw, b, taps.h_out, taps.w_out)
+        for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
+            c6[:, u, v, :, o_rows, o_cols] = x[:, :, rows, cols_]
         return cols
     n = h * w
     c5, x3 = cols.reshape(n_in, kh, kw, b, n), x.reshape(n_in, b, n)
@@ -646,17 +628,6 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     for v, _, reads_nothing in wraps:
         c6[:, :, v, :, :, reads_nothing] = 0.0
     return cols
-
-
-def _padded(x, pad):
-    """``x`` with ``pad`` zeros around its two spatial (last) axes (``x``
-    itself at 0)."""
-    if not pad:
-        return x
-    c, b, h, w = x.shape
-    xp = np.zeros((c, b, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad:-pad, pad:-pad] = x
-    return xp
 
 
 class _Taps:
@@ -695,20 +666,6 @@ class _Taps:
         falls outside ``lo:hi``.
         """
         return _flat_taps(self.kh, self.pad, self.h, self.w)
-
-    def windows(self, xp):
-        """Read-only (A, B, Ho, Wo, kh, kw) view of every window of the
-        padded input ``xp`` (A, B, Hp, Wp), in either layout."""
-        sb, si, sh, sw = xp.strides
-        s = self.stride
-        shape = xp.shape[:2] + (self.h_out, self.w_out, self.kh, self.kw)
-        strides = (sb, si, s * sh, s * sw, sh, sw)
-        if not xp.flags.c_contiguous:
-            return as_strided(xp, shape, strides, writeable=False)
-        # A view straight on the buffer: a fraction of as_strided's cost.
-        view = np.ndarray(shape, np.float64, xp, 0, strides)
-        view.flags.writeable = False
-        return view
 
 
 @functools.lru_cache(maxsize=256)
@@ -757,49 +714,21 @@ def _clip_axis(k, n, n_out, s, p):
     return taps
 
 
-def _mix(m, x):
-    """Apply matrix ``m`` (O,I) to the channels of the channel-major ``x``
-    (I,B,H,W): ``m`` @ ``x`` as (I, B*H*W), by sample (:func:`_by_sample`)."""
-    _, b, h, w = x.shape
-    out = np.empty((m.shape[0], b, h, w))
-    with blas_threads(m.size * b * h * w):
-        _by_sample(m, x.reshape(x.shape[0], -1), b, out.reshape(m.shape[0], -1))
-    return out
-
-
-def _mix_grads(g, x, w, w_inv=None, want_w=True):
-    """The (input, matrix) gradients of :func:`_mix` of the channel-major
-    ``x`` by ``w``, or by ``w_inv`` = W^{-1} when it is given, from the
-    output gradient ``g``; the matrix gradient is None unless wanted.
-
-    The input gradient is ``m.T @ g2d``; the matrix gradient is
-    ``g2d @ x2d.T``, the sum over b,h,w of g x^T, taken through
-    d(W^{-1}) = -W^{-1} dW W^{-1} for the inverse.
-    """
-    m = w if w_inv is None else w_inv
-    g2d = g.reshape(g.shape[0], -1)
-    gw = None
-    with blas_threads(g.size * x.shape[0]):
-        gx = (m.T @ g2d).reshape(x.shape)
-        if want_w:
-            gw = g2d @ x.reshape(x.shape[0], -1).T
-    if gw is not None and w_inv is not None:
-        gw = -(w_inv.T @ gw @ w_inv.T)
-    return gx, gw
-
-
 def channel_mix(x, w) -> Value:
     """Per-position channel mixing y = W x (a 1x1 convolution by matrix W)
-    of an NCHW ``x``: :func:`_mix` through :func:`_swap`."""
+    of an NCHW ``x``: :func:`_conv` and :func:`_conv_grads` by
+    ``W[:, :, None, None]`` through :func:`_swap`."""
     dx, dw = _data(x), _data(w)
     if dx.ndim != 4 or dw.ndim != 2 or dx.shape[1] != dw.shape[1]:
         raise ShapeError(f"channel_mix: {dw.shape} cannot act on {dx.shape}")
-    out = _swap(_mix(dw, _swap(dx)))
+    k = dw[:, :, None, None]
+    out = _swap(_conv(_swap(dx), k))
 
     def back(g):
-        gx, gw = _mix_grads(_swap(g), _swap(dx), dw, want_w=isinstance(w, Var))
+        _, gx, gk = _conv_grads(_swap(g), _swap(dx), k, 1, 0, want_k=isinstance(w, Var))
         _accum(x, _swap(gx))
-        _accum(w, gw)
+        if gk is not None:
+            _accum(w, gk[:, :, 0, 0])
 
     return _record(_tape_of(x, w), "channel_mix", out, back, (x, w))
 
@@ -808,18 +737,21 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
     """Per-position mixing by the inverse matrix, y = W^{-1} x.
 
     ``w_inv`` is the precomputed inverse (callers own the inversion so its
-    failure mode stays theirs).
+    failure mode stays theirs). W's gradient is ``-(W^{-T} G W^{-T})``,
+    G the gradient of :func:`channel_mix` by ``w_inv``.
     """
     dx = _data(x)
     m = np.asarray(w_inv, dtype=np.float64)
     if dx.ndim != 4 or m.ndim != 2 or dx.shape[1] != m.shape[1]:
         raise ShapeError(f"channel_mix_inv: {m.shape} cannot act on {dx.shape}")
-    out = _swap(_mix(m, _swap(dx)))
+    k = m[:, :, None, None]
+    out = _swap(_conv(_swap(dx), k))
 
     def back(g):
-        gx, gw = _mix_grads(_swap(g), _swap(dx), _data(w), m, want_w=isinstance(w, Var))
+        _, gx, gk = _conv_grads(_swap(g), _swap(dx), k, 1, 0, want_k=isinstance(w, Var))
         _accum(x, _swap(gx))
-        _accum(w, gw)
+        if gk is not None:
+            _accum(w, -(m.T @ gk[:, :, 0, 0] @ m.T))
 
     return _record(_tape_of(x, w), "channel_mix_inv", out, back, (x, w))
 

@@ -10,7 +10,8 @@ they are given. :func:`as_index` takes a count, :func:`as_real` a real
 number in a range, :func:`as_batch` a real, finite, non-empty
 (B, C, H, W) array and :func:`as_feature` the same or an autodiff Var.
 Each tests the dtype before any cast, so complex input is a ShapeError,
-never a ComplexWarning. Values the program computes are checked where
+never a ComplexWarning. A transfer kind is checked next to its class
+(``transfer._as_kind``). Values the program computes are checked where
 they are made.
 """
 

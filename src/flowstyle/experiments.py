@@ -20,7 +20,7 @@ from .errors import ShapeError, as_batch, as_index, as_real
 from .flows import FlowNet, FlowNetConfig, _StepParams, build_flownet
 from .metrics import gram_loss, recon_error, ssim
 from .training import LossNet, TrainConfig, build_lossnet, train
-from .transfer import ADAIN, FACTORS, TransferKind, transfer_apply
+from .transfer import ADAIN, FACTORS, TransferKind, _as_kind, transfer_apply
 
 
 def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1.0) -> np.ndarray:
@@ -30,7 +30,7 @@ def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1
     at file-write time so repeated stylization stays exact. The three
     walks share one set of scratch buffers.
     """
-    step, alpha = _StepParams({}), as_real("alpha", alpha, 0.0, 1.0)
+    kind, alpha, step = _as_kind(kind), as_real("alpha", alpha, 0.0, 1.0), _StepParams({})
     f_cs = transfer_apply(kind, model.forward(content, step), model.forward(style, step), alpha)
     return model.inverse(f_cs, step)
 
@@ -74,8 +74,8 @@ def leak_test(
     which share one inverse of each invconv weight and one set of scratch
     buffers.
     """
-    rounds, alpha = as_index("rounds", rounds, 1), as_real("alpha", alpha, 0.0, 1.0)
-    step = _StepParams({})
+    kind, alpha = _as_kind(kind), as_real("alpha", alpha, 0.0, 1.0)
+    rounds, step = as_index("rounds", rounds, 1), _StepParams({})
     f_s = model.forward(style, step)
 
     def restyle(image):
@@ -104,7 +104,7 @@ def reverse_transfer(
     three forward and two inverse passes, which share one inverse of each
     invconv weight and one set of scratch buffers.
     """
-    if kind.name not in FACTORS:
+    if _as_kind(kind).name not in FACTORS:
         raise ShapeError(f"reverse transfer requires one of {tuple(FACTORS)}")
     step = _StepParams({})
     f_c = model.forward(content, step)
@@ -120,7 +120,7 @@ def content_factor_image(model: FlowNet, kind: TransferKind, content) -> np.ndar
     unit std for adain; mean 0 and identity covariance for wct) before
     decoding.
     """
-    if kind.name not in FACTORS:
+    if _as_kind(kind).name not in FACTORS:
         raise ShapeError(f"content factor requires one of {tuple(FACTORS)}")
     content_factor, step = FACTORS[kind.name][0], _StepParams({})
     return model.inverse(content_factor(model.forward(content, step)), step)
@@ -138,15 +138,20 @@ def ablation_run(
 
     Per config the table row carries the worst round-trip error over the
     evaluation contents plus SSIM (content vs stylized) and Gram loss
-    (style vs stylized) averaged over the evaluation pairs. Each
-    evaluation image, (C,H,W) or a batch, is checked by
-    :func:`errors.as_batch` before any training.
+    (style vs stylized) averaged over the evaluation pairs. The kind,
+    and each evaluation image, (C,H,W) or a batch, are checked before
+    any training: each image by :func:`errors.as_batch` and against the
+    channels and extents of every config's network.
     """
-    kind = kind or ADAIN
+    kind = ADAIN if kind is None else _as_kind(kind)
     eval_pairs = [(_as_batch(content), _as_batch(style)) for content, style in eval_pairs]
+    models = [build_flownet(config, seed=cfg.seed) for config in configs]
+    for model in models:
+        for pair in eval_pairs:
+            for image in pair:
+                model._check_image(image)
     rows = ["config\trecon_error\tssim\tgram_loss"]
-    for config in configs:
-        model = build_flownet(config, seed=cfg.seed)
+    for config, model in zip(configs, models):
         net = lossnet or build_lossnet(cfg.seed, config.in_channels)
         train(model, cfg, train_pairs, lossnet=net)
         worst_recon = 0.0

@@ -307,13 +307,16 @@ def _actnorm_back(y, g, scale, bias, inverse):
 def _invconv_back(y, g, weight, inverse, w_inv):
     """``w_inv`` is W^{-1}, from the walk's scratch (:func:`_inverse_of`):
     an inverse walk's forward used it, and a forward walk's rule rebuilds
-    its input with it."""
+    its input with it. Both directions are the conv kernel's 1x1 form;
+    an inverse walk's weight gradient is taken through d(W^{-1}) =
+    -W^{-1} dW W^{-1}."""
     w = ad._data(weight)
-    x = ad._mix(w if inverse else w_inv, y)
-    gx, gw = ad._mix_grads(
-        g, x, w, w_inv if inverse else None, want_w=isinstance(weight, ad.Var)
-    )
-    ad._accum(weight, gw)
+    x = ad._conv(y, (w if inverse else w_inv)[:, :, None, None])
+    m = w_inv if inverse else w
+    _, gx, gm = ad._conv_grads(g, x, m[:, :, None, None], 1, 0, want_k=isinstance(weight, ad.Var))
+    if gm is not None:
+        gm = gm[:, :, 0, 0]
+        ad._accum(weight, -(w_inv.T @ gm @ w_inv.T) if inverse else gm)
     return x, gx
 
 
@@ -462,19 +465,19 @@ class FlowNet:
     def _walk(self, v, params, inverse):
         """Apply every layer (reversed when ``inverse``); ``params`` maps
         names to values of the same shapes that take the place of stored
-        ones; a misshapen or complex value raises ShapeError before any
-        layer runs. The caller (:meth:`forward`, :meth:`inverse`) has
-        checked ``v``.
+        ones; a name the store lacks, or a misshapen or complex value,
+        raises ShapeError before any layer runs. The caller
+        (:meth:`forward`, :meth:`inverse`) has checked ``v``.
 
         The walk runs channel-major: it converts its input to (C, B, H, W)
         once on entry (``autodiff._swap``, a view at batch 1) and its
         output back once on exit. Inside, every kernel sees the channels
         of the whole batch as the rows of one (C, B*H*W) matrix: the
-        invconv is ``W @ x2d``, each coupling conv one GEMM against its
-        column matrix (``autodiff._conv``; forwards go one sample's
-        columns at a time, each gradient is one 2-D GEMM over all of
-        them), the coupling's halves are leading-axis slices, and squeeze
-        and actnorm act on axis 0.
+        invconv is ``W @ x2d``, the 1x1 form of the conv kernel
+        ``autodiff._conv``, and each coupling conv one GEMM against its
+        column matrix (forwards go one sample's columns at a time, each
+        gradient is one 2-D GEMM over all of them), the coupling's halves
+        are leading-axis slices, and squeeze and actnorm act on axis 0.
         Actnorm and the coupling run in place on the walk's own working
         array, never on the caller's input, which the entry view may be.
 
@@ -500,8 +503,9 @@ class FlowNet:
         """
         data = ad._data(v)
         for name, p in (params or {}).items():
-            if name in self.params:
-                as_feature(name, p, shape=self.params[name].shape, finite=False)
+            if name not in self.params:
+                raise ShapeError(f"{name!r} is not a parameter of this network")
+            as_feature(name, p, shape=self.params[name].shape, finite=False)
         store = self.params if params is None else {**self.params, **params}
         if isinstance(params, _StepParams):
             inverses, scratch = params.inverses, params.scratch
@@ -552,7 +556,8 @@ def _run_layer(layer, y, arrays, inverse, scratch, inverses, caller):
     if layer.kind == "actnorm":
         return _actnorm(y, *arrays, inverse, out)
     if layer.kind == "invconv":
-        return ad._mix(_inverse_of(inverses, layer.name, arrays[0]) if inverse else arrays[0], y)
+        w = _inverse_of(inverses, layer.name, arrays[0]) if inverse else arrays[0]
+        return ad._conv(y, w[:, :, None, None])
     return _coupling(y, *arrays, inverse, scratch, out)
 
 

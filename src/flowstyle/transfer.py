@@ -88,6 +88,13 @@ WCT = TransferKind("wct")
 PATCHSWAP = TransferKind("patchswap")
 
 
+def _as_kind(kind) -> TransferKind:
+    """``kind`` itself; ShapeError unless it is a :class:`TransferKind`."""
+    if not isinstance(kind, TransferKind):
+        raise ShapeError(f"kind must be a TransferKind, such as ADAIN, got {kind!r}")
+    return kind
+
+
 def _pc(v):
     """A length-C vector as (1,C,1,1), to broadcast over a feature."""
     return v.reshape(1, -1, 1, 1)
@@ -209,16 +216,6 @@ def adain(f_c, f_s):
     return ad._record(tape, "adain", out, back, (f_c, f_s))
 
 
-def _flatten_channels(a) -> np.ndarray:
-    """(B,C,H,W) -> (C, B*H*W) sample matrix."""
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).reshape(a.shape[1], -1)
-
-
-def _unflatten_channels(x, shape) -> np.ndarray:
-    b, c, h, w = shape
-    return np.ascontiguousarray(x.reshape(c, b, h, w).transpose(1, 0, 2, 3))
-
-
 def cov_factor(f) -> CovFactor:
     """Mean and regularized channel covariance with its +-1/2 powers.
 
@@ -229,7 +226,8 @@ def cov_factor(f) -> CovFactor:
     eigenvalue clamp of ``sym_pow``. Both powers come from one
     eigendecomposition.
     """
-    x = _flatten_channels(as_batch("feature", f))
+    a = ad._swap(as_batch("feature", f))
+    x = a.reshape(len(a), -1)
     n = x.shape[1]
     if n < 2:
         raise ShapeError(f"covariance needs at least 2 samples, got {n}")
@@ -246,9 +244,9 @@ def cov_factor(f) -> CovFactor:
 def wct_content_factor(f) -> np.ndarray:
     """Whitened feature: cov^{-1/2} (f - mean), identity covariance."""
     factor = cov_factor(f)
-    a = np.asarray(f, dtype=np.float64)
-    x = _flatten_channels(a)
-    return _unflatten_channels(matmul(factor.whitener, x - factor.mean[:, np.newaxis]), a.shape)
+    a = ad._swap(np.asarray(f, dtype=np.float64))
+    x = matmul(factor.whitener, a.reshape(len(a), -1) - factor.mean[:, np.newaxis])
+    return ad._swap(x.reshape(a.shape))
 
 
 def apply_cov_factor(content_factor, factor: CovFactor) -> np.ndarray:
@@ -261,8 +259,9 @@ def apply_cov_factor(content_factor, factor: CovFactor) -> np.ndarray:
             f"style factor must have mean ({c},) and colorer ({c}, {c}) for {c} "
             f"channels, got mean {shapes[0]} and colorer {shapes[1]}"
         )
-    x = _flatten_channels(a)
-    return _unflatten_channels(matmul(factor.colorer, x) + factor.mean[:, np.newaxis], a.shape)
+    a = ad._swap(a)
+    x = matmul(factor.colorer, a.reshape(c, -1)) + factor.mean[:, np.newaxis]
+    return ad._swap(x.reshape(a.shape))
 
 
 def wct(f_c, f_s) -> np.ndarray:
@@ -357,7 +356,7 @@ def transfer_apply(kind: TransferKind, f_c, f_s, alpha: float = 1.0) -> np.ndarr
     ``alpha`` interpolates between the untouched content feature (0) and
     the fully transferred feature (1). Both features must be arrays.
     """
-    alpha = as_real("alpha", alpha, 0.0, 1.0)
+    kind, alpha = _as_kind(kind), as_real("alpha", alpha, 0.0, 1.0)
     f_c, f_s = as_batch("content feature", f_c), as_batch("style feature", f_s)
     if kind.name == "adain":
         f_cs = adain(f_c, f_s)

@@ -1,10 +1,10 @@
 """The convolution kernel's tap sums as clipped tap loops.
 
 Each tap of a kernel reads the input through one 4-d window, clipped at
-the border (``autodiff._Taps.clipped``): the way every geometry of
-``autodiff._conv`` and ``autodiff._im2col`` ran before a "same" geometry
-took flat shifted slices. The flat forms are tested against these for
-equal bytes, the sign of every zero included.
+the border (``autodiff._Taps.clipped``): the way ``autodiff._im2col``
+and ``autodiff._conv`` run every geometry but a "same" one, which takes
+flat shifted slices. The flat forms, and the strided column matrix, are
+tested against these for equal bytes, the sign of every zero included.
 """
 
 import numpy as np

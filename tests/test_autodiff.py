@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from conv_oracles import im2col_reference, kn2row_reference
 
 import flowstyle.autodiff as ad
@@ -552,23 +553,23 @@ class TestConvKernels:
     def test_1x1_gradients_equal_windowed_path(self, hidden, extent):
         """A 1x1, stride-1, unpadded backward is two direct GEMMs with the
         bits of the general I <= O path: the per-tap GEMM added into
-        zeros, and the kernel gradient against the column matrix that the
-        window view gives, all over channel-major (C, B*H*W) matrices."""
+        zeros, and the kernel gradient against the column matrix of the
+        input's windows, all over channel-major (C, B*H*W) matrices."""
         rng = np.random.default_rng(hidden + extent)
         x = np.maximum(rng.standard_normal((2, hidden, extent, extent)), 0.0)
         k = rng.standard_normal((hidden, hidden, 1, 1)) / hidden
         out = np.maximum(rng.standard_normal(x.shape), 0.0)
         g = rng.standard_normal(x.shape)
-        _, gx, gk = ad._conv2d_grads(g.copy(), x, k, 1, 0, out)
+        _, gx, gk = ad._conv_grads(ad._swap(g), ad._swap(x), k, 1, 0, ad._swap(out))
         g *= out > 0.0
         g2d = g.transpose(1, 0, 2, 3).reshape(hidden, -1)
         want_gx = np.zeros((hidden, g2d.shape[1]))
         want_gx += k.reshape(hidden, -1).T @ g2d
-        xc = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
-        windows = ad._Taps(1, 1, 1, 0, extent, extent).windows(xc)
+        xc = ad._swap(x)
+        windows = sliding_window_view(xc, (1, 1), axis=(2, 3))
         cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(hidden, -1)
         want_gk = (g2d @ cols.T).reshape(k.shape)
-        np.testing.assert_array_equal(gx, want_gx.reshape(xc.shape).transpose(1, 0, 2, 3))
+        np.testing.assert_array_equal(gx, want_gx.reshape(xc.shape))
         np.testing.assert_array_equal(gk, want_gk)
 
     # Kernel gradients at the coupling's train-32 and train-tiny shapes
@@ -582,15 +583,16 @@ class TestConvKernels:
         """The kernel gradient, one GEMM of the output gradient with the
         column matrix (or the kn2row tap matrix) over all of the batch's
         columns, is the sum over batch and space of g times each window:
-        ``np.tensordot`` over the window view, to rounding."""
+        ``np.tensordot`` over numpy's window view, to rounding."""
         n_in, n_out, ksize, pad, stride, extent = geometry
         rng = np.random.default_rng(n_in + n_out + extent)
         x = rng.standard_normal((4, n_in, extent, extent))
         k = rng.standard_normal((n_out, n_in, ksize, ksize))
         taps = ad._Taps(ksize, ksize, stride, pad, extent, extent)
         g = rng.standard_normal((4, n_out, taps.h_out, taps.w_out))
-        _, _, gk = ad._conv2d_grads(g, x, k, stride, pad, want_x=False)
-        windows = taps.windows(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
+        _, _, gk = ad._conv_grads(ad._swap(g), ad._swap(x), k, stride, pad, want_x=False)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        windows = sliding_window_view(xp, (ksize, ksize), axis=(2, 3))[:, :, ::stride, ::stride]
         want = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
         assert_rel_close(gk, want, rtol=1e-14)
 
@@ -690,6 +692,29 @@ class TestConvKernels:
                 want += bias[:, None, None, None]
             assert got.tobytes() == want.tobytes()
 
+    # (in, out, extent, kernel, pad): the LossNet's first and last stride-2
+    # convs at train-32, a pad-0 one, and one whose output is smaller than
+    # its kernel.
+    @pytest.mark.parametrize("geometry", [
+        (3, 16, 32, 3, 1), (64, 64, 2, 3, 1), (4, 6, 9, 3, 0), (2, 3, 4, 5, 2),
+    ], ids=["lossnet-32", "lossnet-2", "pad-0", "output-below-kernel"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_strided_columns_equal_clipped_taps(self, geometry, batch):
+        """At stride 2 the column matrix has the bytes of the clipped tap
+        copies of ``tests/conv_oracles.py``, the sign of every zero
+        included, also in a scratch buffer that held other values."""
+        n_in, n_out, extent, ksize, pad = geometry
+        rng = np.random.default_rng(n_in + n_out + extent + batch)
+        x = rng.standard_normal((n_in, batch, extent, extent))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        k = np.ones((n_out, n_in, ksize, ksize))
+        assert not ad._Taps(ksize, ksize, 2, pad, extent, extent).same
+        want = im2col_reference(x, k, 2, pad)
+        scratch = ad._Scratch()
+        scratch.take("cols", want.shape).fill(np.nan)
+        assert ad._im2col(x, k, 2, pad).tobytes() == want.tobytes()
+        assert ad._im2col(x, k, 2, pad, scratch).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("ksize,pad", [(3, 1), (1, 0)])
     @pytest.mark.parametrize("channels", ORIENTATIONS)
@@ -723,17 +748,6 @@ class TestConvKernels:
     def test_empty_batch_rejected(self):
         with pytest.raises(ShapeError, match="batch"):
             ad.conv2d(np.ones((0, 2, 5, 5)), np.ones((3, 2, 3, 3)), pad=1)
-
-    def test_windows_read_any_strides(self):
-        """The window view reads the array it is given at its own strides
-        (a pad-0 convolution passes its input, which may be a view) and
-        is read-only."""
-        x = np.random.default_rng(8).standard_normal((2, 6, 7, 9))
-        taps = ad._Taps(3, 3, 2, 0, 7, 9)
-        for view in (x, x[:, ::2], x[:, :, :, ::-1], x[:, 1:4]):
-            got = taps.windows(view)
-            np.testing.assert_array_equal(got, taps.windows(view.copy()))
-            assert not got.flags.writeable
 
     @pytest.mark.parametrize("channels", ORIENTATIONS)
     def test_unpadded_conv_of_a_view_equals_its_copy(self, channels):

@@ -4,8 +4,9 @@ Every name in ``flowstyle.__all__`` that takes an array or a count, and
 every CLI subcommand, is crossed with a grammar of malformed inputs:
 complex, bool, object and string dtypes; NaN and inf; an empty batch or
 no channels; another rank; other channels; an autodiff Var where only
-arrays work; non-integer, negative and ``True`` counts; and non-finite,
-bool, string and out-of-range real numbers. Each case must raise a ``FlowStyleError``
+arrays work; non-integer, negative and ``True`` counts; non-finite,
+bool, string and out-of-range real numbers; and a transfer kind that is
+not a ``TransferKind``. Each case must raise a ``FlowStyleError``
 subclass with warnings turned into errors, so that a ComplexWarning or a
 bare numpy error fails it.
 
@@ -225,6 +226,20 @@ REAL_ARGS = {
        for name in ("learning_rate", "lr_decay", "lambda_content", "lambda_style")},
 }
 
+# Each malformed transfer kind: a kind's name instead of a TransferKind,
+# and no kind.
+MALFORMED_KINDS = {"string": "wct", "none": None}
+
+KIND_ARGS = {
+    "transfer_apply": lambda v: transfer_apply(v, LATENT, STYLE_LATENT),
+    "stylize": lambda v: stylize(MODEL, v, IMAGE, STYLE),
+    "leak_test": lambda v: leak_test(MODEL, v, IMAGE, STYLE, 2),
+    "reverse_transfer": lambda v: reverse_transfer(MODEL, v, IMAGE, STYLE),
+    "content_factor_image": lambda v: content_factor_image(MODEL, v, IMAGE),
+    "ablation_run": lambda v: ablation_run([CONFIG], pair_source(), [(IMAGE, STYLE)],
+                                           TRAIN_CFG, v),
+}
+
 # Public names that take no array or count of their own.
 EXEMPT = {
     "ADAIN": "a TransferKind constant",
@@ -294,6 +309,22 @@ def test_malformed_real_raises_a_typed_error(entry, case):
     expect_typed_error(lambda: REAL_ARGS[entry](MALFORMED_REALS[case]))
 
 
+# None is ablation_run's default kind, AdaIN.
+KIND_CASES = [
+    (entry, case) for entry in KIND_ARGS for case in MALFORMED_KINDS
+    if (entry, case) != ("ablation_run", "none")
+]
+
+
+@pytest.mark.parametrize("entry,case", KIND_CASES, ids=[f"{e}-{c}" for e, c in KIND_CASES])
+def test_malformed_kind_raises_before_any_walk(entry, case, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("a flow walk ran before the kind was checked")
+
+    monkeypatch.setattr(FlowNet, "_walk", walk)
+    expect_typed_error(lambda: KIND_ARGS[entry](MALFORMED_KINDS[case]))
+
+
 def test_valid_arguments_pass():
     """The templates the malformed cases start from are valid input."""
     with warnings.catch_warnings():
@@ -304,6 +335,8 @@ def test_valid_arguments_pass():
             call(3 if name in ("patch_size", "stride") else 4)
         for call in REAL_ARGS.values():
             call(0.5)
+        for call in KIND_ARGS.values():
+            call(WCT)
 
 
 def test_stride_beyond_the_patch_raises_instead_of_nan():

@@ -249,6 +249,24 @@ class TestAblationRun:
             recon = float(line.split("\t")[1])
             assert recon < 1e-9
 
+    @pytest.mark.parametrize("shape,match", [
+        ((2, 16, 16), r"expected \(B,3,H,W\)"), ((3, 15, 15), "divisible by 2"),
+    ], ids=["channels", "extents"])
+    def test_evaluation_image_checked_before_training(self, monkeypatch, shape, match):
+        """A 2-channel evaluation image for a 3-channel config, or one
+        that the config's squeeze cannot divide, fails before the first
+        config trains."""
+        rng = np.random.default_rng(0)
+        pairs = [(rng.random((3, 16, 16)), rng.random((3, 16, 16)))]
+        eval_pairs = [(rng.random((3, 16, 16)), rng.random((3, 16, 16))),
+                      (rng.random(shape), rng.random((3, 16, 16)))]
+        cfg = TrainConfig(iterations=3, batch_size=1, crop_size=16)
+        configs = [FlowNetConfig(1, 1, 4, 3, 16, 16), FlowNetConfig(2, 1, 4, 3, 16, 16)]
+        calls = count_passes(monkeypatch)
+        with pytest.raises(ShapeError, match=match):
+            ablation_run(configs, pairs, eval_pairs, cfg)
+        assert calls == {"forward": 0, "inverse": 0}
+
 
 NON_INTEGER_COUNTS = {
     "rounds": lambda: leak_test(make_model(), ADAIN, *images(), rounds=2.5),

@@ -59,7 +59,8 @@ def actnorm(x, scale, bias, inverse=False):
 
 
 def invconv(x, weight, inverse=False):
-    return ad._swap(ad._mix(mat_inverse(weight) if inverse else weight, ad._swap(x)))
+    m = mat_inverse(weight) if inverse else weight
+    return ad._swap(ad._conv(ad._swap(x), m[:, :, None, None]))
 
 
 def inner_network(x_a, w1, b1, w2, b2, w3, b3):
@@ -811,12 +812,21 @@ class TestChannelMajorWalk:
         with pytest.raises(NumericError, match="inverse walk"):
             flows._check_rebuild(x * np.nan, v, True)
 
-    @pytest.mark.parametrize("name", ["b0.f0.invconv.weight", "b0.f1.coupling.w1"])
+    # A misshapen value by name; the misspelt name holds a value of the
+    # right shape, with which the stored weight would otherwise run.
+    BAD_PARAMS = {
+        "b0.f0.invconv.weight": (12, 1),
+        "b0.f1.coupling.w1": (4, 6, 3, 1),
+        "b0.f0.invconv.weigth": (12, 12),
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_PARAMS))
     def test_misshapen_parameter_rejected(self, name):
         model, batch = make_model()
-        bad = {name: np.ones(model.params[name].shape[:-1] + (1,))}
-        with pytest.raises(ShapeError, match=name):
-            model.forward(batch, params=bad)
+        bad = {name: np.ones(self.BAD_PARAMS[name])}
+        for walk, v in ((model.forward, batch), (model.inverse, model.forward(batch))):
+            with pytest.raises(ShapeError, match=name):
+                walk(v, params=bad)
 
     @pytest.mark.parametrize("entry", [
         "stylize", "training_loss", "train", "ssim", "recon_error", "ablation_run",
