@@ -20,13 +20,13 @@ whole composition: a taped walk of the flow network in
 output and rebuilds every layer's input from its output in backward,
 so no tape holds a flow activation.
 
-Ops accept plain ndarrays or python scalars anywhere a Var is allowed;
-those operands are constants and receive no gradient. Every Var lives on
-a tape, and every op decides the kind of its result in one place,
-``_record``: arrays in give an ndarray out, and any Var operand gives a
-Var on that tape out, with a node recorded. So inference runs the exact
-code paths of training on plain arrays, without building a Var or
-recording anything.
+Ops accept plain real ndarrays or python scalars (a complex one is a
+ShapeError) anywhere a Var is allowed; those operands are constants and
+receive no gradient. Every Var lives on a tape, and every op decides the
+kind of its result in one place, ``_record``: arrays in give an ndarray
+out, and any Var operand gives a Var on that tape out, with a node
+recorded. So inference runs the exact code paths of training on plain
+arrays, without building a Var or recording anything.
 
 Only one tape may appear among the operands of a single op; tapes are
 meant to live for one training step and be discarded.
@@ -34,12 +34,13 @@ meant to live for one training step and be discarded.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, StateError, as_feature, as_index
+from .errors import NumericError, ShapeError, StateError, as_feature, as_index, as_reals
 from .linalg import blas_threads
 
 _SQUEEZE_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major 2x2 order
@@ -97,7 +98,7 @@ class Var:
     def __init__(self, data, tape):
         if not isinstance(tape, Tape):
             raise StateError(f"a Var needs a Tape, got {type(tape).__name__}")
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_reals("Var data", data)
         self.tape = tape
         self.grad = np.zeros_like(self.data)
 
@@ -114,7 +115,7 @@ Value = np.ndarray | Var
 
 
 def _data(x):
-    return x.data if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+    return x.data if isinstance(x, Var) else as_reals("autodiff operand", x)
 
 
 def _tape_of(*xs):
@@ -321,8 +322,9 @@ def per_channel(v) -> Value:
 # batch are the rows of one (C, B*H*W) matrix. Every gradient is one 2-D
 # GEMM over those columns; a forward multiplies each sample's columns on
 # their own, without a copy (:func:`_by_sample`), so that a sample's
-# values do not depend on its batch. The channel mixes run on the conv
-# kernel's 1x1 form. The public ops take and give NCHW arrays and reach
+# values do not depend on its batch. :func:`_form` picks a convolution's
+# GEMM form and :func:`_taps` caches its tap geometry; the channel mixes
+# run on the 1x1 form. The public ops take and give NCHW arrays and reach
 # the kernels through :func:`_swap`, a view at batch 1.
 
 
@@ -407,7 +409,7 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
     if bias is not None:
         bias = as_feature("conv2d bias", bias, shape=(n_out,), finite=False)
     stride, pad = as_index("conv2d stride", stride, 1), as_index("conv2d pad", pad, 0)
-    taps = _Taps(kh, kw, stride, pad, *dx.shape[2:])
+    taps = _taps(kh, kw, stride, pad, *dx.shape[2:])
     if taps.h_out <= 0 or taps.w_out <= 0:
         raise ShapeError("conv2d kernel larger than padded input")
     out = _swap(_conv(_swap(dx), dk, None if bias is None else _data(bias), stride, pad, relu))
@@ -439,16 +441,17 @@ def _by_sample(a, m, b, out):
     np.matmul(a, m.reshape(-1, b, n).swapaxes(0, 1), out=out.reshape(-1, b, n).swapaxes(0, 1))
 
 
-def _direct(k, stride, pad):
-    """Whether a convolution by ``k`` is 1x1, stride 1 and unpadded: a
-    plain channel GEMM."""
-    return k.shape[2] == k.shape[3] == 1 and stride == 1 and not pad
-
-
-def _uses_cols(k, stride, pad):
-    """Whether a convolution by ``k`` multiplies an im2col matrix
-    (:func:`_im2col`): ``I <= O`` and not direct."""
-    return k.shape[1] <= k.shape[0] and not _direct(k, stride, pad)
+def _form(k, stride, pad):
+    """The GEMM form of a convolution by ``k`` (O, I, kh, kw): "direct"
+    for 1x1, stride 1, unpadded; "kn2row" for another "same" geometry
+    with I > O, whose kh*kw*O-row product is smaller than the I*kh*kw-row
+    column matrix; "cols" (im2col) for any other."""
+    n_out, n_in, kh, kw = k.shape
+    if not _same(kh, kw, stride, pad):
+        return "cols"
+    if not pad:
+        return "direct"
+    return "kn2row" if n_in > n_out else "cols"
 
 
 def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scratch=None):
@@ -458,26 +461,22 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
 
     Each form is one GEMM against the (K, B*N) matrix of the whole
     batch, run one sample's N columns at a time (:func:`_by_sample`), so
-    an output value has the same bits at any batch size. The shapes
-    alone choose the form:
+    an output value has the same bits at any batch size. :func:`_form`
+    chooses the form from the shapes alone:
 
-    * 1x1, stride 1, unpadded (:func:`_direct`):
+    * direct (1x1, stride 1, unpadded):
       ``k`` as (O, I) @ ``x`` as (I, B*H*W). This is also the channel
       mix, by a matrix ``m`` passed as ``m[:, :, None, None]``: the
       invconv of a flow walk, and :func:`channel_mix`.
-    * ``I <= O``, im2col: ``k`` as (O, I*kh*kw) @ ``cols``, the
-      (I*kh*kw, B*Ho*Wo) matrix of every kernel window of the padded
-      input (:func:`_im2col`). A caller that built ``cols`` passes it.
-    * ``I > O``, kn2row: ``k`` as (kh*kw*O, I) @ ``x`` as (I, B*H*W),
-      then each tap's slice of that product is added into the output
-      window it reaches, clipped at the border: taps on the zero padding
-      add nothing, so no padded copy is made. In a "same" geometry
-      (:attr:`_Taps.same`, the coupling's 3x3, pad 1) each tap is one
-      contiguous add of a shifted slice on every sample's flattened H*W
-      axis (:meth:`_Taps.flat`), after the product's columns that a tap
-      never reads inside the image are zeroed: a read that wraps into
-      another row adds +0.0, which leaves the sum's bits as the clipped
-      adds give them (it starts at +0.0, so it is never -0.0).
+    * im2col: ``k`` as (O, I*kh*kw) @ ``cols``, the (I*kh*kw, B*Ho*Wo)
+      matrix of every kernel window of the padded input
+      (:func:`_im2col`). A caller that built ``cols`` passes it.
+    * kn2row (the coupling's 3x3, pad 1, with ``I > O``): ``k`` as
+      (kh*kw*O, I) @ ``x`` as (I, B*H*W), then each tap adds a shifted
+      slice of that product on every sample's flat H*W axis (``flat`` of
+      :func:`_taps`), after the columns a tap never reads are zeroed: a
+      read that wraps into another row adds +0.0, which leaves the bits
+      of clipped window adds (the sum starts at +0.0, never -0.0).
 
     ``scratch`` (the :class:`_Scratch` of the walks of one call) hands
     out the column matrix and the kn2row product, which share its
@@ -487,33 +486,28 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
     """
     n_out, n_in, kh, kw = k.shape
     _, b, h, w = x.shape
-    taps = _Taps(kh, kw, stride, pad, h, w)
+    taps, form = _taps(kh, kw, stride, pad, h, w), _form(k, stride, pad)
     if out is None:
         out = np.empty((n_out, b, taps.h_out, taps.w_out))
     out2d = out.reshape(n_out, -1)
     with blas_threads(out2d.size * n_in * kh * kw):
-        if _direct(k, stride, pad):
+        if form == "direct":
             _by_sample(k.reshape(n_out, n_in), x.reshape(n_in, -1), b, out2d)
-        elif n_in <= n_out:
+        elif form == "cols":
             if cols is None:
                 cols = _im2col(x, k, stride, pad, scratch, "taps")
             _by_sample(k.reshape(n_out, -1), cols, b, out2d)
         else:
             prod = _take(scratch, "taps", (kh * kw * n_out, b * h * w))
             _by_sample(k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
+            shifts, wraps = taps.flat
+            p6 = prod.reshape(kh, kw, n_out, b, h, w)
+            for v, never_read, _ in wraps:
+                p6[:, v, :, :, :, never_read] = 0.0
             out.fill(0.0)
-            if taps.same:
-                shifts, wraps = taps.flat()
-                p6 = prod.reshape(kh, kw, n_out, b, h, w)
-                for v, never_read, _ in wraps:
-                    p6[:, v, :, :, :, never_read] = 0.0
-                o3, p3 = out.reshape(n_out, b, -1), prod.reshape(kh, kw, n_out, b, -1)
-                for u, v, d, lo, hi in shifts:
-                    o3[:, :, lo:hi] += p3[u, v, :, :, lo + d : hi + d]
-            else:
-                prod = prod.reshape(kh, kw, n_out, b, h, w)
-                for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
-                    out[:, :, o_rows, o_cols] += prod[u, v, :, :, rows, cols_]
+            o3, p3 = out.reshape(n_out, b, -1), prod.reshape(kh, kw, n_out, b, -1)
+            for u, v, d, lo, hi in shifts:
+                o3[:, :, lo:hi] += p3[u, v, :, :, lo + d : hi + d]
     if bias is not None:
         out += bias[:, None, None, None]
     if relu:
@@ -533,54 +527,50 @@ def _conv_grads(
     ReLU: ``g`` is then masked by ``relu_out > 0`` in place, so it must
     be a buffer that nothing else reads. ``bias`` asks for the bias
     gradient (:func:`_channel_sum`). With ``g`` as g2d (O, B*Ho*Wo) and
-    ``x`` as x2d (I, B*H*W), each gradient is one 2-D GEMM:
+    ``x`` as x2d (I, B*H*W), each gradient of the form that
+    :func:`_form` chooses is one 2-D GEMM:
 
     * direct: input ``k.T @ g2d``, kernel ``g2d @ x2d.T``.
     * im2col: input ``k.T @ g2d``, each tap of which is added into a
       zeroed gradient at the input it read; kernel ``g2d @ cols.T``,
       with the forward's column matrix ``cols`` when the caller kept it.
-    * kn2row: each tap's slice of ``g`` goes to the input it read, under
-      the flipped tap, in an (O*kh*kw, B*H*W) matrix; the flipped kernel
-      as (I, O*kh*kw) @ that matrix is the input gradient, and the matrix
-      @ ``x2d.T`` the kernel gradient.
+    * kn2row: the (O*kh*kw, B*H*W) tap matrix is ``g``'s column matrix
+      (:func:`_im2col`), whose row (o, u, v) holds ``g`` at the output
+      that read each input through the flipped tap; the flipped kernel as
+      (I, O*kh*kw) @ it is the input gradient, it @ ``x2d.T`` the kernel's.
 
     ``scratch`` hands out the temporaries, never a returned gradient; the
     per-tap product and the kn2row tap matrix, which no call keeps, share
     its ``taps`` buffer with the forward's kn2row product.
     """
     n_out, n_in, kh, kw = k.shape
-    _, b, h, w = x.shape
-    taps = _Taps(kh, kw, stride, pad, h, w)
     if relu_out is not None:
         np.multiply(g, relu_out > 0.0, out=g)
     gb = gx = gk = None
     if bias:
         gb = _channel_sum(g)
-    g2d = g.reshape(n_out, -1)
+    g2d, form = g.reshape(n_out, -1), _form(k, stride, pad)
     with blas_threads(g2d.size * n_in * kh * kw):
-        if _direct(k, stride, pad):
+        if form == "direct":
             if want_x:
                 gx = (k.reshape(n_out, n_in).T @ g2d).reshape(x.shape)
             if want_k:
                 gk = (g2d @ x.reshape(n_in, -1).T).reshape(k.shape)
-        elif n_in <= n_out:
+        elif form == "cols":
             if want_x:
+                taps = _taps(kh, kw, stride, pad, *x.shape[2:])
                 per_tap = _take(scratch, "taps", (n_in * kh * kw, g2d.shape[1]))
                 np.matmul(k.reshape(n_out, -1).T, g2d, out=per_tap)
-                per_tap = per_tap.reshape(n_in, kh, kw, b, taps.h_out, taps.w_out)
+                per_tap = per_tap.reshape(n_in, kh, kw, x.shape[1], taps.h_out, taps.w_out)
                 gx = np.zeros(x.shape)
-                for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
+                for u, v, o_rows, o_cols, rows, cols_ in taps.clipped:
                     gx[:, :, rows, cols_] += per_tap[:, u, v, :, o_rows, o_cols]
             if want_k:
                 if cols is None:
                     cols = _im2col(x, k, stride, pad, scratch)
                 gk = (g2d @ cols.T).reshape(k.shape)
         else:
-            g_taps = _take(scratch, "taps", (n_out * kh * kw, b * h * w))
-            g_taps.fill(0.0)
-            per_tap = g_taps.reshape(n_out, kh, kw, b, h, w)
-            for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
-                per_tap[:, kh - 1 - u, kw - 1 - v, :, rows, cols_] = g[:, :, o_rows, o_cols]
+            g_taps = _im2col(g, k, stride, pad, scratch, "taps")
             if want_x:
                 flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
                 gx = (flipped @ g_taps).reshape(x.shape)
@@ -597,20 +587,20 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     the zero-padded input, of which no copy is made. It is ``scratch``'s
     buffer ``name`` when ``scratch`` is given.
 
-    A "same" geometry (:attr:`_Taps.same`) copies each tap as one
-    contiguous shifted slice of every sample's flattened H*W axis
-    (:meth:`_Taps.flat`), after the rows that read above or below the
-    input are zeroed, and zeroes the output columns at which a tap reads
-    left or right of it after the copies. Any other geometry zeroes the
-    matrix and copies in each tap's clipped window (:meth:`_Taps.clipped`)."""
+    A "same" geometry (:func:`_same`) copies each tap as one contiguous
+    shifted slice of every sample's flattened H*W axis (``flat`` of
+    :func:`_taps`), after the rows that read above or below the input
+    are zeroed, and zeroes the output columns at which a tap reads left
+    or right of it after the copies. Any other geometry zeroes the
+    matrix and copies in each tap's clipped window (``clipped``)."""
     n_in, b, h, w = x.shape
     kh, kw = k.shape[2:]
-    taps = _Taps(kh, kw, stride, pad, h, w)
+    taps = _taps(kh, kw, stride, pad, h, w)
     cols = _take(scratch, name, (n_in * kh * kw, b * taps.h_out * taps.w_out))
-    if not taps.same:
+    if taps.flat is None:
         cols.fill(0.0)
         c6 = cols.reshape(n_in, kh, kw, b, taps.h_out, taps.w_out)
-        for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
+        for u, v, o_rows, o_cols, rows, cols_ in taps.clipped:
             c6[:, u, v, :, o_rows, o_cols] = x[:, :, rows, cols_]
         return cols
     n = h * w
@@ -621,7 +611,7 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
             c5[:, u, :, :, : pad - reach] = 0.0
         elif reach > 0:
             c5[:, u, :, :, max(0, n - reach - pad) :] = 0.0
-    shifts, wraps = taps.flat()
+    shifts, wraps = taps.flat
     for u, v, d, lo, hi in shifts:
         c5[:, u, v, :, lo:hi] = x3[:, :, lo + d : hi + d]
     c6 = cols.reshape(n_in, kh, kw, b, h, w)
@@ -630,75 +620,59 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     return cols
 
 
-class _Taps:
-    """Kernel-tap geometry of one convolution: (kh, kw) taps at ``stride``
-    over an (h, w) input with ``pad`` zeros on every side."""
+def _same(kh, kw, stride, pad):
+    """Whether the output keeps the input's extent: stride 1, k x k, pad (k - 1) / 2."""
+    return stride == 1 and kh == kw == 2 * pad + 1
 
-    __slots__ = ("kh", "kw", "stride", "pad", "h", "w", "h_out", "w_out", "same")
 
-    def __init__(self, kh, kw, stride, pad, h, w):
-        self.kh, self.kw, self.stride, self.pad = kh, kw, stride, pad
-        self.h, self.w = h, w
-        self.h_out = (h + 2 * pad - kh) // stride + 1
-        self.w_out = (w + 2 * pad - kw) // stride + 1
-        # Stride 1 and (k - 1) / 2 zeros around a square k x k kernel: the
-        # output has the input's extent, and :meth:`flat` applies.
-        self.same = stride == 1 and kh == kw == 2 * pad + 1
-
-    def clipped(self):
-        """(u, v, out_rows, out_cols, rows, cols) for every tap that reaches
-        the unpadded input: output window ``[out_rows, out_cols]`` reads the
-        input at ``[rows, cols]`` through tap (u, v)."""
-        return _clipped_taps(self.kh, self.kw, self.stride, self.pad, self.h, self.w)
-
-    def flat(self):
-        """The taps of a :attr:`same` geometry on each sample's flattened
-        h*w axis, where tap (u, v) reads output position ``i`` at input
-        position ``i + d``, ``d = (u - pad) * w + (v - pad)``.
-
-        Returns ``shifts``, (u, v, d, lo, hi) for every tap whose range
-        ``lo <= i < hi`` of in-bounds reads is not empty, and ``wraps``,
-        (v, never_read, reads_nothing) for every tap column ``v`` but the
-        centre one: the input columns that no tap of that column reads
-        inside the image, and the output columns at which it reads
-        outside, where a flat read wraps into the next or previous row
-        (column slices). A flat read in a row above or below the image
-        falls outside ``lo:hi``.
-        """
-        return _flat_taps(self.kh, self.pad, self.h, self.w)
+_TapGeometry = collections.namedtuple("_TapGeometry", "h_out w_out clipped flat")
 
 
 @functools.lru_cache(maxsize=256)
-def _clipped_taps(kh, kw, s, p, h, w):
-    """:meth:`_Taps.clipped` of one geometry, computed once per geometry.
+def _taps(kh, kw, stride, pad, h, w):
+    """The output extent ``h_out``, ``w_out`` and the taps ``clipped`` and
+    ``flat`` of (kh, kw) taps at ``stride`` over an (h, w) input with
+    ``pad`` zeros on every side, computed once, in tuples that no caller
+    can change.
 
-    The result is a tuple of tuples, so no caller can change the cached
-    value.
+    ``clipped`` is (u, v, out_rows, out_cols, rows, cols) for every tap
+    that reaches the unpadded input: output window ``[out_rows,
+    out_cols]`` reads the input at ``[rows, cols]`` through tap (u, v).
+
+    ``flat`` is None but in a "same" geometry (:func:`_same`), where tap
+    (u, v) reads position ``i`` of each sample's flattened h*w axis at
+    ``i + d``, ``d = (u - pad) * w + (v - pad)``. It is ``(shifts,
+    wraps)``: (u, v, d, lo, hi) for every tap whose range ``lo <= i <
+    hi`` of in-bounds reads is not empty (a read in a row above or below
+    the image falls outside it), and (v, never_read, reads_nothing) for
+    every tap column ``v`` but the centre one: the input columns that no
+    tap of that column reads inside the image, and the output columns at
+    which it reads outside, where a flat read wraps into the next or
+    previous row (column slices).
     """
-    rows = _clip_axis(kh, h, (h + 2 * p - kh) // s + 1, s, p)
-    cols = _clip_axis(kw, w, (w + 2 * p - kw) // s + 1, s, p)
-    return tuple((u, v, o_rows, o_cols, i_rows, i_cols)
-                 for u, o_rows, i_rows in rows for v, o_cols, i_cols in cols)
-
-
-@functools.lru_cache(maxsize=256)
-def _flat_taps(k, p, h, w):
-    """:meth:`_Taps.flat` of one geometry, computed once per geometry."""
-    n = h * w
-    shifts, wraps = [], []
-    for u in range(k):
-        for v in range(k):
-            d = (u - p) * w + (v - p)
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (w + 2 * pad - kw) // stride + 1
+    clipped = tuple(
+        (u, v, o_rows, o_cols, i_rows, i_cols)
+        for u, o_rows, i_rows in _clip_axis(kh, h, h_out, stride, pad)
+        for v, o_cols, i_cols in _clip_axis(kw, w, w_out, stride, pad)
+    )
+    if not _same(kh, kw, stride, pad):
+        return _TapGeometry(h_out, w_out, clipped, None)
+    n, shifts, wraps = h * w, [], []
+    for u in range(kh):
+        for v in range(kw):
+            d = (u - pad) * w + (v - pad)
             lo, hi = max(0, -d), min(n, n - d)
             if lo < hi:
                 shifts.append((u, v, d, lo, hi))
-    for v in range(k):
-        dv = v - p
+    for v in range(kw):
+        dv = v - pad
         if dv < 0:
             wraps.append((v, slice(max(0, w + dv), w), slice(0, min(w, -dv))))
         elif dv > 0:
             wraps.append((v, slice(0, min(w, dv)), slice(max(0, w - dv), w)))
-    return tuple(shifts), tuple(wraps)
+    return _TapGeometry(h_out, w_out, clipped, (tuple(shifts), tuple(wraps)))
 
 
 def _clip_axis(k, n, n_out, s, p):
@@ -718,19 +692,7 @@ def channel_mix(x, w) -> Value:
     """Per-position channel mixing y = W x (a 1x1 convolution by matrix W)
     of an NCHW ``x``: :func:`_conv` and :func:`_conv_grads` by
     ``W[:, :, None, None]`` through :func:`_swap`."""
-    dx, dw = _data(x), _data(w)
-    if dx.ndim != 4 or dw.ndim != 2 or dx.shape[1] != dw.shape[1]:
-        raise ShapeError(f"channel_mix: {dw.shape} cannot act on {dx.shape}")
-    k = dw[:, :, None, None]
-    out = _swap(_conv(_swap(dx), k))
-
-    def back(g):
-        _, gx, gk = _conv_grads(_swap(g), _swap(dx), k, 1, 0, want_k=isinstance(w, Var))
-        _accum(x, _swap(gx))
-        if gk is not None:
-            _accum(w, gk[:, :, 0, 0])
-
-    return _record(_tape_of(x, w), "channel_mix", out, back, (x, w))
+    return _mix_op("channel_mix", x, w, _data(w), lambda gm: gm)
 
 
 def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
@@ -740,10 +702,16 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
     failure mode stays theirs). W's gradient is ``-(W^{-T} G W^{-T})``,
     G the gradient of :func:`channel_mix` by ``w_inv``.
     """
+    m = _data(w_inv)
+    return _mix_op("channel_mix_inv", x, w, m, lambda gm: -(m.T @ gm @ m.T))
+
+
+def _mix_op(op, x, w, m, w_grad):
+    """The taped op ``op`` that mixes ``x``'s channels by the matrix ``m``;
+    ``w`` receives ``w_grad`` of the gradient of ``m``."""
     dx = _data(x)
-    m = np.asarray(w_inv, dtype=np.float64)
     if dx.ndim != 4 or m.ndim != 2 or dx.shape[1] != m.shape[1]:
-        raise ShapeError(f"channel_mix_inv: {m.shape} cannot act on {dx.shape}")
+        raise ShapeError(f"{op}: {m.shape} cannot act on {dx.shape}")
     k = m[:, :, None, None]
     out = _swap(_conv(_swap(dx), k))
 
@@ -751,9 +719,9 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
         _, gx, gk = _conv_grads(_swap(g), _swap(dx), k, 1, 0, want_k=isinstance(w, Var))
         _accum(x, _swap(gx))
         if gk is not None:
-            _accum(w, -(m.T @ gk[:, :, 0, 0] @ m.T))
+            _accum(w, w_grad(gk[:, :, 0, 0]))
 
-    return _record(_tape_of(x, w), "channel_mix_inv", out, back, (x, w))
+    return _record(_tape_of(x, w), op, out, back, (x, w))
 
 
 def squeeze2(x) -> Value:

@@ -38,14 +38,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_io(p, style=True):
+    def add_model_io(p, style=True, patchswap=True):
         p.add_argument("--content", required=True, help="content image (binary PPM)")
         if style:
             p.add_argument("--style", required=True, help="style image (binary PPM)")
         p.add_argument("--model", required=True, help="checkpoint file")
         p.add_argument(
             "--transfer",
-            choices=["adain", "wct", "patchswap"],
+            choices=["adain", "wct", "patchswap"] if patchswap else ["adain", "wct"],
             default="adain",
             help="feature transfer module",
         )
@@ -54,8 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="center-crop inputs down to the nearest valid multiple",
         )
-        p.add_argument("--patch-size", type=int, default=3)
-        p.add_argument("--stride", type=int, default=1)
+        if patchswap:
+            p.add_argument("--patch-size", type=int, default=3)
+            p.add_argument("--stride", type=int, default=1)
 
     p = sub.add_parser("stylize", help="transfer a style onto a content image")
     add_model_io(p)
@@ -72,12 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
 
     p = sub.add_parser("reverse", help="stylize, then recover the content image")
-    add_model_io(p)
+    add_model_io(p, patchswap=False)
     p.add_argument("--out-stylized", required=True)
     p.add_argument("--out-recovered", required=True)
 
     p = sub.add_parser("factor", help="decode the style-free content factor")
-    add_model_io(p, style=False)
+    add_model_io(p, style=False, patchswap=False)
     p.add_argument("--out", required=True)
 
     sub.add_parser("verify", help="run the full acceptance/invariant suite")
@@ -89,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _transfer_kind(args) -> TransferKind:
-    return TransferKind(args.transfer, patch_size=args.patch_size, stride=args.stride)
+    patch = {k: v for k, v in vars(args).items() if k in ("patch_size", "stride")}
+    return TransferKind(args.transfer, **patch)
 
 
 def _load_inputs(args, model, style=True):

@@ -9,10 +9,10 @@ with one of four helpers; internal calls and kernels trust the values
 they are given. :func:`as_index` takes a count, :func:`as_real` a real
 number in a range, :func:`as_batch` a real, finite, non-empty
 (B, C, H, W) array and :func:`as_feature` the same or an autodiff Var.
-Each tests the dtype before any cast, so complex input is a ShapeError,
-never a ComplexWarning. A transfer kind is checked next to its class
-(``transfer._as_kind``). Values the program computes are checked where
-they are made.
+Each tests the dtype before any cast (:func:`as_reals`, as autodiff
+does), so complex input is a ShapeError, never a ComplexWarning. A
+transfer kind is checked next to its class (``transfer._as_kind``).
+Values the program computes are checked where they are made.
 """
 
 import functools
@@ -123,13 +123,7 @@ def as_feature(name, value, shape=None, finite=True):
     if isinstance(value, _var_type()):
         a = value.data
     else:
-        try:
-            a = np.asarray(value)
-        except (TypeError, ValueError) as exc:
-            raise ShapeError(f"{name} is not an array of numbers: {exc}") from None
-        if a.dtype.kind not in "fiu":
-            raise ShapeError(f"{name} must hold real numbers, got dtype {a.dtype}")
-        a = value = np.asarray(a, dtype=np.float64, order="C")
+        a = value = np.asarray(as_reals(name, value), order="C")
     if shape is None and a.ndim != 4:
         raise ShapeError(f"{name} must be a (B,C,H,W) batch, got shape {a.shape}")
     if shape is None and a.size == 0:
@@ -139,6 +133,17 @@ def as_feature(name, value, shape=None, finite=True):
     if finite and not np.isfinite(a).all():
         raise NumericError(f"{name} holds NaN or infinite values")
     return value
+
+
+def as_reals(name, value) -> np.ndarray:
+    """``value`` as float64, in its layout; ShapeError naming ``name`` unless real."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{name} is not an array of numbers: {exc}") from None
+    if a.dtype.kind not in "fiu":
+        raise ShapeError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return np.asarray(a, dtype=np.float64)
 
 
 @functools.cache

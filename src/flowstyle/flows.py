@@ -331,7 +331,7 @@ def _coupling_back(y, g, weights, inverse, scratch):
     dw1, db1, dw2, db2, dw3, db3 = (ad._data(p) for p in weights)
     half = y.shape[0] // 2
     x_a, y_b, g_a, g_b = y[:half], y[half:], g[:half], g[half:]
-    cols = ad._im2col(x_a, dw1, 1, 1, scratch, "cols1") if ad._uses_cols(dw1, 1, 1) else None
+    cols = ad._im2col(x_a, dw1, 1, 1, scratch, "cols1") if ad._form(dw1, 1, 1) == "cols" else None
     shift, h1, h2 = _shift(x_a, dw1, db1, dw2, db2, dw3, db3, scratch, cols)
     (np.add if inverse else np.subtract)(y_b, shift, out=y_b)
 

@@ -77,10 +77,19 @@ class TransferKind:
     def __post_init__(self):
         if self.name not in _KINDS:
             raise ShapeError(f"unknown transfer kind {self.name!r}; known: {_KINDS}")
-        for field in ("patch_size", "stride"):
-            object.__setattr__(self, field, as_index(field, getattr(self, field), 1))
+        geometry = _patch_geometry(self.patch_size, self.stride)
+        for field, value in zip(("patch_size", "stride"), geometry):
+            object.__setattr__(self, field, value)
         if self.patch_size % 2 == 0:
             raise ShapeError(f"patch_size must be odd, got {self.patch_size}")
+
+
+def _patch_geometry(patch_size, stride) -> tuple[int, int]:
+    """``patch_size`` and ``stride`` as counts; ShapeError if the stride leaves gaps."""
+    patch_size, stride = as_index("patch_size", patch_size, 1), as_index("stride", stride, 1)
+    if stride > patch_size:
+        raise ShapeError(f"stride {stride} exceeds patch_size {patch_size}, leaving gaps")
+    return patch_size, stride
 
 
 ADAIN = TransferKind("adain")
@@ -298,12 +307,7 @@ def patch_swap(f_c, f_s, patch_size: int = 3, stride: int = 1) -> np.ndarray:
     a, b = as_batch("content feature", f_c), as_batch("style feature", f_s)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"channel mismatch: content {a.shape[1]}, style {b.shape[1]}")
-    patch_size, stride = as_index("patch_size", patch_size, 1), as_index("stride", stride, 1)
-    if stride > patch_size:
-        raise ShapeError(
-            f"stride {stride} exceeds patch_size {patch_size}: the positions "
-            f"between patches would have no value"
-        )
+    patch_size, stride = _patch_geometry(patch_size, stride)
     for name, arr in (("content", a), ("style", b)):
         if patch_size > arr.shape[2] or patch_size > arr.shape[3]:
             raise ShapeError(

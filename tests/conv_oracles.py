@@ -1,10 +1,12 @@
 """The convolution kernel's tap sums as clipped tap loops.
 
 Each tap of a kernel reads the input through one 4-d window, clipped at
-the border (``autodiff._Taps.clipped``): the way ``autodiff._im2col``
-and ``autodiff._conv`` run every geometry but a "same" one, which takes
-flat shifted slices. The flat forms, and the strided column matrix, are
-tested against these for equal bytes, the sign of every zero included.
+the border (``clipped`` of ``autodiff._taps``): the way
+``autodiff._im2col`` runs every geometry but a "same" one, which takes
+flat shifted slices, as kn2row's forward sum and its backward tap matrix
+(``_im2col`` of the output gradient) do. The flat forms, and the strided
+column matrix, are tested against these for equal bytes, the sign of
+every zero included.
 """
 
 import numpy as np
@@ -17,9 +19,9 @@ def im2col_reference(x, k, stride, pad):
     zeros, then each tap's clipped window of ``x`` copied in."""
     n_in, b, h, w = x.shape
     kh, kw = k.shape[2:]
-    taps = ad._Taps(kh, kw, stride, pad, h, w)
+    taps = ad._taps(kh, kw, stride, pad, h, w)
     cols = np.zeros((n_in, kh, kw, b, taps.h_out, taps.w_out))
-    for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
+    for u, v, o_rows, o_cols, rows, cols_ in taps.clipped:
         cols[:, u, v, :, o_rows, o_cols] = x[:, :, rows, cols_]
     return cols.reshape(n_in * kh * kw, -1)
 
@@ -31,13 +33,26 @@ def kn2row_reference(x, k, bias, stride, pad):
     order, into a zeroed output."""
     n_out, n_in, kh, kw = k.shape
     _, b, h, w = x.shape
-    taps = ad._Taps(kh, kw, stride, pad, h, w)
+    taps = ad._taps(kh, kw, stride, pad, h, w)
     prod = np.empty((kh * kw * n_out, b * h * w))
     ad._by_sample(k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
     prod = prod.reshape(kh, kw, n_out, b, h, w)
     out = np.zeros((n_out, b, taps.h_out, taps.w_out))
-    for u, v, o_rows, o_cols, rows, cols_ in taps.clipped():
+    for u, v, o_rows, o_cols, rows, cols_ in taps.clipped:
         out[:, :, o_rows, o_cols] += prod[u, v, :, :, rows, cols_]
     if bias is not None:
         out += bias[:, None, None, None]
     return out
+
+
+def kn2row_taps_reference(g, x, k, stride, pad):
+    """The kn2row backward's (O*kh*kw, B*H*W) tap matrix of the output
+    gradient ``g`` (O, B, Ho, Wo) of a convolution of the channel-major
+    ``x`` by ``k``: zeros, then each tap's clipped window of ``g`` copied
+    to the input it read, under the flipped tap."""
+    n_out, _, kh, kw = k.shape
+    _, b, h, w = x.shape
+    mat = np.zeros((n_out, kh, kw, b, h, w))
+    for u, v, o_rows, o_cols, rows, cols_ in ad._taps(kh, kw, stride, pad, h, w).clipped:
+        mat[:, kh - 1 - u, kw - 1 - v, :, rows, cols_] = g[:, :, o_rows, o_cols]
+    return mat.reshape(n_out * kh * kw, -1)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from conv_oracles import im2col_reference, kn2row_reference
+from conv_oracles import im2col_reference, kn2row_reference, kn2row_taps_reference
 
 import flowstyle.autodiff as ad
 from flowstyle.errors import NumericError, ShapeError, StateError
@@ -186,6 +186,32 @@ class TestReturnKind:
         out = op(*args)
         assert isinstance(out, ad.Var) and out.tape is tape
         assert len(tape.nodes) == 1
+
+
+# (name, op, shapes, operand index): each operand whose values an op
+# reads; channel_mix_inv's ``w`` only receives W's gradient, and its
+# ``w_inv`` is the matrix it multiplies by.
+COMPLEX_CASES = [
+    (name, op, shapes, i) for name, op, shapes in OP_CASES for i in range(len(shapes))
+    if (name, i) != ("channel_mix_inv", 1)
+] + [
+    ("Var", lambda a: ad.Var(a, ad.Tape()), [(2, 3)], 0),
+    ("channel_mix_inv-w_inv", lambda x, m: ad.channel_mix_inv(x, np.eye(3), m),
+     [(1, 3, 2, 2), (3, 3)], 1),
+]
+
+
+@pytest.mark.parametrize("name,op,shapes,index", COMPLEX_CASES,
+                         ids=[f"{c[0]}-{c[3]}" for c in COMPLEX_CASES])
+def test_complex_operand_is_a_shape_error(name, op, shapes, index):
+    """A complex operand raises ShapeError; it is never cast to its real
+    part with only a ComplexWarning."""
+    args = operands(shapes)
+    args[index] = args[index] + 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError, match="real"):
+            op(*args)
 
 
 def test_inference_builds_no_var(monkeypatch):
@@ -588,7 +614,7 @@ class TestConvKernels:
         rng = np.random.default_rng(n_in + n_out + extent)
         x = rng.standard_normal((4, n_in, extent, extent))
         k = rng.standard_normal((n_out, n_in, ksize, ksize))
-        taps = ad._Taps(ksize, ksize, stride, pad, extent, extent)
+        taps = ad._taps(ksize, ksize, stride, pad, extent, extent)
         g = rng.standard_normal((4, n_out, taps.h_out, taps.w_out))
         _, _, gk = ad._conv_grads(ad._swap(g), ad._swap(x), k, stride, pad, want_x=False)
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -634,7 +660,7 @@ class TestConvKernels:
         x = rng.standard_normal((6, 4, 16, 16))
         k = rng.standard_normal((64, 6, 3, 3))
         g = rng.standard_normal((64, 4, 16, 16))
-        assert ad._uses_cols(k, 1, 1) and not ad._uses_cols(k[:4], 1, 1)
+        assert ad._form(k, 1, 1) == "cols" and ad._form(k[:4], 1, 1) == "kn2row"
         scratch = ad._Scratch()
         cols = ad._im2col(x, k, 1, 1, scratch, "cols1")
         assert scratch.take("cols1", cols.shape) is cols
@@ -679,7 +705,7 @@ class TestConvKernels:
             x[rng.random(x.shape) < 0.2] = -0.0
         k = rng.standard_normal((n_out, n_in, 3, 3))
         bias = rng.standard_normal(n_out) if with_bias else None
-        assert ad._Taps(3, 3, 1, 1, *extent).same
+        assert ad._taps(3, 3, 1, 1, *extent).flat is not None
         assert ad._im2col(x, k, 1, 1).tobytes() == im2col_reference(x, k, 1, 1).tobytes()
         got = ad._conv(x, k, bias, 1, 1, scratch=ad._Scratch())
         if n_in > n_out:
@@ -691,6 +717,58 @@ class TestConvKernels:
             if bias is not None:
                 want += bias[:, None, None, None]
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("signed_zeros", [False, True], ids=["values", "signed-zeros"])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    @pytest.mark.parametrize("extent", [(1, 1), (1, 2), (2, 2), (5, 7)])
+    def test_kn2row_taps_are_columns_of_the_gradient(self, extent, batch, signed_zeros):
+        """At 3x3, pad 1, stride 1 the column matrix of an output gradient
+        has the bytes of the kn2row backward's tap matrix, each tap's
+        clipped window of it under the flipped tap
+        (``tests/conv_oracles.py``), also in a scratch buffer that held
+        other values."""
+        n_in, n_out = 5, 3
+        rng = np.random.default_rng(extent[0] * 10 + extent[1] + 100 * batch)
+        x = rng.standard_normal((n_in, batch) + extent)
+        g = rng.standard_normal((n_out, batch) + extent)
+        if signed_zeros:
+            g = np.where(rng.random((1, batch) + extent) < 0.5, -0.0, g)
+            g[rng.random(g.shape) < 0.2] = 0.0
+            g[rng.random(g.shape) < 0.2] = -0.0
+        k = rng.standard_normal((n_out, n_in, 3, 3))
+        assert ad._form(k, 1, 1) == "kn2row"
+        want = kn2row_taps_reference(g, x, k, 1, 1).tobytes()
+        scratch = ad._Scratch()
+        scratch.take("taps", (n_out * 9, g[0].size)).fill(np.nan)
+        assert ad._im2col(g, k, 1, 1).tobytes() == want
+        assert ad._im2col(g, k, 1, 1, scratch, "taps").tobytes() == want
+
+    # The coupling's conv3 (hidden -> half the channels, 3x3, pad 1) at
+    # train-32 (batch 4, blocks at 16x16 and 8x8), train-tiny (hidden 8 at
+    # 8x8) and stylize-256 (batch 1, 128x128 and 64x64): (in, out, extent, batch).
+    @pytest.mark.parametrize("geometry", [
+        (64, 6, 16, 4), (64, 24, 8, 4), (8, 6, 8, 4), (64, 6, 128, 1), (64, 24, 64, 1),
+    ], ids=["train32-b0", "train32-b1", "tiny", "stylize-b0", "stylize-b1"])
+    def test_kn2row_gradients_equal_gemms_over_reference_taps(self, geometry):
+        """The kn2row input and kernel gradients are ``array_equal`` to the
+        flipped-kernel GEMMs over the reference tap matrix, with and
+        without a scratch."""
+        n_in, n_out, extent, batch = geometry
+        rng = np.random.default_rng(n_in + n_out + extent)
+        x = rng.standard_normal((n_in, batch, extent, extent))
+        k = rng.standard_normal((n_out, n_in, 3, 3))
+        g = rng.standard_normal((n_out, batch, extent, extent))
+        assert ad._form(k, 1, 1) == "kn2row"
+        mat = kn2row_taps_reference(g, x, k, 1, 1)
+        with ad.blas_threads(g.size * n_in * 9):
+            flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
+            want_gx = (flipped @ mat).reshape(x.shape)
+            want_gk = (mat @ x.reshape(n_in, -1).T).reshape(n_out, 3, 3, n_in)
+        want_gk = want_gk[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        for scratch in (None, ad._Scratch()):
+            _, gx, gk = ad._conv_grads(g.copy(), x, k, 1, 1, scratch=scratch)
+            np.testing.assert_array_equal(gx, want_gx)
+            np.testing.assert_array_equal(gk, want_gk)
 
     # (in, out, extent, kernel, pad): the LossNet's first and last stride-2
     # convs at train-32, a pad-0 one, and one whose output is smaller than
@@ -708,7 +786,7 @@ class TestConvKernels:
         x = rng.standard_normal((n_in, batch, extent, extent))
         x[rng.random(x.shape) < 0.2] = -0.0
         k = np.ones((n_out, n_in, ksize, ksize))
-        assert not ad._Taps(ksize, ksize, 2, pad, extent, extent).same
+        assert ad._taps(ksize, ksize, 2, pad, extent, extent).flat is None
         want = im2col_reference(x, k, 2, pad)
         scratch = ad._Scratch()
         scratch.take("cols", want.shape).fill(np.nan)
@@ -767,9 +845,9 @@ class TestConvKernels:
             np.testing.assert_array_equal(got, want)
 
     def test_tap_geometry_is_computed_once_per_shape(self):
-        taps = ad._Taps(3, 3, 2, 1, 7, 9).clipped()
+        taps = ad._taps(3, 3, 2, 1, 7, 9).clipped
         assert isinstance(taps, tuple) and all(isinstance(t, tuple) for t in taps)
-        assert ad._Taps(3, 3, 2, 1, 7, 9).clipped() is taps
+        assert ad._taps(3, 3, 2, 1, 7, 9).clipped is taps
         rows = ad._clip_axis(3, 7, 4, 2, 1)
         cols = ad._clip_axis(3, 9, 5, 2, 1)
         assert taps == tuple(

@@ -226,9 +226,13 @@ REAL_ARGS = {
        for name in ("learning_rate", "lr_decay", "lambda_content", "lambda_style")},
 }
 
-# Each malformed transfer kind: a kind's name instead of a TransferKind,
-# and no kind.
-MALFORMED_KINDS = {"string": "wct", "none": None}
+# Each malformed transfer kind, built when its case runs: a kind's name
+# instead of a TransferKind, no kind, and a patch-swap kind whose stride
+# exceeds its patch (which the kind rejects when it is built).
+MALFORMED_KINDS = {
+    "string": lambda: "wct", "none": lambda: None,
+    "stride-beyond-patch": lambda: TransferKind("patchswap", patch_size=3, stride=5),
+}
 
 KIND_ARGS = {
     "transfer_apply": lambda v: transfer_apply(v, LATENT, STYLE_LATENT),
@@ -322,7 +326,7 @@ def test_malformed_kind_raises_before_any_walk(entry, case, monkeypatch):
         raise AssertionError("a flow walk ran before the kind was checked")
 
     monkeypatch.setattr(FlowNet, "_walk", walk)
-    expect_typed_error(lambda: KIND_ARGS[entry](MALFORMED_KINDS[case]))
+    expect_typed_error(lambda: KIND_ARGS[entry](MALFORMED_KINDS[case]()))
 
 
 def test_valid_arguments_pass():
@@ -341,8 +345,10 @@ def test_valid_arguments_pass():
 
 def test_stride_beyond_the_patch_raises_instead_of_nan():
     """Positions between patches would be 0/0: a NaN, not an error."""
-    for kind in (TransferKind("patchswap", 3, 4), TransferKind("patchswap", 1, 2)):
-        expect_typed_error(lambda: transfer_apply(kind, LATENT, STYLE_LATENT))
+    for size, stride in ((3, 4), (1, 2)):
+        expect_typed_error(lambda: transfer_apply(
+            TransferKind("patchswap", size, stride), LATENT, STYLE_LATENT))
+        expect_typed_error(lambda: patch_swap(LATENT, STYLE_LATENT, size, stride))
 
 
 def test_every_public_name_has_a_row():
@@ -461,11 +467,12 @@ CLI_CASES = {
         (["--style", "odd.ppm"], "error"),
     ],
     "reverse": [
-        (["--stride", "0"], "error"), (["--patch-size", "2"], "error"),
-        (["--content", "odd.ppm"], "error"),
+        (["--stride", "0"], "usage"), (["--patch-size", "2"], "usage"),
+        (["--transfer", "patchswap"], "usage"), (["--content", "odd.ppm"], "error"),
     ],
     "factor": [
-        (["--patch-size", "0"], "error"), (["--content", "odd.ppm"], "error"),
+        (["--patch-size", "0"], "usage"), (["--transfer", "patchswap"], "usage"),
+        (["--content", "odd.ppm"], "error"),
     ],
     "train": [
         ({"iterations": -1}, "error"), ({"batch_size": True}, "error"),
