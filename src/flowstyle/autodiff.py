@@ -708,10 +708,13 @@ def channel_mix_inv(x, w, w_inv: np.ndarray) -> Value:
 
 def _mix_op(op, x, w, m, w_grad):
     """The taped op ``op`` that mixes ``x``'s channels by the matrix ``m``;
-    ``w`` receives ``w_grad`` of the gradient of ``m``."""
-    dx = _data(x)
+    ``w``, which must have ``m``'s shape, receives ``w_grad`` of the
+    gradient of ``m``."""
+    dx, dw = _data(x), _data(w)
     if dx.ndim != 4 or m.ndim != 2 or dx.shape[1] != m.shape[1]:
         raise ShapeError(f"{op}: {m.shape} cannot act on {dx.shape}")
+    if dw.shape != m.shape:
+        raise ShapeError(f"{op}: W {dw.shape} and its inverse {m.shape} differ in shape")
     k = m[:, :, None, None]
     out = _swap(_conv(_swap(dx), k))
 

@@ -12,13 +12,14 @@ Layout (all integers little-endian):
         data  count x f64 (little-endian)
 
 A block's data is the layer's parameters in store order, each in C
-order; a layer with data-dependent init (actnorm) appends one flag value,
-exactly 1.0 or 0.0, for its init state, so a load reproduces the model
-bit-for-bit. The whole layout is generated from the layer list. A file
-is corrupt when its header describes an invalid architecture, a block's
-tag, count, flag or values (NaN or inf) are wrong, or its length differs
-from what the header's architecture needs (a size mismatch: truncated,
-or with trailing bytes).
+order; a layer with data-dependent init (actnorm) appends one flag
+value, exactly 1.0 or 0.0: the model's one init state, which every
+actnorm block repeats, so a load reproduces the model bit-for-bit. The
+whole layout is generated from the layer list. A file is corrupt when
+its header describes an invalid architecture, a block's tag, count, flag
+or values (NaN or inf) are wrong, the actnorm flags disagree, or its
+length differs from what the header's architecture needs (a size
+mismatch: truncated, or with trailing bytes).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def checkpoint_bytes(model: FlowNet) -> bytes:
     for layer in model.layers:
         values = [np.zeros(0)] + [model.params[name].ravel() for name in layer.shapes]
         if layer.init_flag:
-            values.append([1.0 if model.actnorm_initialized[layer.name] else 0.0])
+            values.append([1.0 if model.initialized else 0.0])
         flat = np.concatenate(values).astype("<f8")
         out.append(struct.pack("<BQ", layer.tag, flat.size))
         out.append(flat.tobytes())
@@ -101,7 +102,7 @@ def load_checkpoint(path) -> FlowNet:
         raise CorruptCheckpointError(
             f"header declares an invalid architecture: {exc}"
         ) from exc
-    params, flags = {}, {}
+    params, flags = {}, set()
     for layer in config.layers():
         tag, count = struct.unpack("<BQ", r.take(_BLOCK_HEADER))
         if tag != layer.tag:
@@ -122,10 +123,12 @@ def load_checkpoint(path) -> FlowNet:
                 raise CorruptCheckpointError(
                     f"{layer.name}: init flag {float(values[-1])!r} is neither 1.0 nor 0.0"
                 )
-            flags[layer.name] = _FLAG_BYTES[raw[-8:]]
+            flags.add(_FLAG_BYTES[raw[-8:]])
         params.update(layer.split(values[: layer.size]))
     if r.pos != len(data):
         raise SizeMismatchError(
             f"{len(data) - r.pos} trailing bytes after the last layer block"
         )
-    return FlowNet(config, params, flags)
+    if len(flags) != 1:
+        raise CorruptCheckpointError("the actnorm blocks' init flags disagree")
+    return FlowNet(config, params, flags.pop())

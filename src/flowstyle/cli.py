@@ -25,10 +25,22 @@ from .experiments import (
     reverse_transfer,
     stylize,
 )
-from .flows import SQUEEZE_FACTOR, FlowNetConfig, build_flownet, named_config
+from .flows import NAMED_ARCHITECTURES, SQUEEZE_FACTOR, FlowNetConfig, build_flownet, named_config
 from .ppm import read_image, write_image
 from .training import TrainConfig, build_lossnet, train
 from .transfer import TransferKind
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a patch flag given with a transfer other
+    than patchswap is a usage error, not a flag to ignore."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, rest = super().parse_known_args(args, namespace)
+        patch = (getattr(args, f, None) for f in ("patch_size", "stride"))
+        if any(v is not None for v in patch) and args.transfer != "patchswap":
+            self.error("--patch-size and --stride apply only to --transfer patchswap")
+        return args, rest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="flowstyle",
         description="Reversible-flow style transfer: stylize, train, and verify.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def add_model_io(p, style=True, patchswap=True):
         p.add_argument("--content", required=True, help="content image (binary PPM)")
@@ -55,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="center-crop inputs down to the nearest valid multiple",
         )
         if patchswap:
-            p.add_argument("--patch-size", type=int, default=3)
-            p.add_argument("--stride", type=int, default=1)
+            p.add_argument("--patch-size", type=int, help="patchswap only (default 3)")
+            p.add_argument("--stride", type=int, help="patchswap only (default 1)")
 
     p = sub.add_parser("stylize", help="transfer a style onto a content image")
     add_model_io(p)
@@ -90,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _transfer_kind(args) -> TransferKind:
-    patch = {k: v for k, v in vars(args).items() if k in ("patch_size", "stride")}
-    return TransferKind(args.transfer, **patch)
+    patch = {k: getattr(args, k, None) for k in ("patch_size", "stride")}
+    return TransferKind(args.transfer, **{k: v for k, v in patch.items() if v is not None})
 
 
 def _load_inputs(args, model, style=True):
@@ -254,14 +266,9 @@ def _cmd_ablate(args) -> int:
     cfg = _train_config(values)
     pairs = _load_pairs(values)
     size = cfg.crop_size
-    if size % (SQUEEZE_FACTOR**4):
-        raise ShapeError(
-            f"crop_size {size} must be divisible by {SQUEEZE_FACTOR ** 4} to "
-            f"instantiate the 4-block architecture"
-        )
     configs = [
         named_config(name, 3, size, size, hidden=_number(values, "hidden", int))
-        for name in ("flow8-block2", "flow8-block1", "flow16-block1", "flow4-block4")
+        for name in NAMED_ARCHITECTURES
     ]
     eval_pairs = pairs[: min(2, len(pairs))]
     table = ablation_run(configs, pairs, eval_pairs, cfg)

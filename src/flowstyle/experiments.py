@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ShapeError, as_batch, as_index, as_real
 from .flows import FlowNet, FlowNetConfig, _StepParams, build_flownet
 from .metrics import gram_loss, recon_error, ssim
-from .training import LossNet, TrainConfig, build_lossnet, train
+from .training import TrainConfig, build_lossnet, train
 from .transfer import ADAIN, FACTORS, TransferKind, _as_kind, transfer_apply
 
 
@@ -126,24 +126,16 @@ def content_factor_image(model: FlowNet, kind: TransferKind, content) -> np.ndar
     return model.inverse(content_factor(model.forward(content, step)), step)
 
 
-def ablation_run(
-    configs: list[FlowNetConfig],
-    train_pairs,
-    eval_pairs,
-    cfg: TrainConfig,
-    kind: TransferKind | None = None,
-    lossnet: LossNet | None = None,
-) -> str:
+def ablation_run(configs: list[FlowNetConfig], train_pairs, eval_pairs, cfg: TrainConfig) -> str:
     """Train each architecture with a shared seed; tab-separated report.
 
-    Per config the table row carries the worst round-trip error over the
-    evaluation contents plus SSIM (content vs stylized) and Gram loss
-    (style vs stylized) averaged over the evaluation pairs. The kind,
-    and each evaluation image, (C,H,W) or a batch, are checked before
-    any training: each image by :func:`errors.as_batch` and against the
-    channels and extents of every config's network.
+    Per config, trained against ``build_lossnet(cfg.seed)``, the table
+    row carries the worst round-trip error over the evaluation contents
+    plus SSIM (content vs AdaIN-stylized) and Gram loss (style vs
+    stylized) averaged over the evaluation pairs. Each evaluation image,
+    (C,H,W) or a batch, is checked before any training: by
+    :func:`errors.as_batch` and against every config's network.
     """
-    kind = ADAIN if kind is None else _as_kind(kind)
     eval_pairs = [(_as_batch(content), _as_batch(style)) for content, style in eval_pairs]
     models = [build_flownet(config, seed=cfg.seed) for config in configs]
     for model in models:
@@ -152,12 +144,12 @@ def ablation_run(
                 model._check_image(image)
     rows = ["config\trecon_error\tssim\tgram_loss"]
     for config, model in zip(configs, models):
-        net = lossnet or build_lossnet(cfg.seed, config.in_channels)
+        net = build_lossnet(cfg.seed, config.in_channels)
         train(model, cfg, train_pairs, lossnet=net)
         worst_recon = 0.0
         ssims, grams = [], []
         for content, style in eval_pairs:
-            stylized = stylize(model, kind, content, style)
+            stylized = stylize(model, ADAIN, content, style)
             worst_recon = max(worst_recon, recon_error(model, content))
             ssims.append(ssim(content, stylized))
             grams.append(gram_loss(style, stylized, net))

@@ -389,35 +389,25 @@ class FlowNet:
     """Config, its layer list and the flat parameter store.
 
     ``params`` maps every parameter name of :attr:`layers` to its array,
-    in layer order; ``actnorm_initialized`` maps every actnorm layer name
-    to its data-dependent-init state. Apply with :meth:`forward` /
-    :meth:`inverse`. Concurrent reads are safe (each call owns its
-    scratch buffers); initialization and training mutate parameters and
-    require exclusive access.
+    in layer order; ``initialized``, a bool (ShapeError otherwise), is
+    the data-dependent-init state that all actnorms share. Apply with
+    :meth:`forward` / :meth:`inverse`. Concurrent reads are safe (each
+    call owns its scratch buffers); initialization and training mutate
+    parameters and require exclusive access.
     """
 
     def __init__(
-        self,
-        config: FlowNetConfig,
-        params: dict[str, np.ndarray],
-        actnorm_initialized: dict[str, bool] | None = None,
+        self, config: FlowNetConfig, params: dict[str, np.ndarray], initialized: bool = False
     ):
         self.config = config
         self.layers = tuple(config.layers())
         shapes = [(n, s) for layer in self.layers for n, s in layer.shapes.items()]
         if list(params) != [n for n, _ in shapes]:
             raise ShapeError("parameter names do not match the layer list")
-        flagged = [layer.name for layer in self.layers if layer.init_flag]
-        if actnorm_initialized is None:
-            actnorm_initialized = dict.fromkeys(flagged, False)
-        if list(actnorm_initialized) != flagged:
-            raise ShapeError("actnorm init flags do not match the layer list")
+        if not isinstance(initialized, bool):
+            raise ShapeError(f"initialized must be a bool, got {initialized!r}")
         self.params = {n: as_batch(n, params[n], shape=s) for n, s in shapes}
-        self.actnorm_initialized = dict(actnorm_initialized)
-
-    @property
-    def initialized(self) -> bool:
-        return all(self.actnorm_initialized.values())
+        self.initialized = initialized
 
     # -- application ----------------------------------------------------------
 
@@ -602,7 +592,8 @@ def build_flownet(config: FlowNetConfig, seed: int = 0) -> FlowNet:
 
 
 def initialize_actnorms(model: FlowNet, batch) -> list[tuple[str, list[int]]]:
-    """Initialize every uninitialized actnorm from the running batch stats.
+    """Initialize every actnorm from the running batch stats and mark the
+    model initialized; an initialized model is left as it is.
 
     The batch is pushed through the net layer by layer; each actnorm is
     initialized on the activations that actually reach it. Returns
@@ -613,17 +604,19 @@ def initialize_actnorms(model: FlowNet, batch) -> list[tuple[str, list[int]]]:
     """
     data = as_batch("actnorm initialization batch", batch)
     model._check_image(data)
+    if model.initialized:
+        return []
     diagnostics = []
     x, scratch = ad._swap(data), ad._Scratch()
     for layer in model.layers:
-        if layer.init_flag and not model.actnorm_initialized[layer.name]:
+        if layer.init_flag:
             scale, bias, clamped = actnorm_init(ad._swap(x))
             model.params.update(zip(layer.shapes, (scale, bias)))
-            model.actnorm_initialized[layer.name] = True
             if clamped:
                 diagnostics.append((layer.name, clamped))
         arrays = [model.params[name] for name in layer.shapes]
         x = _run_layer(layer, x, arrays, False, scratch, {}, data)
+    model.initialized = True
     return diagnostics
 
 
@@ -653,4 +646,4 @@ def randomize_couplings(model: FlowNet, seed: int = 0, scale: float = 1.0):
 def copy_flownet(model: FlowNet) -> FlowNet:
     """Deep copy (parameters included)."""
     params = {name: arr.copy() for name, arr in model.params.items()}
-    return FlowNet(model.config, params, model.actnorm_initialized)
+    return FlowNet(model.config, params, model.initialized)

@@ -165,31 +165,30 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
-def sym_pow(m, p: float, eps: float | None = None) -> np.ndarray:
+def sym_pow(m, p: float) -> np.ndarray:
     """Symmetric matrix power ``E diag(clamp(lam, eps))^p E^T``.
 
-    Eigenvalues below ``eps`` are clamped up to ``eps`` before the power
-    is applied, which keeps negative powers finite on nearly singular
-    inputs. ``eps`` defaults to ``1e-8 * trace(m)/c``.
+    Eigenvalues below ``eps = 1e-8 * trace(m)/c`` are clamped up to
+    ``eps`` before the power is applied, which keeps negative powers
+    finite on nearly singular inputs.
 
     Raises NotPSDError when some eigenvalue sits below ``-eps * trace``,
     and NumericError when a negative power meets a non-positive clamped
-    spectrum (only possible when eps <= 0).
+    spectrum (only possible when the trace is not positive).
     """
-    (out,) = sym_pows(m, (p,), eps)
+    (out,) = sym_pows(m, (p,))
     return out
 
 
-def sym_pows(m, powers, eps: float | None = None) -> tuple[np.ndarray, ...]:
+def sym_pows(m, powers) -> tuple[np.ndarray, ...]:
     """:func:`sym_pow` for several powers of one matrix, one eigensolve.
 
-    Each result is bit-identical to ``sym_pow(m, p, eps)``; the checks
-    and the clamp are those of :func:`sym_pow`.
+    Each result is bit-identical to ``sym_pow(m, p)``; the checks and
+    the clamp are those of :func:`sym_pow`.
     """
     a = _as_square(m, "sym_pow")
     n = a.shape[0]
-    if eps is None:
-        eps = 1e-8 * float(np.trace(a)) / n if n else 0.0
+    eps = 1e-8 * float(np.trace(a)) / n if n else 0.0
     lam, e = sym_eig(a)
     if n and lam[-1] < -eps * float(np.trace(a)):
         raise NotPSDError(

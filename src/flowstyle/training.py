@@ -36,15 +36,19 @@ from .transfer import _inv_above, _moments, _moments_grad, _pc, adain
 
 LOSSNET_WIDTHS = (16, 32, 64, 64)
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+_ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class LossNet:
     """Fixed (non-trainable) conv stages: 3x3 stride-2 conv + ReLU each.
 
-    Parameters are drawn once from the seed and never change, so the same
-    seed yields identical features forever.
+    The kernels and biases are read-only and never change, so one LossNet
+    yields identical features forever (:func:`build_lossnet` draws them
+    from a seed).
     """
 
-    def __init__(self, kernels, biases, seed: int):
+    def __init__(self, kernels, biases):
         self.kernels = tuple(as_batch("LossNet kernel", k) for k in kernels)
         self.biases = tuple(as_batch("LossNet bias", b, k.shape[:1])
                             for k, b in zip(self.kernels, biases))
@@ -53,7 +57,6 @@ class LossNet:
                 f"a LossNet needs at least one stage and one bias per kernel, got "
                 f"{len(self.kernels)} kernels and {len(self.biases)} biases"
             )
-        self.seed = as_index("seed", seed, 0)
         for k in self.kernels:
             k.flags.writeable = False
         for b in self.biases:
@@ -95,7 +98,7 @@ def build_lossnet(
         kernels.append(rng.standard_normal((width, c_in, 3, 3)) * np.sqrt(2.0 / fan_in))
         biases.append(np.zeros(width))
         c_in = width
-    return LossNet(kernels, biases, seed)
+    return LossNet(kernels, biases)
 
 
 @dataclass(frozen=True)
@@ -129,9 +132,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -154,7 +154,7 @@ def adam_update(
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_B1, _ADAM_B2
     for name, p in params.items():
         g, m, v = grads[name], state.m[name], state.v[name]
         m *= b1
@@ -163,7 +163,7 @@ def adam_update(
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

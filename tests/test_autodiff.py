@@ -214,6 +214,17 @@ def test_complex_operand_is_a_shape_error(name, op, shapes, index):
             op(*args)
 
 
+def test_w_of_another_shape_than_w_inv_is_a_shape_error():
+    """channel_mix_inv reads W only for its gradient; a W whose shape is
+    not W^{-1}'s fails on entry, not as a bare numpy error in backward."""
+    for taped in (True, False):
+        tape = ad.Tape()
+        x, w = ad.Var(np.ones((1, 3, 2, 2)), tape), np.eye(2)
+        with pytest.raises(ShapeError, match="differ in shape"):
+            ad.channel_mix_inv(x, ad.Var(w, tape) if taped else w, np.eye(3))
+        assert not tape.nodes
+
+
 def test_inference_builds_no_var(monkeypatch):
     model = build_flownet(FlowNetConfig(1, 2, 4, 3, 16, 16), seed=0)
     rng = np.random.default_rng(0)

@@ -70,6 +70,8 @@ def commands(files, out):
         "stylize": ["stylize", *io_args(files), "--out", out / "s.ppm"],
         "stylize-wct": ["stylize", *io_args(files), "--transfer", "wct",
                         "--alpha", "0.5", "--out", out / "s.ppm"],
+        "stylize-patchswap": ["stylize", *io_args(files), "--transfer", "patchswap",
+                              "--patch-size", "3", "--stride", "2", "--out", out / "s.ppm"],
         "leak-test": ["leak-test", *io_args(files), "--rounds", "2"],
         "reverse": ["reverse", *io_args(files), "--out-stylized", out / "a.ppm",
                     "--out-recovered", out / "b.ppm"],
@@ -82,7 +84,7 @@ def commands(files, out):
     }
 
 
-CASES = ["stylize", "stylize-wct", "leak-test", "reverse", "factor", "train", "ablate"]
+CASES = ["stylize", "stylize-wct", "stylize-patchswap", "leak-test", "reverse", "factor", "train", "ablate"]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -178,9 +180,11 @@ def test_empty_config_gives_train_config_defaults(tmp_path):
         ["leak-test", "--content", "c.ppm", "--style", "s.ppm", "--model", "m.ckpt",
          "--rounds", "many"],
         ["train", "--config"],
+        ["stylize", "--content", "c.ppm", "--style", "s.ppm", "--model", "m.ckpt",
+         "--out", "o.ppm", "--stride", "2"],
     ],
     ids=["no-command", "unknown-command", "missing-args", "bad-choice", "bad-int",
-         "missing-value"],
+         "missing-value", "patch-flag-without-patchswap"],
 )
 def test_bad_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -5,8 +5,8 @@ every CLI subcommand, is crossed with a grammar of malformed inputs:
 complex, bool, object and string dtypes; NaN and inf; an empty batch or
 no channels; another rank; other channels; an autodiff Var where only
 arrays work; non-integer, negative and ``True`` counts; non-finite,
-bool, string and out-of-range real numbers; and a transfer kind that is
-not a ``TransferKind``. Each case must raise a ``FlowStyleError``
+bool, string and out-of-range real numbers; a transfer kind that is
+not a ``TransferKind``; and an init state that is not a bool. Each case must raise a ``FlowStyleError``
 subclass with warnings turned into errors, so that a ComplexWarning or a
 bare numpy error fails it.
 
@@ -153,7 +153,7 @@ ARRAY_ARGS = {
         lambda v: FlowNet(CONFIG, {**MODEL.params, "b0.f0.coupling.w1": v}),
         MODEL.params["b0.f0.coupling.w1"], {}),
     ("LossNet", "kernels"): (
-        lambda v: LossNet((v,) + LOSSNET.kernels[1:], LOSSNET.biases, 0),
+        lambda v: LossNet((v,) + LOSSNET.kernels[1:], LOSSNET.biases),
         LOSSNET.kernels[0],
         {"channels": "the first kernel sets the LossNet's input channel count"}),
     ("LossNet", "features"): (lambda v: LOSSNET.features(v), IMAGE, {"var": VAR_ACCEPTED}),
@@ -201,7 +201,6 @@ COUNT_ARGS = {
     ("build_lossnet", "seed"): lambda v: build_lossnet(v),
     ("build_lossnet", "in_channels"): lambda v: build_lossnet(0, v),
     ("build_lossnet", "widths"): lambda v: build_lossnet(0, 3, (4, v)),
-    ("LossNet", "seed"): lambda v: LossNet(LOSSNET.kernels, LOSSNET.biases, v),
     **{("TrainConfig", name): (lambda v, name=name: TrainConfig(**{name: v}))
        for name in ("iterations", "batch_size", "crop_size", "seed")},
     ("TransferKind", "patch_size"): lambda v: TransferKind("patchswap", patch_size=v),
@@ -240,8 +239,6 @@ KIND_ARGS = {
     "leak_test": lambda v: leak_test(MODEL, v, IMAGE, STYLE, 2),
     "reverse_transfer": lambda v: reverse_transfer(MODEL, v, IMAGE, STYLE),
     "content_factor_image": lambda v: content_factor_image(MODEL, v, IMAGE),
-    "ablation_run": lambda v: ablation_run([CONFIG], pair_source(), [(IMAGE, STYLE)],
-                                           TRAIN_CFG, v),
 }
 
 # Public names that take no array or count of their own.
@@ -313,11 +310,7 @@ def test_malformed_real_raises_a_typed_error(entry, case):
     expect_typed_error(lambda: REAL_ARGS[entry](MALFORMED_REALS[case]))
 
 
-# None is ablation_run's default kind, AdaIN.
-KIND_CASES = [
-    (entry, case) for entry in KIND_ARGS for case in MALFORMED_KINDS
-    if (entry, case) != ("ablation_run", "none")
-]
+KIND_CASES = [(entry, case) for entry in KIND_ARGS for case in MALFORMED_KINDS]
 
 
 @pytest.mark.parametrize("entry,case", KIND_CASES, ids=[f"{e}-{c}" for e, c in KIND_CASES])
@@ -327,6 +320,16 @@ def test_malformed_kind_raises_before_any_walk(entry, case, monkeypatch):
 
     monkeypatch.setattr(FlowNet, "_walk", walk)
     expect_typed_error(lambda: KIND_ARGS[entry](MALFORMED_KINDS[case]()))
+
+
+# Each malformed init state of a FlowNet, which must be True or False.
+MALFORMED_FLAGS = {"int": 1, "none": None, "string": "yes", "numpy bool": np.True_}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FLAGS))
+def test_malformed_init_flag_raises_a_typed_error(case):
+    flag = MALFORMED_FLAGS[case]
+    expect_typed_error(lambda: FlowNet(CONFIG, MODEL.params, initialized=flag))
 
 
 def test_valid_arguments_pass():
@@ -341,6 +344,8 @@ def test_valid_arguments_pass():
             call(0.5)
         for call in KIND_ARGS.values():
             call(WCT)
+        for flag in (True, False):
+            assert FlowNet(CONFIG, MODEL.params, initialized=flag).initialized is flag
 
 
 def test_stride_beyond_the_patch_raises_instead_of_nan():
@@ -457,14 +462,18 @@ TRAIN_KEYS = dict(iterations=1, batch_size=1, crop_size=16, n_blocks=1, n_flows=
 CLI_CASES = {
     "stylize": [
         (["--alpha", "nan"], "error"), (["--alpha", "inf"], "error"),
-        (["--alpha", "1.5"], "error"), (["--stride", "0"], "error"),
-        (["--patch-size", "-1"], "error"), (["--patch-size", "2.5"], "usage"),
+        (["--alpha", "1.5"], "error"), (["--stride", "0"], "usage"),
+        (["--patch-size", "-1"], "usage"), (["--patch-size", "2.5"], "usage"),
         (["--content", "odd.ppm"], "error"),
+        (["--transfer", "patchswap", "--stride", "0"], "error"),
+        (["--transfer", "patchswap", "--patch-size", "-1"], "error"),
+        (["--transfer", "wct", "--patch-size", "3"], "usage"),
     ],
     "leak-test": [
         (["--rounds", "0"], "error"), (["--rounds", "-1"], "error"),
         (["--rounds", "2.5"], "usage"), (["--alpha", "nan"], "error"),
-        (["--style", "odd.ppm"], "error"),
+        (["--style", "odd.ppm"], "error"), (["--stride", "1"], "usage"),
+        (["--transfer", "patchswap", "--stride", "0"], "error"),
     ],
     "reverse": [
         (["--stride", "0"], "usage"), (["--patch-size", "2"], "usage"),

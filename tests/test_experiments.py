@@ -20,7 +20,7 @@ from flowstyle.flows import (
     randomize_couplings,
 )
 from flowstyle.metrics import recon_error, ssim
-from flowstyle.training import TrainConfig, build_lossnet
+from flowstyle.training import TrainConfig
 from flowstyle.transfer import (
     ADAIN,
     FACTORS,
@@ -240,7 +240,7 @@ class TestAblationRun:
             FlowNetConfig(1, 1, 4, 3, 16, 16),
             FlowNetConfig(2, 1, 4, 3, 16, 16),
         ]
-        table = ablation_run(configs, pairs, eval_pairs, cfg, lossnet=build_lossnet(1))
+        table = ablation_run(configs, pairs, eval_pairs, cfg)
         lines = table.strip().split("\n")
         assert lines[0] == "config\trecon_error\tssim\tgram_loss"
         assert lines[1].startswith("flow1-block1\t")

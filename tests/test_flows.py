@@ -142,6 +142,19 @@ class TestActnorm:
         for name, arr in model.params.items():
             np.testing.assert_array_equal(arr, before[name])
 
+    def test_model_built_initialized_keeps_its_actnorms(self):
+        # The constant batch would clamp every channel of an uninitialized
+        # model; the stored scales and biases stay instead.
+        fresh = build_flownet(FlowNetConfig(1, 2, 4, 3, 8, 8), seed=1)
+        model = FlowNet(fresh.config, fresh.params, initialized=True)
+        before = {n: a.copy() for n, a in model.params.items()}
+        assert initialize_actnorms(model, np.full((2, 3, 8, 8), 7.0)) == []
+        assert model.initialized
+        for name, arr in model.params.items():
+            np.testing.assert_array_equal(arr, before[name])
+        assert initialize_actnorms(fresh, np.full((2, 3, 8, 8), 7.0))
+        assert fresh.initialized
+
 
 class TestInvConv:
     def test_identity_weight(self):
@@ -539,7 +552,7 @@ class TestFlowNet:
     def test_identity_model_inverse_is_unsqueeze_only(self):
         cfg = FlowNetConfig(1, 2, 4, 3, 8, 8)
         model = build_flownet(cfg)
-        model.actnorm_initialized = dict.fromkeys(model.actnorm_initialized, True)
+        model.initialized = True
         for f in ("b0.f0", "b0.f1"):  # actnorms keep w=1, b=0
             model.params[f"{f}.invconv.weight"] = np.eye(cfg.block_channels(0))
         z = np.random.default_rng(15).standard_normal((1, 12, 4, 4))
@@ -662,9 +675,6 @@ class TestLayerList:
         names = [n for layer in cfg.layers() for n in layer.shapes]
         assert list(model.params) == names
         assert names[-1] == "b3.f3.coupling.b3"
-        assert list(model.actnorm_initialized) == [
-            layer.name for layer in cfg.layers() if layer.kind == "actnorm"
-        ]
 
     def test_mismatched_store_rejected(self):
         model, _ = make_model()

@@ -265,6 +265,19 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(self._with_value(tmp_path, self.FIRST_FLAG, flag))
 
+    @pytest.mark.parametrize("initialized", [True, False])
+    def test_disagreeing_init_flags_rejected(self, tmp_path, initialized):
+        # Every actnorm block carries the model's one flag; a file whose
+        # first flag differs from the other three is no model's.
+        model = build_flownet(FlowNetConfig(2, 2, 4, 3, 8, 8), seed=7)
+        model.initialized = initialized
+        blob = bytearray(checkpoint_bytes(model))
+        struct.pack_into("<d", blob, self.FIRST_FLAG, 0.0 if initialized else 1.0)
+        p = tmp_path / "d.ckpt"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCheckpointError, match="disagree"):
+            load_checkpoint(p)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_rejected(self, tmp_path, value):
         with pytest.raises(CorruptCheckpointError):

@@ -99,7 +99,7 @@ class TestLossNet:
 
     def test_lossnet_needs_a_stage(self):
         with pytest.raises(ShapeError, match="stage"):
-            LossNet([], [], seed=0)
+            LossNet([], [])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_image_raises_numeric_error(self, bad):
@@ -181,7 +181,7 @@ class TestStyleLoss:
         k = np.zeros((2, 1, 3, 3))
         k[0, 0] = 0.1
         k[1, 0] = 0.2
-        net = LossNet([k], [np.array([1.0, 1.0])], seed=0)
+        net = LossNet([k], [np.array([1.0, 1.0])])
         rng = np.random.default_rng(7)
         img = 0.5 + 0.1 * rng.random((1, 1, 2, 2))
         delta = 0.01
