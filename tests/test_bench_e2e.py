@@ -1,0 +1,42 @@
+"""The committed end-to-end benchmark points (``BENCH_e2e.json``).
+
+Each point is one ``perfbench/run.py --trace 0`` run of one commit: its
+SHA and PR number, the workload, seed, run seconds and round, run.py's
+``env`` line and its final JSON object. The file must name only the
+workloads and metrics that BENCHMARK.json defines, hold no run with a
+failed op, and hold each (SHA, workload, seed, round) once. No timing
+is asserted: the numbers depend on the machine.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+POINTS = json.loads((ROOT / "BENCH_e2e.json").read_text())["points"]
+FIELDS = {"sha", "pr", "workload", "seed", "seconds", "round", "env", "result"}
+
+
+def test_points_exist():
+    assert POINTS
+
+
+@pytest.mark.parametrize("i", range(len(POINTS)))
+def test_point_is_a_clean_run_of_a_named_workload(i):
+    point = POINTS[i]
+    assert FIELDS <= set(point)
+    assert len(point["sha"]) == 40 and int(point["sha"], 16) >= 0
+    assert isinstance(point["pr"], int) and isinstance(point["round"], int)
+    assert point["workload"] in {w["name"] for w in BENCHMARK["workloads"]}
+    assert point["env"]["seed"] == point["seed"]
+    result = point["result"]
+    assert result["failed"] == 0 and result["attempted"] > 0
+    named = {m["name"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
+    assert result["metrics"] and set(result["metrics"]) <= named
+
+
+def test_each_run_appears_once():
+    keys = [(p["sha"], p["workload"], p["seed"], p["round"]) for p in POINTS]
+    assert len(keys) == len(set(keys))
