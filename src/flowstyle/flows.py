@@ -263,12 +263,20 @@ def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, scratch, out=None):
     """The coupling kernel on the channel-major ``x`` (C,B,H,W), whose
     halves are the leading-axis slices ``x[:C/2]`` and ``x[C/2:]``:
     ``y_b = x_b + shift(x_a)`` (``-`` for the inverse) is written into
-    ``out`` (``x`` itself runs it in place; a new array when None)."""
+    ``out`` (``x`` itself runs it in place; a new array when None).
+
+    When conv3's kernel and bias, as passed, are all zero (an identity
+    coupling: fresh, or zeroed by hand), the shift is +0.0 and the inner
+    network is not run: ``x_b + 0.0`` (``x_b - 0.0``) has the bits that
+    the network's shift gives, -0.0 turning +0.0 in the forward included,
+    because ``0 * h + 0`` sums to +0.0 in every conv form while the
+    hidden maps are finite. A hidden map that overflows to ±inf would
+    make that shift NaN; the identity coupling gives ``x_b`` instead."""
     half = x.shape[0] // 2
-    shift = _shift(x[:half], w1, b1, w2, b2, w3, b3, scratch)[0]
     if out is None:
         out = np.empty(x.shape)
         out[:half] = x[:half]
+    shift = _shift(x[:half], w1, b1, w2, b2, w3, b3, scratch)[0] if w3.any() or b3.any() else 0.0
     (np.subtract if inverse else np.add)(x[half:], shift, out=out[half:])
     return out
 
@@ -569,10 +577,11 @@ def _check_rebuild(x, v, inverse):
 def build_flownet(config: FlowNetConfig, seed: int = 0) -> FlowNet:
     """Fresh network: identity couplings, random orthogonal mixing.
 
-    Couplings start exactly at identity (zero final conv), invertible 1x1
-    convolutions start as Haar-random orthogonal matrices (QR of a seeded
-    Gaussian, determinant-sign fixed), and actnorms await data-dependent
-    initialization.
+    Couplings start exactly at identity (zero final conv), so identity
+    couplings cost no conv work until trained or randomized
+    (:func:`_coupling`); invertible 1x1 convolutions start as Haar-random
+    orthogonal matrices (QR of a seeded Gaussian, determinant-sign
+    fixed), and actnorms await data-dependent initialization.
     """
     rng = np.random.default_rng(as_index("seed", seed, 0))
     params = {}
@@ -601,6 +610,11 @@ def initialize_actnorms(model: FlowNet, batch) -> list[tuple[str, list[int]]]:
     infinite value in the batch raises NumericError, and a complex or
     empty one ShapeError (:func:`errors.as_batch`), before any statistic
     is taken.
+
+    On a fresh model every coupling is the identity, so the pass costs
+    the actnorm statistics, the invconv GEMMs and the squeezes, and no
+    coupling conv; couplings that are no longer the identity run their
+    inner networks.
     """
     data = as_batch("actnorm initialization batch", batch)
     model._check_image(data)
