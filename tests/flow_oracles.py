@@ -6,9 +6,14 @@ one ``walk`` node over the array kernels of :mod:`flowstyle.flows`. The
 walk node, and the coupling kernel with its backward rule, are tested
 against these: the same values (``==``), the coupling's gradients too,
 and a whole walk's gradients up to the rounding of its rebuilt inputs.
+``reference_init`` is actnorm initialization on that graph, and
+``full_coupling`` the coupling kernel without its identity shortcut.
 """
 
+import numpy as np
+
 import flowstyle.autodiff as ad
+from flowstyle import flows
 from flowstyle.linalg import mat_inverse
 
 # Ops that only a flow layer records; a taped walk records none of them.
@@ -65,3 +70,27 @@ def reference_walk(model, v, params, inverse):
         weights = (store[name] for name in layer.shapes)
         v = REFERENCE_LAYERS[layer.kind](v, *weights, inverse=inverse)
     return v
+
+
+def reference_init(model, batch):
+    """``initialize_actnorms`` on the per-op graph: the parameter store
+    after each actnorm takes the statistics of the reference walk's
+    activations that reach it. ``model`` is left as it is."""
+    params, v = dict(model.params), batch
+    for layer in model.layers:
+        if layer.kind == "actnorm":
+            params.update(zip(layer.shapes, flows.actnorm_init(v)[:2]))
+        v = REFERENCE_LAYERS[layer.kind](v, *(params[name] for name in layer.shapes))
+    return params
+
+
+def full_coupling(x, w1, b1, w2, b2, w3, b3, inverse, scratch, out=None):
+    """``flows._coupling`` with the inner network run for every coupling,
+    identity couplings included."""
+    half = x.shape[0] // 2
+    if out is None:
+        out = np.empty(x.shape)
+        out[:half] = x[:half]
+    shift = flows._shift(x[:half], w1, b1, w2, b2, w3, b3, scratch)[0]
+    (np.subtract if inverse else np.add)(x[half:], shift, out=out[half:])
+    return out

@@ -1,11 +1,13 @@
 """The committed end-to-end benchmark points (``BENCH_e2e.json``).
 
 Each point is one ``perfbench/run.py --trace 0`` run of one commit: its
-SHA and PR number, the workload, seed, run seconds and round, run.py's
-``env`` line and its final JSON object. The file must name only the
-workloads and metrics that BENCHMARK.json defines, hold no run with a
-failed op, and hold each (SHA, workload, seed, round) once. No timing
-is asserted: the numbers depend on the machine.
+SHA, PR number and ``src`` tree, the workload, seed, run seconds and
+round, run.py's ``env`` line and its final JSON object. The file must
+name only the workloads and metrics that BENCHMARK.json defines, hold no
+run with a failed op, and hold each (SHA, workload, seed, round) once.
+Points come in alternated parent/child pairs: each (workload, seed,
+round) holds exactly two points, of two different SHAs. No timing is
+asserted: the numbers depend on the machine.
 """
 
 import json
@@ -16,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 POINTS = json.loads((ROOT / "BENCH_e2e.json").read_text())["points"]
-FIELDS = {"sha", "pr", "workload", "seed", "seconds", "round", "env", "result"}
+FIELDS = {"sha", "pr", "src_tree", "workload", "seed", "seconds", "round", "env", "result"}
 
 
 def test_points_exist():
@@ -27,7 +29,8 @@ def test_points_exist():
 def test_point_is_a_clean_run_of_a_named_workload(i):
     point = POINTS[i]
     assert FIELDS <= set(point)
-    assert len(point["sha"]) == 40 and int(point["sha"], 16) >= 0
+    for sha in (point["sha"], point["src_tree"]):
+        assert len(sha) == 40 and int(sha, 16) >= 0
     assert isinstance(point["pr"], int) and isinstance(point["round"], int)
     assert point["workload"] in {w["name"] for w in BENCHMARK["workloads"]}
     assert point["env"]["seed"] == point["seed"]
@@ -40,3 +43,11 @@ def test_point_is_a_clean_run_of_a_named_workload(i):
 def test_each_run_appears_once():
     keys = [(p["sha"], p["workload"], p["seed"], p["round"]) for p in POINTS]
     assert len(keys) == len(set(keys))
+
+
+def test_runs_come_in_parent_child_pairs():
+    pairs = {}
+    for p in POINTS:
+        pairs.setdefault((p["workload"], p["seed"], p["round"]), []).append(p["sha"])
+    for key, shas in pairs.items():
+        assert len(shas) == 2 and shas[0] != shas[1], key

@@ -3,7 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from flow_oracles import FLOW_LAYER_OPS, coupling_reference, reference_walk
+from flow_oracles import (
+    FLOW_LAYER_OPS,
+    coupling_reference,
+    full_coupling,
+    reference_init,
+    reference_walk,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +40,14 @@ from flowstyle.metrics import (
     recon_error,
     ssim,
 )
-from flowstyle.training import TrainConfig, build_lossnet, train, training_loss
+from flowstyle.training import (
+    AdamState,
+    TrainConfig,
+    build_lossnet,
+    train,
+    train_step,
+    training_loss,
+)
 from flowstyle.transfer import ADAIN
 
 
@@ -645,6 +658,139 @@ class TestWalkBuffers:
         model.inverse(rng.standard_normal(z.shape))
         np.testing.assert_array_equal(z, kept[0])
         np.testing.assert_array_equal(x, kept[1])
+
+
+
+def assert_same_bits(got, want, name=""):
+    """Equal shapes and bytes: ``-0.0`` differs from ``+0.0``."""
+    assert got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+def with_signed_zeros(a):
+    """``a`` with a band of ``-0.0`` and one of ``+0.0`` along its rows."""
+    a = a.copy()
+    a[..., 0, :] = -0.0
+    a[..., 1, :] = 0.0
+    return a
+
+
+def count_shifts(monkeypatch):
+    """A list into which every later ``flows._shift`` call appends one entry."""
+    calls, shift = [], flows._shift
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return shift(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_shift", counted)
+    return calls
+
+
+class TestIdentityCouplings:
+    """A coupling whose conv3 kernel and bias are all zero skips its inner
+    network and writes ``x_b + 0.0`` (``- 0.0``): the bits of the network's
+    +0.0 shift, in the walks, actnorm initialization and training."""
+
+    ARCHS = {"flow2-block1": (1, 2, 4, 8, 8), "flow8-block2": (2, 8, 8, 8, 12)}
+
+    @classmethod
+    def fresh(cls, arch, zero=0.0):
+        n_blocks, n_flows, hidden, h, w = cls.ARCHS[arch]
+        model = build_flownet(FlowNetConfig(n_blocks, n_flows, hidden, 3, h, w), seed=1)
+        for layer in model.layers:
+            if layer.kind == "coupling":
+                for name in (f"{layer.name}.w3", f"{layer.name}.b3"):
+                    model.params[name] = np.full(layer.shapes[name], zero)
+        return model
+
+    @staticmethod
+    def check_against_per_op_graph(model, batch):
+        """Initialization, forward and inverse of ``model`` have the bits of
+        the per-op graph, signed zeros in the image and the latent included."""
+        x = with_signed_zeros(batch)
+        want = reference_init(model, x)
+        initialize_actnorms(model, x)
+        for name, value in want.items():
+            assert_same_bits(model.params[name], value, name)
+        assert_same_bits(model.forward(x), reference_walk(model, x, None, False))
+        latent = (len(x), *model.config.latent_shape())
+        z = with_signed_zeros(np.random.default_rng(2).standard_normal(latent))
+        assert_same_bits(model.inverse(z), reference_walk(model, z, None, True))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("arch", list(ARCHS))
+    def test_fresh_models_equal_per_op_graph(self, arch, batch, zero, monkeypatch):
+        model = self.fresh(arch, zero)
+        calls = count_shifts(monkeypatch)
+        shape = (batch, 3, model.config.in_height, model.config.in_width)
+        self.check_against_per_op_graph(model, np.random.default_rng(batch).random(shape))
+        assert not calls
+
+    @pytest.mark.parametrize("zeroed", ["w3", "b3"])
+    def test_half_zero_conv3_runs_the_network(self, zeroed, monkeypatch):
+        model = self.fresh("flow2-block1")
+        randomize_couplings(model, seed=4)
+        couplings = [layer for layer in model.layers if layer.kind == "coupling"]
+        for layer in couplings:
+            name = f"{layer.name}.{zeroed}"
+            model.params[name] = np.zeros(layer.shapes[name])
+        calls = count_shifts(monkeypatch)
+        self.check_against_per_op_graph(model, np.random.default_rng(5).random((2, 3, 8, 8)))
+        # Init, forward and inverse, each through every coupling.
+        assert len(calls) == 3 * len(couplings)
+
+    def test_shift_runs_only_for_couplings_that_are_not_identity(self, monkeypatch):
+        model = self.fresh("flow8-block2")
+        batch = np.random.default_rng(6).random((2, 3, 8, 12))
+        calls = count_shifts(monkeypatch)
+        initialize_actnorms(model, batch)
+        model.inverse(model.forward(batch))
+        assert not calls
+        # A params override is seen at once: one coupling runs its network.
+        w3 = "b1.f7.coupling.w3"
+        model.forward(batch, params={w3: np.ones(model.params[w3].shape)})
+        assert len(calls) == 1
+        randomize_couplings(model, seed=7)
+        calls.clear()
+        z = model.forward(batch)
+        assert len(calls) == 16
+        model.inverse(z)
+        assert len(calls) == 32
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_kernel_keeps_the_network_bits(self, inverse, zero):
+        p = make_coupling(6, 5, seed=8)
+        p["w3"], p["b3"] = np.full_like(p["w3"], zero), np.full_like(p["b3"], zero)
+        x = ad._swap(with_signed_zeros(np.random.default_rng(9).standard_normal((2, 6, 5, 7))))
+        got = flows._coupling(x, *p.values(), inverse, ad._Scratch())
+        want = full_coupling(x, *p.values(), inverse, ad._Scratch())
+        assert_same_bits(got, want)
+        # The forward turns -0.0 into +0.0; the inverse keeps it.
+        zeros = got[3:][got[3:] == 0.0]
+        assert zeros.size and np.signbit(zeros).any() == inverse
+
+    def test_first_train_steps_equal_full_network_steps(self, monkeypatch):
+        """Losses, Adam moments and updated parameters of two steps from a
+        fresh model, its first step on identity couplings."""
+        rng = np.random.default_rng(10)
+        batch = rng.random((2, 3, 8, 12)), rng.random((2, 3, 8, 12))
+        cfg, lossnet = TrainConfig(iterations=2), build_lossnet(0)
+        runs = []
+        for coupling in (flows._coupling, full_coupling):
+            monkeypatch.setattr(flows, "_coupling", coupling)
+            model = self.fresh("flow8-block2")
+            adam = AdamState.for_params(model.params)
+            results = [train_step(model, lossnet, batch, cfg, adam) for _ in range(2)]
+            runs.append((results, model.params, adam))
+        (got, params, adam), (want, want_params, want_adam) = runs
+        assert got == want
+        for name, value in want_params.items():
+            assert_same_bits(params[name], value, name)
+            assert_same_bits(adam.m[name], want_adam.m[name], name)
+            assert_same_bits(adam.v[name], want_adam.v[name], name)
 
 
 class TestLayerList:
