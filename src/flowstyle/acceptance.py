@@ -251,8 +251,10 @@ def _op_grad_cases():
          wrap(lambda p: ad.unsqueeze2(ad.mul(ad.squeeze2(p["x"]), 1.5)))),
         ("split_concat", {"x": (1, 4, 2, 2)},
          wrap(lambda p: ad.concat_half(*_swap(ad.split_half(p["x"]))))),
-        ("stats", {"x": (1, 3, 3, 3)},
-         wrap(lambda p: ad.per_channel(channel_stats(p["x"]).std))),
+        # Weighted, so that the loss depends on the content's pattern too.
+        ("adain", {"c": (1, 3, 3, 3), "s": (1, 3, 2, 2)},
+         wrap(lambda p: ad.mul(
+             adain(p["c"], p["s"]), np.linspace(-1.0, 2.0, 27).reshape(1, 3, 3, 3)))),
     ]
 
 

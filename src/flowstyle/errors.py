@@ -6,13 +6,17 @@ class so callers can discriminate without string matching.
 
 Each public entry point checks each of its arguments once, on entry,
 with one of four helpers; internal calls and kernels trust the values
-they are given. :func:`as_index` takes a count, :func:`as_real` a real
-number in a range, :func:`as_batch` a real, finite, non-empty
-(B, C, H, W) array and :func:`as_feature` the same or an autodiff Var.
-Each tests the dtype before any cast (:func:`as_reals`, as autodiff
-does), so complex input is a ShapeError, never a ComplexWarning. A
-transfer kind is checked next to its class (``transfer._as_kind``).
-Values the program computes are checked where they are made.
+they are given, but for three re-checks: ``LossNet.features`` →
+``autodiff.conv2d``, ``training_loss`` → ``transfer.adain``, and each
+training walk's check of its overrides (``FlowNet._walk``).
+:func:`as_index` takes a count, :func:`as_real` a real number in a
+range, :func:`as_batch` a real, finite, non-empty (B, C, H, W) array and
+:func:`as_feature` the same or an autodiff Var. Each tests the dtype
+before any cast (:func:`as_reals`, as autodiff does), so complex input
+is a ShapeError, never a ComplexWarning. A transfer kind and a network
+config are checked next to their classes (``transfer._as_kind``,
+``flows._as_config``). Values the program computes are checked where
+they are made.
 """
 
 import functools

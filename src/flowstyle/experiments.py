@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError, as_batch, as_index, as_real
 from .flows import FlowNet, FlowNetConfig, _StepParams, build_flownet
-from .metrics import gram_loss, recon_error, ssim
+from .metrics import evaluate_stylization, ssim
 from .training import TrainConfig, build_lossnet, train
 from .transfer import ADAIN, FACTORS, TransferKind, _as_kind, transfer_apply
 
@@ -132,8 +132,9 @@ def ablation_run(configs: list[FlowNetConfig], train_pairs, eval_pairs, cfg: Tra
     Per config, trained against ``build_lossnet(cfg.seed)``, the table
     row carries the worst round-trip error over the evaluation contents
     plus SSIM (content vs AdaIN-stylized) and Gram loss (style vs
-    stylized) averaged over the evaluation pairs. Each evaluation image,
-    (C,H,W) or a batch, is checked before any training: by
+    stylized) averaged over the evaluation pairs, each pair scored by
+    :func:`metrics.evaluate_stylization`. Each evaluation image, (C,H,W)
+    or a batch, is checked before any training: by
     :func:`errors.as_batch` and against every config's network.
     """
     eval_pairs = [(_as_batch(content), _as_batch(style)) for content, style in eval_pairs]
@@ -146,16 +147,14 @@ def ablation_run(configs: list[FlowNetConfig], train_pairs, eval_pairs, cfg: Tra
     for config, model in zip(configs, models):
         net = build_lossnet(cfg.seed, config.in_channels)
         train(model, cfg, train_pairs, lossnet=net)
-        worst_recon = 0.0
-        ssims, grams = [], []
-        for content, style in eval_pairs:
-            stylized = stylize(model, ADAIN, content, style)
-            worst_recon = max(worst_recon, recon_error(model, content))
-            ssims.append(ssim(content, stylized))
-            grams.append(gram_loss(style, stylized, net))
-        name = f"flow{config.n_flows}-block{config.n_blocks}"
+        reports = [
+            evaluate_stylization(model, net, content, style, stylize(model, ADAIN, content, style))
+            for content, style in eval_pairs
+        ]
+        worst_recon = max((r.recon_error for r in reports), default=0.0)
+        ssims, grams = [r.ssim for r in reports], [r.gram_loss for r in reports]
         rows.append(
-            f"{name}\t{worst_recon:.17g}"
+            f"flow{config.n_flows}-block{config.n_blocks}\t{worst_recon:.17g}"
             f"\t{float(np.mean(ssims)):.17g}\t{float(np.mean(grams)):.17g}"
         )
     return "\n".join(rows) + "\n"

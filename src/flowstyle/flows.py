@@ -53,11 +53,12 @@ from .errors import (
     as_batch,
     as_feature,
     as_index,
+    as_real,
 )
 from .linalg import mat_inverse
+from .transfer import EPS_STD, _moments
 
 ACTNORM_SCALE_FLOOR = 1e-6
-ACTNORM_STD_FLOOR = 1e-6
 # Largest relative error with which a walk's backward may rebuild its
 # input: the round-trip bound of the acceptance criteria. Healthy models
 # rebuild to about 1e-14.
@@ -184,6 +185,13 @@ class FlowNetConfig:
                 )
 
 
+def _as_config(config) -> FlowNetConfig:
+    """``config`` itself; ShapeError unless it is a :class:`FlowNetConfig`."""
+    if not isinstance(config, FlowNetConfig):
+        raise ShapeError(f"config must be a FlowNetConfig, got {config!r}")
+    return config
+
+
 def named_config(
     name: str,
     in_channels: int = 3,
@@ -236,13 +244,11 @@ def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
     Returns the scale, the bias and the indices of channels whose
     standard deviation had to be clamped up to the 1e-6 floor (constant
-    channels); clamping is not an error.
+    channels); clamping is not an error. The statistics are AdaIN's
+    (:func:`transfer._moments`).
     """
-    data = ad._data(batch)
-    mean = data.mean(axis=(0, 2, 3))
-    std = data.std(axis=(0, 2, 3))
-    clamped = [int(i) for i in np.nonzero(std < ACTNORM_STD_FLOOR)[0]]
-    std = np.maximum(std, ACTNORM_STD_FLOOR)
+    mean, root, std = _moments(batch)
+    clamped = [int(i) for i in np.nonzero(root < EPS_STD)[0]]
     scale = np.maximum(1.0 / std, ACTNORM_SCALE_FLOOR)
     return scale, -mean * scale, clamped
 
@@ -407,7 +413,7 @@ class FlowNet:
     def __init__(
         self, config: FlowNetConfig, params: dict[str, np.ndarray], initialized: bool = False
     ):
-        self.config = config
+        self.config = _as_config(config)
         self.layers = tuple(config.layers())
         shapes = [(n, s) for layer in self.layers for n, s in layer.shapes.items()]
         if list(params) != [n for n, _ in shapes]:
@@ -583,7 +589,7 @@ def build_flownet(config: FlowNetConfig, seed: int = 0) -> FlowNet:
     orthogonal matrices (QR of a seeded Gaussian, determinant-sign
     fixed), and actnorms await data-dependent initialization.
     """
-    rng = np.random.default_rng(as_index("seed", seed, 0))
+    config, rng = _as_config(config), np.random.default_rng(as_index("seed", seed, 0))
     params = {}
     for layer in config.layers():
         for name, shape in layer.shapes.items():
@@ -639,10 +645,12 @@ def randomize_couplings(model: FlowNet, seed: int = 0, scale: float = 1.0):
 
     Destroys the identity-at-init property on purpose; used as a control
     when measuring how much a fresh network already preserves content.
-    ``scale`` multiplies the 1/sqrt(fan_in) weight magnitude. Per
-    coupling the three kernels are drawn first, then the three biases.
+    ``scale``, in [0, 1000], multiplies the 1/sqrt(fan_in) weight
+    magnitude. Per coupling the three kernels are drawn first, then the
+    three biases.
     """
     rng = np.random.default_rng(as_index("seed", seed, 0))
+    scale = as_real("scale", scale, 0.0, 1e3)
     for layer in model.layers:
         if layer.kind != "coupling":
             continue

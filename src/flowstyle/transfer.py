@@ -18,14 +18,14 @@ stylization stable. ``patch_swap`` is the deliberate counterexample:
 replacing content patches by matched style patches is not invertible,
 so repeated application corrupts content.
 
-All functions are pure and operate on float64 (B,C,H,W) arrays. AdaIN's
-functions also accept taped :class:`~flowstyle.autodiff.Var` features
-and then return Vars, so training differentiates through the same
-``adain`` that inference runs: ``adain`` and ``channel_stats`` record
-one node each, whose backward is the closed-form gradient through the
-per-channel mean and floored std (:func:`_moments_grad`). The WCT and
-patch-swap functions take arrays only (:func:`~flowstyle.errors.as_batch`,
-where the others use :func:`~flowstyle.errors.as_feature`).
+All functions are pure and operate on float64 (B,C,H,W) arrays, which
+they check with :func:`~flowstyle.errors.as_batch`. ``adain`` alone also
+accepts taped :class:`~flowstyle.autodiff.Var` features, so training
+differentiates through the same ``adain`` that inference runs: it is the
+one taped AdaIN, one node whose backward is the closed-form gradient
+through both sides' per-channel mean and floored std
+(:func:`_moments_grad`). Every per-channel statistic, AdaIN's factors
+and flow actnorm initialization included, comes from :func:`_moments`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _KINDS = ("adain", "wct", "patchswap")
 
 @dataclass(frozen=True)
 class FeatureStats:
-    """Per-channel mean and (floored) standard deviation; Vars for taped input."""
+    """AdaIN's style factor: per-channel mean and floored std arrays."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -111,8 +111,8 @@ def _pc(v):
 
 def _moments(a):
     """Per-channel (mean, raw std, floored std) of the feature array
-    ``a``: the array code of :func:`channel_stats`, with the bits of its
-    per-op graph."""
+    ``a``, over batch and spatial positions: the statistic of
+    :func:`channel_stats`, ``adain`` and ``flows.actnorm_init``."""
     mean = a.mean(axis=(0, 2, 3))
     centered = a - _pc(mean)
     root = np.sqrt((centered * centered).mean(axis=(0, 2, 3)))
@@ -151,39 +151,23 @@ def channel_stats(f) -> FeatureStats:
 
     Standard deviation uses the population convention (divide by N) and
     is floored at 1e-6 so constant channels stay usable downstream.
-
-    A taped Var gives two Vars from one ``channel_stats`` node (as
-    ``autodiff.split_half`` does) whose backward is
-    :func:`_moments_grad`; it keeps the raw std and rebuilds the
-    centered feature from its input.
     """
-    f = as_feature("feature", f)
-    mean, root, std = _moments(ad._data(f))
-    if not isinstance(f, ad.Var):
-        return FeatureStats(mean, std)
-    mean, std = ad._op_output(mean, f.tape), ad._op_output(std, f.tape)
-
-    def back():
-        g_mean, g_std = (0.0 if v.grad is None else v.grad for v in (mean, std))
-        ad._accum(f, _moments_grad(f.data - _pc(mean.data), root, g_mean, g_std))
-
-    f.tape.nodes.append(ad._Node("channel_stats", back, (f,), (mean, std)))
+    mean, _, std = _moments(as_batch("feature", f))
     return FeatureStats(mean, std)
 
 
-def adain_content_factor(f):
+def adain_content_factor(f) -> np.ndarray:
     """Standardized feature: (f - mean) / std per channel."""
-    s = channel_stats(f)
-    return ad.div(ad.sub(f, ad.per_channel(s.mean)), ad.per_channel(s.std))
+    a = as_batch("feature", f)
+    mean, _, std = _moments(a)
+    return (a - _pc(mean)) / _pc(std)
 
 
-def apply_style_factor(content_factor, stats: FeatureStats):
+def apply_style_factor(content_factor, stats: FeatureStats) -> np.ndarray:
     """Recombine: content_factor * std + mean."""
-    x = as_feature("content factor", content_factor)
-    c = ad._data(x).shape[1]
-    for part in ("mean", "std"):
-        as_feature(f"style {part}", getattr(stats, part), shape=(c,))
-    return ad.add(ad.mul(x, ad.per_channel(stats.std)), ad.per_channel(stats.mean))
+    a = as_batch("content factor", content_factor)
+    mean, std = (as_batch(f"style {p}", getattr(stats, p), (a.shape[1],)) for p in ("mean", "std"))
+    return a * _pc(std) + _pc(mean)
 
 
 def adain(f_c, f_s):

@@ -6,7 +6,8 @@ one ``walk`` node over the array kernels of :mod:`flowstyle.flows`. The
 walk node, and the coupling kernel with its backward rule, are tested
 against these: the same values (``==``), the coupling's gradients too,
 and a whole walk's gradients up to the rounding of its rebuilt inputs.
-``reference_init`` is actnorm initialization on that graph, and
+``reference_init`` is actnorm initialization on that graph, with
+``actnorm_init_reference`` for each actnorm's statistics, and
 ``full_coupling`` the coupling kernel without its identity shortcut.
 """
 
@@ -72,6 +73,18 @@ def reference_walk(model, v, params, inverse):
     return v
 
 
+def actnorm_init_reference(batch):
+    """``flows.actnorm_init`` with numpy's ``mean`` and ``std`` and its
+    own 1e-6 std floor, as it was written before it took AdaIN's
+    statistics (``transfer._moments``)."""
+    mean = batch.mean(axis=(0, 2, 3))
+    std = batch.std(axis=(0, 2, 3))
+    clamped = [int(i) for i in np.nonzero(std < 1e-6)[0]]
+    std = np.maximum(std, 1e-6)
+    scale = np.maximum(1.0 / std, flows.ACTNORM_SCALE_FLOOR)
+    return scale, -mean * scale, clamped
+
+
 def reference_init(model, batch):
     """``initialize_actnorms`` on the per-op graph: the parameter store
     after each actnorm takes the statistics of the reference walk's
@@ -79,7 +92,7 @@ def reference_init(model, batch):
     params, v = dict(model.params), batch
     for layer in model.layers:
         if layer.kind == "actnorm":
-            params.update(zip(layer.shapes, flows.actnorm_init(v)[:2]))
+            params.update(zip(layer.shapes, actnorm_init_reference(v)[:2]))
         v = REFERENCE_LAYERS[layer.kind](v, *(params[name] for name in layer.shapes))
     return params
 

@@ -1,15 +1,16 @@
 """The loss side of a training step as its per-op graph.
 
-``channel_stats``, ``adain``, the style term and the content term
-composed of :mod:`flowstyle.autodiff` ops, one tape node per op, as they
-were written before each became one node. The single-node versions in
-:mod:`flowstyle.transfer` and :mod:`flowstyle.training` are tested
-against these: the same values (``==``), and gradients equal up to
-rounding.
+``adain``, the style term and the content term composed of
+:mod:`flowstyle.autodiff` ops, one tape node per op, as they were
+written before each became one node. ``adain`` is the one taped AdaIN;
+``channel_stats`` and AdaIN's two factor functions take arrays only.
+The single-node versions in :mod:`flowstyle.transfer` and
+:mod:`flowstyle.training` are tested against these: the same values
+(``==``), and gradients equal up to rounding.
 """
 
 import flowstyle.autodiff as ad
-from flowstyle.transfer import EPS_STD, FeatureStats
+from flowstyle.transfer import EPS_STD
 
 
 def stats_reference(f):
@@ -17,24 +18,24 @@ def stats_reference(f):
     mean = ad.channel_mean(f)
     centered = ad.sub(f, ad.per_channel(mean))
     std = ad.sqrt(ad.channel_mean(ad.mul(centered, centered)))
-    return FeatureStats(mean, ad.maximum_scalar(std, EPS_STD))
+    return mean, ad.maximum_scalar(std, EPS_STD)
 
 
 def adain_reference(f_c, f_s):
     """The content factor of ``f_c`` recombined with the stats of ``f_s``."""
-    s_c = stats_reference(f_c)
-    norm = ad.div(ad.sub(f_c, ad.per_channel(s_c.mean)), ad.per_channel(s_c.std))
-    s_s = stats_reference(f_s)
-    return ad.add(ad.mul(norm, ad.per_channel(s_s.std)), ad.per_channel(s_s.mean))
+    mean_c, std_c = stats_reference(f_c)
+    norm = ad.div(ad.sub(f_c, ad.per_channel(mean_c)), ad.per_channel(std_c))
+    mean_s, std_s = stats_reference(f_s)
+    return ad.add(ad.mul(norm, ad.per_channel(std_s)), ad.per_channel(mean_s))
 
 
 def style_term_reference(feats, style_feats):
     """Sum over stages of ||mu - mu_s||_2 + ||sigma - sigma_s||_2."""
     total = None
     for feat, style_feat in zip(feats, style_feats):
-        stats, target = stats_reference(feat), stats_reference(style_feat)
-        d_mu = ad.sub(stats.mean, target.mean)
-        d_sd = ad.sub(stats.std, target.std)
+        (mean, std), (mean_s, std_s) = stats_reference(feat), stats_reference(style_feat)
+        d_mu = ad.sub(mean, mean_s)
+        d_sd = ad.sub(std, std_s)
         term = ad.add(
             ad.sqrt(ad.sum_all(ad.mul(d_mu, d_mu))),
             ad.sqrt(ad.sum_all(ad.mul(d_sd, d_sd))),

@@ -6,9 +6,10 @@ complex, bool, object and string dtypes; NaN and inf; an empty batch or
 no channels; another rank; other channels; an autodiff Var where only
 arrays work; non-integer, negative and ``True`` counts; non-finite,
 bool, string and out-of-range real numbers; a transfer kind that is
-not a ``TransferKind``; and an init state that is not a bool. Each case must raise a ``FlowStyleError``
-subclass with warnings turned into errors, so that a ComplexWarning or a
-bare numpy error fails it.
+not a ``TransferKind``; a network config that is not a
+``FlowNetConfig``; and an init state that is not a bool. Each case must
+raise a ``FlowStyleError`` subclass with warnings turned into errors, so
+that a ComplexWarning or a bare numpy error fails it.
 
 Valid but unusual arrays (float32, uint8, Fortran order, strided and
 negative-stride views) must give the bits of their float64 C-contiguous
@@ -175,7 +176,7 @@ ARRAY_ARGS = {
     ("adain", "f_c"): (lambda v: adain(v, STYLE_LATENT), LATENT, {"var": VAR_ACCEPTED}),
     ("adain", "f_s"): (lambda v: adain(LATENT, v), STYLE_LATENT, {"var": VAR_ACCEPTED}),
     ("channel_stats", "f"): (
-        channel_stats, LATENT, {"var": VAR_ACCEPTED, "channels": ANY_CHANNELS}),
+        channel_stats, LATENT, {"channels": ANY_CHANNELS}),
     ("cov_factor", "f"): (cov_factor, LATENT, {"channels": ANY_CHANNELS}),
     ("wct", "f_c"): (lambda v: wct(v, STYLE_LATENT), LATENT, {}),
     ("wct", "f_s"): (lambda v: wct(LATENT, v), STYLE_LATENT, {}),
@@ -322,6 +323,28 @@ def test_malformed_kind_raises_before_any_walk(entry, case, monkeypatch):
     expect_typed_error(lambda: KIND_ARGS[entry](MALFORMED_KINDS[case]()))
 
 
+# Each malformed network config, built when its case runs: an
+# architecture's name instead of a FlowNetConfig, no config, and the
+# config's fields as a tuple.
+MALFORMED_CONFIGS = {
+    "string": lambda: "flow8-block2", "none": lambda: None,
+    "tuple": lambda: dataclasses.astuple(CONFIG),
+}
+
+CONFIG_ARGS = {
+    "build_flownet": lambda v: build_flownet(v),
+    "FlowNet": lambda v: FlowNet(v, MODEL.params),
+    "ablation_run": lambda v: ablation_run([v], pair_source(), pair_source(), TRAIN_CFG),
+}
+
+CONFIG_CASES = [(entry, case) for entry in CONFIG_ARGS for case in MALFORMED_CONFIGS]
+
+
+@pytest.mark.parametrize("entry,case", CONFIG_CASES, ids=[f"{e}-{c}" for e, c in CONFIG_CASES])
+def test_malformed_config_raises_a_typed_error(entry, case):
+    expect_typed_error(lambda: CONFIG_ARGS[entry](MALFORMED_CONFIGS[case]()))
+
+
 # Each malformed init state of a FlowNet, which must be True or False.
 MALFORMED_FLAGS = {"int": 1, "none": None, "string": "yes", "numpy bool": np.True_}
 
@@ -344,6 +367,8 @@ def test_valid_arguments_pass():
             call(0.5)
         for call in KIND_ARGS.values():
             call(WCT)
+        for call in CONFIG_ARGS.values():
+            call(CONFIG)
         for flag in (True, False):
             assert FlowNet(CONFIG, MODEL.params, initialized=flag).initialized is flag
 

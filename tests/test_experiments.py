@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import flowstyle.autodiff as ad
-from flowstyle import flows
-from flowstyle.errors import ShapeError
+from flowstyle import flows, metrics
+from flowstyle.errors import NumericError, ShapeError
 from flowstyle.experiments import (
     LeakReport,
     ablation_run,
@@ -248,6 +248,16 @@ class TestAblationRun:
         for line in lines[1:]:
             recon = float(line.split("\t")[1])
             assert recon < 1e-9
+
+    def test_non_finite_score_raises(self, monkeypatch):
+        """Each pair is scored by evaluate_stylization, whose report
+        rejects a NaN score where the table would print nan."""
+        monkeypatch.setattr(metrics, "gram_loss", lambda *args: float("nan"))
+        rng = np.random.default_rng(0)
+        pairs = [(rng.random((3, 16, 16)), rng.random((3, 16, 16)))]
+        cfg = TrainConfig(iterations=0, batch_size=1, crop_size=16)
+        with pytest.raises(NumericError, match="gram_loss"):
+            ablation_run([FlowNetConfig(1, 1, 4, 3, 16, 16)], pairs, pairs, cfg)
 
     @pytest.mark.parametrize("shape,match", [
         ((2, 16, 16), r"expected \(B,3,H,W\)"), ((3, 15, 15), "divisible by 2"),

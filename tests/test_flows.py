@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from flow_oracles import (
     FLOW_LAYER_OPS,
+    actnorm_init_reference,
     coupling_reference,
     full_coupling,
     reference_init,
@@ -138,6 +139,29 @@ class TestActnorm:
         assert clamped == [0]
         assert scale[0] == 1.0 / 1e-6
         np.testing.assert_allclose(bias[0], -5.0 / 1e-6)
+
+    # (channels, side): 3 to 768 channels, 128x128 down to 1x1 maps, where
+    # a batch of 1 leaves each channel one value.
+    GEOMETRIES = [(3, 128), (12, 64), (48, 32), (192, 16), (768, 8), (768, 1), (3, 1)]
+
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    @pytest.mark.parametrize("channels,side", GEOMETRIES)
+    def test_init_has_the_bits_of_numpy_mean_and_std(self, batch, channels, side):
+        """AdaIN's statistics give the bits of numpy's mean and std, at
+        scales from 1e-9 to 1e4 and with a constant channel."""
+        rng = np.random.default_rng(batch * 1000 + channels + side)
+        base = rng.standard_normal((batch, channels, side, side)) + rng.standard_normal(
+            (1, channels, 1, 1)
+        )
+        for magnitude in (1e-9, 1.0, 1e4):
+            for constant in (False, True):
+                x = magnitude * base
+                if constant:
+                    x[:, 0] = 0.3 * magnitude
+                got, want = actnorm_init(x), actnorm_init_reference(x)
+                for g, w in zip(got[:2], want[:2]):
+                    assert g.tobytes() == w.tobytes(), (magnitude, constant)
+                assert got[2] == want[2]
 
     def test_init_standardizes(self):
         rng = np.random.default_rng(3)
@@ -494,6 +518,17 @@ class TestConfig:
     def test_integer_like_counts_become_int(self):
         cfg = FlowNetConfig(np.int64(1), 2, np.int32(4), 3, 16, 16)
         assert (type(cfg.n_blocks), type(cfg.hidden)) == (int, int)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 1e300, "x", True],
+                             ids=["nan", "inf", "huge", "string", "true"])
+    def test_malformed_randomize_scale_changes_no_parameter(self, scale):
+        model, _ = make_model()
+        before = {name: a.tobytes() for name, a in model.params.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="scale"):
+                randomize_couplings(model, scale=scale)
+        assert {name: a.tobytes() for name, a in model.params.items()} == before
 
 
 class TestFlowNet:

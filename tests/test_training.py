@@ -7,7 +7,6 @@ import pytest
 from loss_oracles import (
     adain_reference,
     content_term_reference,
-    stats_reference,
     style_term_reference,
 )
 
@@ -37,7 +36,7 @@ from flowstyle.training import (
     training_loss,
     transfer_target,
 )
-from flowstyle.transfer import adain, channel_stats
+from flowstyle.transfer import adain
 
 
 def tiny_pairs(n=4, shape=(3, 16, 16), seed=0):
@@ -607,35 +606,6 @@ class TestLossNodes:
         np.testing.assert_array_equal(out, want_out)
         np.testing.assert_array_equal(adain(f_c, f_s), want_out)
         assert_grads_close(grads, want)
-
-    @pytest.mark.parametrize("spread", [None, 0.0, 1e-8],
-                             ids=["random", "constant channel", "floored std"])
-    def test_channel_stats_node_equals_per_op_graph(self, spread):
-        f = np.random.default_rng(31).standard_normal((2, 3, 4, 4))
-        if spread is not None:
-            f = constant_channel(f, 0, spread)
-
-        def both(stats):
-            def fn(x):
-                s = stats(x)
-                return ad.add(ad.per_channel(s.mean), ad.per_channel(s.std))
-
-            return fn
-
-        out, ops, grads = probed(both(channel_stats), {"x": f}, ("x",))
-        want_out, _, want = probed(both(stats_reference), {"x": f}, ("x",))
-        assert ops == ["channel_stats", "reshape", "reshape", "add"]
-        np.testing.assert_array_equal(out, want_out)
-        assert_grads_close(grads, want)
-
-    def test_channel_stats_node_has_two_outputs(self):
-        f = np.random.default_rng(32).standard_normal((1, 3, 4, 4))
-        tape = ad.Tape()
-        stats = channel_stats(ad.Var(f, tape))
-        (node,) = tape.nodes
-        assert node.op == "channel_stats" and node.outs == (stats.mean, stats.std)
-        ad.backward(ad.sum_all(stats.std))  # the mean takes no gradient
-        assert node.outs == ()
 
     @staticmethod
     def stage_features(seed, equal=False, spread=None):
