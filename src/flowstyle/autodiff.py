@@ -472,11 +472,9 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
       matrix of every kernel window of the padded input
       (:func:`_im2col`). A caller that built ``cols`` passes it.
     * kn2row (the coupling's 3x3, pad 1, with ``I > O``): ``k`` as
-      (kh*kw*O, I) @ ``x`` as (I, B*H*W), then each tap adds a shifted
-      slice of that product on every sample's flat H*W axis (``flat`` of
-      :func:`_taps`), after the columns a tap never reads are zeroed: a
-      read that wraps into another row adds +0.0, which leaves the bits
-      of clipped window adds (the sum starts at +0.0, never -0.0).
+      (kh*kw*O, I) @ ``x`` as (I, B*H*W), the tap-major product, whose
+      taps :func:`_tap_sum` adds into ``out``, each as one shifted slice
+      of the whole flat (O*B*H*W) range, read at ``i + d``.
 
     ``scratch`` (the :class:`_Scratch` of the walks of one call) hands
     out the column matrix and the kn2row product, which share its
@@ -498,16 +496,9 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
                 cols = _im2col(x, k, stride, pad, scratch, "taps")
             _by_sample(k.reshape(n_out, -1), cols, b, out2d)
         else:
-            prod = _take(scratch, "taps", (kh * kw * n_out, b * h * w))
+            prod = _take(scratch, "taps", (kh, kw, n_out, b * h * w))
             _by_sample(k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
-            shifts, wraps = taps.flat
-            p6 = prod.reshape(kh, kw, n_out, b, h, w)
-            for v, never_read, _ in wraps:
-                p6[:, v, :, :, :, never_read] = 0.0
-            out.fill(0.0)
-            o3, p3 = out.reshape(n_out, b, -1), prod.reshape(kh, kw, n_out, b, -1)
-            for u, v, d, lo, hi in shifts:
-                o3[:, :, lo:hi] += p3[u, v, :, :, lo + d : hi + d]
+            _tap_sum(prod, taps.flat, out, 1)
     if bias is not None:
         out += bias[:, None, None, None]
     if relu:
@@ -531,9 +522,10 @@ def _conv_grads(
     :func:`_form` chooses is one 2-D GEMM:
 
     * direct: input ``k.T @ g2d``, kernel ``g2d @ x2d.T``.
-    * im2col: input ``k.T @ g2d``, each tap of which is added into a
-      zeroed gradient at the input it read; kernel ``g2d @ cols.T``,
-      with the forward's column matrix ``cols`` when the caller kept it.
+    * im2col: input ``k.T @ g2d`` in tap-major rows (u, v, i), a
+      transposed view as ``k.T`` is, whose taps :func:`_tap_sum` adds (a
+      "same" geometry) or each tap's clipped window into zeros; kernel
+      ``g2d @ cols.T``, with the forward's ``cols`` if the caller kept it.
     * kn2row: the (O*kh*kw, B*H*W) tap matrix is ``g``'s column matrix
       (:func:`_im2col`), whose row (o, u, v) holds ``g`` at the output
       that read each input through the flipped tap; the flipped kernel as
@@ -559,12 +551,16 @@ def _conv_grads(
         elif form == "cols":
             if want_x:
                 taps = _taps(kh, kw, stride, pad, *x.shape[2:])
-                per_tap = _take(scratch, "taps", (n_in * kh * kw, g2d.shape[1]))
-                np.matmul(k.reshape(n_out, -1).T, g2d, out=per_tap)
-                per_tap = per_tap.reshape(n_in, kh, kw, x.shape[1], taps.h_out, taps.w_out)
-                gx = np.zeros(x.shape)
-                for u, v, o_rows, o_cols, rows, cols_ in taps.clipped:
-                    gx[:, :, rows, cols_] += per_tap[:, u, v, :, o_rows, o_cols]
+                per_tap = _take(scratch, "taps", (kh, kw, n_in, g2d.shape[1]))
+                k_t = np.ascontiguousarray(k.transpose(0, 2, 3, 1)).reshape(n_out, -1).T
+                np.matmul(k_t, g2d, out=per_tap.reshape(-1, g2d.shape[1]))
+                if taps.flat is not None:
+                    gx = _tap_sum(per_tap, taps.flat, np.empty(x.shape), -1)
+                else:
+                    per_tap = per_tap.reshape(kh, kw, n_in, x.shape[1], taps.h_out, taps.w_out)
+                    gx = np.zeros(x.shape)
+                    for u, v, o_rows, o_cols, rows, cols_ in taps.clipped:
+                        gx[:, :, rows, cols_] += per_tap[u, v, :, :, o_rows, o_cols]
             if want_k:
                 if cols is None:
                     cols = _im2col(x, k, stride, pad, scratch)
@@ -591,8 +587,9 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     shifted slice of every sample's flattened H*W axis (``flat`` of
     :func:`_taps`), after the rows that read above or below the input
     are zeroed, and zeroes the output columns at which a tap reads left
-    or right of it after the copies. Any other geometry zeroes the
-    matrix and copies in each tap's clipped window (``clipped``)."""
+    or right of it after the copies; :func:`_tap_sum` with ``sign`` -1
+    is its adjoint. Any other geometry zeroes the matrix and copies in
+    each tap's clipped window (``clipped``)."""
     n_in, b, h, w = x.shape
     kh, kw = k.shape[2:]
     taps = _taps(kh, kw, stride, pad, h, w)
@@ -618,6 +615,28 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     for v, _, reads_nothing in wraps:
         c6[:, :, v, :, :, reads_nothing] = 0.0
     return cols
+
+
+def _tap_sum(prod, flat, out, sign):
+    """Into ``out`` (C, B, H, W), returned, the taps of the tap-major
+    ``prod`` (kh, kw, C, B*H*W) of a "same" geometry (``flat`` of
+    :func:`_taps`), read at ``i + sign * d``: kn2row's epilogue (``sign``
+    1) and the adjoint of :func:`_im2col`'s "same" branch (-1). Each tap
+    adds as one slice of the flat range, after the reads that would cross
+    a row, sample or channel (``wraps`` columns, the first or last |d| of
+    each H*W segment) are zeroed in ``prod``: they add +0.0, which keeps
+    the bits of clipped window adds, as the sum starts at +0.0."""
+    o, n = out.reshape(-1), out.shape[2] * out.shape[3]
+    rows = prod.reshape(prod.shape[0], prod.shape[1], -1, out.shape[3])
+    for v, never_read, reads_nothing in flat[1]:
+        rows[:, v, :, never_read if sign > 0 else reads_nothing] = 0.0
+    o.fill(0.0)
+    for u, v, d, _, _ in flat[0]:
+        e, p = sign * d, prod[u, v].reshape(-1, n)
+        p[:, slice(0, e) if e > 0 else slice(n + e, n)] = 0.0
+        lo, hi = max(0, -e), o.size - max(0, e)
+        o[lo:hi] += p.reshape(-1)[lo + e : hi + e]
+    return out
 
 
 def _same(kh, kw, stride, pad):

@@ -41,6 +41,8 @@ def ssim(a, b) -> float:
     """Mean structural similarity between two image batches in [0, 1].
 
     Both are checked by :func:`errors.as_batch` and must share a shape.
+    NumericError if a local moment or product of them overflows (pixels
+    above about 1e77).
     """
     x, y = as_batch("first ssim image", a), as_batch("second ssim image", b)
     if x.shape != y.shape:
@@ -51,21 +53,26 @@ def ssim(a, b) -> float:
             f"{SSIM_WINDOW}-tap window"
         )
     g = _gaussian_window()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            values = [_ssim_map(p, q, g) for pb, qb in zip(x, y) for p, q in zip(pb, qb)]
+    except FloatingPointError:
+        raise NumericError("ssim overflows: the images are too large for their moments") from None
+    return float(np.mean(values))
+
+
+def _ssim_map(p, q, g):
+    """The SSIM value of every valid window of the 2-d arrays ``p`` and ``q``."""
     c1 = (SSIM_K1 * SSIM_RANGE) ** 2
     c2 = (SSIM_K2 * SSIM_RANGE) ** 2
-    values = []
-    for bi in range(x.shape[0]):
-        for ci in range(x.shape[1]):
-            p, q = x[bi, ci], y[bi, ci]
-            mu_p = _filter_valid(p, g)
-            mu_q = _filter_valid(q, g)
-            var_p = _filter_valid(p * p, g) - mu_p * mu_p
-            var_q = _filter_valid(q * q, g) - mu_q * mu_q
-            cov = _filter_valid(p * q, g) - mu_p * mu_q
-            num = (2.0 * mu_p * mu_q + c1) * (2.0 * cov + c2)
-            den = (mu_p * mu_p + mu_q * mu_q + c1) * (var_p + var_q + c2)
-            values.append(num / den)
-    return float(np.mean(values))
+    mu_p = _filter_valid(p, g)
+    mu_q = _filter_valid(q, g)
+    var_p = _filter_valid(p * p, g) - mu_p * mu_p
+    var_q = _filter_valid(q * q, g) - mu_q * mu_q
+    cov = _filter_valid(p * q, g) - mu_p * mu_q
+    num = (2.0 * mu_p * mu_q + c1) * (2.0 * cov + c2)
+    den = (mu_p * mu_p + mu_q * mu_q + c1) * (var_p + var_q + c2)
+    return num / den
 
 
 def gram_matrices(lossnet: LossNet, image) -> list[np.ndarray]:

@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
-from .errors import ShapeError, as_batch, as_feature, as_index, as_real
+from .errors import NumericError, ShapeError, as_batch, as_feature, as_index, as_real
 from .linalg import SymMatrix, matmul, sym_pows
 
 EPS_STD = 1e-6
@@ -112,10 +113,14 @@ def _pc(v):
 def _moments(a):
     """Per-channel (mean, raw std, floored std) of the feature array
     ``a``, over batch and spatial positions: the statistic of
-    :func:`channel_stats`, ``adain`` and ``flows.actnorm_init``."""
-    mean = a.mean(axis=(0, 2, 3))
-    centered = a - _pc(mean)
-    root = np.sqrt((centered * centered).mean(axis=(0, 2, 3)))
+    :func:`channel_stats`, ``adain`` and ``flows.actnorm_init``.
+    NumericError if a raw std overflows (a finite ``a`` above about 1e154)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = a.mean(axis=(0, 2, 3))
+        centered = a - _pc(mean)
+        root = np.sqrt((centered * centered).mean(axis=(0, 2, 3)))
+    if not np.isfinite(root).all():
+        raise NumericError("per-channel std overflows: the feature is too large to standardize")
     return mean, root, np.maximum(root, EPS_STD)
 
 
@@ -304,37 +309,39 @@ def patch_swap(f_c, f_s, patch_size: int = 3, stride: int = 1) -> np.ndarray:
     return out
 
 
-def _extract_patches(x, grid_y, grid_x, ps):
-    patches = np.stack(
-        [x[:, y : y + ps, x0 : x0 + ps] for y in grid_y for x0 in grid_x]
-    )
-    return patches.reshape(patches.shape[0], -1)
+def _patches(x, ps, stride):
+    """The patch grid's rows and columns (:func:`_patch_grid`) over ``x``
+    (C, H, W), and its (rows*cols, C*ps*ps) channel-unrolled patches in
+    row-major grid order, from one window view of ``x``."""
+    gy, gx = (np.array(_patch_grid(n, ps, stride)) for n in x.shape[1:])
+    windows = sliding_window_view(x, (ps, ps), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+    return gy, gx, windows[np.ix_(gy, gx)].reshape(gy.size * gx.size, -1)
+
+
+def _unit_rows(patches):
+    """``patches`` over their norms (floored at 1e-12); NumericError if a norm overflows."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(patches, axis=1, keepdims=True)
+    if not np.isfinite(norm).all():
+        raise NumericError("patch norms overflow: the feature is too large to match patches")
+    return patches / np.maximum(norm, 1e-12)
 
 
 def _patch_swap_single(content, style, ps, stride):
-    c_gy = _patch_grid(content.shape[1], ps, stride)
-    c_gx = _patch_grid(content.shape[2], ps, stride)
-    s_gy = _patch_grid(style.shape[1], ps, stride)
-    s_gx = _patch_grid(style.shape[2], ps, stride)
-
-    c_patches = _extract_patches(content, c_gy, c_gx, ps)
-    s_patches = _extract_patches(style, s_gy, s_gx, ps)
-    c_norm = c_patches / np.maximum(
-        np.linalg.norm(c_patches, axis=1, keepdims=True), 1e-12
-    )
-    s_norm = s_patches / np.maximum(
-        np.linalg.norm(s_patches, axis=1, keepdims=True), 1e-12
-    )
-    sims = matmul(c_norm, s_norm.T)
+    c_gy, c_gx, c_patches = _patches(content, ps, stride)
+    s_patches = _patches(style, ps, stride)[2]
+    sims = matmul(_unit_rows(c_patches), _unit_rows(s_patches).T)
     matches = np.argmax(sims, axis=1)  # first max wins: lowest style index
-
+    # Fold the chosen patches tap by tap, dy and dx descending, so each
+    # pixel gets its patches added in grid order.
+    chosen = s_patches[matches].reshape(c_gy.size, c_gx.size, -1, ps, ps)
     acc = np.zeros_like(content)
     cover = np.zeros(content.shape[1:])
-    c_channels = content.shape[0]
-    for p, (y, x0) in enumerate((y, x0) for y in c_gy for x0 in c_gx):
-        chosen = s_patches[matches[p]].reshape(c_channels, ps, ps)
-        acc[:, y : y + ps, x0 : x0 + ps] += chosen
-        cover[y : y + ps, x0 : x0 + ps] += 1.0
+    for dy in reversed(range(ps)):
+        for dx in reversed(range(ps)):
+            at = np.ix_(c_gy + dy, c_gx + dx)
+            acc[:, at[0], at[1]] += chosen[:, :, :, dy, dx].transpose(2, 0, 1)
+            cover[at] += 1.0
     return acc / cover[np.newaxis, :, :]
 
 

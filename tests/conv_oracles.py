@@ -1,12 +1,16 @@
-"""The convolution kernel's tap sums as clipped tap loops.
+"""The convolution kernel's tap sums as clipped tap loops and as strided
+row loops.
 
 Each tap of a kernel reads the input through one 4-d window, clipped at
 the border (``clipped`` of ``autodiff._taps``): the way
 ``autodiff._im2col`` runs every geometry but a "same" one, which takes
-flat shifted slices, as kn2row's forward sum and its backward tap matrix
-(``_im2col`` of the output gradient) do. The flat forms, and the strided
-column matrix, are tested against these for equal bytes, the sign of
-every zero included.
+flat shifted slices, as kn2row's backward tap matrix (``_im2col`` of the
+output gradient) does. In a "same" geometry kn2row's forward sum and the
+im2col input gradient add each tap as one contiguous slice of the whole
+flat (C*B*H*W) range (``autodiff._tap_sum``); the row loops below add it
+one sample's flat H*W row at a time instead, and the clipped loops one
+window at a time. The flat forms, and the strided column matrix, are
+tested against these for equal bytes, the sign of every zero included.
 """
 
 import numpy as np
@@ -56,3 +60,42 @@ def kn2row_taps_reference(g, x, k, stride, pad):
     for u, v, o_rows, o_cols, rows, cols_ in ad._taps(kh, kw, stride, pad, h, w).clipped:
         mat[:, kh - 1 - u, kw - 1 - v, :, rows, cols_] = g[:, :, o_rows, o_cols]
     return mat.reshape(n_out * kh * kw, -1)
+
+
+def kn2row_rows_reference(x, k, bias, pad):
+    """kn2row's forward sum in a "same" geometry, ``pad`` = (kh - 1) / 2:
+    the per-sample product, the columns of it that a tap column never
+    reads zeroed, then each tap's shifted slice added into a zeroed
+    output on every (channel, sample) row of the flat H*W axis."""
+    n_out, n_in, kh, kw = k.shape
+    _, b, h, w = x.shape
+    shifts, wraps = ad._taps(kh, kw, 1, pad, h, w).flat
+    prod = np.empty((kh * kw * n_out, b * h * w))
+    ad._by_sample(k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
+    p6 = prod.reshape(kh, kw, n_out, b, h, w)
+    for v, never_read, _ in wraps:
+        p6[:, v, :, :, :, never_read] = 0.0
+    out = np.zeros((n_out, b, h, w))
+    o3, p3 = out.reshape(n_out, b, -1), prod.reshape(kh, kw, n_out, b, -1)
+    for u, v, d, lo, hi in shifts:
+        o3[:, :, lo:hi] += p3[u, v, :, :, lo + d : hi + d]
+    if bias is not None:
+        out += bias[:, None, None, None]
+    return out
+
+
+def im2col_input_grad_reference(g, x, k, stride, pad):
+    """The im2col form's input gradient from the output gradient ``g``
+    (O, B, Ho, Wo): the per-tap GEMM ``k.T @ g``, rows (i, u, v), then
+    each tap's clipped window of it added, in tap order, into a zeroed
+    gradient at the input it read."""
+    n_out, n_in, kh, kw = k.shape
+    taps = ad._taps(kh, kw, stride, pad, *x.shape[2:])
+    g2d = g.reshape(n_out, -1)
+    with ad.blas_threads(g2d.size * n_in * kh * kw):
+        per_tap = k.reshape(n_out, -1).T @ g2d
+    per_tap = per_tap.reshape(n_in, kh, kw, x.shape[1], taps.h_out, taps.w_out)
+    gx = np.zeros(x.shape)
+    for u, v, o_rows, o_cols, rows, cols_ in taps.clipped:
+        gx[:, :, rows, cols_] += per_tap[:, u, v, :, o_rows, o_cols]
+    return gx

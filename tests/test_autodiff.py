@@ -6,12 +6,19 @@ import weakref
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from conv_oracles import im2col_reference, kn2row_reference, kn2row_taps_reference
+from conv_oracles import (
+    im2col_input_grad_reference,
+    im2col_reference,
+    kn2row_reference,
+    kn2row_rows_reference,
+    kn2row_taps_reference,
+)
 
 import flowstyle.autodiff as ad
 from flowstyle.errors import NumericError, ShapeError, StateError
 from flowstyle.experiments import leak_test, stylize
 from flowstyle.flows import FlowNetConfig, build_flownet, initialize_actnorms
+from flowstyle import linalg
 from flowstyle.linalg import mat_inverse
 from flowstyle.transfer import ADAIN, PATCHSWAP, WCT
 
@@ -925,6 +932,97 @@ class TestConvKernels:
             return ad.sum_all(ad.mul(y, y))
 
         fd_check({"x": (2, 4, 3, 5), "w": (4, 4)}, build, seeds=range(1))
+
+
+def with_signed_zeros(a, rng):
+    """``a`` with -0.0 at every channel of some positions (all of the
+    first sample's first row), and +0.0 and -0.0 at others."""
+    a = np.where(rng.random((1,) + a.shape[1:]) < 0.3, -0.0, a)
+    a[:, 0, 0] = -0.0
+    a[rng.random(a.shape) < 0.15] = 0.0
+    a[rng.random(a.shape) < 0.15] = -0.0
+    return a
+
+
+class TestTapSum:
+    """kn2row's forward sum and the im2col input gradient of a "same"
+    geometry add each tap as one flat slice (``autodiff._tap_sum``) with
+    the bytes of the strided row and clipped window loops of
+    ``tests/conv_oracles.py``."""
+
+    @pytest.mark.parametrize("channels", [(4, 2), (2, 4)], ids=["I>O", "I<=O"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    @pytest.mark.parametrize("extent", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 7), (128, 128)])
+    @pytest.mark.parametrize("ksize", [3, 5])
+    def test_flat_tap_sums_equal_strided_loops(self, ksize, extent, batch, channels):
+        """Both orientations, each output checked against its form's
+        oracle, the sign of every zero included, in a scratch whose
+        ``taps`` buffer held NaN."""
+        n_in, n_out = channels
+        pad = ksize // 2
+        rng = np.random.default_rng(ksize * 1000 + extent[0] * 10 + extent[1] + 100 * batch + n_in)
+        x = with_signed_zeros(rng.standard_normal((n_in, batch) + extent), rng)
+        g = with_signed_zeros(rng.standard_normal((n_out, batch) + extent), rng)
+        k = rng.standard_normal((n_out, n_in, ksize, ksize))
+        k[0, 0] = -0.0
+        bias = rng.standard_normal(n_out)
+        scratch = ad._Scratch()
+        scratch.take("taps", (ksize * ksize * max(channels), g[0].size)).fill(np.nan)
+        got = ad._conv(x, k, bias, 1, pad, scratch=scratch)
+        _, gx, _ = ad._conv_grads(g.copy(), x, k, 1, pad, want_k=False, scratch=scratch)
+        if n_in > n_out:
+            assert ad._form(k, 1, pad) == "kn2row"
+            want = kn2row_rows_reference(x, k, bias, pad)
+            assert want.tobytes() == kn2row_reference(x, k, bias, 1, pad).tobytes()
+            flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
+            with ad.blas_threads(g.size * n_in * ksize * ksize):
+                want_gx = (flipped @ kn2row_taps_reference(g, x, k, 1, pad)).reshape(x.shape)
+        else:
+            assert ad._form(k, 1, pad) == "cols"
+            want = np.empty_like(got)
+            ad._by_sample(k.reshape(n_out, -1), im2col_reference(x, k, 1, pad), batch,
+                          want.reshape(n_out, -1))
+            want += bias[:, None, None, None]
+            want_gx = im2col_input_grad_reference(g, x, k, 1, pad)
+        assert got.tobytes() == want.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
+
+    @pytest.mark.parametrize("geometry", [(16, 32, 3, 1, 16), (3, 16, 3, 1, 9), (2, 3, 5, 2, 4)])
+    def test_strided_input_gradient_keeps_clipped_windows(self, geometry):
+        """At stride 2 (the LossNet's convs) the input gradient still adds
+        clipped windows, with the oracle's bytes."""
+        n_in, n_out, ksize, pad, extent = geometry
+        rng = np.random.default_rng(n_in + n_out + extent)
+        x = rng.standard_normal((n_in, 2, extent, extent))
+        k = rng.standard_normal((n_out, n_in, ksize, ksize))
+        taps = ad._taps(ksize, ksize, 2, pad, extent, extent)
+        g = with_signed_zeros(rng.standard_normal((n_out, 2, taps.h_out, taps.w_out)), rng)
+        assert taps.flat is None
+        _, gx, _ = ad._conv_grads(g.copy(), x, k, 2, pad, want_k=False)
+        assert gx.tobytes() == im2col_input_grad_reference(g, x, k, 2, pad).tobytes()
+
+    @pytest.mark.skipif(linalg._openblas_thread_calls() is None,
+                        reason="numpy does not bundle OpenBLAS")
+    def test_input_gradient_has_the_same_bits_on_one_and_two_threads(self):
+        """The flat input gradient's GEMM emits its rows tap-major, (u, v,
+        i), where the oracle's are (i, u, v): on one BLAS thread and on
+        two (a GEMM large enough to keep both) each row keeps its bits."""
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((24, 4, 32, 32))
+        k = rng.standard_normal((64, 24, 3, 3))
+        g = with_signed_zeros(rng.standard_normal((64, 4, 32, 32)), rng)
+        assert g.size * 24 * 9 >= linalg.THREADED_MIN_MACS
+        get, set_ = linalg._openblas_thread_calls()
+        before, got = get(), []
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                gx = ad._conv_grads(g.copy(), x, k, 1, 1, want_k=False)[1]
+                assert gx.tobytes() == im2col_input_grad_reference(g, x, k, 1, 1).tobytes()
+                got.append(gx.tobytes())
+        finally:
+            set_(before)
+        assert got[0] == got[1]
 
 
 class TestFusedConv:

@@ -163,6 +163,21 @@ class TestActnorm:
                     assert g.tobytes() == w.tobytes(), (magnitude, constant)
                 assert got[2] == want[2]
 
+    def test_init_on_a_batch_whose_std_overflows_raises(self):
+        """A finite batch whose squares overflow raises NumericError and
+        leaves the model uninitialized with its parameters unchanged,
+        instead of every scale at the floor."""
+        cfg = FlowNetConfig(1, 2, 4, 3, 8, 8)
+        model = build_flownet(cfg, seed=0)
+        before = {n: a.tobytes() for n, a in model.params.items()}
+        batch = np.random.default_rng(1).random((2, 3, 8, 8)) * 1e300
+        with pytest.raises(NumericError, match="std overflows"):
+            initialize_actnorms(model, batch)
+        assert not model.initialized
+        assert {n: a.tobytes() for n, a in model.params.items()} == before
+        initialize_actnorms(model, batch * 1e-300)
+        assert model.initialized
+
     def test_init_standardizes(self):
         rng = np.random.default_rng(3)
         x = 3.0 * rng.standard_normal((2, 4, 8, 8)) + 1.5

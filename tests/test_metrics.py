@@ -65,6 +65,24 @@ class TestSsim:
         with pytest.raises(ShapeError):
             ssim(np.zeros((1, 1, 8, 8)), np.zeros((1, 1, 8, 8)))
 
+    @pytest.mark.parametrize("which", ["both", "one pixel"])
+    def test_overflowing_moments_raise_numeric_error(self, which):
+        """Squares that overflow raise NumericError, with no RuntimeWarning:
+        at 1e200 every moment is NaN, and one pixel at 2e154 made its
+        windows' variance inf and their score a silent 0."""
+        a = image(7)
+        if which == "both":
+            a, b = a * 1e200, a * 1e200
+        else:
+            b = a.copy()
+            a[0, 0, 8, 8] = 2e154
+        with pytest.raises(NumericError, match="ssim overflows"):
+            ssim(a, b)
+
+    def test_large_finite_images_still_score(self):
+        a, b = image(8) * 1e70, image(9) * 1e70
+        assert 0.0 < ssim(a, b) < 1.0
+
 
 class TestGramLoss:
     def test_zero_for_identical_images(self):

@@ -322,6 +322,83 @@ class TestPatchSwap:
             patch_swap(f, f, **{field: value})
 
 
+def patch_swap_reference(f_c, f_s, ps, stride):
+    """Patch swap as a loop over patches: each patch copied out of its
+    feature, matched by cosine similarity, and the chosen style patch
+    added, patch after patch in grid order, into zeros."""
+    out = np.empty_like(f_c)
+    for bi, content in enumerate(f_c):
+        style = f_s[bi % len(f_s)]
+        grids = [
+            sorted({*range(0, n - ps + 1, stride), n - ps})
+            for n in content.shape[1:] + style.shape[1:]
+        ]
+        c_pos = [(y, x) for y in grids[0] for x in grids[1]]
+        s_pos = [(y, x) for y in grids[2] for x in grids[3]]
+        c_patches = np.stack([content[:, y : y + ps, x : x + ps].ravel() for y, x in c_pos])
+        s_patches = np.stack([style[:, y : y + ps, x : x + ps].ravel() for y, x in s_pos])
+        c_unit = c_patches / np.maximum(np.linalg.norm(c_patches, axis=1, keepdims=True), 1e-12)
+        s_unit = s_patches / np.maximum(np.linalg.norm(s_patches, axis=1, keepdims=True), 1e-12)
+        matches = np.argmax(matmul(c_unit, s_unit.T), axis=1)
+        acc, cover = np.zeros_like(content), np.zeros(content.shape[1:])
+        for (y, x), m in zip(c_pos, matches):
+            acc[:, y : y + ps, x : x + ps] += s_patches[m].reshape(-1, ps, ps)
+            cover[y : y + ps, x : x + ps] += 1.0
+        out[bi] = acc / cover
+    return out
+
+
+class TestPatchSwapFold:
+    """The window view and the tap-major fold give the bytes of a loop
+    over patches."""
+
+    @pytest.mark.parametrize("ps,stride", [(p, s) for p in range(1, 5) for s in range(1, p + 1)])
+    @pytest.mark.parametrize("shapes", [
+        ((1, 3, 7, 9), (1, 3, 8, 6)),
+        ((3, 2, 10, 5), (2, 2, 6, 11)),
+        ((2, 4, 4, 4), (1, 4, 5, 4)),
+    ], ids=["tails", "style-batch-cycles", "one-style"])
+    def test_fold_equals_per_patch_loop(self, ps, stride, shapes):
+        rng = np.random.default_rng(ps * 10 + stride)
+        f_c, f_s = (rng.standard_normal(shape) for shape in shapes)
+        f_c[rng.random(f_c.shape) < 0.1] = -0.0
+        f_s[rng.random(f_s.shape) < 0.1] = -0.0
+        f_s[..., :2, :2] = 0.0  # zero-norm style patches
+        got = patch_swap(f_c, f_s, ps, stride)
+        assert got.tobytes() == patch_swap_reference(f_c, f_s, ps, stride).tobytes()
+
+
+class TestHugeFiniteFeatures:
+    """A finite feature whose squares overflow raises NumericError, with no
+    RuntimeWarning, instead of a statistic or a match that is silently wrong."""
+
+    f = random_feature((1, 12, 8, 8), seed=50)
+
+    def test_channel_stats(self):
+        with pytest.raises(NumericError, match="std overflows"):
+            channel_stats(self.f * 1e300)
+
+    @pytest.mark.parametrize("huge", ["content", "style"])
+    def test_adain(self, huge):
+        f_c, f_s = (self.f * 1e300, self.f) if huge == "content" else (self.f, self.f * 1e300)
+        with pytest.raises(NumericError, match="std overflows"):
+            adain(f_c, f_s)
+        with pytest.raises(NumericError, match="std overflows"):
+            adain_content_factor(f_c if huge == "content" else f_s)
+
+    def test_patch_swap(self):
+        with pytest.raises(NumericError, match="patch norms overflow"):
+            patch_swap(self.f * 1e300, self.f * 1e300)
+        with pytest.raises(NumericError, match="patch norms overflow"):
+            patch_swap(self.f, self.f * 1e300)
+
+    def test_largest_safe_scale_still_transfers(self):
+        f = self.f * 1e150
+        assert np.isfinite(channel_stats(f).std).all()
+        assert np.isfinite(adain(f, f)).all()
+        np.testing.assert_array_equal(patch_swap(f, f, 3, 3)[..., :6, :6], f[..., :6, :6])
+
+
 class TestTransferApply:
     def test_alpha_zero_returns_content(self):
         f_c = random_feature((1, 3, 8, 8), seed=30)
