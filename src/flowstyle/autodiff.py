@@ -583,13 +583,12 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     the zero-padded input, of which no copy is made. It is ``scratch``'s
     buffer ``name`` when ``scratch`` is given.
 
-    A "same" geometry (:func:`_same`) copies each tap as one contiguous
-    shifted slice of every sample's flattened H*W axis (``flat`` of
-    :func:`_taps`), after the rows that read above or below the input
-    are zeroed, and zeroes the output columns at which a tap reads left
-    or right of it after the copies; :func:`_tap_sum` with ``sign`` -1
-    is its adjoint. Any other geometry zeroes the matrix and copies in
-    each tap's clipped window (``clipped``)."""
+    A "same" geometry (:func:`_same`) copies each tap as one shifted
+    slice of every sample's flat H*W axis (``flat`` of :func:`_taps`),
+    then zeroes the rows and columns at which a tap reads outside the
+    image (:func:`_zero_edges`); :func:`_tap_sum` with ``sign`` -1 is its
+    adjoint. Any other geometry zeroes the matrix and copies in each
+    tap's clipped window (``clipped``)."""
     n_in, b, h, w = x.shape
     kh, kw = k.shape[2:]
     taps = _taps(kh, kw, stride, pad, h, w)
@@ -602,18 +601,9 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
         return cols
     n = h * w
     c5, x3 = cols.reshape(n_in, kh, kw, b, n), x.reshape(n_in, b, n)
-    for u in range(kh):  # rows above or below the input read nothing
-        reach = (u - pad) * w
-        if reach < 0:
-            c5[:, u, :, :, : pad - reach] = 0.0
-        elif reach > 0:
-            c5[:, u, :, :, max(0, n - reach - pad) :] = 0.0
-    shifts, wraps = taps.flat
-    for u, v, d, lo, hi in shifts:
+    for u, v, d, lo, hi in taps.flat:
         c5[:, u, v, :, lo:hi] = x3[:, :, lo + d : hi + d]
-    c6 = cols.reshape(n_in, kh, kw, b, h, w)
-    for v, _, reads_nothing in wraps:
-        c6[:, :, v, :, :, reads_nothing] = 0.0
+    _zero_edges(cols.reshape(n_in, kh, kw, b, h, w).transpose(1, 2, 0, 3, 4, 5), -1)
     return cols
 
 
@@ -622,21 +612,34 @@ def _tap_sum(prod, flat, out, sign):
     ``prod`` (kh, kw, C, B*H*W) of a "same" geometry (``flat`` of
     :func:`_taps`), read at ``i + sign * d``: kn2row's epilogue (``sign``
     1) and the adjoint of :func:`_im2col`'s "same" branch (-1). Each tap
-    adds as one slice of the flat range, after the reads that would cross
-    a row, sample or channel (``wraps`` columns, the first or last |d| of
-    each H*W segment) are zeroed in ``prod``: they add +0.0, which keeps
-    the bits of clipped window adds, as the sum starts at +0.0."""
-    o, n = out.reshape(-1), out.shape[2] * out.shape[3]
-    rows = prod.reshape(prod.shape[0], prod.shape[1], -1, out.shape[3])
-    for v, never_read, reads_nothing in flat[1]:
-        rows[:, v, :, never_read if sign > 0 else reads_nothing] = 0.0
+    adds as one slice of the flat range, after :func:`_zero_edges` zeroes
+    the entries of ``prod`` that a read crossing a row, sample or channel
+    reaches: they add +0.0, which keeps the bits of clipped window adds,
+    as the sum starts at +0.0."""
+    _zero_edges(prod.reshape(prod.shape[:2] + (-1,) + out.shape[2:]), sign)
+    o, m = out.reshape(-1), out.size
     o.fill(0.0)
-    for u, v, d, _, _ in flat[0]:
-        e, p = sign * d, prod[u, v].reshape(-1, n)
-        p[:, slice(0, e) if e > 0 else slice(n + e, n)] = 0.0
-        lo, hi = max(0, -e), o.size - max(0, e)
-        o[lo:hi] += p.reshape(-1)[lo + e : hi + e]
+    for u, v, d, _, _ in flat:
+        p, e = prod[u, v].reshape(-1), sign * d
+        if e < 0:
+            o[-e:] += p[: m + e]
+        else:
+            o[: m - e] += p[e:]
     return out
+
+
+def _zero_edges(t, sign):
+    """Zero, in ``t``, a tap-major view (kh, kw, ..., H, W) of the taps of
+    a "same" geometry, each tap's rows and columns that no read inside
+    the image reaches (``sign`` 1), or those at which it reads outside
+    the image (-1): where a flat read crosses a row, sample or channel."""
+    (kh, kw), (h, w) = t.shape[:2], t.shape[-2:]
+    for u in range(kh):
+        if a := sign * (u - kh // 2):
+            t[u, ..., slice(0, a) if a > 0 else slice(max(0, h + a), h), :] = 0.0
+    for v in range(kw):
+        if a := sign * (v - kw // 2):
+            t[:, v, ..., slice(0, a) if a > 0 else slice(max(0, w + a), w)] = 0.0
 
 
 def _same(kh, kw, stride, pad):
@@ -660,14 +663,9 @@ def _taps(kh, kw, stride, pad, h, w):
 
     ``flat`` is None but in a "same" geometry (:func:`_same`), where tap
     (u, v) reads position ``i`` of each sample's flattened h*w axis at
-    ``i + d``, ``d = (u - pad) * w + (v - pad)``. It is ``(shifts,
-    wraps)``: (u, v, d, lo, hi) for every tap whose range ``lo <= i <
-    hi`` of in-bounds reads is not empty (a read in a row above or below
-    the image falls outside it), and (v, never_read, reads_nothing) for
-    every tap column ``v`` but the centre one: the input columns that no
-    tap of that column reads inside the image, and the output columns at
-    which it reads outside, where a flat read wraps into the next or
-    previous row (column slices).
+    ``i + d``, ``d = (u - pad) * w + (v - pad)``: it is (u, v, d, lo,
+    hi) for every tap whose range ``lo <= i < hi`` of reads that stay in
+    the sample is not empty.
     """
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (w + 2 * pad - kw) // stride + 1
@@ -678,20 +676,14 @@ def _taps(kh, kw, stride, pad, h, w):
     )
     if not _same(kh, kw, stride, pad):
         return _TapGeometry(h_out, w_out, clipped, None)
-    n, shifts, wraps = h * w, [], []
+    n, flat = h * w, []
     for u in range(kh):
         for v in range(kw):
             d = (u - pad) * w + (v - pad)
             lo, hi = max(0, -d), min(n, n - d)
             if lo < hi:
-                shifts.append((u, v, d, lo, hi))
-    for v in range(kw):
-        dv = v - pad
-        if dv < 0:
-            wraps.append((v, slice(max(0, w + dv), w), slice(0, min(w, -dv))))
-        elif dv > 0:
-            wraps.append((v, slice(0, min(w, dv)), slice(max(0, w - dv), w)))
-    return _TapGeometry(h_out, w_out, clipped, (tuple(shifts), tuple(wraps)))
+                flat.append((u, v, d, lo, hi))
+    return _TapGeometry(h_out, w_out, clipped, tuple(flat))
 
 
 def _clip_axis(k, n, n_out, s, p):

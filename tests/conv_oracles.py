@@ -69,16 +69,24 @@ def kn2row_rows_reference(x, k, bias, pad):
     output on every (channel, sample) row of the flat H*W axis."""
     n_out, n_in, kh, kw = k.shape
     _, b, h, w = x.shape
-    shifts, wraps = ad._taps(kh, kw, 1, pad, h, w).flat
-    prod = np.empty((kh * kw * n_out, b * h * w))
+    n = h * w
+    prod = np.empty((kh * kw * n_out, b * n))
     ad._by_sample(k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
     p6 = prod.reshape(kh, kw, n_out, b, h, w)
-    for v, never_read, _ in wraps:
-        p6[:, v, :, :, :, never_read] = 0.0
+    for v in range(kw):  # the input columns that no read of tap column v reaches
+        dv = v - pad
+        if dv < 0:
+            p6[:, v, :, :, :, max(0, w + dv) :] = 0.0
+        elif dv > 0:
+            p6[:, v, :, :, :, : min(w, dv)] = 0.0
     out = np.zeros((n_out, b, h, w))
     o3, p3 = out.reshape(n_out, b, -1), prod.reshape(kh, kw, n_out, b, -1)
-    for u, v, d, lo, hi in shifts:
-        o3[:, :, lo:hi] += p3[u, v, :, :, lo + d : hi + d]
+    for u in range(kh):
+        for v in range(kw):
+            d = (u - pad) * w + (v - pad)
+            lo, hi = max(0, -d), min(n, n - d)
+            if lo < hi:
+                o3[:, :, lo:hi] += p3[u, v, :, :, lo + d : hi + d]
     if bias is not None:
         out += bias[:, None, None, None]
     return out

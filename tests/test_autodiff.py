@@ -953,11 +953,12 @@ class TestTapSum:
     @pytest.mark.parametrize("channels", [(4, 2), (2, 4)], ids=["I>O", "I<=O"])
     @pytest.mark.parametrize("batch", [1, 2, 3, 4])
     @pytest.mark.parametrize("extent", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 7), (128, 128)])
-    @pytest.mark.parametrize("ksize", [3, 5])
+    @pytest.mark.parametrize("ksize", [3, 5, 7])
     def test_flat_tap_sums_equal_strided_loops(self, ksize, extent, batch, channels):
         """Both orientations, each output checked against its form's
         oracle, the sign of every zero included, in a scratch whose
-        ``taps`` buffer held NaN."""
+        ``taps`` buffer held NaN. At 7x7 a tap row reaches past both
+        edges of a 2-row image."""
         n_in, n_out = channels
         pad = ksize // 2
         rng = np.random.default_rng(ksize * 1000 + extent[0] * 10 + extent[1] + 100 * batch + n_in)
