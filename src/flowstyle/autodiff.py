@@ -617,14 +617,14 @@ def _tap_sum(prod, flat, out, sign):
     reaches: they add +0.0, which keeps the bits of clipped window adds,
     as the sum starts at +0.0."""
     _zero_edges(prod.reshape(prod.shape[:2] + (-1,) + out.shape[2:]), sign)
-    o, m = out.reshape(-1), out.size
+    o, p3, m = out.reshape(-1), prod.reshape(prod.shape[0], prod.shape[1], -1), out.size
     o.fill(0.0)
     for u, v, d, _, _ in flat:
-        p, e = prod[u, v].reshape(-1), sign * d
+        e = sign * d
         if e < 0:
-            o[-e:] += p[: m + e]
+            o[-e:] += p3[u, v, : m + e]
         else:
-            o[: m - e] += p[e:]
+            o[: m - e] += p3[u, v, e:]
     return out
 
 
@@ -634,12 +634,12 @@ def _zero_edges(t, sign):
     the image reaches (``sign`` 1), or those at which it reads outside
     the image (-1): where a flat read crosses a row, sample or channel."""
     (kh, kw), (h, w) = t.shape[:2], t.shape[-2:]
-    for u in range(kh):
-        if a := sign * (u - kh // 2):
-            t[u, ..., slice(0, a) if a > 0 else slice(max(0, h + a), h), :] = 0.0
+    for u in range(kh):  # the centre tap's slice, (h, h), is empty
+        a = sign * (u - kh // 2)
+        t[u, ..., slice(0, a) if a > 0 else slice(max(0, h + a), h), :] = 0.0
     for v in range(kw):
-        if a := sign * (v - kw // 2):
-            t[:, v, ..., slice(0, a) if a > 0 else slice(max(0, w + a), w)] = 0.0
+        a = sign * (v - kw // 2)
+        t[:, v, ..., slice(0, a) if a > 0 else slice(max(0, w + a), w)] = 0.0
 
 
 def _same(kh, kw, stride, pad):

@@ -334,13 +334,14 @@ def _patch_swap_single(content, style, ps, stride):
     matches = np.argmax(sims, axis=1)  # first max wins: lowest style index
     # Fold the chosen patches tap by tap, dy and dx descending, so each
     # pixel gets its patches added in grid order.
-    chosen = s_patches[matches].reshape(c_gy.size, c_gx.size, -1, ps, ps)
+    s_taps = s_patches.reshape(len(s_patches), -1, ps, ps)
     acc = np.zeros_like(content)
     cover = np.zeros(content.shape[1:])
     for dy in reversed(range(ps)):
         for dx in reversed(range(ps)):
             at = np.ix_(c_gy + dy, c_gx + dx)
-            acc[:, at[0], at[1]] += chosen[:, :, :, dy, dx].transpose(2, 0, 1)
+            chosen = s_taps[matches, :, dy, dx].reshape(c_gy.size, c_gx.size, -1)
+            acc[:, at[0], at[1]] += chosen.transpose(2, 0, 1)
             cover[at] += 1.0
     return acc / cover[np.newaxis, :, :]
 
