@@ -15,10 +15,10 @@ from conv_oracles import (
 )
 
 import flowstyle.autodiff as ad
+from flowstyle import linalg
 from flowstyle.errors import NumericError, ShapeError, StateError
 from flowstyle.experiments import leak_test, stylize
 from flowstyle.flows import FlowNetConfig, build_flownet, initialize_actnorms
-from flowstyle import linalg
 from flowstyle.linalg import mat_inverse
 from flowstyle.transfer import ADAIN, PATCHSWAP, WCT
 
