@@ -412,11 +412,12 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
     taps = _taps(kh, kw, stride, pad, *dx.shape[2:])
     if taps.h_out <= 0 or taps.w_out <= 0:
         raise ShapeError("conv2d kernel larger than padded input")
-    out = _swap(_conv(_swap(dx), dk, None if bias is None else _data(bias), stride, pad, relu))
+    kernel = _Kernel(dk, stride, pad)
+    out = _swap(_conv(_swap(dx), kernel, None if bias is None else _data(bias), relu=relu))
 
     def back(g):
         gb, gx, gk = _conv_grads(
-            _swap(g), _swap(dx), dk, stride, pad, _swap(out) if relu else None,
+            _swap(g), _swap(dx), kernel, stride, pad, _swap(out) if relu else None,
             bias=isinstance(bias, Var), want_x=isinstance(x, Var),
             want_k=isinstance(k, Var),
         )
@@ -454,10 +455,46 @@ def _form(k, stride, pad):
     return "kn2row" if n_in > n_out else "cols"
 
 
+class _Kernel:
+    """A convolution kernel ``k`` (O, I, kh, kw) at ``stride`` and ``pad``,
+    prepared once: its GEMM form (:func:`_form`), its (O, I*kh*kw) view
+    ``gemm`` and, per input extent, its tap geometry and BLAS-thread
+    block (:meth:`at`). A flow walk's layer plan holds one per conv, so
+    every walk of a call reuses it. Its ``shape`` is ``k``'s. It keeps
+    no copy of ``k``, which would make a training step's memory grow
+    with depth: kn2row and the gradients lay ``k`` out per call.
+    """
+
+    __slots__ = ("k", "shape", "stride", "pad", "form", "gemm", "_extents")
+
+    def __init__(self, k, stride, pad):
+        self.k, self.shape, self.stride, self.pad = k, k.shape, stride, pad
+        self.form, self.gemm, self._extents = _form(k, stride, pad), k.reshape(k.shape[0], -1), {}
+
+    def at(self, b, h, w):
+        """(tap geometry, BLAS-thread block) of a call on a (I, b, h, w)
+        input: the block runs the GEMMs on one thread below
+        ``linalg.THREADED_MIN_MACS`` multiply-adds."""
+        got = self._extents.get((b, h, w))
+        if got is None:
+            n_out, n_in, kh, kw = self.shape
+            taps = _taps(kh, kw, self.stride, self.pad, h, w)
+            macs = n_out * b * taps.h_out * taps.w_out * n_in * kh * kw
+            got = self._extents[(b, h, w)] = (taps, blas_threads(macs))
+        return got
+
+
+def _kernel(k, stride, pad):
+    """``k`` itself when a plan prepared it, else ``k`` prepared for one
+    call at ``stride`` and ``pad``."""
+    return k if isinstance(k, _Kernel) else _Kernel(k, stride, pad)
+
+
 def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scratch=None):
     """The convolution kernel, channel-major: ``x`` (I, B, H, W) by ``k``
     (O, I, kh, kw), then the optional ``bias`` (O,) and ReLU, into ``out``
     (O, B, Ho, Wo), C-contiguous (a new array when None), which it returns.
+    ``k`` may be a :class:`_Kernel`, which fixes the stride and pad.
 
     Each form is one GEMM against the (K, B*N) matrix of the whole
     batch, run one sample's N columns at a time (:func:`_by_sample`), so
@@ -482,22 +519,22 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
     fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds run on one BLAS
     thread (:func:`linalg.blas_threads`).
     """
+    k = _kernel(k, stride, pad)
     n_out, n_in, kh, kw = k.shape
     _, b, h, w = x.shape
-    taps, form = _taps(kh, kw, stride, pad, h, w), _form(k, stride, pad)
+    taps, threads = k.at(b, h, w)
     if out is None:
         out = np.empty((n_out, b, taps.h_out, taps.w_out))
-    out2d = out.reshape(n_out, -1)
-    with blas_threads(out2d.size * n_in * kh * kw):
-        if form == "direct":
-            _by_sample(k.reshape(n_out, n_in), x.reshape(n_in, -1), b, out2d)
-        elif form == "cols":
+    with threads:
+        if k.form == "direct":
+            _by_sample(k.gemm, x.reshape(n_in, -1), b, out.reshape(n_out, -1))
+        elif k.form == "cols":
             if cols is None:
-                cols = _im2col(x, k, stride, pad, scratch, "taps")
-            _by_sample(k.reshape(n_out, -1), cols, b, out2d)
+                cols = _im2col(x, k, k.stride, k.pad, scratch, "taps")
+            _by_sample(k.gemm, cols, b, out.reshape(n_out, -1))
         else:
             prod = _take(scratch, "taps", (kh, kw, n_out, b * h * w))
-            _by_sample(k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
+            _by_sample(k.k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
             _tap_sum(prod, taps.flat, out, 1)
     if bias is not None:
         out += bias[:, None, None, None]
@@ -513,7 +550,8 @@ def _conv_grads(
     """The (bias, input, kernel) gradients of one :func:`_conv` from its
     output gradient ``g`` (O, B, Ho, Wo), each None unless wanted.
 
-    ``x`` and ``k`` are the forward's arrays and ``stride`` and ``pad``
+    ``x`` and ``k`` are the forward's arrays (``k`` may be its
+    :class:`_Kernel`) and ``stride`` and ``pad``
     its geometry. ``relu_out`` is the forward's output when it fused a
     ReLU: ``g`` is then masked by ``relu_out > 0`` in place, so it must
     be a buffer that nothing else reads. ``bias`` asks for the bias
@@ -535,24 +573,25 @@ def _conv_grads(
     per-tap product and the kn2row tap matrix, which no call keeps, share
     its ``taps`` buffer with the forward's kn2row product.
     """
+    k = _kernel(k, stride, pad)
     n_out, n_in, kh, kw = k.shape
     if relu_out is not None:
         np.multiply(g, relu_out > 0.0, out=g)
     gb = gx = gk = None
     if bias:
         gb = _channel_sum(g)
-    g2d, form = g.reshape(n_out, -1), _form(k, stride, pad)
-    with blas_threads(g2d.size * n_in * kh * kw):
-        if form == "direct":
+    g2d = g.reshape(n_out, -1)
+    taps, threads = k.at(*x.shape[1:])
+    with threads:
+        if k.form == "direct":
             if want_x:
-                gx = (k.reshape(n_out, n_in).T @ g2d).reshape(x.shape)
+                gx = (k.gemm.T @ g2d).reshape(x.shape)
             if want_k:
                 gk = (g2d @ x.reshape(n_in, -1).T).reshape(k.shape)
-        elif form == "cols":
+        elif k.form == "cols":
             if want_x:
-                taps = _taps(kh, kw, stride, pad, *x.shape[2:])
                 per_tap = _take(scratch, "taps", (kh, kw, n_in, g2d.shape[1]))
-                k_t = np.ascontiguousarray(k.transpose(0, 2, 3, 1)).reshape(n_out, -1).T
+                k_t = np.ascontiguousarray(k.k.transpose(0, 2, 3, 1)).reshape(n_out, -1).T
                 np.matmul(k_t, g2d, out=per_tap.reshape(-1, g2d.shape[1]))
                 if taps.flat is not None:
                     gx = _tap_sum(per_tap, taps.flat, np.empty(x.shape), -1)
@@ -563,12 +602,12 @@ def _conv_grads(
                         gx[:, :, rows, cols_] += per_tap[u, v, :, :, o_rows, o_cols]
             if want_k:
                 if cols is None:
-                    cols = _im2col(x, k, stride, pad, scratch)
+                    cols = _im2col(x, k, k.stride, k.pad, scratch)
                 gk = (g2d @ cols.T).reshape(k.shape)
         else:
-            g_taps = _im2col(g, k, stride, pad, scratch, "taps")
+            g_taps = _im2col(g, k, k.stride, k.pad, scratch, "taps")
             if want_x:
-                flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
+                flipped = k.k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
                 gx = (flipped @ g_taps).reshape(x.shape)
             if want_k:
                 gk = g_taps @ x.reshape(n_in, -1).T
@@ -726,7 +765,7 @@ def _mix_op(op, x, w, m, w_grad):
         raise ShapeError(f"{op}: {m.shape} cannot act on {dx.shape}")
     if dw.shape != m.shape:
         raise ShapeError(f"{op}: W {dw.shape} and its inverse {m.shape} differ in shape")
-    k = m[:, :, None, None]
+    k = _Kernel(m[:, :, None, None], 1, 0)
     out = _swap(_conv(_swap(dx), k))
 
     def back(g):

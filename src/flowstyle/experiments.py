@@ -20,7 +20,7 @@ from .errors import ShapeError, as_batch, as_index, as_real
 from .flows import FlowNet, FlowNetConfig, _StepParams, build_flownet
 from .metrics import evaluate_stylization, ssim
 from .training import TrainConfig, build_lossnet, train
-from .transfer import ADAIN, FACTORS, TransferKind, _as_kind, transfer_apply
+from .transfer import ADAIN, FACTORS, TransferKind, _as_kind, _blend, transfer_apply
 
 
 def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1.0) -> np.ndarray:
@@ -71,16 +71,28 @@ def leak_test(
     transfer keeps drift at rounding level; a patch-replacement transfer
     drifts monotonically. The style image is encoded once, so ``rounds``
     rounds take ``rounds + 1`` forward and ``rounds`` inverse passes,
-    which share one inverse of each invconv weight and one set of scratch
-    buffers.
+    which share one layer plan (each invconv weight inverted once) and
+    one set of scratch buffers. For adain and wct the style latent's
+    style factor is taken once too, and each round recombines it with
+    the round's content factor (``FACTORS``), with the bits of
+    ``transfer_apply``.
     """
     kind, alpha = _as_kind(kind), as_real("alpha", alpha, 0.0, 1.0)
     rounds, step = as_index("rounds", rounds, 1), _StepParams({})
     f_s = model.forward(style, step)
+    if kind.name in FACTORS:
+        content_factor, style_factor, recombine = FACTORS[kind.name]
+        factor = style_factor(f_s)
+
+        def transfer(f_c):
+            return _blend(recombine(content_factor(f_c), factor), f_c, alpha)
+    else:
+
+        def transfer(f_c):
+            return transfer_apply(kind, f_c, f_s, alpha)
 
     def restyle(image):
-        f_cs = transfer_apply(kind, model.forward(image, step), f_s, alpha)
-        return model.inverse(f_cs, step)
+        return model.inverse(transfer(model.forward(image, step)), step)
 
     first = restyle(content)
     ssims = [ssim(first, first)]

@@ -30,9 +30,17 @@ its backward recomputes them, into scratch buffers that belong to one
 call: the couplings of every block reuse them. The walks of one training
 step, or of one ``stylize``, ``leak_test``, ``reverse_transfer``,
 ``content_factor_image`` or ``recon_error`` call, share those buffers
-and each invconv weight's inverse through the call's parameter mapping
-(:class:`_StepParams`); a walk given none makes its own. Nothing is
-cached on the module or the model, so concurrent reads of one model
+and one layer plan through the call's parameter mapping
+(:class:`_StepParams`). The first walk builds the plan from
+:meth:`FlowNetConfig.layers`: per layer, its weight arrays, resolved
+once, with the overrides' names and shapes checked, each actnorm's
+scale checked, each coupling's identity test run, each conv kernel's
+GEMM form and, per input extent, its BLAS-thread block, and each invconv
+weight's inverse, taken once. Every later walk and walk backward of the
+call reuses it. A walk given no ``_StepParams`` builds a plan for
+itself with the same code. Actnorm initialization, which changes
+weights mid-pass, derives each layer's step as it reaches it. Nothing
+is cached on the module or the model, so concurrent reads of one model
 stay safe.
 """
 
@@ -227,8 +235,7 @@ def _actnorm(x, scale, bias, inverse=False, out=None):
     """The actnorm kernel on the channel-major ``x`` (C,B,H,W): ``scale *
     x + bias``, or ``(x - bias) / scale`` for the inverse, computed into
     ``out`` (``x`` itself runs it in place; a new array when None) with
-    two ufuncs."""
-    _check_scale(scale)
+    two ufuncs. The layer's plan has checked the scale (:class:`_Step`)."""
     s, b = scale[:, None, None, None], bias[:, None, None, None]
     if inverse:
         out = np.subtract(x, b, out=out)
@@ -265,24 +272,31 @@ def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, cols=None):
     return ad._conv(h2, w3, b3, 1, 1, out=out, scratch=scratch), h1, h2
 
 
-def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, scratch, out=None):
+def _identity(w3, b3):
+    """Whether a coupling whose conv3 has kernel ``w3`` and bias ``b3`` is
+    the identity: both all zero (fresh, or zeroed by hand)."""
+    return not (w3.any() or b3.any())
+
+
+def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None):
     """The coupling kernel on the channel-major ``x`` (C,B,H,W), whose
     halves are the leading-axis slices ``x[:C/2]`` and ``x[C/2:]``:
     ``y_b = x_b + shift(x_a)`` (``-`` for the inverse) is written into
-    ``out`` (``x`` itself runs it in place; a new array when None).
+    ``out`` (``x`` itself runs it in place; a new array when None). The
+    conv kernels may be prepared (:class:`autodiff._Kernel`).
 
-    When conv3's kernel and bias, as passed, are all zero (an identity
-    coupling: fresh, or zeroed by hand), the shift is +0.0 and the inner
-    network is not run: ``x_b + 0.0`` (``x_b - 0.0``) has the bits that
-    the network's shift gives, -0.0 turning +0.0 in the forward included,
-    because ``0 * h + 0`` sums to +0.0 in every conv form while the
-    hidden maps are finite. A hidden map that overflows to ±inf would
-    make that shift NaN; the identity coupling gives ``x_b`` instead."""
+    For an ``identity`` coupling (:func:`_identity` of conv3's kernel and
+    bias) the shift is +0.0 and the inner network is not run: ``x_b +
+    0.0`` (``x_b - 0.0``) has the bits that the network's shift gives,
+    -0.0 turning +0.0 in the forward included, because ``0 * h + 0`` sums
+    to +0.0 in every conv form while the hidden maps are finite. A hidden
+    map that overflows to ±inf would make that shift NaN; the identity
+    coupling gives ``x_b`` instead."""
     half = x.shape[0] // 2
     if out is None:
         out = np.empty(x.shape)
         out[:half] = x[:half]
-    shift = _shift(x[:half], w1, b1, w2, b2, w3, b3, scratch)[0] if w3.any() or b3.any() else 0.0
+    shift = 0.0 if identity else _shift(x[:half], w1, b1, w2, b2, w3, b3, scratch)[0]
     (np.subtract if inverse else np.add)(x[half:], shift, out=out[half:])
     return out
 
@@ -291,9 +305,10 @@ def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, scratch, out=None):
 # backward rules: each rebuilds a layer's input from its output
 #
 # A rule takes the layer's channel-major output ``y`` and output gradient
-# ``g``, which it may overwrite, and its weights as the walk passed them
-# (Vars or arrays). It accumulates the gradient of every weight Var and
-# returns the layer's input and that input's gradient.
+# ``g``, which it may overwrite, and (but for the squeeze) the layer's
+# step of the walk's plan (:class:`_Step`), whose ``weights`` are the
+# walk's (Vars or arrays). It accumulates the gradient of every weight Var
+# and returns the layer's input and that input's gradient.
 
 
 def _squeeze_back(y, g, inverse):
@@ -301,8 +316,8 @@ def _squeeze_back(y, g, inverse):
     return undo(y), undo(g)
 
 
-def _actnorm_back(y, g, scale, bias, inverse):
-    s, b = (ad._data(p)[:, None, None, None] for p in (scale, bias))
+def _actnorm_back(y, g, step, inverse):
+    (scale, bias), (s, b) = step.weights, (a[:, None, None, None] for a in step.arrays)
     if inverse:  # y = (x - b) / s
         y *= s
         ad._accum(scale, ad._channel_sum(-g * y / (s * s)))
@@ -318,41 +333,41 @@ def _actnorm_back(y, g, scale, bias, inverse):
     return y, g
 
 
-def _invconv_back(y, g, weight, inverse, w_inv):
-    """``w_inv`` is W^{-1}, from the walk's scratch (:func:`_inverse_of`):
-    an inverse walk's forward used it, and a forward walk's rule rebuilds
-    its input with it. Both directions are the conv kernel's 1x1 form;
-    an inverse walk's weight gradient is taken through d(W^{-1}) =
-    -W^{-1} dW W^{-1}."""
-    w = ad._data(weight)
-    x = ad._conv(y, (w if inverse else w_inv)[:, :, None, None])
+def _invconv_back(y, g, step, inverse):
+    """W^{-1} is the plan's (:meth:`_Step.inverse`): an inverse walk's
+    forward used it, and a forward walk's rule rebuilds its input with
+    it. Both directions are the conv kernel's 1x1 form; an inverse walk's
+    weight gradient is taken through d(W^{-1}) = -W^{-1} dW W^{-1}."""
+    (weight,), w, w_inv = step.weights, step.kernel, step.inverse()
+    x = ad._conv(y, w if inverse else w_inv)
     m = w_inv if inverse else w
-    _, gx, gm = ad._conv_grads(g, x, m[:, :, None, None], 1, 0, want_k=isinstance(weight, ad.Var))
+    _, gx, gm = ad._conv_grads(g, x, m, 1, 0, want_k=isinstance(weight, ad.Var))
     if gm is not None:
-        gm = gm[:, :, 0, 0]
+        gm, w_inv = gm[:, :, 0, 0], w_inv.gemm
         ad._accum(weight, -(w_inv.T @ gm @ w_inv.T) if inverse else gm)
     return x, gx
 
 
-def _coupling_back(y, g, weights, inverse, scratch):
+def _coupling_back(y, g, step, inverse, scratch):
     """``x_a = y_a``; the hidden maps are recomputed from it into
     ``scratch``, and with them the shift, so ``x_b = y_b - shift`` (``+``
     for the inverse). conv3 is seeded with ``g_b`` (``-g_b`` for the
     inverse) and the input gradient is ``g_a`` + conv1's input gradient
     in the first half and ``g_b`` in the second, the per-op graph's sums.
     conv1's kernel gradient reuses the column matrix that its recompute
-    built."""
-    dw1, db1, dw2, db2, dw3, db3 = (ad._data(p) for p in weights)
+    built. Identity couplings recompute too: w3's gradient needs the
+    hidden maps."""
+    weights, net = step.weights, step.net
     half = y.shape[0] // 2
     x_a, y_b, g_a, g_b = y[:half], y[half:], g[:half], g[half:]
-    cols = ad._im2col(x_a, dw1, 1, 1, scratch, "cols1") if ad._form(dw1, 1, 1) == "cols" else None
-    shift, h1, h2 = _shift(x_a, dw1, db1, dw2, db2, dw3, db3, scratch, cols)
+    cols = ad._im2col(x_a, net[0], 1, 1, scratch, "cols1") if net[0].form == "cols" else None
+    shift, h1, h2 = _shift(x_a, *net, scratch, cols)
     (np.add if inverse else np.subtract)(y_b, shift, out=y_b)
 
     def conv_grads(g, h, i, pad, relu_out=None, cols=None):
         w, b = weights[2 * i], weights[2 * i + 1]
         return ad._conv_grads(
-            g, h, ad._data(w), 1, pad, relu_out, bias=isinstance(b, ad.Var),
+            g, h, net[2 * i], 1, pad, relu_out, bias=isinstance(b, ad.Var),
             want_k=isinstance(w, ad.Var), cols=cols, scratch=scratch,
         )
 
@@ -365,34 +380,78 @@ def _coupling_back(y, g, weights, inverse, scratch):
     return y, g
 
 
+class _Step:
+    """One layer of a plan: its ``kind``, its ``weights`` as the walk takes
+    them (Vars or arrays) and their ``arrays``. Building it checks an
+    actnorm's scale; an invconv holds W as a 1x1 conv ``kernel``
+    (:class:`autodiff._Kernel`), and a coupling its ``identity`` test and
+    ``net``, its weights with each conv kernel prepared.
+    """
+
+    __slots__ = ("kind", "weights", "arrays", "kernel", "net", "identity", "_inverse")
+
+    def __init__(self, kind, weights):
+        self.kind, self.weights = kind, weights
+        self.arrays = arrays = tuple(ad._data(p) for p in weights)
+        self.kernel = self.net = self._inverse = None
+        self.identity = False
+        if kind == "actnorm":
+            _check_scale(arrays[0])
+        elif kind == "invconv":
+            self.kernel = ad._Kernel(arrays[0][:, :, None, None], 1, 0)
+        elif kind == "coupling":
+            w1, b1, w2, b2, w3, b3 = arrays
+            self.identity = _identity(w3, b3)
+            self.net = (
+                ad._Kernel(w1, 1, 1), b1, ad._Kernel(w2, 1, 0), b2, ad._Kernel(w3, 1, 1), b3
+            )
+
+    def inverse(self):
+        """The invconv's W^{-1} as a 1x1 conv kernel: computed by the
+        first walk that needs it (an inverse walk's forward, or a forward
+        walk's backward) and kept for the others, so a call inverts each
+        weight once."""
+        if self._inverse is None:
+            self._inverse = ad._Kernel(mat_inverse(self.arrays[0])[:, :, None, None], 1, 0)
+        return self._inverse
+
+
 class _StepParams(dict):
     """Parameter values for the walks of one training step (or of one
     experiment call, with no values, so the stored ones apply), with the
-    scratch those walks share. ``inverses`` maps an invconv layer's name
-    to W^{-1}: whichever walk needs a weight's inverse first (an inverse
-    walk's forward, or a forward walk's backward) computes it, and the
-    others reuse it, so a step inverts each weight once. ``scratch`` is
-    the :class:`autodiff._Scratch` into which every walk, one after
-    another, writes its couplings' hidden maps and conv temporaries. It
-    serves the walks of one set of weights only and dies with the step
-    or call.
+    plan and the scratch those walks share. ``scratch`` is the
+    :class:`autodiff._Scratch` into which every walk, one after another,
+    writes its couplings' hidden maps and conv temporaries. The plan
+    (:meth:`plan`) is built by the first walk and reused by every later
+    walk and walk backward. Both serve the walks of one model's weights
+    only, which must not change while the step or call runs, and die
+    with it. The plan holds the weights' arrays, views of them and the
+    invconv inverses, never a scratch buffer.
     """
 
-    __slots__ = ("inverses", "scratch")
+    __slots__ = ("scratch", "_steps")
 
     def __init__(self, params):
         super().__init__(params or {})
-        self.inverses = {}
         self.scratch = ad._Scratch()
+        self._steps = None
 
-
-def _inverse_of(inverses, name, w):
-    """W^{-1} of the invconv ``name`` from ``inverses``, computed and kept
-    there on first use."""
-    w_inv = inverses.get(name)
-    if w_inv is None:
-        w_inv = inverses[name] = mat_inverse(w)
-    return w_inv
+    def plan(self, model):
+        """One :class:`_Step` per layer of ``model``, in forward order, for
+        its stored weights with these values in their place: built on the
+        first call, which checks the values' names and shapes (a name the
+        store lacks, or a misshapen or complex value, raises ShapeError)."""
+        if self._steps is None:
+            for name, p in self.items():
+                if name not in model.params:
+                    raise ShapeError(f"{name!r} is not a parameter of this network")
+                as_feature(name, p, shape=model.params[name].shape, finite=False)
+            store = {**model.params, **self}
+            self._steps = tuple(
+                _Step(layer.kind, tuple(store[name] for name in layer.shapes))
+                for layer in model.layers
+            )
+        return self._steps
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +528,13 @@ class FlowNet:
     def _walk(self, v, params, inverse):
         """Apply every layer (reversed when ``inverse``); ``params`` maps
         names to values of the same shapes that take the place of stored
-        ones; a name the store lacks, or a misshapen or complex value,
-        raises ShapeError before any layer runs. The caller
-        (:meth:`forward`, :meth:`inverse`) has checked ``v``.
+        ones. The caller (:meth:`forward`, :meth:`inverse`) has checked
+        ``v``.
+
+        The walk runs the layer plan (:meth:`_StepParams.plan`) of
+        ``params`` when it is a :class:`_StepParams`, which the walks of
+        one call share, one after another, and else builds one for itself
+        with the same code, so concurrent calls share no buffer.
 
         The walk runs channel-major: it converts its input to (C, B, H, W)
         once on entry (``autodiff._swap``, a view at batch 1) and its
@@ -485,19 +548,16 @@ class FlowNet:
         Actnorm and the coupling run in place on the walk's own working
         array, never on the caller's input, which the entry view may be.
 
-        The layers run on arrays, in one loop, with one ``_Scratch`` for
-        the couplings' hidden maps and conv temporaries. It and the
-        invconv inverses come from ``params`` when it is a
-        :class:`_StepParams` (the walks of one call share them, one walk
-        after another) and are made for this walk otherwise, so concurrent
-        calls share no buffer. When ``v`` or any parameter is a Var, the
-        walk records one ``walk`` node. It keeps the walk's input and
-        output, the scratch and the inverses. Its backward
-        copies the output and its gradient to channel-major, then visits
-        the layers in reverse; each layer's rule (``_squeeze_back``,
-        ``_actnorm_back``, ``_invconv_back``, ``_coupling_back``) rebuilds
-        the layer's input from its output in place and accumulates the
-        layer's gradients, with the same GEMM forms. So a training tape
+        The layers run on arrays, in one loop, with the ``_Scratch`` of
+        ``params`` for the couplings' hidden maps and conv temporaries.
+        When ``v`` or any parameter is a Var, the walk records one
+        ``walk`` node. It keeps the walk's input and output, the plan and
+        the scratch. Its backward copies the output and its gradient to
+        channel-major, then visits the layers in reverse; each layer's
+        rule (``_squeeze_back``, ``_actnorm_back``, ``_invconv_back``,
+        ``_coupling_back``) rebuilds the layer's input from its output in
+        place and accumulates the layer's gradients, with the same GEMM
+        forms. So a training tape
         holds no flow activation but each walk's output, at any depth.
         Rebuilt inputs are exact only up to rounding, so gradients differ
         in their last bits from those of the layers' per-op graph
@@ -505,64 +565,49 @@ class FlowNet:
         input with a relative error above ``REBUILD_TOL`` raises
         NumericError (:func:`_check_rebuild`).
         """
-        data = ad._data(v)
-        for name, p in (params or {}).items():
-            if name not in self.params:
-                raise ShapeError(f"{name!r} is not a parameter of this network")
-            as_feature(name, p, shape=self.params[name].shape, finite=False)
-        store = self.params if params is None else {**self.params, **params}
-        if isinstance(params, _StepParams):
-            inverses, scratch = params.inverses, params.scratch
-        else:
-            inverses, scratch = {}, ad._Scratch()
-        steps = [
-            (layer, tuple(store[name] for name in layer.shapes))
-            for layer in (reversed(self.layers) if inverse else self.layers)
-        ]
+        call = params if isinstance(params, _StepParams) else _StepParams(params)
+        steps, scratch, data = call.plan(self), call.scratch, ad._data(v)
         y = ad._swap(data)
-        for layer, weights in steps:
-            arrays = [ad._data(p) for p in weights]
-            y = _run_layer(layer, y, arrays, inverse, scratch, inverses, data)
+        for step in reversed(steps) if inverse else steps:
+            y = _run_layer(step, y, inverse, scratch, data)
         y = ad._swap(y)
-        inputs = (v, *(p for _, weights in steps for p in weights))
+        inputs = (v, *(p for step in steps for p in step.weights if isinstance(p, ad.Var)))
         tape = ad._tape_of(*inputs)
         if tape is None:
             return y
 
         def back(g):
             x, g = y.swapaxes(0, 1).copy(), g.swapaxes(0, 1).copy()
-            for layer, weights in reversed(steps):
-                kind = layer.kind
+            for step in steps if inverse else reversed(steps):
+                kind = step.kind
                 if kind == "squeeze":
                     x, g = _squeeze_back(x, g, inverse)
                 elif kind == "actnorm":
-                    x, g = _actnorm_back(x, g, *weights, inverse)
+                    x, g = _actnorm_back(x, g, step, inverse)
                 elif kind == "invconv":
-                    w_inv = _inverse_of(inverses, layer.name, ad._data(weights[0]))
-                    x, g = _invconv_back(x, g, *weights, inverse, w_inv)
+                    x, g = _invconv_back(x, g, step, inverse)
                 else:
-                    x, g = _coupling_back(x, g, weights, inverse, scratch)
+                    x, g = _coupling_back(x, g, step, inverse, scratch)
             _check_rebuild(x, data, inverse)
             ad._accum(v, ad._swap(g))
 
         return ad._record(tape, "walk", y, back, inputs)
 
 
-def _run_layer(layer, y, arrays, inverse, scratch, inverses, caller):
-    """One layer of a walk on its channel-major array ``y``, with the
-    layer's weights ``arrays``: its kernel, or its inverse's. Actnorm and
-    the coupling run in place unless ``y`` may share memory with the
-    ``caller``'s input array. ``scratch`` and ``inverses`` are the walk's
-    (:class:`autodiff._Scratch`, :func:`_inverse_of`)."""
+def _run_layer(step, y, inverse, scratch, caller):
+    """One layer of a walk on its channel-major array ``y``, from the
+    layer's :class:`_Step`: its kernel, or its inverse's. Actnorm and the
+    coupling run in place unless ``y`` may share memory with the
+    ``caller``'s input array. ``scratch`` is the walk's
+    (:class:`autodiff._Scratch`)."""
     out = None if np.may_share_memory(y, caller) else y
-    if layer.kind == "squeeze":
+    if step.kind == "squeeze":
         return (ad._unsqueeze_data if inverse else ad._squeeze_data)(y)
-    if layer.kind == "actnorm":
-        return _actnorm(y, *arrays, inverse, out)
-    if layer.kind == "invconv":
-        w = _inverse_of(inverses, layer.name, arrays[0]) if inverse else arrays[0]
-        return ad._conv(y, w[:, :, None, None])
-    return _coupling(y, *arrays, inverse, scratch, out)
+    if step.kind == "actnorm":
+        return _actnorm(y, *step.arrays, inverse, out)
+    if step.kind == "invconv":
+        return ad._conv(y, step.inverse() if inverse else step.kernel)
+    return _coupling(y, *step.net, inverse, step.identity, scratch, out)
 
 
 def _check_rebuild(x, v, inverse):
@@ -634,8 +679,8 @@ def initialize_actnorms(model: FlowNet, batch) -> list[tuple[str, list[int]]]:
             model.params.update(zip(layer.shapes, (scale, bias)))
             if clamped:
                 diagnostics.append((layer.name, clamped))
-        arrays = [model.params[name] for name in layer.shapes]
-        x = _run_layer(layer, x, arrays, False, scratch, {}, data)
+        step = _Step(layer.kind, tuple(model.params[name] for name in layer.shapes))
+        x = _run_layer(step, x, False, scratch, data)
     model.initialized = True
     return diagnostics
 

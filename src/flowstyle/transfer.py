@@ -169,10 +169,19 @@ def adain_content_factor(f) -> np.ndarray:
 
 
 def apply_style_factor(content_factor, stats: FeatureStats) -> np.ndarray:
-    """Recombine: content_factor * std + mean."""
+    """Recombine: content_factor * std + mean. NumericError if a value
+    overflows (finite statistics of about 1e308)."""
     a = as_batch("content factor", content_factor)
     mean, std = (as_batch(f"style {p}", getattr(stats, p), (a.shape[1],)) for p in ("mean", "std"))
-    return a * _pc(std) + _pc(mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_recombination(a * _pc(std) + _pc(mean))
+
+
+def _finite_recombination(out):
+    """``out``, a recombined feature; NumericError if it overflowed."""
+    if not np.isfinite(out).all():
+        raise NumericError("the recombined feature overflows: a factor is too large")
+    return out
 
 
 def adain(f_c, f_s):
@@ -222,17 +231,21 @@ def cov_factor(f) -> CovFactor:
     exactly constant features still produce finite whiteners;
     rank-deficient covariances are additionally protected by the
     eigenvalue clamp of ``sym_pow``. Both powers come from one
-    eigendecomposition.
+    eigendecomposition. NumericError if the covariance overflows (a
+    finite feature above about 1e154).
     """
     a = ad._swap(as_batch("feature", f))
     x = a.reshape(len(a), -1)
     n = x.shape[1]
     if n < 2:
         raise ShapeError(f"covariance needs at least 2 samples, got {n}")
-    mean = x.mean(axis=1)
-    xc = x - mean[:, np.newaxis]
-    cov_raw = matmul(xc, xc.T) / n
-    trace = float(np.trace(cov_raw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=1)
+        xc = x - mean[:, np.newaxis]
+        cov_raw = matmul(xc, xc.T) / n
+        trace = float(np.trace(cov_raw))
+    if not (np.isfinite(cov_raw).all() and np.isfinite(trace)):
+        raise NumericError("channel covariance overflows: the feature is too large to whiten")
     eps = max(EPS_COV_REL * trace / x.shape[0], EPS_COV_ABS if trace <= 0.0 else 0.0)
     cov = SymMatrix(cov_raw + eps * np.eye(x.shape[0]))
     whitener, colorer = sym_pows(cov, (-0.5, +0.5))
@@ -248,7 +261,8 @@ def wct_content_factor(f) -> np.ndarray:
 
 
 def apply_cov_factor(content_factor, factor: CovFactor) -> np.ndarray:
-    """Recombine: cov^{1/2} * whitened_factor + mean."""
+    """Recombine: cov^{1/2} * whitened_factor + mean. NumericError if a
+    value overflows (a colorer of about 1e308)."""
     a = as_batch("content factor", content_factor)
     c = a.shape[1]
     shapes = (factor.mean.shape, factor.colorer.shape)
@@ -258,8 +272,9 @@ def apply_cov_factor(content_factor, factor: CovFactor) -> np.ndarray:
             f"channels, got mean {shapes[0]} and colorer {shapes[1]}"
         )
     a = ad._swap(a)
-    x = matmul(factor.colorer, a.reshape(c, -1)) + factor.mean[:, np.newaxis]
-    return ad._swap(x.reshape(a.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = matmul(factor.colorer, a.reshape(c, -1)) + factor.mean[:, np.newaxis]
+    return ad._swap(_finite_recombination(x).reshape(a.shape))
 
 
 def wct(f_c, f_s) -> np.ndarray:
@@ -360,6 +375,12 @@ def transfer_apply(kind: TransferKind, f_c, f_s, alpha: float = 1.0) -> np.ndarr
         f_cs = wct(f_c, f_s)
     else:
         f_cs = patch_swap(f_c, f_s, kind.patch_size, kind.stride)
+    return _blend(f_cs, f_c, alpha)
+
+
+def _blend(f_cs, f_c, alpha):
+    """The transferred feature ``f_cs`` blended with the content feature
+    ``f_c``: ``f_cs`` itself at ``alpha`` 1."""
     if alpha == 1.0:
         return f_cs
     return alpha * f_cs + (1.0 - alpha) * f_c

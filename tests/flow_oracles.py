@@ -97,9 +97,9 @@ def reference_init(model, batch):
     return params
 
 
-def full_coupling(x, w1, b1, w2, b2, w3, b3, inverse, scratch, out=None):
+def full_coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None):
     """``flows._coupling`` with the inner network run for every coupling,
-    identity couplings included."""
+    ``identity`` ones included."""
     half = x.shape[0] // 2
     if out is None:
         out = np.empty(x.shape)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import flowstyle.autodiff as ad
-from flowstyle import flows, metrics
+from flowstyle import flows, metrics, transfer
 from flowstyle.errors import NumericError, ShapeError
 from flowstyle.experiments import (
     LeakReport,
@@ -343,6 +343,56 @@ class TestOneInversePerCall:
         assert len(calls) == 3
         np.testing.assert_array_equal(got[0], stylized)
         np.testing.assert_array_equal(got[1], recovered)
+
+
+class TestOnePlanPerCall:
+    """A leak_test call derives each layer of its walks once, and the
+    style latent's style factor once."""
+
+    @staticmethod
+    def model():
+        model = build_flownet(FlowNetConfig(2, 2, 8, 3, 16, 16), seed=5)
+        initialize_actnorms(model, np.random.default_rng(6).random((2, 3, 16, 16)))
+        randomize_couplings(model, seed=7)
+        return model
+
+    def test_checks_layers_and_takes_style_factor_once(self, monkeypatch):
+        model, (content, style) = self.model(), images()
+        calls = {"_check_scale": 0, "_identity": 0, "cov_factor": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        for name in ("_check_scale", "_identity"):
+            monkeypatch.setattr(flows, name, counted(name, getattr(flows, name)))
+        cov = counted("cov_factor", transfer.cov_factor)
+        monkeypatch.setattr(transfer, "cov_factor", cov)
+        monkeypatch.setitem(FACTORS, "wct", (FACTORS["wct"][0], cov, FACTORS["wct"][2]))
+        leak_test(model, WCT, content, style, 3)
+        kinds = [layer.kind for layer in model.layers]
+        # One content factor per round and one style factor.
+        assert calls == {
+            "_check_scale": kinds.count("actnorm"),
+            "_identity": kinds.count("coupling"),
+            "cov_factor": 4,
+        }
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", [ADAIN, WCT, PATCHSWAP], ids=lambda k: k.name)
+    def test_report_equals_fresh_plan_per_walk(self, kind, alpha, monkeypatch):
+        model, (content, style) = self.model(), images()
+        got = leak_test(model, kind, content, style, 3, alpha)
+        walk = FlowNet._walk
+
+        def fresh(self, v, params, inverse):
+            return walk(self, v, flows._StepParams({}), inverse)
+
+        monkeypatch.setattr(FlowNet, "_walk", fresh)
+        assert got == leak_test(model, kind, content, style, 3, alpha)
 
 
 def separate_leak_test(model, kind, content, style, rounds):

@@ -33,7 +33,6 @@ from flowstyle.flows import (
     randomize_couplings,
 )
 from flowstyle.experiments import ablation_run, stylize
-from flowstyle.linalg import mat_inverse
 from flowstyle.metrics import (
     evaluate_stylization,
     feature_distance,
@@ -60,21 +59,25 @@ def make_model(n_blocks=1, n_flows=2, hidden=4, shape=(2, 3, 8, 8), seed=0):
     return model, batch
 
 
-# The layer kernels on NCHW batches, each through the channel-major
-# layout (C, B, H, W) that a walk runs it in.
+# The layers on NCHW batches, each run as a walk runs it: from its plan
+# step, in the channel-major layout (C, B, H, W).
+
+
+def run_layer(kind, x, *weights, inverse=False):
+    step = flows._Step(kind, weights)
+    return ad._swap(flows._run_layer(step, ad._swap(x), inverse, ad._Scratch(), x))
 
 
 def squeeze(x, inverse=False):
-    return ad._swap((ad._unsqueeze_data if inverse else ad._squeeze_data)(ad._swap(x)))
+    return run_layer("squeeze", x, inverse=inverse)
 
 
 def actnorm(x, scale, bias, inverse=False):
-    return ad._swap(flows._actnorm(ad._swap(x), scale, bias, inverse))
+    return run_layer("actnorm", x, scale, bias, inverse=inverse)
 
 
 def invconv(x, weight, inverse=False):
-    m = mat_inverse(weight) if inverse else weight
-    return ad._swap(ad._conv(ad._swap(x), m[:, :, None, None]))
+    return run_layer("invconv", x, weight, inverse=inverse)
 
 
 def inner_network(x_a, w1, b1, w2, b2, w3, b3):
@@ -82,8 +85,7 @@ def inner_network(x_a, w1, b1, w2, b2, w3, b3):
 
 
 def coupling(x, w1, b1, w2, b2, w3, b3, inverse=False):
-    weights = (w1, b1, w2, b2, w3, b3)
-    return ad._swap(flows._coupling(ad._swap(x), *weights, inverse, ad._Scratch()))
+    return run_layer("coupling", x, w1, b1, w2, b2, w3, b3, inverse=inverse)
 
 
 LAYER_KERNELS = {"squeeze": squeeze, "actnorm": actnorm, "invconv": invconv, "coupling": coupling}
@@ -293,10 +295,10 @@ class TestCouplingNode:
         tape = ad.Tape()
         pvars = {n: ad.Var(a, tape) for n, a in p.items()}
         if kernel:
-            scratch = ad._Scratch()
-            y = ad._swap(flows._coupling(ad._swap(x), *p.values(), inverse, scratch))
+            scratch, step = ad._Scratch(), flows._Step("coupling", tuple(pvars.values()))
+            y = ad._swap(flows._run_layer(step, ad._swap(x), inverse, scratch, x))
             y_cm, g_cm = y.swapaxes(0, 1).copy(), probe.swapaxes(0, 1).copy()
-            x_cm, gx = flows._coupling_back(y_cm, g_cm, tuple(pvars.values()), inverse, scratch)
+            x_cm, gx = flows._coupling_back(y_cm, g_cm, step, inverse, scratch)
             assert_rel_close(ad._swap(x_cm), x, "rebuilt input", rel=1e-14)
             return [y, ad._swap(gx)] + [v.grad for v in pvars.values()]
         xv = ad.Var(x, tape)
@@ -737,6 +739,55 @@ def count_shifts(monkeypatch):
     return calls
 
 
+class TestLayerPlan:
+    """The walks of one call run the layer plan that the first builds
+    (:class:`flows._StepParams`), with the bits of walks that each build
+    their own."""
+
+    @staticmethod
+    def walks(inverse, taped, share):
+        """The outputs of three probed walks one after another, with one
+        ``_StepParams`` when ``share`` and a plain mapping per walk else,
+        and when ``taped`` the gradients of their inputs and of every
+        parameter."""
+        model, batch = TestWalkBuffers.model()
+        rng = np.random.default_rng(12)
+        shape = (2, 48, 4, 4) if inverse else batch.shape
+        inputs, probes = [rng.standard_normal(shape) for _ in range(3)], []
+        tape = ad.Tape()
+        pvars = {n: ad.Var(a, tape) for n, a in model.params.items()} if taped else {}
+        step = flows._StepParams(pvars)
+        leaves = [ad.Var(v, tape) if taped else v for v in inputs]
+        outs = [model._walk(v, step if share else dict(pvars), inverse) for v in leaves]
+        if not taped:
+            return outs
+        total = None
+        for y in outs:
+            probes.append(rng.standard_normal(y.shape))
+            term = ad.sum_all(ad.mul(y, probes[-1]))
+            total = term if total is None else ad.add(total, term)
+        ad.backward(total)
+        return [y.data for y in outs] + [v.grad for v in leaves + list(pvars.values())]
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    @pytest.mark.parametrize("taped", [False, True], ids=["arrays", "taped"])
+    def test_reused_plan_equals_one_walk_plans(self, inverse, taped):
+        got = self.walks(inverse, taped, share=True)
+        want = self.walks(inverse, taped, share=False)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_plan_is_built_once_per_call(self):
+        model, batch = TestWalkBuffers.model()
+        step = flows._StepParams({})
+        z = model.forward(batch, step)
+        steps = step.plan(model)
+        model.inverse(z, step)
+        assert step.plan(model) is steps
+        assert [s.kind for s in steps] == [layer.kind for layer in model.layers]
+
+
 class TestIdentityCouplings:
     """A coupling whose conv3 kernel and bias are all zero skips its inner
     network and writes ``x_b + 0.0`` (``- 0.0``): the bits of the network's
@@ -815,8 +866,9 @@ class TestIdentityCouplings:
         p = make_coupling(6, 5, seed=8)
         p["w3"], p["b3"] = np.full_like(p["w3"], zero), np.full_like(p["b3"], zero)
         x = ad._swap(with_signed_zeros(np.random.default_rng(9).standard_normal((2, 6, 5, 7))))
-        got = flows._coupling(x, *p.values(), inverse, ad._Scratch())
-        want = full_coupling(x, *p.values(), inverse, ad._Scratch())
+        assert flows._identity(p["w3"], p["b3"])
+        got = flows._coupling(x, *p.values(), inverse, True, ad._Scratch())
+        want = full_coupling(x, *p.values(), inverse, True, ad._Scratch())
         assert_same_bits(got, want)
         # The forward turns -0.0 into +0.0; the inverse keeps it.
         zeros = got[3:][got[3:] == 0.0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from flowstyle.transfer import (
     FACTORS,
     PATCHSWAP,
     WCT,
+    FeatureStats,
     TransferKind,
     adain,
     adain_content_factor,
@@ -391,6 +394,25 @@ class TestHugeFiniteFeatures:
             patch_swap(self.f * 1e300, self.f * 1e300)
         with pytest.raises(NumericError, match="patch norms overflow"):
             patch_swap(self.f, self.f * 1e300)
+
+    def test_cov_factor(self):
+        with pytest.raises(NumericError, match="covariance overflows"):
+            cov_factor(self.f * 1e160)
+
+    def test_wct(self):
+        with pytest.raises(NumericError, match="covariance overflows"):
+            wct(self.f * 1e200, self.f)
+
+    def test_apply_style_factor(self):
+        stats = FeatureStats(np.zeros(12), np.full(12, 1e308))
+        with pytest.raises(NumericError, match="recombined feature overflows"):
+            apply_style_factor(self.f, stats)
+
+    def test_apply_cov_factor(self):
+        factor = cov_factor(self.f)
+        huge = dataclasses.replace(factor, colorer=factor.colorer * 1e308)
+        with pytest.raises(NumericError, match="recombined feature overflows"):
+            apply_cov_factor(wct_content_factor(self.f), huge)
 
     def test_largest_safe_scale_still_transfers(self):
         f = self.f * 1e150
