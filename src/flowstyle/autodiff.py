@@ -458,8 +458,8 @@ def _form(k, stride, pad):
 class _Kernel:
     """A convolution kernel ``k`` (O, I, kh, kw) at ``stride`` and ``pad``,
     prepared once: its GEMM form (:func:`_form`), its (O, I*kh*kw) view
-    ``gemm`` and, per input extent, its tap geometry and BLAS-thread
-    block (:meth:`at`). A flow walk's layer plan holds one per conv, so
+    ``gemm`` and, per input extent, its tap geometry and GEMM size
+    (:meth:`at`). A flow walk's layer plan holds one per conv, so
     every walk of a call reuses it. Its ``shape`` is ``k``'s. It keeps
     no copy of ``k``, which would make a training step's memory grow
     with depth: kn2row and the gradients lay ``k`` out per call.
@@ -472,15 +472,15 @@ class _Kernel:
         self.form, self.gemm, self._extents = _form(k, stride, pad), k.reshape(k.shape[0], -1), {}
 
     def at(self, b, h, w):
-        """(tap geometry, BLAS-thread block) of a call on a (I, b, h, w)
-        input: the block runs the GEMMs on one thread below
-        ``linalg.THREADED_MIN_MACS`` multiply-adds."""
+        """(tap geometry, multiply-adds of each GEMM) of a call on a (I, b,
+        h, w) input; the count decides the GEMMs' BLAS threads
+        (:class:`linalg.blas_threads`)."""
         got = self._extents.get((b, h, w))
         if got is None:
             n_out, n_in, kh, kw = self.shape
             taps = _taps(kh, kw, self.stride, self.pad, h, w)
             macs = n_out * b * taps.h_out * taps.w_out * n_in * kh * kw
-            got = self._extents[(b, h, w)] = (taps, blas_threads(macs))
+            got = self._extents[(b, h, w)] = (taps, macs)
         return got
 
 
@@ -522,10 +522,10 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
     k = _kernel(k, stride, pad)
     n_out, n_in, kh, kw = k.shape
     _, b, h, w = x.shape
-    taps, threads = k.at(b, h, w)
+    taps, macs = k.at(b, h, w)
     if out is None:
         out = np.empty((n_out, b, taps.h_out, taps.w_out))
-    with threads:
+    with blas_threads(macs):
         if k.form == "direct":
             _by_sample(k.gemm, x.reshape(n_in, -1), b, out.reshape(n_out, -1))
         elif k.form == "cols":
@@ -581,8 +581,8 @@ def _conv_grads(
     if bias:
         gb = _channel_sum(g)
     g2d = g.reshape(n_out, -1)
-    taps, threads = k.at(*x.shape[1:])
-    with threads:
+    taps, macs = k.at(*x.shape[1:])
+    with blas_threads(macs):
         if k.form == "direct":
             if want_x:
                 gx = (k.gemm.T @ g2d).reshape(x.shape)
