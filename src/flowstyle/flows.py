@@ -37,11 +37,11 @@ once, with the overrides' names and shapes checked, each actnorm's
 scale checked, each coupling's identity test run, each conv kernel's
 GEMM form and, per input extent, its tap geometry and the GEMM size
 that sets its BLAS threads, and each invconv weight's inverse, taken
-once. Every later walk and walk backward of the call reuses it. A walk given no ``_StepParams`` builds a plan for
-itself with the same code. Actnorm initialization, which changes
-weights mid-pass, derives each layer's step as it reaches it. Nothing
-is cached on the module or the model, so concurrent reads of one model
-stay safe.
+once. Every later walk and walk backward of the call reuses it. A walk
+given no ``_StepParams`` builds a plan for itself with the same code.
+Actnorm initialization, which changes weights mid-pass, derives each
+layer's step as it reaches it. Nothing is cached on the module or the
+model, so concurrent reads of one model stay safe.
 """
 
 from __future__ import annotations
