@@ -37,6 +37,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import types
 
 import numpy as np
 
@@ -412,12 +413,20 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
     taps = _taps(kh, kw, stride, pad, *dx.shape[2:])
     if taps.h_out <= 0 or taps.w_out <= 0:
         raise ShapeError("conv2d kernel larger than padded input")
-    kernel = _Kernel(dk, stride, pad)
+    return _conv2d(x, k, _Kernel(dk, stride, pad), bias, relu)
+
+
+def _conv2d(x, k, kernel, bias, relu) -> Value:
+    """The body of :func:`conv2d` once its checks have passed: ``kernel``
+    is ``k``'s data prepared (:class:`_Kernel`) at the call's stride and
+    pad, and ``x``, ``k`` and ``bias`` are checked values of matching
+    shapes, each an array or a Var (``bias`` may be None)."""
+    dx = _data(x)
     out = _swap(_conv(_swap(dx), kernel, None if bias is None else _data(bias), relu=relu))
 
     def back(g):
         gb, gx, gk = _conv_grads(
-            _swap(g), _swap(dx), kernel, stride, pad, _swap(out) if relu else None,
+            _swap(g), _swap(dx), kernel, kernel.stride, kernel.pad, _swap(out) if relu else None,
             bias=isinstance(bias, Var), want_x=isinstance(x, Var),
             want_k=isinstance(k, Var),
         )
@@ -535,7 +544,7 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
         else:
             prod = _take(scratch, "taps", (kh, kw, n_out, b * h * w))
             _by_sample(k.k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
-            _tap_sum(prod, taps.flat, out, 1)
+            _tap_sum(prod, taps, out, 1)
     if bias is not None:
         out += bias[:, None, None, None]
     if relu:
@@ -594,7 +603,7 @@ def _conv_grads(
                 k_t = np.ascontiguousarray(k.k.transpose(0, 2, 3, 1)).reshape(n_out, -1).T
                 np.matmul(k_t, g2d, out=per_tap.reshape(-1, g2d.shape[1]))
                 if taps.flat is not None:
-                    gx = _tap_sum(per_tap, taps.flat, np.empty(x.shape), -1)
+                    gx = _tap_sum(per_tap, taps, np.empty(x.shape), -1)
                 else:
                     per_tap = per_tap.reshape(kh, kw, n_in, x.shape[1], taps.h_out, taps.w_out)
                     gx = np.zeros(x.shape)
@@ -642,23 +651,23 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     c5, x3 = cols.reshape(n_in, kh, kw, b, n), x.reshape(n_in, b, n)
     for u, v, d, lo, hi in taps.flat:
         c5[:, u, v, :, lo:hi] = x3[:, :, lo + d : hi + d]
-    _zero_edges(cols.reshape(n_in, kh, kw, b, h, w).transpose(1, 2, 0, 3, 4, 5), -1)
+    _zero_edges(cols.reshape(n_in, kh, kw, b, h, w).transpose(1, 2, 0, 3, 4, 5), taps.edges[-1])
     return cols
 
 
-def _tap_sum(prod, flat, out, sign):
+def _tap_sum(prod, taps, out, sign):
     """Into ``out`` (C, B, H, W), returned, the taps of the tap-major
-    ``prod`` (kh, kw, C, B*H*W) of a "same" geometry (``flat`` of
+    ``prod`` (kh, kw, C, B*H*W) of a "same" geometry (``taps`` of
     :func:`_taps`), read at ``i + sign * d``: kn2row's epilogue (``sign``
     1) and the adjoint of :func:`_im2col`'s "same" branch (-1). Each tap
     adds as one slice of the flat range, after :func:`_zero_edges` zeroes
     the entries of ``prod`` that a read crossing a row, sample or channel
     reaches: they add +0.0, which keeps the bits of clipped window adds,
     as the sum starts at +0.0."""
-    _zero_edges(prod.reshape(prod.shape[:2] + (-1,) + out.shape[2:]), sign)
+    _zero_edges(prod.reshape(prod.shape[:2] + (-1,) + out.shape[2:]), taps.edges[sign])
     o, p3, m = out.reshape(-1), prod.reshape(prod.shape[0], prod.shape[1], -1), out.size
     o.fill(0.0)
-    for u, v, d, _, _ in flat:
+    for u, v, d, _, _ in taps.flat:
         e = sign * d
         if e < 0:
             o[-e:] += p3[u, v, : m + e]
@@ -667,18 +676,27 @@ def _tap_sum(prod, flat, out, sign):
     return out
 
 
-def _zero_edges(t, sign):
+def _zero_edges(t, edges):
     """Zero, in ``t``, a tap-major view (kh, kw, ..., H, W) of the taps of
-    a "same" geometry, each tap's rows and columns that no read inside
-    the image reaches (``sign`` 1), or those at which it reads outside
-    the image (-1): where a flat read crosses a row, sample or channel."""
-    (kh, kw), (h, w) = t.shape[:2], t.shape[-2:]
+    a "same" geometry, at the indices ``edges`` (``edges[sign]`` of
+    :func:`_taps`): each tap's rows and columns that no read inside the
+    image reaches (``sign`` 1), or those at which it reads outside the
+    image (-1), where a flat read crosses a row, sample or channel."""
+    for index in edges:
+        t[index] = 0.0
+
+
+def _edges(kh, kw, h, w, sign):
+    """The indices of :func:`_zero_edges`: one row slice per ``u`` and one
+    column slice per ``v``, each for any rank of view."""
+    rows, cols = [], []
     for u in range(kh):  # the centre tap's slice, (h, h), is empty
         a = sign * (u - kh // 2)
-        t[u, ..., slice(0, a) if a > 0 else slice(max(0, h + a), h), :] = 0.0
+        rows.append((u, ..., slice(0, a) if a > 0 else slice(max(0, h + a), h), slice(None)))
     for v in range(kw):
         a = sign * (v - kw // 2)
-        t[:, v, ..., slice(0, a) if a > 0 else slice(max(0, w + a), w)] = 0.0
+        cols.append((slice(None), v, ..., slice(0, a) if a > 0 else slice(max(0, w + a), w)))
+    return tuple(rows + cols)
 
 
 def _same(kh, kw, stride, pad):
@@ -686,7 +704,7 @@ def _same(kh, kw, stride, pad):
     return stride == 1 and kh == kw == 2 * pad + 1
 
 
-_TapGeometry = collections.namedtuple("_TapGeometry", "h_out w_out clipped flat")
+_TapGeometry = collections.namedtuple("_TapGeometry", "h_out w_out clipped flat edges")
 
 
 @functools.lru_cache(maxsize=256)
@@ -700,11 +718,13 @@ def _taps(kh, kw, stride, pad, h, w):
     that reaches the unpadded input: output window ``[out_rows,
     out_cols]`` reads the input at ``[rows, cols]`` through tap (u, v).
 
-    ``flat`` is None but in a "same" geometry (:func:`_same`), where tap
-    (u, v) reads position ``i`` of each sample's flattened h*w axis at
-    ``i + d``, ``d = (u - pad) * w + (v - pad)``: it is (u, v, d, lo,
-    hi) for every tap whose range ``lo <= i < hi`` of reads that stay in
-    the sample is not empty.
+    ``flat`` and ``edges`` are None but in a "same" geometry
+    (:func:`_same`), where tap (u, v) reads position ``i`` of each
+    sample's flattened h*w axis at ``i + d``, ``d = (u - pad) * w + (v -
+    pad)``: ``flat`` is (u, v, d, lo, hi) for every tap whose range ``lo
+    <= i < hi`` of reads that stay in the sample is not empty, and
+    ``edges`` maps ``sign`` 1 and -1 to the indices that
+    :func:`_zero_edges` zeroes (:func:`_edges`).
     """
     h_out = (h + 2 * pad - kh) // stride + 1
     w_out = (w + 2 * pad - kw) // stride + 1
@@ -714,7 +734,7 @@ def _taps(kh, kw, stride, pad, h, w):
         for v, o_cols, i_cols in _clip_axis(kw, w, w_out, stride, pad)
     )
     if not _same(kh, kw, stride, pad):
-        return _TapGeometry(h_out, w_out, clipped, None)
+        return _TapGeometry(h_out, w_out, clipped, None, None)
     n, flat = h * w, []
     for u in range(kh):
         for v in range(kw):
@@ -722,7 +742,8 @@ def _taps(kh, kw, stride, pad, h, w):
             lo, hi = max(0, -d), min(n, n - d)
             if lo < hi:
                 flat.append((u, v, d, lo, hi))
-    return _TapGeometry(h_out, w_out, clipped, tuple(flat))
+    edges = types.MappingProxyType({sign: _edges(kh, kw, h, w, sign) for sign in (1, -1)})
+    return _TapGeometry(h_out, w_out, clipped, tuple(flat), edges)
 
 
 def _clip_axis(k, n, n_out, s, p):

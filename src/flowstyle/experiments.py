@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError, as_batch, as_index, as_real
 from .flows import FlowNet, FlowNetConfig, _StepParams, build_flownet
-from .metrics import evaluate_stylization, ssim
+from .metrics import SSIM_WINDOW, evaluate_stylization, ssim
 from .training import TrainConfig, build_lossnet, train
 from .transfer import ADAIN, FACTORS, TransferKind, _as_kind, _blend, transfer_apply
 
@@ -67,9 +67,11 @@ def leak_test(
     """Re-stylize the previous output ``rounds`` times against a fixed style.
 
     Round k compares output k with output 1 (SSIM and max-abs drift), so
-    round 1 is SSIM 1 / drift 0 by construction. A statistics-preserving
-    transfer keeps drift at rounding level; a patch-replacement transfer
-    drifts monotonically. The style image is encoded once, so ``rounds``
+    round 1 is SSIM 1 / drift 0 by construction and is not computed. The
+    content image is checked first (:func:`errors.as_batch`): one
+    smaller than SSIM's window raises ShapeError before any walk. A
+    statistics-preserving transfer keeps drift at rounding level; a
+    patch-replacement transfer drifts monotonically. The style image is encoded once, so ``rounds``
     rounds take ``rounds + 1`` forward and ``rounds`` inverse passes,
     which share one layer plan (each invconv weight inverted once) and
     one set of scratch buffers. For adain and wct the style latent's
@@ -79,6 +81,12 @@ def leak_test(
     """
     kind, alpha = _as_kind(kind), as_real("alpha", alpha, 0.0, 1.0)
     rounds, step = as_index("rounds", rounds, 1), _StepParams({})
+    content = as_batch("content image", content)
+    if min(content.shape[2:]) < SSIM_WINDOW:
+        raise ShapeError(
+            f"leak_test content must be at least {SSIM_WINDOW}x{SSIM_WINDOW} for "
+            f"SSIM's window, got {content.shape[2]}x{content.shape[3]}"
+        )
     f_s = model.forward(style, step)
     if kind.name in FACTORS:
         content_factor, style_factor, recombine = FACTORS[kind.name]
@@ -95,8 +103,9 @@ def leak_test(
         return model.inverse(transfer(model.forward(image, step)), step)
 
     first = restyle(content)
-    ssims = [ssim(first, first)]
-    drifts = [0.0]
+    # ssim(first, first) is exactly 1.0: each term's numerator and
+    # denominator are the same ops on the same values.
+    ssims, drifts = [1.0], [0.0]
     current = first
     for _ in range(1, rounds):
         current = restyle(current)

@@ -63,7 +63,7 @@ from .errors import (
     as_index,
     as_real,
 )
-from .linalg import mat_inverse
+from .linalg import blas_threads, mat_inverse
 from .transfer import EPS_STD, _moments
 
 ACTNORM_SCALE_FLOOR = 1e-6
@@ -426,23 +426,26 @@ class _StepParams(dict):
     walk and walk backward. Both serve the walks of one model's weights
     only, which must not change while the step or call runs, and die
     with it. The plan holds the weights' arrays, views of them and the
-    invconv inverses, never a scratch buffer.
+    invconv inverses, never a scratch buffer. ``own`` says that the
+    values are the model's own weights (a training step's Vars of them),
+    which the plan then need not check.
     """
 
-    __slots__ = ("scratch", "_steps")
+    __slots__ = ("scratch", "_own", "_steps", "_macs")
 
-    def __init__(self, params):
+    def __init__(self, params, own=False):
         super().__init__(params or {})
         self.scratch = ad._Scratch()
-        self._steps = None
+        self._own, self._steps, self._macs = own, None, {}
 
     def plan(self, model):
         """One :class:`_Step` per layer of ``model``, in forward order, for
         its stored weights with these values in their place: built on the
-        first call, which checks the values' names and shapes (a name the
-        store lacks, or a misshapen or complex value, raises ShapeError)."""
+        first call, which checks the values' names and shapes unless they
+        are the model's ``own`` (a name the store lacks, or a misshapen or
+        complex value, raises ShapeError)."""
         if self._steps is None:
-            for name, p in self.items():
+            for name, p in () if self._own else self.items():
                 if name not in model.params:
                     raise ShapeError(f"{name!r} is not a parameter of this network")
                 as_feature(name, p, shape=model.params[name].shape, finite=False)
@@ -452,6 +455,27 @@ class _StepParams(dict):
                 for layer in model.layers
             )
         return self._steps
+
+    def macs(self, b, h, w):
+        """The multiply-adds of the largest GEMM that a walk of the built
+        plan, or its backward, runs on ``b`` images of extent (h, w): each
+        conv's at its block's extent (``autodiff._Kernel.at``) and, for an
+        inverse walk's invconv weight gradient, C^3. Kept per extent; it
+        sets the walk's BLAS threads (:class:`linalg.blas_threads`)."""
+        extent = (b, h, w)
+        most = self._macs.get(extent)
+        if most is None:
+            most = 0
+            for step in self._steps:
+                if step.kind == "squeeze":
+                    h, w = h // SQUEEZE_FACTOR, w // SQUEEZE_FACTOR
+                elif step.kind == "invconv":
+                    c = step.kernel.shape[0]
+                    most = max(most, step.kernel.at(b, h, w)[1], c**3)
+                elif step.kind == "coupling":
+                    most = max(most, *(k.at(b, h, w)[1] for k in step.net[::2]))
+            self._macs[extent] = most
+        return most
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +591,14 @@ class FlowNet:
         """
         call = params if isinstance(params, _StepParams) else _StepParams(params)
         steps, scratch, data = call.plan(self), call.scratch, ad._data(v)
+        b, _, h, w = data.shape
+        if inverse:
+            h, w = (e * SQUEEZE_FACTOR**self.config.n_blocks for e in (h, w))
+        threads = blas_threads(call.macs(b, h, w))
         y = ad._swap(data)
-        for step in reversed(steps) if inverse else steps:
-            y = _run_layer(step, y, inverse, scratch, data)
+        with threads:
+            for step in reversed(steps) if inverse else steps:
+                y = _run_layer(step, y, inverse, scratch, data)
         y = ad._swap(y)
         inputs = (v, *(p for step in steps for p in step.weights if isinstance(p, ad.Var)))
         tape = ad._tape_of(*inputs)
@@ -578,16 +607,17 @@ class FlowNet:
 
         def back(g):
             x, g = y.swapaxes(0, 1).copy(), g.swapaxes(0, 1).copy()
-            for step in steps if inverse else reversed(steps):
-                kind = step.kind
-                if kind == "squeeze":
-                    x, g = _squeeze_back(x, g, inverse)
-                elif kind == "actnorm":
-                    x, g = _actnorm_back(x, g, step, inverse)
-                elif kind == "invconv":
-                    x, g = _invconv_back(x, g, step, inverse)
-                else:
-                    x, g = _coupling_back(x, g, step, inverse, scratch)
+            with threads:
+                for step in steps if inverse else reversed(steps):
+                    kind = step.kind
+                    if kind == "squeeze":
+                        x, g = _squeeze_back(x, g, inverse)
+                    elif kind == "actnorm":
+                        x, g = _actnorm_back(x, g, step, inverse)
+                    elif kind == "invconv":
+                        x, g = _invconv_back(x, g, step, inverse)
+                    else:
+                        x, g = _coupling_back(x, g, step, inverse, scratch)
             _check_rebuild(x, data, inverse)
             ad._accum(v, ad._swap(g))
 

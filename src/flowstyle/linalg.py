@@ -47,13 +47,21 @@ def _openblas_thread_calls():
     return None
 
 
+# One-thread blocks open now; the outermost one set the count and restores it.
+_one_thread_depth = 0
+
+
 class blas_threads:
     """Run the block's BLAS calls on one thread unless each product does
     ``macs >= THREADED_MIN_MACS`` multiply-adds; restore the count on exit.
 
-    The count is process-wide: blocks must not overlap across Python
-    threads. Without numpy's OpenBLAS the count is left alone. A plain
-    class rather than a generator: every conv2d enters one.
+    Blocks nest: inside a one-thread block every block, small or large,
+    runs on that one thread and makes no OpenBLAS call, so a caller that
+    knows all of its products are small (a flow walk at a small extent,
+    a LossNet pass) enters one block for all of them and each conv's own
+    block costs a counter. The count is process-wide: blocks must not
+    overlap across Python threads. Without numpy's OpenBLAS the count is
+    left alone.
     """
 
     __slots__ = ("_macs", "_restore")
@@ -63,17 +71,26 @@ class blas_threads:
         self._restore = None
 
     def __enter__(self):
+        global _one_thread_depth
+        if _one_thread_depth:
+            _one_thread_depth += 1
+            self._restore = ()
+            return
         calls = _openblas_thread_calls()
         if calls is not None and self._macs < THREADED_MIN_MACS:
             get, set_ = calls
             self._restore = (set_, get())
+            _one_thread_depth = 1
             set_(1)
 
     def __exit__(self, *exc):
+        global _one_thread_depth
         if self._restore is not None:
-            set_, before = self._restore
-            self._restore = None
-            set_(before)
+            restore, self._restore = self._restore, None
+            _one_thread_depth -= 1
+            if restore:
+                set_, before = restore
+                set_(before)
 
 
 class SymMatrix:

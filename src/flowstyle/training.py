@@ -32,7 +32,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NumericError, ShapeError, as_batch, as_feature, as_index, as_real
 from .flows import FlowNet, _StepParams, initialize_actnorms
-from .transfer import _inv_above, _moments, _moments_grad, _pc, adain
+from .linalg import blas_threads
+from .transfer import _adain, _inv_above, _moments, _moments_grad, _pc, adain
 
 LOSSNET_WIDTHS = (16, 32, 64, 64)
 
@@ -45,7 +46,11 @@ class LossNet:
 
     The kernels and biases are read-only and never change, so one LossNet
     yields identical features forever (:func:`build_lossnet` draws them
-    from a seed).
+    from a seed). Each stage's kernel must take the previous stage's
+    output channels; the first kernel sets the input channel count. The
+    kernels are checked once, here, and each is prepared once, at
+    stride 2 and pad 1 (``autodiff._Kernel``), so :meth:`features` checks
+    only its image.
     """
 
     def __init__(self, kernels, biases):
@@ -57,21 +62,43 @@ class LossNet:
                 f"a LossNet needs at least one stage and one bias per kernel, got "
                 f"{len(self.kernels)} kernels and {len(self.biases)} biases"
             )
+        for prev, k in zip(self.kernels, self.kernels[1:]):
+            if k.shape[1] != prev.shape[0]:
+                raise ShapeError(
+                    f"a LossNet kernel takes {k.shape[1]} channels, but the stage "
+                    f"before it gives {prev.shape[0]}"
+                )
         for k in self.kernels:
             k.flags.writeable = False
         for b in self.biases:
             b.flags.writeable = False
+        self._stages = tuple(ad._Kernel(k, 2, 1) for k in self.kernels)
 
     def features(self, image) -> list[ad.Value]:
         """Per-stage feature maps for an image batch (B,C,H,W): arrays
-        for an array, Vars for a Var. A complex or empty image raises
+        for an array, Vars for a Var. A complex or empty image, or one of
+        another channel count or too small for a stage's kernel, raises
         ShapeError and a NaN or infinite pixel NumericError
-        (:func:`errors.as_feature`), before any stage runs."""
+        (:func:`errors.as_feature`), before any stage runs. Each stage is
+        one ``conv2d`` node when the image is a Var; when every stage's
+        GEMM is small, all of them share one BLAS-thread block
+        (:class:`linalg.blas_threads`)."""
         image = as_feature("LossNet input", image)
+        b, c, h, w = ad._data(image).shape
+        if c != self.kernels[0].shape[1]:
+            raise ShapeError(f"LossNet input has {c} channels, its first kernel takes "
+                             f"{self.kernels[0].shape[1]}")
+        most = 0
+        for stage in self._stages:
+            taps, macs = stage.at(b, h, w)
+            if taps.h_out <= 0 or taps.w_out <= 0:
+                raise ShapeError(f"a LossNet kernel is larger than its padded {h}x{w} input")
+            h, w, most = taps.h_out, taps.w_out, max(most, macs)
         feats = []
-        for k, b in zip(self.kernels, self.biases):
-            image = ad.conv2d(image, k, b, stride=2, pad=1, relu=True)
-            feats.append(image)
+        with blas_threads(most):
+            for stage, bias in zip(self._stages, self.biases):
+                image = ad._conv2d(image, stage.k, stage, bias, relu=True)
+                feats.append(image)
         return feats
 
     def top_feature(self, image) -> ad.Value:
@@ -274,6 +301,9 @@ def training_loss(model: FlowNet, params, content, style, cfg: TrainConfig, loss
 
     ``params`` maps name -> value. Taped Vars give taped losses to
     differentiate; arrays give the content and style losses as floats.
+    The values' names and shapes are checked when the first walk builds
+    its plan, unless ``params`` is a ``flows._StepParams`` of the model's
+    own weights (:func:`train_step`).
     ``content`` and ``style`` are image batches of one (C, H, W)
     (:func:`_as_batches`); their batch sizes may differ.
 
@@ -289,13 +319,15 @@ def training_loss(model: FlowNet, params, content, style, cfg: TrainConfig, loss
     conv2d multiplies each sample of a batch on its own.
     """
     content, style = _as_batches(content, style)
-    params, n = _StepParams(params), content.shape[0]
+    if not isinstance(params, _StepParams):
+        params = _StepParams(params)
+    n = content.shape[0]
     images = np.concatenate([content, style])
     f_c, f_s = ad.split_batch(model.forward(images, params=params), n)
-    decoded = model.inverse(adain(f_c, f_s), params=params)
+    decoded = model.inverse(_adain(f_c, f_s), params=params)
     fixed = lossnet.features(images)
     style_feats = [f[n:] for f in fixed]
-    target = adain(fixed[-1][:n], style_feats[-1])
+    target = _adain(fixed[-1][:n], style_feats[-1])
     feats = lossnet.features(decoded)
     l_c = _content_term(feats[-1], target)
     l_s = _style_term(feats, style_feats)
@@ -330,7 +362,8 @@ def train_step(
         initialize_actnorms(model, np.concatenate([content, style], axis=0))
     tape = ad.Tape()
     pvars = {name: ad.Var(arr, tape) for name, arr in model.params.items()}
-    total, l_c, l_s = training_loss(model, pvars, content, style, cfg, lossnet)
+    own = _StepParams(pvars, own=True)
+    total, l_c, l_s = training_loss(model, own, content, style, cfg, lossnet)
     result = StepResult(float(l_c.data), float(l_s.data), float(total.data))
     if not np.isfinite(result.total_loss):
         raise NumericError(

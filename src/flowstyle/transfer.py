@@ -115,10 +115,12 @@ def _moments(a):
     ``a``, over batch and spatial positions: the statistic of
     :func:`channel_stats`, ``adain`` and ``flows.actnorm_init``.
     NumericError if a raw std overflows (a finite ``a`` above about 1e154)."""
+    n = a.shape[0] * a.shape[2] * a.shape[3]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = a.mean(axis=(0, 2, 3))
+        # ndarray.mean's own two ufuncs, without its Python wrapper.
+        mean = np.true_divide(np.add.reduce(a, axis=(0, 2, 3)), n)
         centered = a - _pc(mean)
-        root = np.sqrt((centered * centered).mean(axis=(0, 2, 3)))
+        root = np.sqrt(np.true_divide(np.add.reduce(centered * centered, axis=(0, 2, 3)), n))
     if not np.isfinite(root).all():
         raise NumericError("per-channel std overflows: the feature is too large to standardize")
     return mean, root, np.maximum(root, EPS_STD)
@@ -196,9 +198,16 @@ def adain(f_c, f_s):
     :func:`_moments_grad`.
     """
     f_c, f_s = as_feature("content feature", f_c), as_feature("style feature", f_s)
+    c_c, c_s = ad._data(f_c).shape[1], ad._data(f_s).shape[1]
+    if c_c != c_s:
+        raise ShapeError(f"channel mismatch: content {c_c}, style {c_s}")
+    return _adain(f_c, f_s)
+
+
+def _adain(f_c, f_s):
+    """The body of :func:`adain` once its checks have passed: ``f_c`` and
+    ``f_s`` are finite (B, C, H, W) arrays or Vars of one channel count."""
     dc, ds = ad._data(f_c), ad._data(f_s)
-    if dc.shape[1] != ds.shape[1]:
-        raise ShapeError(f"channel mismatch: content {dc.shape[1]}, style {ds.shape[1]}")
     (mean_c, root_c, std_c), (mean_s, root_s, std_s) = _moments(dc), _moments(ds)
     # In place, with the bits of (dc - mean_c) / std_c * std_s + mean_s.
     out = dc - _pc(mean_c)

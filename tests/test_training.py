@@ -533,7 +533,7 @@ class TestStepShape:
 
 def per_op_losses(monkeypatch):
     """Make ``training_loss`` build AdaIN and both loss terms per op."""
-    monkeypatch.setattr(training, "adain", adain_reference)
+    monkeypatch.setattr(training, "_adain", adain_reference)
     monkeypatch.setattr(training, "_style_term", style_term_reference)
     monkeypatch.setattr(training, "_content_term", content_term_reference)
 
