@@ -483,7 +483,8 @@ class _Kernel:
     def at(self, b, h, w):
         """(tap geometry, multiply-adds of each GEMM) of a call on a (I, b,
         h, w) input; the count decides the GEMMs' BLAS threads
-        (:class:`linalg.blas_threads`)."""
+        (:class:`linalg.blas_threads`), and a flow walk's or a LossNet
+        pass's largest count decides theirs."""
         got = self._extents.get((b, h, w))
         if got is None:
             n_out, n_in, kh, kw = self.shape

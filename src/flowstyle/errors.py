@@ -6,10 +6,11 @@ class so callers can discriminate without string matching.
 
 Each public entry point checks each of its arguments once, on entry,
 with one of four helpers; internal calls and kernels trust the values
-they are given, but for three re-checks: ``LossNet.features`` →
-``autodiff.conv2d``, ``training_loss`` → ``transfer.adain``, and the
-check of a training step's overrides, once per step, when its first
-walk builds the layer plan (``flows._StepParams.plan``).
+they are given. Where a public function serves internal callers too,
+they call its body past the checks (``autodiff._conv2d``,
+``transfer._adain``), and a training step's parameter overrides, the
+model's own weights, skip the check that ``training_loss``'s plan
+runs on the overrides a caller passes (``flows._StepParams``).
 :func:`as_index` takes a count, :func:`as_real` a real number in a
 range, :func:`as_batch` a real, finite, non-empty (B, C, H, W) array and
 :func:`as_feature` the same or an autodiff Var. Each tests the dtype

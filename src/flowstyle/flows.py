@@ -33,12 +33,17 @@ step, or of one ``stylize``, ``leak_test``, ``reverse_transfer``,
 and one layer plan through the call's parameter mapping
 (:class:`_StepParams`). The first walk builds the plan from
 :meth:`FlowNetConfig.layers`: per layer, its weight arrays, resolved
-once, with the overrides' names and shapes checked, each actnorm's
+once, with the overrides' names and shapes checked unless they are
+a training step's own weights, each actnorm's
 scale checked, each coupling's identity test run, each conv kernel's
-GEMM form and, per input extent, its tap geometry and the GEMM size
-that sets its BLAS threads, and each invconv weight's inverse, taken
-once. Every later walk and walk backward of the call reuses it. A walk
-given no ``_StepParams`` builds a plan for itself with the same code.
+GEMM form and, per input extent, its tap geometry and GEMM size, and
+each invconv weight's inverse, taken once. Every later walk and walk
+backward of the call reuses it. A walk given no ``_StepParams`` builds
+a plan for itself with the same code. From the GEMM sizes the plan
+takes one BLAS-thread decision per walk extent
+(:meth:`_StepParams.macs`): a walk, and its backward, whose GEMMs are
+all small runs them in one one-thread block, and a walk with a larger
+GEMM leaves each conv to choose (:class:`linalg.blas_threads`).
 Actnorm initialization, which changes weights mid-pass, derives each
 layer's step as it reaches it. Nothing is cached on the module or the
 model, so concurrent reads of one model stay safe.
@@ -308,6 +313,7 @@ def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None):
 # ``g``, which it may overwrite, and (but for the squeeze) the layer's
 # step of the walk's plan (:class:`_Step`), whose ``weights`` are the
 # walk's (Vars or arrays). It accumulates the gradient of every weight Var
+# (an inverse walk's invconv defers its products, :func:`_invconv_back`)
 # and returns the layer's input and that input's gradient.
 
 
@@ -333,18 +339,24 @@ def _actnorm_back(y, g, step, inverse):
     return y, g
 
 
-def _invconv_back(y, g, step, inverse):
+def _invconv_back(y, g, step, inverse, deferred):
     """W^{-1} is the plan's (:meth:`_Step.inverse`): an inverse walk's
     forward used it, and a forward walk's rule rebuilds its input with
     it. Both directions are the conv kernel's 1x1 form; an inverse walk's
-    weight gradient is taken through d(W^{-1}) = -W^{-1} dW W^{-1}."""
+    weight gradient is taken through d(W^{-1}) = -W^{-1} dW W^{-1}, whose
+    two C x C products go on ``deferred`` as (weight, W^{-1}, dW^{-1}):
+    the walk's backward runs them after its BLAS-thread block, at the
+    count in force, as they are no conv GEMM (at C = 255 one and two
+    OpenBLAS threads give them different bits)."""
     (weight,), w, w_inv = step.weights, step.kernel, step.inverse()
     x = ad._conv(y, w if inverse else w_inv)
     m = w_inv if inverse else w
     _, gx, gm = ad._conv_grads(g, x, m, 1, 0, want_k=isinstance(weight, ad.Var))
     if gm is not None:
-        gm, w_inv = gm[:, :, 0, 0], w_inv.gemm
-        ad._accum(weight, -(w_inv.T @ gm @ w_inv.T) if inverse else gm)
+        if inverse:
+            deferred.append((weight, w_inv.gemm, gm[:, :, 0, 0]))
+        else:
+            ad._accum(weight, gm[:, :, 0, 0])
     return x, gx
 
 
@@ -457,11 +469,11 @@ class _StepParams(dict):
         return self._steps
 
     def macs(self, b, h, w):
-        """The multiply-adds of the largest GEMM that a walk of the built
-        plan, or its backward, runs on ``b`` images of extent (h, w): each
-        conv's at its block's extent (``autodiff._Kernel.at``) and, for an
-        inverse walk's invconv weight gradient, C^3. Kept per extent; it
-        sets the walk's BLAS threads (:class:`linalg.blas_threads`)."""
+        """The multiply-adds of the largest conv GEMM that a walk of the
+        built plan, or its backward, runs on ``b`` images of extent (h,
+        w), each at its block's extent (``autodiff._Kernel.at``). Kept per
+        extent; it sets the walk's BLAS threads
+        (:class:`linalg.blas_threads`)."""
         extent = (b, h, w)
         most = self._macs.get(extent)
         if most is None:
@@ -470,8 +482,7 @@ class _StepParams(dict):
                 if step.kind == "squeeze":
                     h, w = h // SQUEEZE_FACTOR, w // SQUEEZE_FACTOR
                 elif step.kind == "invconv":
-                    c = step.kernel.shape[0]
-                    most = max(most, step.kernel.at(b, h, w)[1], c**3)
+                    most = max(most, step.kernel.at(b, h, w)[1])
                 elif step.kind == "coupling":
                     most = max(most, *(k.at(b, h, w)[1] for k in step.net[::2]))
             self._macs[extent] = most
@@ -558,7 +569,11 @@ class FlowNet:
         The walk runs the layer plan (:meth:`_StepParams.plan`) of
         ``params`` when it is a :class:`_StepParams`, which the walks of
         one call share, one after another, and else builds one for itself
-        with the same code, so concurrent calls share no buffer.
+        with the same code, so concurrent calls share no buffer. The walk
+        and its backward each enter one ``linalg.blas_threads`` block
+        sized by the plan's largest GEMM at the walk's extent
+        (:meth:`_StepParams.macs`), so that every GEMM keeps the thread
+        count that its own size gives it.
 
         The walk runs channel-major: it converts its input to (C, B, H, W)
         once on entry (``autodiff._swap``, a view at batch 1) and its
@@ -607,6 +622,7 @@ class FlowNet:
 
         def back(g):
             x, g = y.swapaxes(0, 1).copy(), g.swapaxes(0, 1).copy()
+            deferred = []
             with threads:
                 for step in steps if inverse else reversed(steps):
                     kind = step.kind
@@ -615,9 +631,11 @@ class FlowNet:
                     elif kind == "actnorm":
                         x, g = _actnorm_back(x, g, step, inverse)
                     elif kind == "invconv":
-                        x, g = _invconv_back(x, g, step, inverse)
+                        x, g = _invconv_back(x, g, step, inverse, deferred)
                     else:
                         x, g = _coupling_back(x, g, step, inverse, scratch)
+            for weight, w_inv, gm in deferred:
+                ad._accum(weight, -(w_inv.T @ gm @ w_inv.T))
             _check_rebuild(x, data, inverse)
             ad._accum(v, ad._swap(g))
 

@@ -6,8 +6,10 @@ round, run.py's ``env`` line and its final JSON object. The file must
 name only the workloads and metrics that BENCHMARK.json defines, hold no
 run with a failed op, and hold each (SHA, workload, seed, round) once.
 Points come in alternated parent/child pairs: each (workload, seed,
-round) holds exactly two points, of two different SHAs. No timing is
-asserted: the numbers depend on the machine.
+round) holds exactly two points, of two different SHAs, measured alike:
+the same run seconds and the same ``env`` (Python, numpy, BLAS, BLAS
+threads, cores, machine) but for its seed. No timing is asserted: the
+numbers depend on the machine.
 """
 
 import json
@@ -51,3 +53,14 @@ def test_runs_come_in_parent_child_pairs():
         pairs.setdefault((p["workload"], p["seed"], p["round"]), []).append(p["sha"])
     for key, shas in pairs.items():
         assert len(shas) == 2 and shas[0] != shas[1], key
+
+
+def test_the_two_points_of_a_pair_are_measured_alike():
+    pairs = {}
+    for p in POINTS:
+        env = {k: v for k, v in p["env"].items() if k != "seed"}
+        pairs.setdefault((p["workload"], p["seed"], p["round"]), []).append(
+            (p["seconds"], env)
+        )
+    for key, (a, b) in pairs.items():
+        assert a == b, key

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import flowstyle.autodiff as ad
-from flowstyle import flows, metrics, transfer
+from flowstyle import experiments, flows, metrics, transfer
 from flowstyle.errors import NumericError, ShapeError
 from flowstyle.experiments import (
     LeakReport,
@@ -466,3 +466,38 @@ class TestOneScratchPerCall:
             np.testing.assert_array_equal(g, w)
             for buf in scratches[0]._flat.values():
                 assert not np.shares_memory(g, buf)
+
+
+class TestLeakTestChecksAndSsims:
+    """leak_test checks its content before any walk and computes no SSIM
+    for round 1, which is 1.0 by construction."""
+
+    @pytest.mark.parametrize("kind", [ADAIN, WCT, PATCHSWAP], ids=lambda k: k.name)
+    def test_report_equals_separate_walks(self, kind):
+        model, (content, style) = make_model(), images()
+        assert leak_test(model, kind, content, style, 3) == separate_leak_test(
+            model, kind, content, style, 3
+        )
+
+    @pytest.mark.parametrize("rounds", [1, 2, 4])
+    def test_ssim_runs_once_per_round_after_the_first(self, rounds, monkeypatch):
+        model, (content, style) = make_model(), images()
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return ssim(a, b)
+
+        monkeypatch.setattr(experiments, "ssim", counted)
+        report = leak_test(model, ADAIN, content, style, rounds)
+        assert len(calls) == rounds - 1
+        assert report.ssim_vs_first[0] == 1.0 and report.drift_vs_first[0] == 0.0
+
+    def test_content_below_the_ssim_window_raises_before_any_walk(self, monkeypatch):
+        model = build_flownet(FlowNetConfig(1, 2, 8, 3, 8, 8), seed=3)
+        initialize_actnorms(model, np.random.default_rng(4).random((2, 3, 8, 8)))
+        content, style = images(size=8)
+        calls = count_passes(monkeypatch)
+        with pytest.raises(ShapeError, match="SSIM"):
+            leak_test(model, ADAIN, content, style, 2)
+        assert calls == {"forward": 0, "inverse": 0}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowstyle.autodiff as ad
-from flowstyle import flows
+from flowstyle import flows, linalg
 from flowstyle.errors import (
     DegenerateScaleError,
     NumericError,
@@ -1132,3 +1132,61 @@ class TestChannelMajorWalk:
         want = TestCouplingNode.run(x, p, probe, inverse, kernel=False)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+
+class TestWalkThreadBlock:
+    """A walk and its backward set the BLAS threads once when every conv
+    GEMM of the walk is small, and leave each conv to choose otherwise."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls, count = [], [2]
+
+        def get():
+            calls.append("get")
+            return count[0]
+
+        def set_(n):
+            calls.append(n)
+            count[0] = n
+
+        monkeypatch.setattr(linalg, "_openblas_thread_calls", lambda: (get, set_))
+        return calls
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_small_walk_and_its_backward_enter_one_block_each(self, inverse, monkeypatch):
+        model, batch = TestWalkBuffers.model()
+        v = model.forward(batch) if inverse else batch
+        calls = self.spy(monkeypatch)
+        tape = ad.Tape()
+        y = model._walk(ad.Var(v, tape), None, inverse)
+        assert calls == ["get", 1, 2]
+        ad.backward(ad.sum_all(y))
+        assert calls == ["get", 1, 2] * 2
+
+    def test_walk_with_a_large_gemm_leaves_each_conv_to_choose(self, monkeypatch):
+        model, batch = TestWalkBuffers.model()
+        step = flows._StepParams({})
+        want = model.forward(batch, step)
+        most = step.macs(batch.shape[0], *batch.shape[2:])
+        monkeypatch.setattr(linalg, "THREADED_MIN_MACS", most)
+        calls = self.spy(monkeypatch)
+        assert_same_bits(model.forward(batch, step), want)
+        assert 2 < calls.count("get") < len([k for k in model.params if ".w" in k])
+
+    def test_inverse_walk_takes_invconv_weight_products_outside_its_block(self, monkeypatch):
+        model, batch = TestWalkBuffers.model()
+        z, tape = model.forward(batch), ad.Tape()
+        pvars = {n: ad.Var(a, tape) for n, a in model.params.items()}
+        weights = {id(v) for n, v in pvars.items() if n.endswith("invconv.weight")}
+        depths, accum = [], ad._accum
+
+        def recorded(x, g):
+            if id(x) in weights:
+                depths.append(linalg._one_thread_depth)
+            accum(x, g)
+
+        self.spy(monkeypatch)
+        monkeypatch.setattr(ad, "_accum", recorded)
+        ad.backward(ad.sum_all(model._walk(z, pvars, True)))
+        assert depths == [0] * len(weights)

@@ -388,3 +388,89 @@ class TestBlasThreads:
             assert get() == in_force
         finally:
             set_(before)
+
+
+class SpyThreadCalls:
+    """A stand-in for ``linalg._openblas_thread_calls``: a thread count
+    held in Python, and the OpenBLAS calls that blocks make on it."""
+
+    def __init__(self, count=2):
+        self.count, self.calls = count, []
+
+    def get(self):
+        self.calls.append("get")
+        return self.count
+
+    def set_(self, n):
+        self.calls.append(("set", n))
+        self.count = n
+
+    def install(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas_thread_calls", lambda: (self.get, self.set_))
+        return self
+
+
+class TestNestedBlasThreads:
+    """A block inside a one-thread block runs on its one thread and makes
+    no OpenBLAS call; the outermost block restores the count."""
+
+    def test_nested_small_block_makes_no_openblas_call(self, monkeypatch):
+        spy = SpyThreadCalls().install(monkeypatch)
+        with linalg.blas_threads():
+            entered = list(spy.calls)
+            with linalg.blas_threads(linalg.THREADED_MIN_MACS - 1):
+                with linalg.blas_threads():
+                    assert spy.count == 1
+            assert spy.calls == entered == ["get", ("set", 1)]
+        assert spy.calls == ["get", ("set", 1), ("set", 2)]
+        assert spy.count == 2
+
+    def test_large_block_nested_in_a_one_thread_block_keeps_one_thread(self, monkeypatch):
+        spy = SpyThreadCalls().install(monkeypatch)
+        with linalg.blas_threads():
+            with linalg.blas_threads(linalg.THREADED_MIN_MACS):
+                assert spy.count == 1
+            assert spy.count == 1
+        assert spy.count == 2
+        assert spy.calls == ["get", ("set", 1), ("set", 2)]
+
+    def test_large_block_leaves_the_count_and_its_nested_small_block_sets_one(
+        self, monkeypatch
+    ):
+        spy = SpyThreadCalls().install(monkeypatch)
+        with linalg.blas_threads(linalg.THREADED_MIN_MACS):
+            assert spy.calls == []
+            with linalg.blas_threads():
+                assert spy.count == 1
+            assert spy.count == 2
+        assert spy.calls == ["get", ("set", 1), ("set", 2)]
+
+    def test_count_in_force_is_restored_after_an_error_in_nested_blocks(self, monkeypatch):
+        spy = SpyThreadCalls(count=3).install(monkeypatch)
+        with pytest.raises(RuntimeError):
+            with linalg.blas_threads():
+                with linalg.blas_threads():
+                    with linalg.blas_threads(linalg.THREADED_MIN_MACS):
+                        raise RuntimeError("inside")
+        assert spy.count == 3
+        assert linalg._one_thread_depth == 0
+        spy.calls.clear()
+        with linalg.blas_threads():
+            assert spy.count == 1
+        assert spy.calls == ["get", ("set", 1), ("set", 3)]
+
+    @needs_thread_calls
+    def test_real_count_is_restored_after_an_error_in_nested_blocks(self):
+        get, set_ = linalg._openblas_thread_calls()
+        before = get()
+        set_(2)
+        try:
+            in_force = get()
+            with pytest.raises(SingularMatrixError):
+                with linalg.blas_threads():
+                    with linalg.blas_threads(linalg.THREADED_MIN_MACS):
+                        assert get() == 1
+                        mat_inverse(np.zeros((3, 3)))
+            assert get() == in_force
+        finally:
+            set_(before)

@@ -12,7 +12,7 @@ from loss_oracles import (
 
 import flowstyle.autodiff as ad
 from flowstyle.errors import NumericError, ShapeError
-from flowstyle import flows, training
+from flowstyle import flows, linalg, training
 from flowstyle.flows import (
     FlowNet,
     FlowNetConfig,
@@ -762,3 +762,80 @@ class TestMalformedTrainingData:
         with pytest.raises(NumericError, match="NaN or infinite"):
             initialize_actnorms(model, batch)
         assert not model.initialized
+
+
+class TestOneCheckAndOneThreadBlockPerPass:
+    """A training step checks each value once, at its public entry, and
+    sets the BLAS threads once per walk, walk backward and LossNet pass."""
+
+    def test_lossnet_rejects_a_broken_chain_on_construction(self):
+        k1, k2 = np.zeros((4, 3, 3, 3)), np.zeros((2, 5, 3, 3))
+        with pytest.raises(ShapeError, match="channels"):
+            LossNet([k1, k2], [np.zeros(4), np.zeros(2)])
+
+    @pytest.mark.parametrize("image", [np.zeros((1, 2, 8, 8)), np.zeros((1, 3, 1, 1))],
+                             ids=["channels", "smaller than a kernel"])
+    def test_lossnet_rejects_an_image_it_cannot_take_before_any_stage(self, image,
+                                                                     monkeypatch):
+        net = LossNet([np.zeros((4, 3, 5, 5))], [np.zeros(4)])
+        monkeypatch.setattr(ad, "_conv2d", None)
+        with pytest.raises(ShapeError):
+            net.features(image)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_lossnet_features_equal_public_conv2d_stages(self, taped):
+        net = build_lossnet(3)
+        image = np.random.default_rng(4).random((2, 3, 16, 16))
+        tape = ad.Tape()
+        want, got = image, net.features(ad.Var(image, tape) if taped else image)
+        for feat, k, b in zip(got, net.kernels, net.biases):
+            want = ad.conv2d(want, k, b, stride=2, pad=1, relu=True)
+            assert ad._data(feat).tobytes() == want.tobytes()
+
+    def test_training_loss_runs_no_public_conv2d_or_adain(self, monkeypatch):
+        model, content, style, net = step_setup("train-tiny")
+        want = taped_loss(training_loss, model, content, style, net)
+        for owner, name in ((ad, "conv2d"), (training, "adain")):
+            monkeypatch.setattr(owner, name, None)
+        got = taped_loss(training_loss, model, content, style, net)
+        assert got[:2] == want[:2]
+        for name, grad in want[2].items():
+            assert got[2][name].tobytes() == grad.tobytes(), name
+
+    def test_train_step_skips_the_override_check_that_training_loss_keeps(self, monkeypatch):
+        model, content, style, net = step_setup("train-tiny")
+        checked = []
+        as_feature = flows.as_feature
+
+        def counted(name, *args, **kwargs):
+            checked.append(name)
+            return as_feature(name, *args, **kwargs)
+
+        monkeypatch.setattr(flows, "as_feature", counted)
+        train_step(model, net, (content, style), TrainConfig(), AdamState.for_params(model.params))
+        assert [n for n in checked if n in model.params] == []
+        training_loss(model, model.params, content, style, TrainConfig(), net)
+        assert [n for n in checked if n in model.params] == list(model.params)
+
+    def test_train_tiny_step_sets_blas_threads_once_per_pass(self, monkeypatch):
+        """2 walks, their 2 backwards and 2 LossNet passes enter one block
+        each, and so does the backward of each of the decoded image's 4
+        LossNet conv2d nodes: 10 blocks, 62 when every conv entered one.
+        Each block reads the count once and sets it twice."""
+        model, content, style, net = step_setup("train-tiny")
+        adam, cfg = AdamState.for_params(model.params), TrainConfig()
+        train_step(model, net, (content, style), cfg, adam)
+        calls, count = [], [2]
+
+        def get():
+            calls.append("get")
+            return count[0]
+
+        def set_(n):
+            calls.append("set")
+            count[0] = n
+
+        monkeypatch.setattr(linalg, "_openblas_thread_calls", lambda: (get, set_))
+        train_step(model, net, (content, style), cfg, adam)
+        assert calls.count("get") == 10 and calls.count("set") == 20
+        assert count[0] == 2 and linalg._one_thread_depth == 0
