@@ -71,10 +71,10 @@ def leak_test(
     content image is checked first (:func:`errors.as_batch`): one
     smaller than SSIM's window raises ShapeError before any walk. A
     statistics-preserving transfer keeps drift at rounding level; a
-    patch-replacement transfer drifts monotonically. The style image is encoded once, so ``rounds``
-    rounds take ``rounds + 1`` forward and ``rounds`` inverse passes,
-    which share one layer plan (each invconv weight inverted once) and
-    one set of scratch buffers. For adain and wct the style latent's
+    patch-replacement transfer drifts monotonically. The style image is
+    encoded once, so ``rounds`` rounds take ``rounds + 1`` forward and
+    ``rounds`` inverse passes, which share one layer plan (each invconv
+    weight inverted once) and one set of scratch buffers. For adain and wct the style latent's
     style factor is taken once too, and each round recombines it with
     the round's content factor (``FACTORS``), with the bits of
     ``transfer_apply``.

@@ -33,11 +33,11 @@ step, or of one ``stylize``, ``leak_test``, ``reverse_transfer``,
 and one layer plan through the call's parameter mapping
 (:class:`_StepParams`). The first walk builds the plan from
 :meth:`FlowNetConfig.layers`: per layer, its weight arrays, resolved
-once, with the overrides' names and shapes checked unless they are
-a training step's own weights, each actnorm's
-scale checked, each coupling's identity test run, each conv kernel's
-GEMM form and, per input extent, its tap geometry and GEMM size, and
-each invconv weight's inverse, taken once. Every later walk and walk
+once, with the overrides' names and shapes checked (unless they are a
+training step's own weights), each actnorm's scale checked, each
+coupling's identity test run, each conv kernel's GEMM form and, per
+input extent, its tap geometry and GEMM size, and each invconv
+weight's inverse, taken once. Every later walk and walk
 backward of the call reuses it. A walk given no ``_StepParams`` builds
 a plan for itself with the same code. From the GEMM sizes the plan
 takes one BLAS-thread decision per walk extent
