@@ -349,12 +349,16 @@ class _Scratch:
     :meth:`take` hands out the buffer kept under a name: the same array
     again for the same shape, and a leading view of its memory for a
     smaller one, which grows only when a larger shape is asked for. So
-    the couplings of every block write their hidden maps and their
-    convolutions' temporaries, forward and backward, into the same memory
-    each time. One call (a training step, a stylization) makes one and
-    hands it to each of its walks, which run one after another; no result
-    of a walk is one of its buffers, so it dies with the call and with
-    its tape nodes; nothing is kept on the module or the model.
+    the couplings of every block write their hidden maps, their
+    convolutions' temporaries and, backward, the hidden maps' gradients
+    into the same memory each time. A name is a region of memory, not
+    one value: its caller may hand it, in turn, to values that are never
+    live together, as a coupling's forward puts a conv's temporaries in
+    a hidden map's buffer while that map is dead (:func:`flows._shift`).
+    One call (a training step, a stylization) makes one and hands it to
+    each of its walks, which run one after another; no result of a walk
+    is one of its buffers, so it dies with the call and with its tape
+    nodes; nothing is kept on the module or the model.
     """
 
     __slots__ = ("_flat", "_views")
@@ -493,6 +497,16 @@ class _Kernel:
             got = self._extents[(b, h, w)] = (taps, macs)
         return got
 
+    def temp(self, b, h, w):
+        """Elements of the temporary that :func:`_conv` takes from scratch
+        on a (I, b, h, w) input: the column matrix, the kn2row product, or
+        none (direct). A flow walk's plan sizes its buffers from it."""
+        if self.form == "direct":
+            return 0
+        n_out, n_in, kh, kw = self.shape
+        taps = self.at(b, h, w)[0]
+        return (n_in if self.form == "cols" else n_out) * kh * kw * b * taps.h_out * taps.w_out
+
 
 def _kernel(k, stride, pad):
     """``k`` itself when a plan prepared it, else ``k`` prepared for one
@@ -500,7 +514,9 @@ def _kernel(k, stride, pad):
     return k if isinstance(k, _Kernel) else _Kernel(k, stride, pad)
 
 
-def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scratch=None):
+def _conv(
+    x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scratch=None, name="taps",
+):
     """The convolution kernel, channel-major: ``x`` (I, B, H, W) by ``k``
     (O, I, kh, kw), then the optional ``bias`` (O,) and ReLU, into ``out``
     (O, B, Ho, Wo), C-contiguous (a new array when None), which it returns.
@@ -524,8 +540,10 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
       of the whole flat (O*B*H*W) range, read at ``i + d``.
 
     ``scratch`` (the :class:`_Scratch` of the walks of one call) hands
-    out the column matrix and the kn2row product, which share its
-    ``taps`` buffer; without it they are new arrays. GEMMs of
+    out the column matrix or the kn2row product as its buffer ``name``,
+    ``taps`` unless the caller lends another that is dead for the call
+    (a coupling's hidden map, :func:`flows._shift`); without it they are
+    new arrays. GEMMs of
     fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds run on one BLAS
     thread (:func:`linalg.blas_threads`).
     """
@@ -540,10 +558,10 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
             _by_sample(k.gemm, x.reshape(n_in, -1), b, out.reshape(n_out, -1))
         elif k.form == "cols":
             if cols is None:
-                cols = _im2col(x, k, k.stride, k.pad, scratch, "taps")
+                cols = _im2col(x, k, k.stride, k.pad, scratch, name)
             _by_sample(k.gemm, cols, b, out.reshape(n_out, -1))
         else:
-            prod = _take(scratch, "taps", (kh, kw, n_out, b * h * w))
+            prod = _take(scratch, name, (kh, kw, n_out, b * h * w))
             _by_sample(k.k.transpose(2, 3, 0, 1).reshape(-1, n_in), x.reshape(n_in, -1), b, prod)
             _tap_sum(prod, taps, out, 1)
     if bias is not None:
@@ -555,7 +573,7 @@ def _conv(x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scr
 
 def _conv_grads(
     g, x, k, stride, pad, relu_out=None, bias=False, want_x=True, want_k=True,
-    cols=None, scratch=None,
+    cols=None, scratch=None, out=None,
 ):
     """The (bias, input, kernel) gradients of one :func:`_conv` from its
     output gradient ``g`` (O, B, Ho, Wo), each None unless wanted.
@@ -579,9 +597,13 @@ def _conv_grads(
       that read each input through the flipped tap; the flipped kernel as
       (I, O*kh*kw) @ it is the input gradient, it @ ``x2d.T`` the kernel's.
 
-    ``scratch`` hands out the temporaries, never a returned gradient; the
-    per-tap product and the kn2row tap matrix, which no call keeps, share
-    its ``taps`` buffer with the forward's kn2row product.
+    ``scratch`` hands out the temporaries: the per-tap product and the
+    kn2row tap matrix, which no call keeps, share its ``taps`` buffer with
+    the forward's kn2row product. The input gradient is written into
+    ``out`` (C-contiguous, ``x``'s shape; a new array when None) with the
+    bits of a new array: a coupling's backward lends scratch buffers
+    (:func:`flows._coupling_back`). ``out`` may be ``relu_out`` itself,
+    as the mask reads it first, but no other operand.
     """
     k = _kernel(k, stride, pad)
     n_out, n_in, kh, kw = k.shape
@@ -592,10 +614,12 @@ def _conv_grads(
         gb = _channel_sum(g)
     g2d = g.reshape(n_out, -1)
     taps, macs = k.at(*x.shape[1:])
+    if want_x:
+        gx = np.empty(x.shape) if out is None else out
     with blas_threads(macs):
         if k.form == "direct":
             if want_x:
-                gx = (k.gemm.T @ g2d).reshape(x.shape)
+                np.matmul(k.gemm.T, g2d, out=gx.reshape(n_in, -1))
             if want_k:
                 gk = (g2d @ x.reshape(n_in, -1).T).reshape(k.shape)
         elif k.form == "cols":
@@ -604,10 +628,10 @@ def _conv_grads(
                 k_t = np.ascontiguousarray(k.k.transpose(0, 2, 3, 1)).reshape(n_out, -1).T
                 np.matmul(k_t, g2d, out=per_tap.reshape(-1, g2d.shape[1]))
                 if taps.flat is not None:
-                    gx = _tap_sum(per_tap, taps, np.empty(x.shape), -1)
+                    _tap_sum(per_tap, taps, gx, -1)
                 else:
                     per_tap = per_tap.reshape(kh, kw, n_in, x.shape[1], taps.h_out, taps.w_out)
-                    gx = np.zeros(x.shape)
+                    gx.fill(0.0)
                     for u, v, o_rows, o_cols, rows, cols_ in taps.clipped:
                         gx[:, :, rows, cols_] += per_tap[u, v, :, :, o_rows, o_cols]
             if want_k:
@@ -618,7 +642,7 @@ def _conv_grads(
             g_taps = _im2col(g, k, k.stride, k.pad, scratch, "taps")
             if want_x:
                 flipped = k.k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
-                gx = (flipped @ g_taps).reshape(x.shape)
+                np.matmul(flipped, g_taps, out=gx.reshape(n_in, -1))
             if want_k:
                 gk = g_taps @ x.reshape(n_in, -1).T
                 gk = gk.reshape(n_out, kh, kw, n_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)

@@ -20,7 +20,9 @@ from .errors import ShapeError, as_batch, as_index, as_real
 from .flows import FlowNet, FlowNetConfig, _StepParams, build_flownet
 from .metrics import SSIM_WINDOW, evaluate_stylization, ssim
 from .training import TrainConfig, build_lossnet, train
-from .transfer import ADAIN, FACTORS, TransferKind, _as_kind, _blend, transfer_apply
+from .transfer import (
+    ADAIN, FACTORS, TransferKind, _as_kind, _blend, _patch_swapper, transfer_apply,
+)
 
 
 def stylize(model: FlowNet, kind: TransferKind, content, style, alpha: float = 1.0) -> np.ndarray:
@@ -74,10 +76,12 @@ def leak_test(
     patch-replacement transfer drifts monotonically. The style image is
     encoded once, so ``rounds`` rounds take ``rounds + 1`` forward and
     ``rounds`` inverse passes, which share one layer plan (each invconv
-    weight inverted once) and one set of scratch buffers. For adain and wct the style latent's
-    style factor is taken once too, and each round recombines it with
-    the round's content factor (``FACTORS``), with the bits of
-    ``transfer_apply``.
+    weight inverted once) and one set of scratch buffers. The style
+    latent's side of the transfer is taken once too, with the bits of
+    ``transfer_apply``: for adain and wct its style factor, which each
+    round recombines with the round's content factor (``FACTORS``), and
+    for patch swap its patches and their unit rows
+    (``transfer._patch_swapper``).
     """
     kind, alpha = _as_kind(kind), as_real("alpha", alpha, 0.0, 1.0)
     rounds, step = as_index("rounds", rounds, 1), _StepParams({})
@@ -95,9 +99,10 @@ def leak_test(
         def transfer(f_c):
             return _blend(recombine(content_factor(f_c), factor), f_c, alpha)
     else:
+        swap = _patch_swapper(f_s, kind.patch_size, kind.stride)
 
         def transfer(f_c):
-            return transfer_apply(kind, f_c, f_s, alpha)
+            return _blend(swap(f_c), f_c, alpha)
 
     def restyle(image):
         return model.inverse(transfer(model.forward(image, step)), step)

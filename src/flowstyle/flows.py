@@ -36,14 +36,26 @@ and one layer plan through the call's parameter mapping
 once, with the overrides' names and shapes checked (unless they are a
 training step's own weights), each actnorm's scale checked, each
 coupling's identity test run, each conv kernel's GEMM form and, per
-input extent, its tap geometry and GEMM size, and each invconv
-weight's inverse, taken once. Every later walk and walk
+input extent, its tap geometry, GEMM size and temporary's size, and
+each invconv weight's inverse, taken once. Every later walk and walk
 backward of the call reuses it. A walk given no ``_StepParams`` builds
-a plan for itself with the same code. From the GEMM sizes the plan
-takes one BLAS-thread decision per walk extent
-(:meth:`_StepParams.macs`): a walk, and its backward, whose GEMMs are
-all small runs them in one one-thread block, and a walk with a larger
-GEMM leaves each conv to choose (:class:`linalg.blas_threads`).
+a plan for itself with the same code.
+
+From those sizes the plan takes two decisions per walk extent
+(:meth:`_StepParams.extent`). One sets the BLAS threads: a walk, and
+its backward, whose GEMMs are all small runs them in one one-thread
+block, and a walk with a larger GEMM leaves each conv to choose
+(:class:`linalg.blas_threads`). The other lays the scratch out by
+liveness. A coupling's forward needs its first hidden map only until
+conv2 has run, and its second only from conv2 on, so when a hidden map
+holds the walk's largest conv temporary, conv1's temporaries go in the
+second map's buffer and conv3's in the first's (:func:`_shift`): at
+paper scale (flow8-block2, hidden 64, 256x256) a call then holds two
+hidden maps and the shift, 17.6 MB, where a separate ``taps`` buffer
+made it 24.6 MB. Smaller hidden maps (hidden 8) keep ``taps``. A walk's
+backward keeps both maps and ``taps`` through the recompute, and
+writes the maps' gradients into one more buffer and the second map's
+(:func:`_coupling_back`), not into new arrays.
 Actnorm initialization, which changes weights mid-pass, derives each
 layer's step as it reaches it. Nothing is cached on the module or the
 model, so concurrent reads of one model stay safe.
@@ -265,16 +277,21 @@ def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return scale, -mean * scale, clamped
 
 
-def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, cols=None):
+def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, cols=None, shared=False):
     """The inner network of the channel-major ``x_a``: the coupling's
     shift and the two hidden maps, in ``scratch``'s buffers ``shift``,
-    ``h1`` and ``h2``. The convs take their temporaries from ``scratch``
-    too; ``cols`` is conv1's column matrix when the caller built it."""
+    ``h1`` and ``h2``. ``cols`` is conv1's column matrix when the caller
+    built it. The convs take their temporaries from ``scratch``: from its
+    ``taps`` buffer, or when ``shared`` from the hidden maps' buffers
+    while they are dead, conv1's in ``h2`` and conv3's in ``h1``, which
+    then no longer holds the returned ``h1``. A walk shares only when
+    both buffers hold its largest temporary (:meth:`_StepParams.extent`)."""
     shape = (w1.shape[0],) + x_a.shape[1:]
-    h1 = ad._conv(x_a, w1, b1, 1, 1, True, scratch.take("h1", shape), cols, scratch)
+    temp1, temp3 = ("h2", "h1") if shared else ("taps", "taps")
+    h1 = ad._conv(x_a, w1, b1, 1, 1, True, scratch.take("h1", shape), cols, scratch, temp1)
     h2 = ad._conv(h1, w2, b2, 1, 0, True, scratch.take("h2", shape), scratch=scratch)
     out = scratch.take("shift", (w3.shape[0],) + x_a.shape[1:])
-    return ad._conv(h2, w3, b3, 1, 1, out=out, scratch=scratch), h1, h2
+    return ad._conv(h2, w3, b3, 1, 1, out=out, scratch=scratch, name=temp3), h1, h2
 
 
 def _identity(w3, b3):
@@ -283,12 +300,14 @@ def _identity(w3, b3):
     return not (w3.any() or b3.any())
 
 
-def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None):
+def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None, shared=False):
     """The coupling kernel on the channel-major ``x`` (C,B,H,W), whose
     halves are the leading-axis slices ``x[:C/2]`` and ``x[C/2:]``:
     ``y_b = x_b + shift(x_a)`` (``-`` for the inverse) is written into
     ``out`` (``x`` itself runs it in place; a new array when None). The
-    conv kernels may be prepared (:class:`autodiff._Kernel`).
+    conv kernels may be prepared (:class:`autodiff._Kernel`), and
+    ``shared`` puts their temporaries in the hidden maps' buffers
+    (:func:`_shift`).
 
     For an ``identity`` coupling (:func:`_identity` of conv3's kernel and
     bias) the shift is +0.0 and the inner network is not run: ``x_b +
@@ -301,7 +320,7 @@ def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None):
     if out is None:
         out = np.empty(x.shape)
         out[:half] = x[:half]
-    shift = 0.0 if identity else _shift(x[:half], w1, b1, w2, b2, w3, b3, scratch)[0]
+    shift = 0.0 if identity else _shift(x[:half], w1, b1, w2, b2, w3, b3, scratch, None, shared)[0]
     (np.subtract if inverse else np.add)(x[half:], shift, out=out[half:])
     return out
 
@@ -367,7 +386,11 @@ def _coupling_back(y, g, step, inverse, scratch):
     inverse) and the input gradient is ``g_a`` + conv1's input gradient
     in the first half and ``g_b`` in the second, the per-op graph's sums.
     conv1's kernel gradient reuses the column matrix that its recompute
-    built. Identity couplings recompute too: w3's gradient needs the
+    built (``cols1``), and the recompute keeps its temporaries in
+    ``taps``, as both hidden maps stay live. The hidden maps' gradients
+    take no new memory: conv3's input gradient goes in the ``gh2``
+    buffer, and conv2's in ``h2``'s, which is dead once it has masked
+    ``gh2``. Identity couplings recompute too: w3's gradient needs the
     hidden maps."""
     weights, net = step.weights, step.net
     half = y.shape[0] // 2
@@ -376,15 +399,16 @@ def _coupling_back(y, g, step, inverse, scratch):
     shift, h1, h2 = _shift(x_a, *net, scratch, cols)
     (np.add if inverse else np.subtract)(y_b, shift, out=y_b)
 
-    def conv_grads(g, h, i, pad, relu_out=None, cols=None):
+    def conv_grads(g, h, i, pad, relu_out=None, cols=None, out=None):
         w, b = weights[2 * i], weights[2 * i + 1]
         return ad._conv_grads(
             g, h, net[2 * i], 1, pad, relu_out, bias=isinstance(b, ad.Var),
-            want_k=isinstance(w, ad.Var), cols=cols, scratch=scratch,
+            want_k=isinstance(w, ad.Var), cols=cols, scratch=scratch, out=out,
         )
 
-    gb3, gh2, gw3 = conv_grads(-g_b if inverse else g_b, h2, 2, 1)
-    gb2, gh1, gw2 = conv_grads(gh2, h1, 1, 0, h2)
+    gh2 = scratch.take("gh2", h2.shape)
+    gb3, gh2, gw3 = conv_grads(-g_b if inverse else g_b, h2, 2, 1, out=gh2)
+    gb2, gh1, gw2 = conv_grads(gh2, h1, 1, 0, h2, out=h2)
     gb1, gx_a, gw1 = conv_grads(gh1, x_a, 0, 1, h1, cols)
     for p, grad in zip(weights, (gw1, gb1, gw2, gb2, gw3, gb3)):
         ad._accum(p, grad)
@@ -433,7 +457,8 @@ class _StepParams(dict):
     experiment call, with no values, so the stored ones apply), with the
     plan and the scratch those walks share. ``scratch`` is the
     :class:`autodiff._Scratch` into which every walk, one after another,
-    writes its couplings' hidden maps and conv temporaries. The plan
+    writes its couplings' hidden maps, conv temporaries and, backward,
+    the hidden maps' gradients. The plan
     (:meth:`plan`) is built by the first walk and reused by every later
     walk and walk backward. Both serve the walks of one model's weights
     only, which must not change while the step or call runs, and die
@@ -443,12 +468,12 @@ class _StepParams(dict):
     which the plan then need not check.
     """
 
-    __slots__ = ("scratch", "_own", "_steps", "_macs")
+    __slots__ = ("scratch", "_own", "_steps", "_extents")
 
     def __init__(self, params, own=False):
         super().__init__(params or {})
         self.scratch = ad._Scratch()
-        self._own, self._steps, self._macs = own, None, {}
+        self._own, self._steps, self._extents = own, None, {}
 
     def plan(self, model):
         """One :class:`_Step` per layer of ``model``, in forward order, for
@@ -468,25 +493,38 @@ class _StepParams(dict):
             )
         return self._steps
 
-    def macs(self, b, h, w):
-        """The multiply-adds of the largest conv GEMM that a walk of the
-        built plan, or its backward, runs on ``b`` images of extent (h,
-        w), each at its block's extent (``autodiff._Kernel.at``). Kept per
-        extent; it sets the walk's BLAS threads
-        (:class:`linalg.blas_threads`)."""
-        extent = (b, h, w)
-        most = self._macs.get(extent)
-        if most is None:
-            most = 0
+    def extent(self, b, h, w):
+        """``(macs, hidden)`` of a walk of the built plan, or of its
+        backward, on ``b`` images of extent (h, w), each layer at its
+        block's extent; kept per extent.
+
+        ``macs`` is the multiply-adds of the largest conv GEMM
+        (``autodiff._Kernel.at``); it sets the walk's BLAS threads
+        (:class:`linalg.blas_threads`). ``hidden`` is the size of the
+        largest hidden map among the couplings that run their network
+        (not the identity) when it is at least their largest conv
+        temporary (``autodiff._Kernel.temp``), else 0. When it is not 0
+        the walk takes both hidden-map buffers at that size and its
+        couplings put their temporaries in them (:func:`_shift`), so no
+        ``taps`` buffer is needed; else they keep ``taps``, which a walk
+        of hidden maps smaller than its column matrices (hidden 8 against
+        a 3x3 conv over 6 channels) would otherwise grow past it."""
+        got = self._extents.get((b, h, w))
+        if got is None:
+            most = hidden = temp = 0
             for step in self._steps:
                 if step.kind == "squeeze":
                     h, w = h // SQUEEZE_FACTOR, w // SQUEEZE_FACTOR
                 elif step.kind == "invconv":
                     most = max(most, step.kernel.at(b, h, w)[1])
                 elif step.kind == "coupling":
-                    most = max(most, *(k.at(b, h, w)[1] for k in step.net[::2]))
-            self._macs[extent] = most
-        return most
+                    net = step.net[::2]
+                    most = max(most, *(k.at(b, h, w)[1] for k in net))
+                    if not step.identity:
+                        hidden = max(hidden, net[0].shape[0] * b * h * w)
+                        temp = max(temp, *(k.temp(b, h, w) for k in net))
+            got = self._extents[(b, h, w)] = (most, hidden if temp <= hidden else 0)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +610,11 @@ class FlowNet:
         with the same code, so concurrent calls share no buffer. The walk
         and its backward each enter one ``linalg.blas_threads`` block
         sized by the plan's largest GEMM at the walk's extent
-        (:meth:`_StepParams.macs`), so that every GEMM keeps the thread
-        count that its own size gives it.
+        (:meth:`_StepParams.extent`), so that every GEMM keeps the thread
+        count that its own size gives it. The same per-extent record says
+        whether the couplings' forwards keep their conv temporaries in
+        the hidden maps' buffers, which the walk then takes at their full
+        size before any coupling runs, so that no buffer grows twice.
 
         The walk runs channel-major: it converts its input to (C, B, H, W)
         once on entry (``autodiff._swap``, a view at batch 1) and its
@@ -592,7 +633,9 @@ class FlowNet:
         When ``v`` or any parameter is a Var, the walk records one
         ``walk`` node. It keeps the walk's input and output, the plan and
         the scratch. Its backward copies the output and its gradient to
-        channel-major, then visits the layers in reverse; each layer's
+        channel-major, takes the hidden maps' buffers and that of their
+        gradients (``gh2``) at block 0's size, the largest it recomputes,
+        then visits the layers in reverse; each layer's
         rule (``_squeeze_back``, ``_actnorm_back``, ``_invconv_back``,
         ``_coupling_back``) rebuilds the layer's input from its output in
         place and accumulates the layer's gradients, with the same GEMM
@@ -609,11 +652,14 @@ class FlowNet:
         b, _, h, w = data.shape
         if inverse:
             h, w = (e * SQUEEZE_FACTOR**self.config.n_blocks for e in (h, w))
-        threads = blas_threads(call.macs(b, h, w))
+        macs, hidden = call.extent(b, h, w)
+        threads = blas_threads(macs)
+        for name in ("h1", "h2") if hidden else ():
+            scratch.take(name, (hidden,))
         y = ad._swap(data)
         with threads:
             for step in reversed(steps) if inverse else steps:
-                y = _run_layer(step, y, inverse, scratch, data)
+                y = _run_layer(step, y, inverse, scratch, data, bool(hidden))
         y = ad._swap(y)
         inputs = (v, *(p for step in steps for p in step.weights if isinstance(p, ad.Var)))
         tape = ad._tape_of(*inputs)
@@ -622,7 +668,9 @@ class FlowNet:
 
         def back(g):
             x, g = y.swapaxes(0, 1).copy(), g.swapaxes(0, 1).copy()
-            deferred = []
+            deferred, full = [], self.config.hidden * b * h * w // SQUEEZE_FACTOR**2
+            for name in ("h1", "h2", "gh2"):
+                scratch.take(name, (full,))
             with threads:
                 for step in steps if inverse else reversed(steps):
                     kind = step.kind
@@ -642,12 +690,14 @@ class FlowNet:
         return ad._record(tape, "walk", y, back, inputs)
 
 
-def _run_layer(step, y, inverse, scratch, caller):
+def _run_layer(step, y, inverse, scratch, caller, shared=False):
     """One layer of a walk on its channel-major array ``y``, from the
     layer's :class:`_Step`: its kernel, or its inverse's. Actnorm and the
     coupling run in place unless ``y`` may share memory with the
     ``caller``'s input array. ``scratch`` is the walk's
-    (:class:`autodiff._Scratch`)."""
+    (:class:`autodiff._Scratch`), and ``shared`` whether a coupling
+    keeps its conv temporaries in its hidden maps' buffers
+    (:func:`_shift`)."""
     out = None if np.may_share_memory(y, caller) else y
     if step.kind == "squeeze":
         return (ad._unsqueeze_data if inverse else ad._squeeze_data)(y)
@@ -655,7 +705,7 @@ def _run_layer(step, y, inverse, scratch, caller):
         return _actnorm(y, *step.arrays, inverse, out)
     if step.kind == "invconv":
         return ad._conv(y, step.inverse() if inverse else step.kernel)
-    return _coupling(y, *step.net, inverse, step.identity, scratch, out)
+    return _coupling(y, *step.net, inverse, step.identity, scratch, out, shared)
 
 
 def _check_rebuild(x, v, inverse):

@@ -317,20 +317,35 @@ def patch_swap(f_c, f_s, patch_size: int = 3, stride: int = 1) -> np.ndarray:
     are averaged, so ``stride`` may not exceed ``patch_size``. This
     transfer is intentionally *not* invertible.
     """
-    a, b = as_batch("content feature", f_c), as_batch("style feature", f_s)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"channel mismatch: content {a.shape[1]}, style {b.shape[1]}")
-    patch_size, stride = _patch_geometry(patch_size, stride)
-    for name, arr in (("content", a), ("style", b)):
-        if patch_size > arr.shape[2] or patch_size > arr.shape[3]:
-            raise ShapeError(
-                f"patch {patch_size} exceeds {name} extent "
-                f"{arr.shape[2]}x{arr.shape[3]}"
-            )
-    out = np.empty_like(a)
-    for bi in range(a.shape[0]):
-        out[bi] = _patch_swap_single(a[bi], b[bi % b.shape[0]], patch_size, stride)
-    return out
+    return _patch_swapper(f_s, patch_size, stride)(f_c)
+
+
+def _patch_swapper(f_s, patch_size, stride):
+    """:func:`patch_swap` against the style feature ``f_s`` as a function
+    of the content feature, for repeated calls against one style (a leak
+    test's rounds): each style sample's patches and unit rows
+    (:func:`_style_patches`) are taken once, by the first call that
+    matches against it, with the bits of taking them per call. Every call
+    checks both features as :func:`patch_swap` does."""
+    sides = {}
+
+    def swap(f_c):
+        a, b = as_batch("content feature", f_c), as_batch("style feature", f_s)
+        if a.shape[1] != b.shape[1]:
+            raise ShapeError(f"channel mismatch: content {a.shape[1]}, style {b.shape[1]}")
+        ps, step = _patch_geometry(patch_size, stride)
+        for name, arr in (("content", a), ("style", b)):
+            if ps > arr.shape[2] or ps > arr.shape[3]:
+                raise ShapeError(f"patch {ps} exceeds {name} extent {arr.shape[2]}x{arr.shape[3]}")
+        out = np.empty_like(a)
+        for bi in range(a.shape[0]):
+            si = bi % b.shape[0]
+            if si not in sides:
+                sides[si] = _style_patches(b[si], ps, step)
+            out[bi] = _patch_swap_single(a[bi], sides[si], ps, step)
+        return out
+
+    return swap
 
 
 def _patches(x, ps, stride):
@@ -351,14 +366,21 @@ def _unit_rows(patches):
     return patches / np.maximum(norm, 1e-12)
 
 
-def _patch_swap_single(content, style, ps, stride):
-    c_gy, c_gx, c_patches = _patches(content, ps, stride)
+def _style_patches(style, ps, stride):
+    """The style side of a patch match against ``style`` (C, H, W): its
+    patches as (patch, channel, ps, ps) taps and the transpose of their
+    unit rows."""
     s_patches = _patches(style, ps, stride)[2]
-    sims = matmul(_unit_rows(c_patches), _unit_rows(s_patches).T)
+    return s_patches.reshape(len(s_patches), -1, ps, ps), _unit_rows(s_patches).T
+
+
+def _patch_swap_single(content, style_side, ps, stride):
+    c_gy, c_gx, c_patches = _patches(content, ps, stride)
+    s_taps, s_unit_t = style_side
+    sims = matmul(_unit_rows(c_patches), s_unit_t)
     matches = np.argmax(sims, axis=1)  # first max wins: lowest style index
     # Fold the chosen patches tap by tap, dy and dx descending, so each
     # pixel gets its patches added in grid order.
-    s_taps = s_patches.reshape(len(s_patches), -1, ps, ps)
     acc = np.zeros_like(content)
     cover = np.zeros(content.shape[1:])
     for dy in reversed(range(ps)):

@@ -97,13 +97,14 @@ def reference_init(model, batch):
     return params
 
 
-def full_coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None):
+def full_coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None,
+                  shared=False):
     """``flows._coupling`` with the inner network run for every coupling,
     ``identity`` ones included."""
     half = x.shape[0] // 2
     if out is None:
         out = np.empty(x.shape)
         out[:half] = x[:half]
-    shift = flows._shift(x[:half], w1, b1, w2, b2, w3, b3, scratch)[0]
+    shift = flows._shift(x[:half], w1, b1, w2, b2, w3, b3, scratch, None, shared)[0]
     (np.subtract if inverse else np.add)(x[half:], shift, out=out[half:])
     return out

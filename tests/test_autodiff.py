@@ -1026,6 +1026,78 @@ class TestTapSum:
         assert got[0] == got[1]
 
 
+class TestConvGradsOut:
+    """``_conv_grads`` writes the input gradient into a given buffer, as a
+    coupling's backward lends it scratch, with the bytes of a new array."""
+
+    # (form, (in, out, kernel, stride, pad, extent)) by case.
+    FORMS = {
+        "direct": ("direct", (64, 8, 1, 1, 0, 6)),
+        "same-im2col": ("cols", (6, 8, 3, 1, 1, 6)),
+        "stride2-im2col": ("cols", (6, 8, 3, 2, 1, 7)),
+        "kn2row": ("kn2row", (8, 6, 3, 1, 1, 6)),
+    }
+    # The same forms with a product of at least linalg.THREADED_MIN_MACS.
+    LARGE = {
+        "direct": ("direct", (64, 64, 1, 1, 0, 32)),
+        "same-im2col": ("cols", (24, 64, 3, 1, 1, 32)),
+        "stride2-im2col": ("cols", (16, 32, 3, 2, 1, 64)),
+        "kn2row": ("kn2row", (64, 24, 3, 1, 1, 32)),
+    }
+
+    @staticmethod
+    def operands(case, seed):
+        form, (n_in, n_out, ksize, stride, pad, extent) = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n_in, 4, extent, extent))
+        k = rng.standard_normal((n_out, n_in, ksize, ksize))
+        taps = ad._taps(ksize, ksize, stride, pad, extent, extent)
+        g = with_signed_zeros(rng.standard_normal((n_out, 4, taps.h_out, taps.w_out)), rng)
+        assert ad._form(k, stride, pad) == form
+        return x, k, g, stride, pad
+
+    @staticmethod
+    def both(x, k, g, stride, pad, relu_out=None):
+        """The input gradient into a new array and into a NaN-filled
+        buffer, or into a copy of ``relu_out`` that is also the mask, as
+        for a coupling's conv2; the second is that buffer."""
+        want = ad._conv_grads(g.copy(), x, k, stride, pad, relu_out, want_k=False)[1]
+        out = np.full(x.shape, np.nan) if relu_out is None else relu_out.copy()
+        mask = None if relu_out is None else out
+        got = ad._conv_grads(g.copy(), x, k, stride, pad, mask, want_k=False, out=out)[1]
+        assert got is out
+        return got, want
+
+    @pytest.mark.parametrize("case", sorted(FORMS))
+    def test_out_has_the_bytes_of_a_new_array(self, case):
+        got, want = self.both(*self.operands(self.FORMS[case], len(case)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_out_may_be_the_relu_output_that_masks_the_gradient(self):
+        """conv2 of a coupling (1x1, hidden to hidden) writes its input
+        gradient over its ReLU output, which masks ``g`` first."""
+        x, k, g, stride, pad = self.operands(("direct", (8, 8, 1, 1, 0, 6)), 3)
+        relu_out = np.maximum(np.random.default_rng(4).standard_normal(g.shape), 0.0)
+        got, want = self.both(x, k, g, stride, pad, relu_out)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(linalg._openblas_thread_calls() is None,
+                        reason="numpy does not bundle OpenBLAS")
+    @pytest.mark.parametrize("case", sorted(LARGE))
+    def test_out_has_the_bytes_of_a_new_array_on_one_and_two_threads(self, case):
+        x, k, g, stride, pad = self.operands(self.LARGE[case], len(case) + 1)
+        assert ad._Kernel(k, stride, pad).at(*x.shape[1:])[1] >= linalg.THREADED_MIN_MACS
+        get, set_ = linalg._openblas_thread_calls()
+        before = get()
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                got, want = self.both(x, k, g, stride, pad)
+                assert got.tobytes() == want.tobytes(), threads
+        finally:
+            set_(before)
+
+
 class TestFusedConv:
     """conv2d with a fused bias and ReLU against the op chain it replaces."""
 

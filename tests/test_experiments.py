@@ -395,11 +395,11 @@ class TestOnePlanPerCall:
         assert got == leak_test(model, kind, content, style, 3, alpha)
 
 
-def separate_leak_test(model, kind, content, style, rounds):
+def separate_leak_test(model, kind, content, style, rounds, alpha=1.0):
     f_s = model.forward(style)
     outputs, current = [], content
     for _ in range(rounds):
-        current = model.inverse(transfer_apply(kind, model.forward(current), f_s))
+        current = model.inverse(transfer_apply(kind, model.forward(current), f_s, alpha))
         outputs.append(current)
     return LeakReport(
         rounds,
@@ -478,6 +478,41 @@ class TestLeakTestChecksAndSsims:
         assert leak_test(model, kind, content, style, 3) == separate_leak_test(
             model, kind, content, style, 3
         )
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_patch_swap_takes_the_style_side_once(self, alpha, monkeypatch):
+        """A patch-swap leak test takes the style latent's patches and
+        unit rows once for all its rounds, with the bits of
+        ``transfer_apply`` each round."""
+        model, (content, style) = make_model(), images()
+        calls, side = [], transfer._style_patches
+
+        def counted(*args):
+            calls.append(1)
+            return side(*args)
+
+        want = separate_leak_test(model, PATCHSWAP, content, style, 3, alpha)
+        monkeypatch.setattr(transfer, "_style_patches", counted)
+        assert leak_test(model, PATCHSWAP, content, style, 3, alpha) == want
+        assert len(calls) == 1
+
+    def test_patch_swap_takes_each_style_sample_once(self, monkeypatch):
+        """Content samples that cycle over a smaller style batch match
+        against each style sample's side, taken once, with the bits of
+        one patch swap per content sample."""
+        rng = np.random.default_rng(9)
+        f_c, f_s = rng.standard_normal((5, 4, 6, 6)), rng.standard_normal((2, 4, 5, 7))
+        want = np.concatenate([patch_swap(f_c[i : i + 1], f_s[i % 2 : i % 2 + 1])
+                               for i in range(5)])
+        calls, side = [], transfer._style_patches
+
+        def counted(*args):
+            calls.append(1)
+            return side(*args)
+
+        monkeypatch.setattr(transfer, "_style_patches", counted)
+        assert patch_swap(f_c, f_s).tobytes() == want.tobytes()
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("rounds", [1, 2, 4])
     def test_ssim_runs_once_per_round_after_the_first(self, rounds, monkeypatch):

@@ -712,6 +712,149 @@ class TestWalkBuffers:
         np.testing.assert_array_equal(x, kept[1])
 
 
+def recorded_scratches(monkeypatch):
+    """The list of every ``_Scratch`` that a later ``take`` reaches, and
+    per scratch and name the list of flat buffers it held, in turn."""
+    scratches, flats, take = [], {}, ad._Scratch.take
+
+    def recorded(scratch, name, shape):
+        if not any(s is scratch for s in scratches):
+            scratches.append(scratch)
+        buf = take(scratch, name, shape)
+        held = flats.setdefault((len(scratches), name), [])
+        if not held or held[-1] is not scratch._flat[name]:
+            held.append(scratch._flat[name])
+        return buf
+
+    monkeypatch.setattr(ad._Scratch, "take", recorded)
+    return scratches, flats
+
+
+def without_sharing(monkeypatch):
+    """Make every walk keep its conv temporaries in the ``taps`` buffer,
+    the layout in which no buffer is shared."""
+    extent = flows._StepParams.extent
+    monkeypatch.setattr(
+        flows._StepParams, "extent", lambda self, b, h, w: (extent(self, b, h, w)[0], 0)
+    )
+
+
+def paper_model(arch="flow8-block2", size=256, hidden=64):
+    """A named architecture with randomized couplings, and a content and
+    style image."""
+    model = build_flownet(named_config(arch, in_height=size, in_width=size, hidden=hidden))
+    content, style = np.random.default_rng(size + hidden).random((2, 1, 3, size, size))
+    initialize_actnorms(model, content)
+    randomize_couplings(model, seed=1)
+    return model, content, style
+
+
+class TestBufferPlan:
+    """A walk keeps its couplings' conv temporaries in the hidden maps'
+    buffers while those are dead, when they fit, and a walk's backward
+    writes the hidden maps' gradients into scratch buffers."""
+
+    @staticmethod
+    def stylize_scratch(monkeypatch, model, content, style, shared=True):
+        """The output of one ``stylize`` call and its scratch's flat
+        buffers by name, from a scratch that only that call used."""
+        with monkeypatch.context() as m:
+            if not shared:
+                without_sharing(m)
+            scratches, _ = recorded_scratches(m)
+            out = stylize(model, ADAIN, content, style)
+        assert len(scratches) == 1
+        return out, scratches[0]._flat
+
+    @pytest.mark.parametrize("size,hidden", [(256, 64), (64, 8)])
+    @pytest.mark.parametrize("arch", sorted(flows.NAMED_ARCHITECTURES))
+    def test_stylize_scratch_is_at_most_the_unshared_layouts(
+        self, arch, size, hidden, monkeypatch
+    ):
+        """No stylization holds more scratch than with every temporary in
+        ``taps``, and both give the same bits. At hidden 8 a hidden map is
+        smaller than conv1's column matrix, and the walk keeps ``taps``."""
+        model, content, style = paper_model(arch, size, hidden)
+        got, flat = self.stylize_scratch(monkeypatch, model, content, style)
+        want, unshared = self.stylize_scratch(monkeypatch, model, content, style, False)
+        assert_same_bits(got, want)
+        nbytes = sum(b.nbytes for b in flat.values())
+        assert nbytes <= sum(b.nbytes for b in unshared.values())
+        assert ("taps" in flat) == (hidden == 8)
+
+    def test_paper_scale_holds_two_hidden_maps_and_the_shift(self, monkeypatch):
+        """flow8-block2 at 256, hidden 64: block 0's 128x128 hidden maps
+        hold every conv temporary (54 and 9 * 6 rows of 128 * 128
+        columns), so the call's scratch is those two maps and the shift."""
+        model, content, style = paper_model()
+        _, flat = self.stylize_scratch(monkeypatch, model, content, style)
+        n = 128 * 128
+        assert {name: b.size for name, b in flat.items()} == {
+            "h1": 64 * n, "h2": 64 * n, "shift": 6 * n,
+        }
+
+    @pytest.mark.parametrize("call", ["stylize", "inverse-first"])
+    def test_no_buffer_is_reallocated_during_a_call(self, call, monkeypatch):
+        """Each buffer is allocated once per call, at its full size, also
+        when an inverse walk reaches block 1's smaller hidden maps first."""
+        model, content, style = paper_model(size=64)
+        z, step = model.forward(style), flows._StepParams({})
+        scratches, flats = recorded_scratches(monkeypatch)
+        if call == "stylize":
+            stylize(model, ADAIN, content, style)
+        else:
+            model.inverse(z, step)
+            model.forward(content, step)
+        assert len(scratches) == 1
+        assert {name: len(held) for (_, name), held in flats.items()} == {
+            "h1": 1, "h2": 1, "shift": 1,
+        }
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_walk_backward_takes_no_new_hidden_size_gradient(self, inverse, monkeypatch):
+        """Every input gradient of hidden size (conv3's and conv2's) that a
+        walk's backward computes is a view of one of its scratch buffers,
+        and the walk's gradients keep their bits."""
+        model, batch = TestWalkBuffers.model()
+        v = model.forward(batch) if inverse else batch
+
+        def grads(spy):
+            tape = ad.Tape()
+            pvars = {n: ad.Var(a, tape) for n, a in model.params.items()}
+            step, seen, conv_grads = flows._StepParams(pvars), [], ad._conv_grads
+
+            def recorded(*args, **kwargs):
+                got = conv_grads(*args, **kwargs)
+                seen.append(got[1])
+                return got
+
+            with monkeypatch.context() as m:
+                if spy:
+                    m.setattr(ad, "_conv_grads", recorded)
+                ad.backward(ad.sum_all(model._walk(ad.Var(v, tape), step, inverse)))
+            hidden = [gx for gx in seen if gx is not None and gx.shape[0] == 8]
+            return [p.grad for p in pvars.values()], hidden, step.scratch._flat
+
+        want = grads(False)[0]
+        got, hidden, flat = grads(True)
+        assert len(hidden) == 2 * 4  # conv3's and conv2's, in each of 4 couplings
+        for gx in hidden:
+            assert any(np.shares_memory(gx, buf) for buf in flat.values())
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
+    def test_stylize_scratch_does_not_grow_with_depth(self, monkeypatch):
+        sizes = []
+        for n_flows in (4, 16):
+            model = build_flownet(FlowNetConfig(1, n_flows, 64, 3, 64, 64))
+            content, style = np.random.default_rng(n_flows).random((2, 1, 3, 64, 64))
+            initialize_actnorms(model, content)
+            randomize_couplings(model, seed=2)
+            flat = self.stylize_scratch(monkeypatch, model, content, style)[1]
+            sizes.append({name: b.size for name, b in flat.items()})
+        assert sizes[0] == sizes[1]
+
+
 
 def assert_same_bits(got, want, name=""):
     """Equal shapes and bytes: ``-0.0`` differs from ``+0.0``."""
@@ -1168,7 +1311,7 @@ class TestWalkThreadBlock:
         model, batch = TestWalkBuffers.model()
         step = flows._StepParams({})
         want = model.forward(batch, step)
-        most = step.macs(batch.shape[0], *batch.shape[2:])
+        most = step.extent(batch.shape[0], *batch.shape[2:])[0]
         monkeypatch.setattr(linalg, "THREADED_MIN_MACS", most)
         calls = self.spy(monkeypatch)
         assert_same_bits(model.forward(batch, step), want)
