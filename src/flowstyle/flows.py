@@ -406,8 +406,8 @@ def _coupling_back(y, g, step, inverse, scratch):
             want_k=isinstance(w, ad.Var), cols=cols, scratch=scratch, out=out,
         )
 
-    gh2 = scratch.take("gh2", h2.shape)
-    gb3, gh2, gw3 = conv_grads(-g_b if inverse else g_b, h2, 2, 1, out=gh2)
+    g3 = -g_b if inverse else g_b
+    gb3, gh2, gw3 = conv_grads(g3, h2, 2, 1, out=scratch.take("gh2", h2.shape))
     gb2, gh1, gw2 = conv_grads(gh2, h1, 1, 0, h2, out=h2)
     gb1, gx_a, gw1 = conv_grads(gh1, x_a, 0, 1, h1, cols)
     for p, grad in zip(weights, (gw1, gb1, gw2, gb2, gw3, gb3)):
