@@ -277,21 +277,26 @@ def actnorm_init(batch) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return scale, -mean * scale, clamped
 
 
-def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, cols=None, shared=False):
+def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, cols=None, shared=0):
     """The inner network of the channel-major ``x_a``: the coupling's
     shift and the two hidden maps, in ``scratch``'s buffers ``shift``,
     ``h1`` and ``h2``. ``cols`` is conv1's column matrix when the caller
-    built it. The convs take their temporaries from ``scratch``: from its
-    ``taps`` buffer, or when ``shared`` from the hidden maps' buffers
+    built it. The convs take their temporaries from ``scratch``'s
+    ``taps`` buffer, unless ``shared`` is the size of the walk's largest
+    hidden map, which holds its largest temporary
+    (:meth:`_StepParams.extent`): the hidden maps' buffers, each taken at
+    that size first so that none grows twice, then hold the temporaries
     while they are dead, conv1's in ``h2`` and conv3's in ``h1``, which
-    then no longer holds the returned ``h1``. A walk shares only when
-    both buffers hold its largest temporary (:meth:`_StepParams.extent`)."""
-    shape = (w1.shape[0],) + x_a.shape[1:]
-    temp1, temp3 = ("h2", "h1") if shared else ("taps", "taps")
-    h1 = ad._conv(x_a, w1, b1, 1, 1, True, scratch.take("h1", shape), cols, scratch, temp1)
+    then no longer holds the returned ``h1``."""
+    shape, temps = (w1.shape[0],) + x_a.shape[1:], ("taps", "taps")
+    if shared:
+        temps = ("h2", "h1")
+        for name in temps:
+            scratch.take(name, (shared,))
+    h1 = ad._conv(x_a, w1, b1, 1, 1, True, scratch.take("h1", shape), cols, scratch, temps[0])
     h2 = ad._conv(h1, w2, b2, 1, 0, True, scratch.take("h2", shape), scratch=scratch)
     out = scratch.take("shift", (w3.shape[0],) + x_a.shape[1:])
-    return ad._conv(h2, w3, b3, 1, 1, out=out, scratch=scratch, name=temp3), h1, h2
+    return ad._conv(h2, w3, b3, 1, 1, out=out, scratch=scratch, name=temps[1]), h1, h2
 
 
 def _identity(w3, b3):
@@ -300,13 +305,13 @@ def _identity(w3, b3):
     return not (w3.any() or b3.any())
 
 
-def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None, shared=False):
+def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None, shared=0):
     """The coupling kernel on the channel-major ``x`` (C,B,H,W), whose
     halves are the leading-axis slices ``x[:C/2]`` and ``x[C/2:]``:
     ``y_b = x_b + shift(x_a)`` (``-`` for the inverse) is written into
     ``out`` (``x`` itself runs it in place; a new array when None). The
-    conv kernels may be prepared (:class:`autodiff._Kernel`), and
-    ``shared`` puts their temporaries in the hidden maps' buffers
+    conv kernels may be prepared (:class:`autodiff._Kernel`), and a
+    ``shared`` size puts their temporaries in the hidden maps' buffers
     (:func:`_shift`).
 
     For an ``identity`` coupling (:func:`_identity` of conv3's kernel and
@@ -504,8 +509,8 @@ class _StepParams(dict):
         largest hidden map among the couplings that run their network
         (not the identity) when it is at least their largest conv
         temporary (``autodiff._Kernel.temp``), else 0. When it is not 0
-        the walk takes both hidden-map buffers at that size and its
-        couplings put their temporaries in them (:func:`_shift`), so no
+        the walk's couplings take both hidden-map buffers at that size
+        and put their temporaries in them (:func:`_shift`), so no
         ``taps`` buffer is needed; else they keep ``taps``, which a walk
         of hidden maps smaller than its column matrices (hidden 8 against
         a 3x3 conv over 6 channels) would otherwise grow past it."""
@@ -613,8 +618,7 @@ class FlowNet:
         (:meth:`_StepParams.extent`), so that every GEMM keeps the thread
         count that its own size gives it. The same per-extent record says
         whether the couplings' forwards keep their conv temporaries in
-        the hidden maps' buffers, which the walk then takes at their full
-        size before any coupling runs, so that no buffer grows twice.
+        the hidden maps' buffers (:func:`_shift`).
 
         The walk runs channel-major: it converts its input to (C, B, H, W)
         once on entry (``autodiff._swap``, a view at batch 1) and its
@@ -654,12 +658,10 @@ class FlowNet:
             h, w = (e * SQUEEZE_FACTOR**self.config.n_blocks for e in (h, w))
         macs, hidden = call.extent(b, h, w)
         threads = blas_threads(macs)
-        for name in ("h1", "h2") if hidden else ():
-            scratch.take(name, (hidden,))
         y = ad._swap(data)
         with threads:
             for step in reversed(steps) if inverse else steps:
-                y = _run_layer(step, y, inverse, scratch, data, bool(hidden))
+                y = _run_layer(step, y, inverse, scratch, data, hidden)
         y = ad._swap(y)
         inputs = (v, *(p for step in steps for p in step.weights if isinstance(p, ad.Var)))
         tape = ad._tape_of(*inputs)
@@ -690,14 +692,14 @@ class FlowNet:
         return ad._record(tape, "walk", y, back, inputs)
 
 
-def _run_layer(step, y, inverse, scratch, caller, shared=False):
+def _run_layer(step, y, inverse, scratch, caller, shared=0):
     """One layer of a walk on its channel-major array ``y``, from the
     layer's :class:`_Step`: its kernel, or its inverse's. Actnorm and the
     coupling run in place unless ``y`` may share memory with the
     ``caller``'s input array. ``scratch`` is the walk's
-    (:class:`autodiff._Scratch`), and ``shared`` whether a coupling
-    keeps its conv temporaries in its hidden maps' buffers
-    (:func:`_shift`)."""
+    (:class:`autodiff._Scratch`), and ``shared``, when not 0, the size
+    of the hidden maps' buffers, which then hold a coupling's conv
+    temporaries (:func:`_shift`)."""
     out = None if np.may_share_memory(y, caller) else y
     if step.kind == "squeeze":
         return (ad._unsqueeze_data if inverse else ad._squeeze_data)(y)

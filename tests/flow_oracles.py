@@ -98,7 +98,7 @@ def reference_init(model, batch):
 
 
 def full_coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None,
-                  shared=False):
+                  shared=0):
     """``flows._coupling`` with the inner network run for every coupling,
     ``identity`` ones included."""
     half = x.shape[0] // 2
