@@ -540,12 +540,11 @@ def _conv(
       of the whole flat (O*B*H*W) range, read at ``i + d``.
 
     ``scratch`` (the :class:`_Scratch` of the walks of one call) hands
-    out the column matrix or the kn2row product as its buffer ``name``,
-    ``taps`` unless the caller lends another that is dead for the call
-    (a coupling's hidden map, :func:`flows._shift`); without it they are
-    new arrays. GEMMs of
-    fewer than ``linalg.THREADED_MIN_MACS`` multiply-adds run on one BLAS
-    thread (:func:`linalg.blas_threads`).
+    out the column matrix or the kn2row product as its buffer ``name``:
+    ``taps``, or one whose value is dead while this conv runs (a
+    coupling's hidden map, :func:`flows._shift`); without it they are
+    new arrays. GEMMs of fewer than ``linalg.THREADED_MIN_MACS``
+    multiply-adds run on one BLAS thread (:func:`linalg.blas_threads`).
     """
     k = _kernel(k, stride, pad)
     n_out, n_in, kh, kw = k.shape

@@ -281,13 +281,12 @@ def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, cols=None, shared=0):
     """The inner network of the channel-major ``x_a``: the coupling's
     shift and the two hidden maps, in ``scratch``'s buffers ``shift``,
     ``h1`` and ``h2``. ``cols`` is conv1's column matrix when the caller
-    built it. The convs take their temporaries from ``scratch``'s
-    ``taps`` buffer, unless ``shared`` is the size of the walk's largest
-    hidden map, which holds its largest temporary
-    (:meth:`_StepParams.extent`): the hidden maps' buffers, each taken at
-    that size first so that none grows twice, then hold the temporaries
-    while they are dead, conv1's in ``h2`` and conv3's in ``h1``, which
-    then no longer holds the returned ``h1``."""
+    built it. The convs take their temporaries from the ``taps`` buffer,
+    or, when ``shared`` is not 0, from the hidden maps' buffers while
+    they are dead: conv1's from ``h2`` and conv3's from ``h1``, which
+    then no longer holds the returned ``h1``. ``shared`` is the size of
+    the walk's largest hidden map (:meth:`_StepParams.extent`); both
+    buffers are taken at that size first, so that neither grows twice."""
     shape, temps = (w1.shape[0],) + x_a.shape[1:], ("taps", "taps")
     if shared:
         temps = ("h2", "h1")
@@ -499,21 +498,17 @@ class _StepParams(dict):
         return self._steps
 
     def extent(self, b, h, w):
-        """``(macs, hidden)`` of a walk of the built plan, or of its
+        """``(macs, hidden)`` for a walk of the built plan, and its
         backward, on ``b`` images of extent (h, w), each layer at its
-        block's extent; kept per extent.
-
-        ``macs`` is the multiply-adds of the largest conv GEMM
-        (``autodiff._Kernel.at``); it sets the walk's BLAS threads
-        (:class:`linalg.blas_threads`). ``hidden`` is the size of the
-        largest hidden map among the couplings that run their network
-        (not the identity) when it is at least their largest conv
-        temporary (``autodiff._Kernel.temp``), else 0. When it is not 0
-        the walk's couplings take both hidden-map buffers at that size
-        and put their temporaries in them (:func:`_shift`), so no
-        ``taps`` buffer is needed; else they keep ``taps``, which a walk
-        of hidden maps smaller than its column matrices (hidden 8 against
-        a 3x3 conv over 6 channels) would otherwise grow past it."""
+        block's extent; kept per extent. ``macs``, the multiply-adds of
+        the largest conv GEMM (``autodiff._Kernel.at``), sets the walk's
+        BLAS threads (:class:`linalg.blas_threads`). ``hidden`` is the
+        size of the largest hidden map of the couplings that run their
+        network (not the identity) when it holds their largest conv
+        temporary (``autodiff._Kernel.temp``), else 0, as for hidden 8
+        against a 3x3 conv over 6 channels: the couplings then keep their
+        temporaries in the hidden maps' buffers, not in ``taps``
+        (:func:`_shift`)."""
         got = self._extents.get((b, h, w))
         if got is None:
             most = hidden = temp = 0
