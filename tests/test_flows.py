@@ -844,6 +844,7 @@ class TestBufferPlan:
             assert_same_bits(g, w)
 
     def test_stylize_scratch_does_not_grow_with_depth(self, monkeypatch):
+        """A stylization's buffers have the same sizes at 4 and 16 flows."""
         sizes = []
         for n_flows in (4, 16):
             model = build_flownet(FlowNetConfig(1, n_flows, 64, 3, 64, 64))
