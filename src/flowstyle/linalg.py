@@ -189,9 +189,12 @@ def sym_pow(m, p: float) -> np.ndarray:
     ``eps`` before the power is applied, which keeps negative powers
     finite on nearly singular inputs.
 
-    Raises NotPSDError when some eigenvalue sits below ``-eps * trace``,
-    and NumericError when a negative power meets a non-positive clamped
-    spectrum (only possible when the trace is not positive).
+    Raises NotPSDError when some eigenvalue sits below ``-c * eps``
+    (``-1e-8 * trace``): like the clamp floor, the tolerance scales with
+    the matrix, so ``s * m`` raises for a power-of-two ``s`` exactly when
+    ``m`` does. Raises NumericError when a negative power meets a
+    non-positive clamped spectrum (only possible when the trace is not
+    positive).
     """
     (out,) = sym_pows(m, (p,))
     return out
@@ -207,7 +210,7 @@ def sym_pows(m, powers) -> tuple[np.ndarray, ...]:
     n = a.shape[0]
     eps = 1e-8 * float(np.trace(a)) / n if n else 0.0
     lam, e = sym_eig(a)
-    if n and lam[-1] < -eps * float(np.trace(a)):
+    if n and lam[-1] < -n * eps:
         raise NotPSDError(
             f"matrix is not PSD: min eigenvalue {lam[-1]:.3e} below tolerance"
         )

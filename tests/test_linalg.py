@@ -215,6 +215,28 @@ class TestSymPow:
         with pytest.raises(NotPSDError):
             sym_pow(m, 0.5)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+    def test_not_psd_rejected_at_any_scale(self, scale):
+        with pytest.raises(NotPSDError):
+            sym_pow(scale * np.diag([1.0, 1.0, -1e-3]), 0.5)
+
+    @pytest.mark.parametrize(
+        "diag", [[1.0, 1.0, -1e-3], [1.0, 1.0, -1e-10], [1.0, 1.0, 0.0], [3.0, 0.0, 0.0]]
+    )
+    @pytest.mark.parametrize("scale", [2.0**20, 2.0**-20])
+    def test_psd_check_does_not_depend_on_scale(self, diag, scale):
+        q, _ = np.linalg.qr(np.random.default_rng(26).standard_normal((3, 3)))
+        m = q @ np.diag(diag) @ q.T
+
+        def rejected(a):
+            try:
+                sym_pow(a, 0.5)
+            except NotPSDError:
+                return True
+            return False
+
+        assert rejected(scale * m) == rejected(m)
+
     def test_clamp_keeps_negative_power_finite(self):
         # Rank-deficient: eigenvalue 0 is clamped up to eps before the power.
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
