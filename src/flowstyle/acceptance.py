@@ -156,7 +156,7 @@ def criterion_3_cov_transfer_exactness() -> CriterionResult:
         out = wct(f_c, f_s)
         worst_cov = max(
             worst_cov,
-            float(np.max(np.abs(cov_factor(out).cov.mat - cov_factor(f_s).cov.mat))),
+            float(np.max(np.abs(cov_factor(out).cov - cov_factor(f_s).cov))),
         )
         worst_white = max(
             worst_white,

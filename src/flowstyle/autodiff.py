@@ -323,7 +323,7 @@ def per_channel(v) -> Value:
 # batch are the rows of one (C, B*H*W) matrix. Every gradient is one 2-D
 # GEMM over those columns; a forward multiplies each sample's columns on
 # their own, without a copy (:func:`_by_sample`), so that a sample's
-# values do not depend on its batch. :func:`_form` picks a convolution's
+# values do not depend on its batch. A :class:`_Kernel` holds a conv's
 # GEMM form and :func:`_taps` caches its tap geometry; the channel mixes
 # run on the 1x1 form. The public ops take and give NCHW arrays and reach
 # the kernels through :func:`_swap`, a view at batch 1.
@@ -410,14 +410,13 @@ def conv2d(x, k, bias=None, stride: int = 1, pad: int = 0, relu: bool = False) -
         raise ShapeError(
             f"conv2d channel mismatch: input {dx.shape[1]}, kernel {dk.shape[1]}"
         )
-    n_out, n_in, kh, kw = dk.shape
     if bias is not None:
-        bias = as_feature("conv2d bias", bias, shape=(n_out,), finite=False)
-    stride, pad = as_index("conv2d stride", stride, 1), as_index("conv2d pad", pad, 0)
-    taps = _taps(kh, kw, stride, pad, *dx.shape[2:])
+        bias = as_feature("conv2d bias", bias, shape=dk.shape[:1], finite=False)
+    kernel = _Kernel(dk, as_index("conv2d stride", stride, 1), as_index("conv2d pad", pad, 0))
+    taps = kernel.at(dx.shape[0], *dx.shape[2:])[0]
     if taps.h_out <= 0 or taps.w_out <= 0:
         raise ShapeError("conv2d kernel larger than padded input")
-    return _conv2d(x, k, _Kernel(dk, stride, pad), bias, relu)
+    return _conv2d(x, k, kernel, bias, relu)
 
 
 def _conv2d(x, k, kernel, bias, relu) -> Value:
@@ -430,7 +429,7 @@ def _conv2d(x, k, kernel, bias, relu) -> Value:
 
     def back(g):
         gb, gx, gk = _conv_grads(
-            _swap(g), _swap(dx), kernel, kernel.stride, kernel.pad, _swap(out) if relu else None,
+            _swap(g), _swap(dx), kernel, _swap(out) if relu else None,
             bias=isinstance(bias, Var), want_x=isinstance(x, Var),
             want_k=isinstance(k, Var),
         )
@@ -455,34 +454,28 @@ def _by_sample(a, m, b, out):
     np.matmul(a, m.reshape(-1, b, n).swapaxes(0, 1), out=out.reshape(-1, b, n).swapaxes(0, 1))
 
 
-def _form(k, stride, pad):
-    """The GEMM form of a convolution by ``k`` (O, I, kh, kw): "direct"
-    for 1x1, stride 1, unpadded; "kn2row" for another "same" geometry
-    with I > O, whose kh*kw*O-row product is smaller than the I*kh*kw-row
-    column matrix; "cols" (im2col) for any other."""
-    n_out, n_in, kh, kw = k.shape
-    if not _same(kh, kw, stride, pad):
-        return "cols"
-    if not pad:
-        return "direct"
-    return "kn2row" if n_in > n_out else "cols"
-
-
 class _Kernel:
     """A convolution kernel ``k`` (O, I, kh, kw) at ``stride`` and ``pad``,
-    prepared once: its GEMM form (:func:`_form`), its (O, I*kh*kw) view
-    ``gemm`` and, per input extent, its tap geometry and GEMM size
-    (:meth:`at`). A flow walk's layer plan holds one per conv, so
-    every walk of a call reuses it. Its ``shape`` is ``k``'s. It keeps
-    no copy of ``k``, which would make a training step's memory grow
-    with depth: kn2row and the gradients lay ``k`` out per call.
+    prepared once, the one form in which the conv kernels take it: its
+    GEMM ``form``, "direct" for 1x1, stride 1, unpadded, "kn2row" for
+    another "same" geometry with I > O, whose kh*kw*O-row product is
+    smaller than the I*kh*kw-row column matrix, and "cols" (im2col) for
+    any other; its (O, I*kh*kw) view ``gemm``; and, per input extent, its
+    tap geometry and GEMM size (:meth:`at`). A flow walk's layer plan
+    holds one per conv, so every walk of a call reuses it. Its ``shape``
+    is ``k``'s. It keeps no copy of ``k``, which would make a training
+    step's memory grow with depth: kn2row and the gradients lay ``k``
+    out per call.
     """
 
     __slots__ = ("k", "shape", "stride", "pad", "form", "gemm", "_extents")
 
     def __init__(self, k, stride, pad):
-        self.k, self.shape, self.stride, self.pad = k, k.shape, stride, pad
-        self.form, self.gemm, self._extents = _form(k, stride, pad), k.reshape(k.shape[0], -1), {}
+        n_out, n_in, kh, kw = self.shape = k.shape
+        self.k, self.stride, self.pad = k, stride, pad
+        same = _same(kh, kw, stride, pad)
+        self.form = "direct" if same and not pad else "kn2row" if same and n_in > n_out else "cols"
+        self.gemm, self._extents = k.reshape(n_out, -1), {}
 
     def at(self, b, h, w):
         """(tap geometry, multiply-adds of each GEMM) of a call on a (I, b,
@@ -508,24 +501,16 @@ class _Kernel:
         return (n_in if self.form == "cols" else n_out) * kh * kw * b * taps.h_out * taps.w_out
 
 
-def _kernel(k, stride, pad):
-    """``k`` itself when a plan prepared it, else ``k`` prepared for one
-    call at ``stride`` and ``pad``."""
-    return k if isinstance(k, _Kernel) else _Kernel(k, stride, pad)
-
-
-def _conv(
-    x, k, bias=None, stride=1, pad=0, relu=False, out=None, cols=None, scratch=None, name="taps",
-):
-    """The convolution kernel, channel-major: ``x`` (I, B, H, W) by ``k``
-    (O, I, kh, kw), then the optional ``bias`` (O,) and ReLU, into ``out``
-    (O, B, Ho, Wo), C-contiguous (a new array when None), which it returns.
-    ``k`` may be a :class:`_Kernel`, which fixes the stride and pad.
+def _conv(x, k, bias=None, relu=False, out=None, cols=None, scratch=None, name="taps"):
+    """The convolution kernel, channel-major: ``x`` (I, B, H, W) by the
+    :class:`_Kernel` ``k`` (O, I, kh, kw), then the optional ``bias`` (O,)
+    and ReLU, into ``out`` (O, B, Ho, Wo), C-contiguous (a new array when
+    None), which it returns.
 
     Each form is one GEMM against the (K, B*N) matrix of the whole
     batch, run one sample's N columns at a time (:func:`_by_sample`), so
-    an output value has the same bits at any batch size. :func:`_form`
-    chooses the form from the shapes alone:
+    an output value has the same bits at any batch size. ``k``'s form
+    follows from the shapes alone:
 
     * direct (1x1, stride 1, unpadded):
       ``k`` as (O, I) @ ``x`` as (I, B*H*W). This is also the channel
@@ -546,7 +531,6 @@ def _conv(
     new arrays. GEMMs of fewer than ``linalg.THREADED_MIN_MACS``
     multiply-adds run on one BLAS thread (:func:`linalg.blas_threads`).
     """
-    k = _kernel(k, stride, pad)
     n_out, n_in, kh, kw = k.shape
     _, b, h, w = x.shape
     taps, macs = k.at(b, h, w)
@@ -557,7 +541,7 @@ def _conv(
             _by_sample(k.gemm, x.reshape(n_in, -1), b, out.reshape(n_out, -1))
         elif k.form == "cols":
             if cols is None:
-                cols = _im2col(x, k, k.stride, k.pad, scratch, name)
+                cols = _im2col(x, k, scratch, name)
             _by_sample(k.gemm, cols, b, out.reshape(n_out, -1))
         else:
             prod = _take(scratch, name, (kh, kw, n_out, b * h * w))
@@ -571,20 +555,19 @@ def _conv(
 
 
 def _conv_grads(
-    g, x, k, stride, pad, relu_out=None, bias=False, want_x=True, want_k=True,
-    cols=None, scratch=None, out=None,
+    g, x, k, relu_out=None, bias=False, want_x=True, want_k=True, cols=None, scratch=None,
+    out=None,
 ):
     """The (bias, input, kernel) gradients of one :func:`_conv` from its
     output gradient ``g`` (O, B, Ho, Wo), each None unless wanted.
 
-    ``x`` and ``k`` are the forward's arrays (``k`` may be its
-    :class:`_Kernel`) and ``stride`` and ``pad``
-    its geometry. ``relu_out`` is the forward's output when it fused a
+    ``x`` and ``k`` are the forward's input array and :class:`_Kernel`.
+    ``relu_out`` is the forward's output when it fused a
     ReLU: ``g`` is then masked by ``relu_out > 0`` in place, so it must
     be a buffer that nothing else reads. ``bias`` asks for the bias
     gradient (:func:`_channel_sum`). With ``g`` as g2d (O, B*Ho*Wo) and
-    ``x`` as x2d (I, B*H*W), each gradient of the form that
-    :func:`_form` chooses is one 2-D GEMM:
+    ``x`` as x2d (I, B*H*W), each gradient of ``k``'s form is one 2-D
+    GEMM:
 
     * direct: input ``k.T @ g2d``, kernel ``g2d @ x2d.T``.
     * im2col: input ``k.T @ g2d`` in tap-major rows (u, v, i), a
@@ -604,7 +587,6 @@ def _conv_grads(
     (:func:`flows._coupling_back`). ``out`` may be ``relu_out`` itself,
     as the mask reads it first, but no other operand.
     """
-    k = _kernel(k, stride, pad)
     n_out, n_in, kh, kw = k.shape
     if relu_out is not None:
         np.multiply(g, relu_out > 0.0, out=g)
@@ -635,10 +617,10 @@ def _conv_grads(
                         gx[:, :, rows, cols_] += per_tap[u, v, :, :, o_rows, o_cols]
             if want_k:
                 if cols is None:
-                    cols = _im2col(x, k, k.stride, k.pad, scratch)
+                    cols = _im2col(x, k, scratch)
                 gk = (g2d @ cols.T).reshape(k.shape)
         else:
-            g_taps = _im2col(g, k, k.stride, k.pad, scratch, "taps")
+            g_taps = _im2col(g, k, scratch, "taps")
             if want_x:
                 flipped = k.k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
                 np.matmul(flipped, g_taps, out=gx.reshape(n_in, -1))
@@ -648,9 +630,10 @@ def _conv_grads(
     return gb, gx, gk
 
 
-def _im2col(x, k, stride, pad, scratch=None, name="cols"):
-    """The (I*kh*kw, B*Ho*Wo) column matrix of a convolution by ``k`` of
-    the channel-major ``x`` (I, B, H, W): row (i, u, v) holds tap (u, v)
+def _im2col(x, k, scratch=None, name="cols"):
+    """The (I*kh*kw, B*Ho*Wo) column matrix of a convolution by the
+    :class:`_Kernel` ``k`` of the channel-major ``x`` (I, B, H, W), at
+    ``k``'s stride and pad: row (i, u, v) holds tap (u, v)
     of channel i at every output position of every sample, read from
     the zero-padded input, of which no copy is made. It is ``scratch``'s
     buffer ``name`` when ``scratch`` is given.
@@ -663,7 +646,7 @@ def _im2col(x, k, stride, pad, scratch=None, name="cols"):
     tap's clipped window (``clipped``)."""
     n_in, b, h, w = x.shape
     kh, kw = k.shape[2:]
-    taps = _taps(kh, kw, stride, pad, h, w)
+    taps = _taps(kh, kw, k.stride, k.pad, h, w)
     cols = _take(scratch, name, (n_in * kh * kw, b * taps.h_out * taps.w_out))
     if taps.flat is None:
         cols.fill(0.0)
@@ -814,7 +797,7 @@ def _mix_op(op, x, w, m, w_grad):
     out = _swap(_conv(_swap(dx), k))
 
     def back(g):
-        _, gx, gk = _conv_grads(_swap(g), _swap(dx), k, 1, 0, want_k=isinstance(w, Var))
+        _, gx, gk = _conv_grads(_swap(g), _swap(dx), k, want_k=isinstance(w, Var))
         _accum(x, _swap(gx))
         if gk is not None:
             _accum(w, w_grad(gk[:, :, 0, 0]))

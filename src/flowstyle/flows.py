@@ -292,10 +292,10 @@ def _shift(x_a, w1, b1, w2, b2, w3, b3, scratch, cols=None, shared=0):
         temps = ("h2", "h1")
         for name in temps:
             scratch.take(name, (shared,))
-    h1 = ad._conv(x_a, w1, b1, 1, 1, True, scratch.take("h1", shape), cols, scratch, temps[0])
-    h2 = ad._conv(h1, w2, b2, 1, 0, True, scratch.take("h2", shape), scratch=scratch)
+    h1 = ad._conv(x_a, w1, b1, True, scratch.take("h1", shape), cols, scratch, temps[0])
+    h2 = ad._conv(h1, w2, b2, True, scratch.take("h2", shape), scratch=scratch)
     out = scratch.take("shift", (w3.shape[0],) + x_a.shape[1:])
-    return ad._conv(h2, w3, b3, 1, 1, out=out, scratch=scratch, name=temps[1]), h1, h2
+    return ad._conv(h2, w3, b3, out=out, scratch=scratch, name=temps[1]), h1, h2
 
 
 def _identity(w3, b3):
@@ -309,7 +309,7 @@ def _coupling(x, w1, b1, w2, b2, w3, b3, inverse, identity, scratch, out=None, s
     halves are the leading-axis slices ``x[:C/2]`` and ``x[C/2:]``:
     ``y_b = x_b + shift(x_a)`` (``-`` for the inverse) is written into
     ``out`` (``x`` itself runs it in place; a new array when None). The
-    conv kernels may be prepared (:class:`autodiff._Kernel`), and a
+    conv kernels are prepared (:class:`autodiff._Kernel`), and a
     ``shared`` size puts their temporaries in the hidden maps' buffers
     (:func:`_shift`).
 
@@ -374,7 +374,7 @@ def _invconv_back(y, g, step, inverse, deferred):
     (weight,), w, w_inv = step.weights, step.kernel, step.inverse()
     x = ad._conv(y, w if inverse else w_inv)
     m = w_inv if inverse else w
-    _, gx, gm = ad._conv_grads(g, x, m, 1, 0, want_k=isinstance(weight, ad.Var))
+    _, gx, gm = ad._conv_grads(g, x, m, want_k=isinstance(weight, ad.Var))
     if gm is not None:
         if inverse:
             deferred.append((weight, w_inv.gemm, gm[:, :, 0, 0]))
@@ -399,21 +399,21 @@ def _coupling_back(y, g, step, inverse, scratch):
     weights, net = step.weights, step.net
     half = y.shape[0] // 2
     x_a, y_b, g_a, g_b = y[:half], y[half:], g[:half], g[half:]
-    cols = ad._im2col(x_a, net[0], 1, 1, scratch, "cols1") if net[0].form == "cols" else None
+    cols = ad._im2col(x_a, net[0], scratch, "cols1") if net[0].form == "cols" else None
     shift, h1, h2 = _shift(x_a, *net, scratch, cols)
     (np.add if inverse else np.subtract)(y_b, shift, out=y_b)
 
-    def conv_grads(g, h, i, pad, relu_out=None, cols=None, out=None):
+    def conv_grads(g, h, i, relu_out=None, cols=None, out=None):
         w, b = weights[2 * i], weights[2 * i + 1]
         return ad._conv_grads(
-            g, h, net[2 * i], 1, pad, relu_out, bias=isinstance(b, ad.Var),
+            g, h, net[2 * i], relu_out, bias=isinstance(b, ad.Var),
             want_k=isinstance(w, ad.Var), cols=cols, scratch=scratch, out=out,
         )
 
     g3 = -g_b if inverse else g_b
-    gb3, gh2, gw3 = conv_grads(g3, h2, 2, 1, out=scratch.take("gh2", h2.shape))
-    gb2, gh1, gw2 = conv_grads(gh2, h1, 1, 0, h2, out=h2)
-    gb1, gx_a, gw1 = conv_grads(gh1, x_a, 0, 1, h1, cols)
+    gb3, gh2, gw3 = conv_grads(g3, h2, 2, out=scratch.take("gh2", h2.shape))
+    gb2, gh1, gw2 = conv_grads(gh2, h1, 1, h2, out=h2)
+    gb1, gx_a, gw1 = conv_grads(gh1, x_a, 0, h1, cols)
     for p, grad in zip(weights, (gw1, gb1, gw2, gb2, gw3, gb3)):
         ad._accum(p, grad)
     g_a += gx_a

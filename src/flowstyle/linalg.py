@@ -6,6 +6,8 @@ kernels change their last bits with the thread count (``eigh`` at order
 768, ``inv`` at 192, ``x @ x.T`` at most orders from 97 on). So results
 are bit-identical across runs and BLAS thread counts for a fixed
 numpy/BLAS build; the tests check 1 against 2 threads.
+Every function takes plain arrays; the eigensolver and the symmetric
+powers read only a symmetric matrix's upper triangle.
 """
 
 from __future__ import annotations
@@ -93,42 +95,7 @@ class blas_threads:
                 set_(before)
 
 
-class SymMatrix:
-    """Symmetric matrix wrapper: the upper triangle is authoritative.
-
-    Construction mirrors the upper triangle onto the lower one, so
-    ``entry(i, j) == entry(j, i)`` holds exactly (bit-for-bit) no matter
-    how the input was produced.
-    """
-
-    __slots__ = ("_m",)
-
-    def __init__(self, entries):
-        m = np.array(entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"symmetric matrix must be square, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise NumericError("symmetric matrix contains non-finite entries")
-        upper = np.triu(m)
-        self._m = upper + np.triu(m, 1).T
-        self._m.flags.writeable = False
-
-    @property
-    def order(self) -> int:
-        return self._m.shape[0]
-
-    @property
-    def mat(self) -> np.ndarray:
-        """Read-only dense view of the full symmetric matrix."""
-        return self._m
-
-    def __repr__(self):
-        return f"SymMatrix(order={self.order})"
-
-
 def _as_square(m, name: str) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.mat
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} expects a square matrix, got shape {a.shape}")

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .errors import NumericError, ShapeError, as_batch, as_feature, as_index, as_real
-from .linalg import SymMatrix, matmul, sym_pows
+from .linalg import matmul, sym_pows
 
 EPS_STD = 1e-6
 # Relative ridge added to raw channel covariances. Kept tiny so transfer
@@ -59,10 +59,10 @@ class FeatureStats:
 
 @dataclass(frozen=True)
 class CovFactor:
-    """Mean, channel covariance, and its +-1/2 symmetric powers."""
+    """Mean, channel covariance (read-only), and its +-1/2 symmetric powers."""
 
     mean: np.ndarray
-    cov: SymMatrix
+    cov: np.ndarray
     whitener: np.ndarray
     colorer: np.ndarray
 
@@ -240,8 +240,9 @@ def cov_factor(f) -> CovFactor:
     exactly constant features still produce finite whiteners;
     rank-deficient covariances are additionally protected by the
     eigenvalue clamp of ``sym_pow``. Both powers come from one
-    eigendecomposition. NumericError if the covariance overflows (a
-    finite feature above about 1e154).
+    eigendecomposition. The covariance is exactly symmetric, as
+    ``matmul(xc, xc.T)`` is, and read-only. NumericError if the
+    covariance overflows (a finite feature above about 1e154).
     """
     a = ad._swap(as_batch("feature", f))
     x = a.reshape(len(a), -1)
@@ -256,7 +257,8 @@ def cov_factor(f) -> CovFactor:
     if not (np.isfinite(cov_raw).all() and np.isfinite(trace)):
         raise NumericError("channel covariance overflows: the feature is too large to whiten")
     eps = max(EPS_COV_REL * trace / x.shape[0], EPS_COV_ABS if trace <= 0.0 else 0.0)
-    cov = SymMatrix(cov_raw + eps * np.eye(x.shape[0]))
+    cov = cov_raw + eps * np.eye(x.shape[0])
+    cov.flags.writeable = False
     whitener, colorer = sym_pows(cov, (-0.5, +0.5))
     return CovFactor(mean=mean, cov=cov, whitener=whitener, colorer=colorer)
 

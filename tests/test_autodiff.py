@@ -604,7 +604,7 @@ class TestConvKernels:
         k = rng.standard_normal((hidden, hidden, 1, 1)) / hidden
         out = np.maximum(rng.standard_normal(x.shape), 0.0)
         g = rng.standard_normal(x.shape)
-        _, gx, gk = ad._conv_grads(ad._swap(g), ad._swap(x), k, 1, 0, ad._swap(out))
+        _, gx, gk = ad._conv_grads(ad._swap(g), ad._swap(x), ad._Kernel(k, 1, 0), ad._swap(out))
         g *= out > 0.0
         g2d = g.transpose(1, 0, 2, 3).reshape(hidden, -1)
         want_gx = np.zeros((hidden, g2d.shape[1]))
@@ -634,7 +634,8 @@ class TestConvKernels:
         k = rng.standard_normal((n_out, n_in, ksize, ksize))
         taps = ad._taps(ksize, ksize, stride, pad, extent, extent)
         g = rng.standard_normal((4, n_out, taps.h_out, taps.w_out))
-        _, _, gk = ad._conv_grads(ad._swap(g), ad._swap(x), k, stride, pad, want_x=False)
+        kernel = ad._Kernel(k, stride, pad)
+        _, _, gk = ad._conv_grads(ad._swap(g), ad._swap(x), kernel, want_x=False)
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         windows = sliding_window_view(xp, (ksize, ksize), axis=(2, 3))[:, :, ::stride, ::stride]
         want = np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3]))
@@ -664,9 +665,10 @@ class TestConvKernels:
         x = rng.standard_normal((n_in, 4, extent, extent))
         k = rng.standard_normal((n_out, n_in, ksize, ksize))
         bias = rng.standard_normal(n_out)
-        whole = ad._conv(x, k, bias, stride, pad, relu=True)
+        kernel = ad._Kernel(k, stride, pad)
+        whole = ad._conv(x, kernel, bias, relu=True)
         for i in range(4):
-            one = ad._conv(np.ascontiguousarray(x[:, i : i + 1]), k, bias, stride, pad, True)
+            one = ad._conv(np.ascontiguousarray(x[:, i : i + 1]), kernel, bias, True)
             np.testing.assert_array_equal(whole[:, i : i + 1], one)
 
     def test_conv_kernel_reuses_given_columns(self):
@@ -678,16 +680,16 @@ class TestConvKernels:
         x = rng.standard_normal((6, 4, 16, 16))
         k = rng.standard_normal((64, 6, 3, 3))
         g = rng.standard_normal((64, 4, 16, 16))
-        assert ad._form(k, 1, 1) == "cols" and ad._form(k[:4], 1, 1) == "kn2row"
-        scratch = ad._Scratch()
-        cols = ad._im2col(x, k, 1, 1, scratch, "cols1")
+        assert ad._Kernel(k, 1, 1).form == "cols" and ad._Kernel(k[:4], 1, 1).form == "kn2row"
+        scratch, kernel = ad._Scratch(), ad._Kernel(k, 1, 1)
+        cols = ad._im2col(x, kernel, scratch, "cols1")
         assert scratch.take("cols1", cols.shape) is cols
-        fresh = ad._conv_grads(g.copy(), x, k, 1, 1)
-        for kept in (ad._conv_grads(g.copy(), x, k, 1, 1, cols=cols, scratch=scratch),
-                     ad._conv_grads(g.copy(), x, k, 1, 1, scratch=scratch)):
+        fresh = ad._conv_grads(g.copy(), x, kernel)
+        for kept in (ad._conv_grads(g.copy(), x, kernel, cols=cols, scratch=scratch),
+                     ad._conv_grads(g.copy(), x, kernel, scratch=scratch)):
             for got, want in zip(kept[1:], fresh[1:]):
                 np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(ad._conv(x, k, pad=1, cols=cols), ad._conv(x, k, pad=1))
+        np.testing.assert_array_equal(ad._conv(x, kernel, cols=cols), ad._conv(x, kernel))
 
     def test_scratch_hands_out_leading_views(self):
         """An equal shape gets the same array back, a smaller one a
@@ -724,8 +726,9 @@ class TestConvKernels:
         k = rng.standard_normal((n_out, n_in, 3, 3))
         bias = rng.standard_normal(n_out) if with_bias else None
         assert ad._taps(3, 3, 1, 1, *extent).flat is not None
-        assert ad._im2col(x, k, 1, 1).tobytes() == im2col_reference(x, k, 1, 1).tobytes()
-        got = ad._conv(x, k, bias, 1, 1, scratch=ad._Scratch())
+        kernel = ad._Kernel(k, 1, 1)
+        assert ad._im2col(x, kernel).tobytes() == im2col_reference(x, k, 1, 1).tobytes()
+        got = ad._conv(x, kernel, bias, scratch=ad._Scratch())
         if n_in > n_out:
             assert got.tobytes() == kn2row_reference(x, k, bias, 1, 1).tobytes()
         else:
@@ -754,12 +757,12 @@ class TestConvKernels:
             g[rng.random(g.shape) < 0.2] = 0.0
             g[rng.random(g.shape) < 0.2] = -0.0
         k = rng.standard_normal((n_out, n_in, 3, 3))
-        assert ad._form(k, 1, 1) == "kn2row"
+        assert ad._Kernel(k, 1, 1).form == "kn2row"
         want = kn2row_taps_reference(g, x, k, 1, 1).tobytes()
         scratch = ad._Scratch()
         scratch.take("taps", (n_out * 9, g[0].size)).fill(np.nan)
-        assert ad._im2col(g, k, 1, 1).tobytes() == want
-        assert ad._im2col(g, k, 1, 1, scratch, "taps").tobytes() == want
+        assert ad._im2col(g, ad._Kernel(k, 1, 1)).tobytes() == want
+        assert ad._im2col(g, ad._Kernel(k, 1, 1), scratch, "taps").tobytes() == want
 
     # The coupling's conv3 (hidden -> half the channels, 3x3, pad 1) at
     # train-32 (batch 4, blocks at 16x16 and 8x8), train-tiny (hidden 8 at
@@ -776,7 +779,7 @@ class TestConvKernels:
         x = rng.standard_normal((n_in, batch, extent, extent))
         k = rng.standard_normal((n_out, n_in, 3, 3))
         g = rng.standard_normal((n_out, batch, extent, extent))
-        assert ad._form(k, 1, 1) == "kn2row"
+        assert ad._Kernel(k, 1, 1).form == "kn2row"
         mat = kn2row_taps_reference(g, x, k, 1, 1)
         with ad.blas_threads(g.size * n_in * 9):
             flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
@@ -784,7 +787,7 @@ class TestConvKernels:
             want_gk = (mat @ x.reshape(n_in, -1).T).reshape(n_out, 3, 3, n_in)
         want_gk = want_gk[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         for scratch in (None, ad._Scratch()):
-            _, gx, gk = ad._conv_grads(g.copy(), x, k, 1, 1, scratch=scratch)
+            _, gx, gk = ad._conv_grads(g.copy(), x, ad._Kernel(k, 1, 1), scratch=scratch)
             np.testing.assert_array_equal(gx, want_gx)
             np.testing.assert_array_equal(gk, want_gk)
 
@@ -808,8 +811,8 @@ class TestConvKernels:
         want = im2col_reference(x, k, 2, pad)
         scratch = ad._Scratch()
         scratch.take("cols", want.shape).fill(np.nan)
-        assert ad._im2col(x, k, 2, pad).tobytes() == want.tobytes()
-        assert ad._im2col(x, k, 2, pad, scratch).tobytes() == want.tobytes()
+        assert ad._im2col(x, ad._Kernel(k, 2, pad)).tobytes() == want.tobytes()
+        assert ad._im2col(x, ad._Kernel(k, 2, pad), scratch).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("ksize,pad", [(3, 1), (1, 0)])
@@ -827,8 +830,8 @@ class TestConvKernels:
         bias = rng.standard_normal(n_out)
         want = np.maximum(direct_conv(x, k, 1, pad) + bias[:, None, None], 0.0)
         buf = np.full((n_out, batch) + want.shape[2:], np.nan)
-        got = ad._conv(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), k, bias, 1, pad,
-                       relu=True, out=buf)
+        got = ad._conv(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), ad._Kernel(k, 1, pad),
+                       bias, relu=True, out=buf)
         assert got is buf
         assert_rel_close(got.transpose(1, 0, 2, 3), want)
 
@@ -969,17 +972,18 @@ class TestTapSum:
         bias = rng.standard_normal(n_out)
         scratch = ad._Scratch()
         scratch.take("taps", (ksize * ksize * max(channels), g[0].size)).fill(np.nan)
-        got = ad._conv(x, k, bias, 1, pad, scratch=scratch)
-        _, gx, _ = ad._conv_grads(g.copy(), x, k, 1, pad, want_k=False, scratch=scratch)
+        kernel = ad._Kernel(k, 1, pad)
+        got = ad._conv(x, kernel, bias, scratch=scratch)
+        _, gx, _ = ad._conv_grads(g.copy(), x, kernel, want_k=False, scratch=scratch)
         if n_in > n_out:
-            assert ad._form(k, 1, pad) == "kn2row"
+            assert ad._Kernel(k, 1, pad).form == "kn2row"
             want = kn2row_rows_reference(x, k, bias, pad)
             assert want.tobytes() == kn2row_reference(x, k, bias, 1, pad).tobytes()
             flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(n_in, -1)
             with ad.blas_threads(g.size * n_in * ksize * ksize):
                 want_gx = (flipped @ kn2row_taps_reference(g, x, k, 1, pad)).reshape(x.shape)
         else:
-            assert ad._form(k, 1, pad) == "cols"
+            assert ad._Kernel(k, 1, pad).form == "cols"
             want = np.empty_like(got)
             ad._by_sample(k.reshape(n_out, -1), im2col_reference(x, k, 1, pad), batch,
                           want.reshape(n_out, -1))
@@ -999,7 +1003,7 @@ class TestTapSum:
         taps = ad._taps(ksize, ksize, 2, pad, extent, extent)
         g = with_signed_zeros(rng.standard_normal((n_out, 2, taps.h_out, taps.w_out)), rng)
         assert taps.flat is None
-        _, gx, _ = ad._conv_grads(g.copy(), x, k, 2, pad, want_k=False)
+        _, gx, _ = ad._conv_grads(g.copy(), x, ad._Kernel(k, 2, pad), want_k=False)
         assert gx.tobytes() == im2col_input_grad_reference(g, x, k, 2, pad).tobytes()
 
     @pytest.mark.skipif(linalg._openblas_thread_calls() is None,
@@ -1018,7 +1022,7 @@ class TestTapSum:
         try:
             for threads in (1, 2):
                 set_(threads)
-                gx = ad._conv_grads(g.copy(), x, k, 1, 1, want_k=False)[1]
+                gx = ad._conv_grads(g.copy(), x, ad._Kernel(k, 1, 1), want_k=False)[1]
                 assert gx.tobytes() == im2col_input_grad_reference(g, x, k, 1, 1).tobytes()
                 got.append(gx.tobytes())
         finally:
@@ -1053,7 +1057,7 @@ class TestConvGradsOut:
         k = rng.standard_normal((n_out, n_in, ksize, ksize))
         taps = ad._taps(ksize, ksize, stride, pad, extent, extent)
         g = with_signed_zeros(rng.standard_normal((n_out, 4, taps.h_out, taps.w_out)), rng)
-        assert ad._form(k, stride, pad) == form
+        assert ad._Kernel(k, stride, pad).form == form
         return x, k, g, stride, pad
 
     @staticmethod
@@ -1061,10 +1065,11 @@ class TestConvGradsOut:
         """The input gradient into a new array and into a NaN-filled
         buffer, or into a copy of ``relu_out`` that is also the mask, as
         for a coupling's conv2; the second is that buffer."""
-        want = ad._conv_grads(g.copy(), x, k, stride, pad, relu_out, want_k=False)[1]
+        kernel = ad._Kernel(k, stride, pad)
+        want = ad._conv_grads(g.copy(), x, kernel, relu_out, want_k=False)[1]
         out = np.full(x.shape, np.nan) if relu_out is None else relu_out.copy()
         mask = None if relu_out is None else out
-        got = ad._conv_grads(g.copy(), x, k, stride, pad, mask, want_k=False, out=out)[1]
+        got = ad._conv_grads(g.copy(), x, kernel, mask, want_k=False, out=out)[1]
         assert got is out
         return got, want
 

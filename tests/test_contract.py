@@ -407,8 +407,6 @@ def bits(result):
         return bits(dataclasses.astuple(result))
     if isinstance(result, (tuple, list)):
         return b"".join(bits(r) for r in result)
-    if hasattr(result, "mat"):
-        return bits(result.mat)
     return np.ascontiguousarray(result, dtype=np.float64).tobytes()
 
 

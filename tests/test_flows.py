@@ -81,7 +81,8 @@ def invconv(x, weight, inverse=False):
 
 
 def inner_network(x_a, w1, b1, w2, b2, w3, b3):
-    return ad._swap(flows._shift(ad._swap(x_a), w1, b1, w2, b2, w3, b3, ad._Scratch())[0])
+    net = flows._Step("coupling", (w1, b1, w2, b2, w3, b3)).net
+    return ad._swap(flows._shift(ad._swap(x_a), *net, ad._Scratch())[0])
 
 
 def coupling(x, w1, b1, w2, b2, w3, b3, inverse=False):
@@ -1011,8 +1012,9 @@ class TestIdentityCouplings:
         p["w3"], p["b3"] = np.full_like(p["w3"], zero), np.full_like(p["b3"], zero)
         x = ad._swap(with_signed_zeros(np.random.default_rng(9).standard_normal((2, 6, 5, 7))))
         assert flows._identity(p["w3"], p["b3"])
-        got = flows._coupling(x, *p.values(), inverse, True, ad._Scratch())
-        want = full_coupling(x, *p.values(), inverse, True, ad._Scratch())
+        net = flows._Step("coupling", tuple(p.values())).net
+        got = flows._coupling(x, *net, inverse, True, ad._Scratch())
+        want = full_coupling(x, *net, inverse, True, ad._Scratch())
         assert_same_bits(got, want)
         # The forward turns -0.0 into +0.0; the inverse keeps it.
         zeros = got[3:][got[3:] == 0.0]

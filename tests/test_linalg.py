@@ -8,7 +8,7 @@ import pytest
 import flowstyle
 from flowstyle import linalg
 from flowstyle.errors import NotPSDError, NumericError, ShapeError, SingularMatrixError
-from flowstyle.linalg import SymMatrix, mat_inverse, matmul, sym_eig, sym_pow, sym_pows
+from flowstyle.linalg import mat_inverse, matmul, sym_eig, sym_pow, sym_pows
 
 
 def naive_matmul(a, b):
@@ -59,24 +59,25 @@ class TestMatmul:
         np.testing.assert_array_equal(g, g.T)
 
 
-class TestSymMatrix:
-    def test_mirrors_upper_triangle(self):
-        m = SymMatrix([[1.0, 2.0], [99.0, 3.0]])
-        np.testing.assert_array_equal(m.mat, [[1.0, 2.0], [2.0, 3.0]])
-        assert m.order == 2
+# Each as a function of one matrix that gives a tuple of arrays.
+SYMMETRIC_SOLVERS = {"sym_eig": sym_eig, "sym_pow": lambda m: (sym_pow(m, 0.5),)}
 
-    def test_rejects_non_square(self):
+
+@pytest.mark.parametrize("solve", SYMMETRIC_SOLVERS.values(), ids=SYMMETRIC_SOLVERS)
+class TestSymmetricInput:
+    def test_rejects_non_square(self, solve):
         with pytest.raises(ShapeError):
-            SymMatrix(np.zeros((2, 3)))
+            solve(np.zeros((2, 3)))
 
-    def test_rejects_non_finite(self):
+    def test_rejects_non_finite(self, solve):
         with pytest.raises(NumericError):
-            SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+            solve(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_readonly(self):
-        m = SymMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            m.mat[0, 0] = 5.0
+    def test_reads_the_upper_triangle_only(self, solve):
+        garbled = np.array([[2.0, 1.0], [99.0, 3.0]])
+        mirrored = np.array([[2.0, 1.0], [1.0, 3.0]])
+        for got, want in zip(solve(garbled), solve(mirrored)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSymEig:
@@ -136,10 +137,6 @@ class TestSymEig:
         lam2, e2 = sym_eig(m.copy())
         np.testing.assert_array_equal(lam1, lam2)
         np.testing.assert_array_equal(e1, e2)
-
-    def test_accepts_symmatrix(self):
-        lam, _ = sym_eig(SymMatrix(np.diag([2.0, 5.0])))
-        np.testing.assert_array_equal(lam, [5.0, 2.0])
 
     def test_reads_upper_triangle_only(self):
         rng = np.random.default_rng(15)

@@ -183,11 +183,11 @@ class TestCovFactor:
     def test_white_noise_covariance_near_identity(self):
         f = random_feature((1, 2, 64, 64), seed=13)  # N = 4096
         cf = cov_factor(f)
-        assert np.max(np.abs(cf.cov.mat - np.eye(2))) < 0.1
+        assert np.max(np.abs(cf.cov - np.eye(2))) < 0.1
 
     def test_constant_feature_gives_ridge_only(self):
         cf = cov_factor(np.full((1, 3, 4, 4), 2.0))
-        np.testing.assert_allclose(cf.cov.mat, 1e-12 * np.eye(3), atol=1e-18)
+        np.testing.assert_allclose(cf.cov, 1e-12 * np.eye(3), atol=1e-18)
         assert np.isfinite(cf.whitener).all()
 
     def test_rank_deficient_hand_case(self):
@@ -199,7 +199,7 @@ class TestCovFactor:
         x = base.ravel()
         v = x.var()
         expect = np.array([[v, 2 * v], [2 * v, 4 * v]])
-        np.testing.assert_allclose(cf.cov.mat, expect, atol=1e-9)
+        np.testing.assert_allclose(cf.cov, expect, atol=1e-9)
         assert np.isfinite(cf.whitener).all()
 
     def test_whitener_colorer_multiply_to_identity(self):
@@ -208,6 +208,18 @@ class TestCovFactor:
         prod = matmul(cf.whitener, cf.colorer)
         assert np.max(np.abs(prod - np.eye(4))) < 1e-8
 
+
+    @pytest.mark.parametrize("seed,shape", [(13, (1, 2, 64, 64)), (16, (2, 5, 6, 6)), (14, None)])
+    def test_cov_is_read_only_and_exactly_symmetric(self, seed, shape):
+        if shape is None:  # rank-deficient, as in test_rank_deficient_hand_case
+            base = np.random.default_rng(seed).standard_normal((1, 1, 8, 8))
+            f = np.concatenate([base, 2.0 * base], axis=1)
+        else:
+            f = random_feature(shape, seed=seed)
+        cov = cov_factor(f).cov
+        np.testing.assert_array_equal(cov, cov.T)
+        with pytest.raises(ValueError):
+            cov[0, 0] = 5.0
 
     def test_powers_equal_two_separate_solves(self):
         f = random_feature((2, 5, 6, 6), seed=16, scale=[1, 2, 0.5, 3, 1])
@@ -240,7 +252,7 @@ class TestWct:
         f_s = random_feature((1, 4, 16, 16), seed=20, scale=[2, 1, 1, 0.5], shift=[0, 1, 0, -1])
         out = wct(f_c, f_s)
         cov_out, cov_style = cov_factor(out), cov_factor(f_s)
-        assert np.max(np.abs(cov_out.cov.mat - cov_style.cov.mat)) < 1e-6
+        assert np.max(np.abs(cov_out.cov - cov_style.cov)) < 1e-6
         assert np.max(np.abs(cov_out.mean - cov_style.mean)) < 1e-9
         c_out = wct_content_factor(out)
         c_in = wct_content_factor(f_c)
@@ -260,12 +272,11 @@ class TestWct:
 
 
 def _diag_factor(diag, mean):
-    from flowstyle.linalg import SymMatrix
     from flowstyle.transfer import CovFactor
 
     return CovFactor(
         mean=mean,
-        cov=SymMatrix(np.diag(diag)),
+        cov=np.diag(diag),
         whitener=np.diag(diag**-0.5),
         colorer=np.diag(diag**0.5),
     )
